@@ -28,7 +28,7 @@ from .matio import (
     write_raw64,
 )
 from .metrics import aligned_mse, singular_spectrum
-from .model import ValidationError
+from .model import ValidationError, compose_expanded
 from .solver import FitConfig, fit
 from .synth import assemble_ground_truth, builtin_bases, gen_dataset
 
@@ -179,7 +179,6 @@ def _cmd_unmix(args, argv) -> int:
         beta_steps_per_outer=args.beta_steps,
         apg_passes_per_factor=args.apg_passes,
         rel_elbo_tol=args.tol,
-        seed=args.seed,
     )
     result = fit(y, start.stack, start.posterior, config)
     out = Path(args.out)
@@ -191,10 +190,7 @@ def _cmd_unmix(args, argv) -> int:
         name = f"mixer_{idx}.raw64"
         write_raw64(out / name, mixer)
         mixer_names.append(name)
-    expanded = stack.basis
-    for mixer in stack.mixers:
-        expanded = expanded @ mixer
-    write_raw64(out / "expanded.raw64", expanded)
+    write_raw64(out / "expanded.raw64", compose_expanded(stack).data)
     write_raw64(out / "concentration.raw64", result.posterior.concentration)
     write_raw64(out / "abundances.raw64", result.abundances)
     trace = result.trace

@@ -9,7 +9,7 @@ expanded endmembers; mixing layers start at random simplex columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -17,20 +17,15 @@ from .model import (
     FactorStack,
     ModelDims,
     PixelMatrix,
+    RngLike,
     ValidationError,
+    _as_rng,
     as_pixel_matrix,
+    compose_expanded,
     validate_dims,
 )
 from .simplex import BETA_FLOOR, DirichletParam, project_simplex_columns, sample_dirichlet
 from .solver import _spectral_norm_psd, update_sigma2
-
-RngLike = Union[int, np.random.Generator, np.random.SeedSequence]
-
-
-def _as_rng(seed: RngLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _estimate_snr_db(y: np.ndarray, mean_col: np.ndarray, proj: np.ndarray) -> float:
@@ -207,10 +202,7 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
         sample_dirichlet(np.ones(a), b, rng) for a, b in zip(layers, layers[1:])
     )
     stack = FactorStack(basis=basis, mixers=mixers, noise_var=1.0)
-    b0 = stack.basis
-    for s in stack.mixers:
-        b0 = b0 @ s
-    sigma2 = update_sigma2(y, b0, betas)
+    sigma2 = update_sigma2(y, compose_expanded(stack).data, betas)
     stack = stack.replace(noise_var=sigma2)
     return InitResult(
         stack=stack,

@@ -10,8 +10,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .model import ValidationError
 
-_JACOBI_SWEEPS = 30
-
 
 @dataclass(frozen=True)
 class AlignmentResult:
@@ -107,41 +105,8 @@ def snr_db(endmembers: np.ndarray, abundances: np.ndarray, sigma2: float) -> flo
 
 
 def singular_spectrum(mat: np.ndarray) -> np.ndarray:
-    """All singular values of a matrix, descending.
-
-    One-sided Jacobi: rotate column pairs until mutually orthogonal, then
-    the column norms are the singular values.  Working on the transpose
-    when it is thinner keeps the pair count at min(rows, cols)^2.
-    """
+    """All singular values of a matrix, descending."""
     a = np.atleast_2d(np.asarray(mat, dtype=np.float64))
     if not np.all(np.isfinite(a)):
         raise ValidationError("singular_spectrum requires finite input")
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    a = a.copy()
-    n = a.shape[1]
-    eps = np.finfo(np.float64).eps
-    for _ in range(_JACOBI_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                dot_pq = float(a[:, p] @ a[:, q])
-                norm_p = float(a[:, p] @ a[:, p])
-                norm_q = float(a[:, q] @ a[:, q])
-                if norm_p == 0.0 or norm_q == 0.0:
-                    continue
-                if abs(dot_pq) <= 10.0 * eps * np.sqrt(norm_p * norm_q):
-                    continue
-                rotated = True
-                tau = (norm_q - norm_p) / (2.0 * dot_pq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = cs * t
-                col_p = a[:, p].copy()
-                a[:, p] = cs * col_p - sn * a[:, q]
-                a[:, q] = sn * col_p + cs * a[:, q]
-        if not rotated:
-            break
-    svals = np.sqrt((a * a).sum(axis=0))
-    svals[::-1].sort()
-    return svals
+    return np.linalg.svd(a, compute_uv=False)

@@ -9,17 +9,26 @@ chain of column-stochastic mixing layers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 COLUMN_SUM_TOL = 1e-9
 NOISE_VAR_FLOOR = 1e-12
 
+RngLike = Union[int, np.random.Generator, np.random.SeedSequence]
+
 
 class ValidationError(ValueError):
     """Raised when data violates a structural invariant (shapes, simplex
     feasibility, layer-size ordering)."""
+
+
+def _as_rng(seed: RngLike) -> np.random.Generator:
+    """Pass a Generator through; build one from an int or SeedSequence."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(seed)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

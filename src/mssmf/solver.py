@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import FactorStack, ValidationError, as_pixel_matrix
+from .model import FactorStack, ValidationError, as_pixel_matrix, compose_expanded
 from .simplex import (
     BETA_FLOOR,
     DirichletParam,
@@ -32,8 +32,6 @@ from .simplex import (
 
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
-_POWER_ROUNDS = 50
-_POWER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,6 @@ class FitConfig:
     apg_passes_per_factor: int = 100
     rel_elbo_tol: float = 1e-7
     sigma2_floor: float = 1e-12
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
@@ -101,11 +98,6 @@ class FitResult:
         return self.posterior.mean
 
 
-def _expanded(stack: FactorStack) -> np.ndarray:
-    mats = [stack.basis, *stack.mixers]
-    return mats[0] if len(mats) == 1 else np.linalg.multi_dot(mats)
-
-
 def _moment_sums(betas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Mean matrix and summed second moment of the per-pixel Dirichlets.
 
@@ -129,12 +121,21 @@ def _resid_sum(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> float:
     )
 
 
+def _trace_gp(
+    g: np.ndarray, betas: np.ndarray, denom: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-pixel tr(G E[z z^T]) for Dirichlet(betas) columns.
+
+    denom is total * (total + 1) per pixel; returns (g @ betas, trace).
+    """
+    gb = g @ betas
+    return gb, (np.diag(g) @ betas + (betas * gb).sum(axis=0)) / denom
+
+
 def _resid_per_pixel(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> np.ndarray:
     total = betas.sum(axis=0)
     denom = total * (total + 1.0)
-    g = b.T @ b
-    gb = g @ betas
-    tr_gp = (np.diag(g) @ betas + (betas * gb).sum(axis=0)) / denom
+    _, tr_gp = _trace_gp(b.T @ b, betas, denom)
     return (y * y).sum(axis=0) - 2.0 * (y * (b @ (betas / total))).sum(axis=0) + tr_gp
 
 
@@ -161,7 +162,7 @@ def _check_state(pixels, stack: FactorStack, posterior: DirichletParam):
     betas = posterior.concentration
     if betas.shape != (stack.expanded_count, px.pixels):
         raise ValidationError(
-            f"posterior shape {betas.shape} does not match "
+            f"posterior concentrations {betas.shape} do not match "
             f"({stack.expanded_count}, {px.pixels})"
         )
     if stack.bands != px.bands:
@@ -174,7 +175,7 @@ def _check_state(pixels, stack: FactorStack, posterior: DirichletParam):
 def elbo(pixels, stack: FactorStack, posterior: DirichletParam) -> float:
     """Evidence lower bound of a feasible model state, averaged over pixels."""
     px, betas = _check_state(pixels, stack, posterior)
-    return elbo_terms(px.data, _expanded(stack), betas, stack.noise_var)
+    return elbo_terms(px.data, compose_expanded(stack).data, betas, stack.noise_var)
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,7 @@ def elbo_breakdown(pixels, stack: FactorStack, posterior: DirichletParam) -> Elb
     clamped at zero to hide roundoff on perfectly reconstructed pixels.
     """
     px, betas = _check_state(pixels, stack, posterior)
-    b = _expanded(stack)
+    b = compose_expanded(stack).data
     resid = np.maximum(_resid_per_pixel(px.data, b, betas), 0.0)
     ent = float(dirichlet_entropy(betas).sum())
     const = float(log_gamma(float(stack.expanded_count)))
@@ -225,7 +226,7 @@ def grad_factors(
     betas = np.asarray(betas, dtype=np.float64)
     n = y.shape[1]
     mean, pbar = _moment_sums(betas)
-    b = _expanded(stack)
+    b = compose_expanded(stack).data
     grad_b = -(b @ pbar - y @ mean.T) / (stack.noise_var * n)
     mats = [stack.basis, *stack.mixers]
     tail = _suffix_products(mats)
@@ -268,8 +269,7 @@ def _beta_grad_per_pixel(
     denom = total * (total + 1.0)
     y_b_m = (c * betas).sum(axis=0) / total
     d_resid = -2.0 * (c - y_b_m) / total
-    gb = g @ betas
-    tr_gp = (np.diag(g) @ betas + (betas * gb).sum(axis=0)) / denom
+    gb, tr_gp = _trace_gp(g, betas, denom)
     d_resid += (np.diag(g)[:, None] + 2.0 * gb - (2.0 * total + 1.0) * tr_gp) / denom
     d_ent = (total - k) * trigamma(total) - (betas - 1.0) * trigamma(betas)
     return -d_resid / (2.0 * sigma2) + d_ent
@@ -279,8 +279,7 @@ def _beta_objective(c: np.ndarray, g: np.ndarray, betas: np.ndarray, sigma2: flo
     """Per-pixel bound up to beta-independent constants."""
     total = betas.sum(axis=0)
     denom = total * (total + 1.0)
-    gb = g @ betas
-    tr_gp = (np.diag(g) @ betas + (betas * gb).sum(axis=0)) / denom
+    _, tr_gp = _trace_gp(g, betas, denom)
     partial_resid = -2.0 * (c * betas).sum(axis=0) / total + tr_gp
     return -partial_resid / (2.0 * sigma2) + dirichlet_entropy(betas)
 
@@ -364,24 +363,8 @@ def thread_count() -> int:
 
 
 def _spectral_norm_psd(mat: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    k = mat.shape[0]
-    if k == 1:
-        return float(abs(mat[0, 0]))
-    v = np.full(k, 1.0 / np.sqrt(k))
-    lam = 0.0
-    for _ in range(_POWER_ROUNDS):
-        w = mat @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_lam = float(v @ (mat @ v))
-        if abs(new_lam - lam) <= _POWER_TOL * max(1.0, new_lam):
-            lam = new_lam
-            break
-        lam = new_lam
-    return lam
+    """Largest eigenvalue of a symmetric PSD matrix."""
+    return float(np.linalg.eigvalsh(mat)[-1])
 
 
 def _apg_minimize(x0, grad_fn, obj_fn, lipschitz, project, passes):
@@ -506,22 +489,10 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     each mixing layer in order, then the noise variance.  The traced bound
     is evaluated after the four blocks and is non-decreasing.
     """
-    px = as_pixel_matrix(pixels)
+    if not isinstance(betas, DirichletParam):
+        betas = DirichletParam(betas)
+    px, betas = _check_state(pixels, stack, betas)
     y = px.data
-    if isinstance(betas, DirichletParam):
-        betas = betas.concentration
-    betas = np.array(betas, dtype=np.float64)
-    if stack.bands != px.bands:
-        raise ValidationError(
-            f"stack bands {stack.bands} do not match data bands {px.bands}"
-        )
-    if betas.shape != (stack.expanded_count, px.pixels):
-        raise ValidationError(
-            f"initial concentrations {betas.shape} do not match "
-            f"({stack.expanded_count}, {px.pixels})"
-        )
-    if np.any(betas < BETA_FLOOR):
-        raise ValidationError(f"initial concentrations below floor {BETA_FLOOR:g}")
     workers = thread_count()
     elbo_hist: List[float] = []
     sigma2_hist: List[float] = []
@@ -530,7 +501,7 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     prev = None
     for _ in range(config.max_outer_iters):
         t0 = time.perf_counter()
-        b = _expanded(stack)
+        b = compose_expanded(stack).data
         betas = update_beta(
             y, b, betas, stack.noise_var,
             passes=config.beta_steps_per_outer, workers=workers,
@@ -539,7 +510,7 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
             stack = apg_update_factor(
                 y, stack, betas, block, passes=config.apg_passes_per_factor
             )
-        b = _expanded(stack)
+        b = compose_expanded(stack).data
         stack = stack.replace(
             noise_var=update_sigma2(y, b, betas, floor=config.sigma2_floor)
         )

@@ -9,23 +9,15 @@ noise is white Gaussian calibrated to a target SNR.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
-from .model import PixelMatrix, ValidationError
+from .model import PixelMatrix, RngLike, ValidationError, _as_rng
 from .simplex import sample_dirichlet
-
-RngLike = Union[int, np.random.Generator, np.random.SeedSequence]
 
 DEFAULT_GAMMA = 0.25
 DEFAULT_KNOTS = 10
-
-
-def _as_rng(seed: RngLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)

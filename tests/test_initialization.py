@@ -92,6 +92,11 @@ class TestScls:
             moved = project_simplex(s - grad / lip)
             assert np.linalg.norm(moved - s) <= 1e-8
 
+    def test_solves_when_uniform_start_is_in_gram_null_space(self):
+        # B^T B = [[2, -2], [-2, 2]] annihilates the uniform start vector
+        s = scls(np.array([1.0, 1.0]), np.array([[1.0, -1.0], [1.0, -1.0]]))
+        np.testing.assert_allclose(s, [1.0, 0.0], atol=1e-8)
+
     def test_single_endmember_returns_one(self, rng):
         a = rng.uniform(0.1, 1.0, (9, 1))
         np.testing.assert_array_equal(scls(rng.uniform(0, 1, 9), a), [1.0])

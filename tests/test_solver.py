@@ -216,11 +216,14 @@ class TestApg:
             apg_update_factor(y, stack, betas, 5)
 
     def test_spectral_norm_matches_numpy(self, rng):
+        # the uniform vector lies in the null space of the first matrix
+        cases = [(np.array([[2.0, -2.0], [-2.0, 2.0]]), 4.0)]
         for _ in range(10):
             k = int(rng.integers(1, 9))
             a = rng.normal(size=(k, k + 2))
             mat = a @ a.T
-            want = np.linalg.eigvalsh(mat)[-1]
+            cases.append((mat, np.linalg.eigvalsh(mat)[-1]))
+        for mat, want in cases:
             assert _spectral_norm_psd(mat) == pytest.approx(want, rel=1e-6)
 
 
@@ -272,6 +275,8 @@ class TestFit:
             fit(y, stack, betas[:, :-1])
         with pytest.raises(ValidationError, match="floor"):
             fit(y, stack, np.zeros_like(betas))
+        with pytest.raises(ValidationError, match="must be finite"):
+            fit(y, stack, np.full_like(betas, np.nan))
 
     def test_reduces_reconstruction_error_on_clean_mixture(self, rng):
         basis = rng.uniform(0.1, 1.0, (10, 3))
