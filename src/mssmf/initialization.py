@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .model import (
     FactorStack,
@@ -24,8 +25,8 @@ from .model import (
     compose_expanded,
     validate_dims,
 )
-from .simplex import BETA_FLOOR, DirichletParam, project_simplex_columns, sample_dirichlet
-from .solver import _spectral_norm_psd, update_sigma2
+from .simplex import BETA_FLOOR, DirichletParam, sample_dirichlet
+from .solver import update_sigma2
 
 
 def _estimate_snr_db(y: np.ndarray, mean_col: np.ndarray, proj: np.ndarray) -> float:
@@ -111,13 +112,19 @@ def vca(pixels, k: int, seed: RngLike = 0) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def scls(pixels, endmembers: np.ndarray) -> np.ndarray:
-    """Simplex-constrained least squares, one solve per pixel.
+    """Simplex-constrained least squares, one exact solve per pixel.
 
     Minimizes ||y - B s||^2 with s on the unit simplex for every column y
-    of the input (a single vector gives a single solution vector), by
-    monotone accelerated projected gradient with a fixed 1/L step.  Stops
-    when an exact projected-gradient step moves the iterate by less than
-    1e-10 in Frobenius norm, or after 1000 iterations.
+    of the input (a single vector gives a single solution vector).  On the
+    simplex 1's = 1, so ||y - B s||^2 = ||(y 1' - B) s||^2; each pixel is
+    one nonnegative least-squares solve (Lawson & Hanson's active set)
+
+        min_{u >= 0} ||[y 1' - B; 1'] u - e_{m+1}||^2,   s = u / 1'u.
+
+    This is exact: writing u = lam s, the objective is lam^2 q + (lam - 1)^2
+    with q = ||(y 1' - B) s||^2, whose minimum over lam, q / (1 + q), rises
+    with q, and u = 0 scores 1, so the optimal u is never zero.  Raises the
+    NNLS engine's RuntimeError if it hits its iteration cap.
     """
     b = np.asarray(endmembers, dtype=np.float64)
     raw = pixels.data if isinstance(pixels, PixelMatrix) else np.asarray(pixels, dtype=np.float64)
@@ -127,40 +134,18 @@ def scls(pixels, endmembers: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"endmember matrix shape {b.shape} incompatible with {y.shape[0]} bands"
         )
-    k, n = b.shape[1], y.shape[1]
-    gram = b.T @ b
-    lin = b.T @ y
-    lip = _spectral_norm_psd(gram)
-    if lip <= 0.0:
-        out = np.full((k, n), 1.0 / k)
-        return out[:, 0] if single else out
-
-    def half_obj(z, grad):
-        # 0.5 z'Gz - c'z, written with the already-computed gradient
-        return 0.5 * float(np.sum(z * grad)) - 0.5 * float(np.sum(lin * z))
-
-    z = np.full((k, n), 1.0 / k)
-    z_prev = z
-    gz = gram @ z - lin
-    best = half_obj(z, gz)
-    t = 1.0
-    for _ in range(1000):
-        plain = project_simplex_columns(z - gz / lip)
-        if np.linalg.norm(plain - z) < 1e-10:
-            z = plain
-            break
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        w = z + ((t - 1.0) / t_next) * (z - z_prev)
-        cand = project_simplex_columns(w - (gram @ w - lin) / lip)
-        g_cand = gram @ cand - lin
-        f_cand = half_obj(cand, g_cand)
-        if f_cand <= best:
-            z_prev, z, gz, best, t = z, cand, g_cand, f_cand, t_next
-        else:
-            g_plain = gram @ plain - lin
-            z_prev, z, gz, t = z, plain, g_plain, 1.0
-            best = half_obj(plain, g_plain)
-    return z[:, 0] if single else z
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(y))):
+        raise ValidationError("scls input contains non-finite entries")
+    (m, k), n = b.shape, y.shape[1]
+    lhs = np.ones((m + 1, k))
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    out = np.empty((k, n))
+    for j in range(n):
+        np.subtract(y[:, j, None], b, out=lhs[:m])
+        u, _ = nnls(lhs, rhs)
+        out[:, j] = u / u.sum()
+    return out[:, 0] if single else out
 
 
 @dataclass(frozen=True)

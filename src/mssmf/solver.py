@@ -32,6 +32,8 @@ from .simplex import (
 
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
+# relative bound change below which fit reports a decrease, not roundoff
+_BOUND_DROP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,8 @@ class FitConfig:
 
     rel_elbo_tol stops the loop once the relative bound improvement
     (F_t - F_{t-1}) / (1 + |F_{t-1}|) falls strictly below it, so a
-    tolerance of zero always runs max_outer_iters iterations.
+    tolerance of zero runs max_outer_iters iterations unless the bound
+    drops.
 
     apg_passes_per_factor is the inner FISTA budget per factor block per
     outer iteration.  The blocks cost nothing next to the concentration
@@ -71,7 +74,9 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitTrace:
     """Per-iteration record of the fit: bound value, noise variance, wall
-    time in milliseconds, and why the loop stopped."""
+    time in milliseconds, and why the loop stopped: "max_iters",
+    "converged" (improvement below rel_elbo_tol) or "bound_decreased"
+    (relative change below -1e-10, beyond roundoff)."""
 
     elbo: np.ndarray
     sigma2: np.ndarray
@@ -518,9 +523,14 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
         ms_hist.append((time.perf_counter() - t0) * 1e3)
         elbo_hist.append(cur)
         sigma2_hist.append(stack.noise_var)
-        if prev is not None and (cur - prev) / (1.0 + abs(prev)) < config.rel_elbo_tol:
-            stop_reason = "converged"
-            break
+        if prev is not None:
+            rel = (cur - prev) / (1.0 + abs(prev))
+            if rel < -_BOUND_DROP_TOL:
+                stop_reason = "bound_decreased"
+                break
+            if rel < config.rel_elbo_tol:
+                stop_reason = "converged"
+                break
         prev = cur
     trace = FitTrace(
         elbo=np.asarray(elbo_hist),

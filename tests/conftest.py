@@ -115,6 +115,46 @@ def simplex_projection_bruteforce(v):
     return best
 
 
+def simplex_lsq_bruteforce(y, a):
+    """Exact simplex-constrained least squares by scanning every support.
+
+    For each nonempty support S the equality-constrained minimizer of
+    ||y - A_S w||^2 subject to sum(w) = 1 solves the KKT system
+    [[2 A_S'A_S, 1], [1', 0]] [w; mu] = [2 A_S'y; 1], which is consistent
+    but singular when A_S is rank deficient; lstsq returns one of its
+    solutions.  Some optimum of the full problem has a smallest support,
+    on which that minimizer is unique and nonnegative, so the nonnegative
+    candidate with the smallest objective is optimal.
+
+    Returns (s, objective).
+    """
+    y = np.asarray(y, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    k = a.shape[1]
+    best = None
+    best_obj = np.inf
+    for size in range(1, k + 1):
+        for support in itertools.combinations(range(k), size):
+            s = list(support)
+            sub = a[:, s]
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = 2.0 * sub.T @ sub
+            kkt[:size, size] = 1.0
+            kkt[size, :size] = 1.0
+            rhs = np.append(2.0 * sub.T @ y, 1.0)
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            if np.any(sol[:size] < -1e-12):
+                continue
+            w = np.zeros(k)
+            w[s] = np.maximum(sol[:size], 0.0)
+            w /= w.sum()
+            obj = float(np.sum((y - a @ w) ** 2))
+            if obj < best_obj:
+                best_obj = obj
+                best = w
+    return best, best_obj
+
+
 def assignment_bruteforce(cost):
     """Exhaustive minimum-cost assignment; ties go to the smallest perm."""
     k = cost.shape[0]

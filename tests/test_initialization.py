@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from conftest import simplex_lsq_bruteforce
 from mssmf import (
     BETA_FLOOR,
     ValidationError,
     aligned_mse,
+    assemble_ground_truth,
+    builtin_bases,
+    gen_dataset,
     init_all,
     scls,
     vca,
 )
-from mssmf.simplex import project_simplex, sample_dirichlet
+from mssmf.simplex import project_simplex, project_simplex_columns, sample_dirichlet
 from mssmf.solver import _spectral_norm_psd
 
 
@@ -92,6 +96,46 @@ class TestScls:
             moved = project_simplex(s - grad / lip)
             assert np.linalg.norm(moved - s) <= 1e-8
 
+    def test_stationary_at_desk_scale(self):
+        # README quick-start scene against 30 VCA endmembers: the Gram
+        # condition number is in the thousands, where a first-order
+        # method stalls short of the optimum
+        truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
+        bundle = gen_dataset(truth, n_pixels=500, snr_db=20.0, seed=8)
+        a, _ = vca(bundle.pixels, 30, seed=9)
+        y = bundle.pixels.data
+        s = scls(bundle.pixels, a)
+        lip = _spectral_norm_psd(a.T @ a)
+        grad = a.T @ (a @ s - y)
+        moved = project_simplex_columns(s - grad / lip)
+        assert np.linalg.norm(moved - s, axis=0).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "case", ["generic", "duplicate_column", "near_duplicate_column", "wide"]
+    )
+    def test_matches_support_enumeration_oracle(self, rng, case):
+        for _ in range(25):
+            if case == "wide":
+                # more endmembers than bands
+                k = int(rng.integers(3, 6))
+                m = int(rng.integers(2, k))
+            else:
+                k = int(rng.integers(1 if case == "generic" else 2, 6))
+                m = int(rng.integers(k + 1, 12))
+            a = rng.uniform(0.0, 1.0, (m, k))
+            if case == "duplicate_column":
+                a[:, 0] = a[:, k - 1]
+            elif case == "near_duplicate_column":
+                # Gram condition number around 1e8, like correlated spectra
+                a[:, 0] = a[:, k - 1] + 1e-4 * rng.standard_normal(m)
+            y = rng.uniform(-0.2, 1.2, m)
+            s = scls(y, a)
+            assert np.all(s >= 0.0)
+            assert s.sum() == pytest.approx(1.0, abs=1e-14)
+            _, best = simplex_lsq_bruteforce(y, a)
+            ours = float(np.sum((y - a @ s) ** 2))
+            assert ours == pytest.approx(best, rel=1e-10, abs=1e-10 * float(y @ y))
+
     def test_solves_when_uniform_start_is_in_gram_null_space(self):
         # B^T B = [[2, -2], [-2, 2]] annihilates the uniform start vector
         s = scls(np.array([1.0, 1.0]), np.array([[1.0, -1.0], [1.0, -1.0]]))
@@ -120,6 +164,16 @@ class TestScls:
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ValidationError):
             scls(rng.uniform(0, 1, 9), rng.uniform(0, 1, (8, 3)))
+
+    def test_non_finite_input_raises(self, rng):
+        a = rng.uniform(0, 1, (8, 3))
+        y = rng.uniform(0, 1, 8)
+        y[2] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            scls(y, a)
+        a[0, 1] = np.inf
+        with pytest.raises(ValidationError, match="non-finite"):
+            scls(rng.uniform(0, 1, (8, 4)), a)
 
 
 class TestInitAll:

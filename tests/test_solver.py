@@ -16,6 +16,7 @@ from mssmf import (
     update_beta,
     update_sigma2,
 )
+from mssmf import solver
 from mssmf.simplex import BETA_FLOOR, sample_dirichlet
 from mssmf.solver import _spectral_norm_psd, thread_count
 
@@ -248,6 +249,22 @@ class TestFit:
         res = fit(y, stack, betas, FitConfig(max_outer_iters=50, rel_elbo_tol=1e-2))
         assert res.trace.stop_reason == "converged"
         assert len(res.trace) < 50
+
+    def test_bound_drop_stops_with_its_own_reason(self, rng, monkeypatch):
+        # a noise variance 100x off its closed form lowers the bound
+        y, stack, betas = random_instance(rng)
+        exact = solver.update_sigma2
+        calls = []
+
+        def wrong_after_first(*args, **kwargs):
+            calls.append(None)
+            return exact(*args, **kwargs) * (1.0 if len(calls) == 1 else 100.0)
+
+        monkeypatch.setattr(solver, "update_sigma2", wrong_after_first)
+        res = fit(y, stack, betas, FitConfig(max_outer_iters=10, rel_elbo_tol=0.0))
+        assert res.trace.stop_reason == "bound_decreased"
+        assert len(res.trace) == 2
+        assert res.trace.elbo[1] < res.trace.elbo[0]
 
     def test_deterministic_given_inputs(self, rng):
         y, stack, betas = random_instance(rng)
