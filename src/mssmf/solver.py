@@ -8,6 +8,12 @@ basis and each mixing layer (monotone accelerated projected gradient), and
 the noise variance (closed form).  Every block is accepted only if the
 bound does not decrease, so the traced objective is non-decreasing by
 construction.
+
+The concentration block dominates the cost: each evaluation of the
+per-pixel bound is a log-gamma/digamma sweep over every concentration.  The
+line search therefore evaluates each (pixel, point) pair once.  An accepted
+candidate's value and gradient pieces (totals, g @ betas, tr(G P), c . beta)
+become the next pass's starting value and feed its gradient.
 """
 
 from __future__ import annotations
@@ -75,8 +81,9 @@ class FitConfig:
 class FitTrace:
     """Per-iteration record of the fit: bound value, noise variance, wall
     time in milliseconds, and why the loop stopped: "max_iters",
-    "converged" (improvement below rel_elbo_tol) or "bound_decreased"
-    (relative change below -1e-10, beyond roundoff)."""
+    "converged" (improvement below rel_elbo_tol), "bound_decreased"
+    (relative change below -1e-10, beyond roundoff) or "non_finite" (the
+    bound of the last iteration is NaN or infinite)."""
 
     elbo: np.ndarray
     sigma2: np.ndarray
@@ -252,7 +259,8 @@ def grad_beta(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) ->
     n = y.shape[1]
     c = b.T @ y
     g = b.T @ b
-    return _beta_grad_per_pixel(c, g, betas, sigma2) / n
+    _, pieces = _beta_point(c, g, betas, sigma2)
+    return _beta_gradient(c, g, betas, sigma2, pieces) / n
 
 
 def _suffix_products(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
@@ -265,28 +273,38 @@ def _suffix_products(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
     return tail
 
 
-def _beta_grad_per_pixel(
+def _beta_point(
     c: np.ndarray, g: np.ndarray, betas: np.ndarray, sigma2: float
-) -> np.ndarray:
-    """d(per-pixel bound)/d(betas); c = B^T Y and g = B^T B are fixed."""
-    k = betas.shape[0]
+) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """Per-pixel bound at betas, up to beta-independent constants.
+
+    c = B^T Y and g = B^T B are fixed.  Also returns the pieces
+    :func:`_beta_gradient` reuses at the same point: (total, denom,
+    g @ betas, tr(G E[z z^T]), c . betas), one column per pixel.
+    """
     total = betas.sum(axis=0)
     denom = total * (total + 1.0)
-    y_b_m = (c * betas).sum(axis=0) / total
-    d_resid = -2.0 * (c - y_b_m) / total
     gb, tr_gp = _trace_gp(g, betas, denom)
+    cb = (c * betas).sum(axis=0)
+    value = -(-2.0 * cb / total + tr_gp) / (2.0 * sigma2) + dirichlet_entropy(betas)
+    return value, (total, denom, gb, tr_gp, cb)
+
+
+def _beta_gradient(
+    c: np.ndarray,
+    g: np.ndarray,
+    betas: np.ndarray,
+    sigma2: float,
+    pieces: Tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """d(per-pixel bound)/d(betas) from the pieces :func:`_beta_point`
+    returned at the same betas."""
+    total, denom, gb, tr_gp, cb = pieces
+    k = betas.shape[0]
+    d_resid = -2.0 * (c - cb / total) / total
     d_resid += (np.diag(g)[:, None] + 2.0 * gb - (2.0 * total + 1.0) * tr_gp) / denom
     d_ent = (total - k) * trigamma(total) - (betas - 1.0) * trigamma(betas)
     return -d_resid / (2.0 * sigma2) + d_ent
-
-
-def _beta_objective(c: np.ndarray, g: np.ndarray, betas: np.ndarray, sigma2: float) -> np.ndarray:
-    """Per-pixel bound up to beta-independent constants."""
-    total = betas.sum(axis=0)
-    denom = total * (total + 1.0)
-    _, tr_gp = _trace_gp(g, betas, denom)
-    partial_resid = -2.0 * (c * betas).sum(axis=0) / total + tr_gp
-    return -partial_resid / (2.0 * sigma2) + dirichlet_entropy(betas)
 
 
 def _beta_ascent_chunk(
@@ -296,13 +314,16 @@ def _beta_ascent_chunk(
 
     Each pass takes one Armijo-backtracked step per pixel; a pixel whose
     search fails keeps its current concentrations, so the per-pixel bound
-    never decreases.
+    never decreases.  The bound and its gradient pieces are evaluated once
+    at the starting point; after that every pixel carries the value and
+    pieces of the candidate its search last accepted, so the next pass
+    starts from them and no point is evaluated twice.
     """
     cur = np.array(betas)
     n = cur.shape[1]
+    f0, pieces = _beta_point(c, g, cur, sigma2)
     for _ in range(passes):
-        f0 = _beta_objective(c, g, cur, sigma2)
-        grad = _beta_grad_per_pixel(c, g, cur, sigma2)
+        grad = _beta_gradient(c, g, cur, sigma2, pieces)
         step = np.ones(n)
         todo = np.arange(n)
         for _ in range(_MAX_HALVINGS):
@@ -310,10 +331,13 @@ def _beta_ascent_chunk(
                 break
             cand = np.maximum(cur[:, todo] + step[todo] * grad[:, todo], BETA_FLOOR)
             move = cand - cur[:, todo]
-            gain = _beta_objective(c[:, todo], g, cand, sigma2) - f0[todo]
-            ok = gain >= _ARMIJO_C1 * (grad[:, todo] * move).sum(axis=0)
+            f, cand_pieces = _beta_point(c[:, todo], g, cand, sigma2)
+            ok = f - f0[todo] >= _ARMIJO_C1 * (grad[:, todo] * move).sum(axis=0)
             hit = todo[ok]
             cur[:, hit] = cand[:, ok]
+            f0[hit] = f[ok]
+            for kept, tried in zip(pieces, cand_pieces):
+                kept[..., hit] = tried[..., ok]
             todo = todo[~ok]
             step[todo] *= 0.5
     return cur
@@ -523,6 +547,9 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
         ms_hist.append((time.perf_counter() - t0) * 1e3)
         elbo_hist.append(cur)
         sigma2_hist.append(stack.noise_var)
+        if not np.isfinite(cur):
+            stop_reason = "non_finite"
+            break
         if prev is not None:
             rel = (cur - prev) / (1.0 + abs(prev))
             if rel < -_BOUND_DROP_TOL:

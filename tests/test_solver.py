@@ -7,12 +7,17 @@ from mssmf import (
     FitConfig,
     ValidationError,
     apg_update_factor,
+    assemble_ground_truth,
+    builtin_bases,
+    compose_expanded,
     elbo,
     elbo_breakdown,
     elbo_terms,
     fit,
+    gen_dataset,
     grad_beta,
     grad_factors,
+    init_all,
     update_beta,
     update_sigma2,
 )
@@ -21,6 +26,53 @@ from mssmf.simplex import BETA_FLOOR, sample_dirichlet
 from mssmf.solver import _spectral_norm_psd, thread_count
 
 from conftest import central_diff, elbo_monte_carlo, expanded_of, random_instance
+
+
+def reference_beta_ascent(c, g, betas, sigma2, passes):
+    """The concentration line search without the carried values: it
+    evaluates the bound again at the current point at the start of every
+    pass.  Returns the iterate and how many candidate columns the searches
+    tried."""
+    cur = np.array(betas)
+    n = cur.shape[1]
+    tried = 0
+    for _ in range(passes):
+        f0, pieces = solver._beta_point(c, g, cur, sigma2)
+        grad = solver._beta_gradient(c, g, cur, sigma2, pieces)
+        step = np.ones(n)
+        todo = np.arange(n)
+        for _ in range(solver._MAX_HALVINGS):
+            if todo.size == 0:
+                break
+            tried += todo.size
+            cand = np.maximum(cur[:, todo] + step[todo] * grad[:, todo], BETA_FLOOR)
+            move = cand - cur[:, todo]
+            gain = solver._beta_point(c[:, todo], g, cand, sigma2)[0] - f0[todo]
+            ok = gain >= solver._ARMIJO_C1 * (grad[:, todo] * move).sum(axis=0)
+            cur[:, todo[ok]] = cand[:, ok]
+            todo = todo[~ok]
+            step[todo] *= 0.5
+    return cur, tried
+
+
+@pytest.fixture(scope="module", params=[0, 3], ids=["init", "fit3"])
+def quick_start_state(request):
+    """README quick-start scene (500 px, dims 6,18,30) at init_all's state
+    and after 3 fit iterations, as (y, b, betas, sigma2).  At init most
+    pixels need many step halvings; after 3 iterations every pixel takes
+    its first step."""
+    truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
+    bundle = gen_dataset(truth, n_pixels=500, snr_db=20.0, seed=8)
+    init = init_all(bundle.pixels, layer_sizes=(6, 18, 30), seed=9)
+    stack, betas = init.stack, init.posterior.concentration
+    if request.param:
+        res = fit(
+            bundle.pixels, stack, init.posterior,
+            FitConfig(max_outer_iters=request.param, rel_elbo_tol=0.0),
+        )
+        stack, betas = res.stack, res.posterior.concentration
+    b = compose_expanded(stack).data
+    return bundle.pixels.data, b, betas, stack.noise_var
 
 
 class TestElbo:
@@ -177,6 +229,35 @@ class TestBetaUpdate:
         after = elbo_terms(y, b, new, stack.noise_var)
         assert after > before + 0.1
 
+    def test_carried_values_match_reference_loop(self, quick_start_state):
+        y, b, betas, sigma2 = quick_start_state
+        c, g = b.T @ y, b.T @ b
+        want, _ = reference_beta_ascent(c, g, betas, sigma2, 5)
+        got = update_beta(y, b, betas, sigma2, passes=5, workers=1)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        # every pixel's bound is non-decreasing pass by pass
+        values = [solver._beta_point(c, g, betas, sigma2)[0]]
+        for passes in range(1, 6):
+            after = update_beta(y, b, betas, sigma2, passes=passes, workers=1)
+            values.append(solver._beta_point(c, g, after, sigma2)[0])
+        assert np.all(np.diff(values, axis=0) >= 0)
+
+    def test_evaluates_each_point_once(self, quick_start_state, monkeypatch):
+        y, b, betas, sigma2 = quick_start_state
+        _, tried = reference_beta_ascent(b.T @ y, b.T @ b, betas, sigma2, 5)
+        columns = []
+        entropy = solver.dirichlet_entropy
+
+        def counted(x):
+            columns.append(x.shape[1])
+            return entropy(x)
+
+        monkeypatch.setattr(solver, "dirichlet_entropy", counted)
+        update_beta(y, b, betas, sigma2, passes=5, workers=1)
+        # the starting point once, then only the candidates the searches try
+        assert columns[0] == betas.shape[1]
+        assert sum(columns) == betas.shape[1] + tried
+
 
 class TestThreadCount:
     def test_default_is_one(self, monkeypatch):
@@ -265,6 +346,21 @@ class TestFit:
         assert res.trace.stop_reason == "bound_decreased"
         assert len(res.trace) == 2
         assert res.trace.elbo[1] < res.trace.elbo[0]
+
+    def test_non_finite_bound_stops_with_its_own_reason(self, rng, monkeypatch):
+        y, stack, betas = random_instance(rng)
+        exact = solver.elbo_terms
+        calls = []
+
+        def nan_on_second(*args, **kwargs):
+            calls.append(None)
+            return exact(*args, **kwargs) if len(calls) != 2 else float("nan")
+
+        monkeypatch.setattr(solver, "elbo_terms", nan_on_second)
+        res = fit(y, stack, betas, FitConfig(max_outer_iters=10, rel_elbo_tol=0.0))
+        assert res.trace.stop_reason == "non_finite"
+        assert len(res.trace) == 2
+        assert np.isnan(res.trace.elbo[1])
 
     def test_deterministic_given_inputs(self, rng):
         y, stack, betas = random_instance(rng)
