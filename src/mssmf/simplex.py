@@ -3,7 +3,7 @@
 Everything the variational solver needs that is not plain linear algebra:
 Euclidean projection onto the unit simplex, log-gamma/digamma/trigamma, and
 Dirichlet moments, entropy, and sampling.  Log-gamma and digamma come from
-scipy.special; trigamma shifts the argument above 6 with the standard
+scipy.special; trigamma shifts every argument up by 6 with the standard
 recurrence and then applies the asymptotic series.  float64 accuracy is near
 machine level across the domain of interest (see tests for the mpmath
 comparison).
@@ -19,7 +19,6 @@ from scipy import special
 from .model import ValidationError, _frozen
 
 BETA_FLOOR = 1e-6
-_SHIFT_TARGET = 6.0
 
 # trigamma: 1/z + 1/(2z^2) + sum_n B_{2n} / z^{2n+1}
 _TG_COEF = (
@@ -60,25 +59,29 @@ def digamma(x):
 def trigamma(x):
     """Second derivative of log-gamma for positive arguments.
 
-    Kept in-repo because it runs on every concentration pass: on a 30x500
-    array scipy's polygamma(1, .) and zeta(2, .) took 5.0 and 4.6 ms against
-    2.6 ms here (Intel Xeon VM, scipy 1.17).
+    Every entry is shifted up by six with psi1(z) = psi1(z + 1) + 1/z^2 and
+    then summed with the asymptotic series.  The shift has no masks and no
+    data-dependent exit, so an entry's result depends on that entry alone:
+    a chunk of columns gets the same bits as the whole array.  Kept in-repo
+    because it runs on every concentration pass: on the 30x2000 array of
+    init_all's concentrations for the wide benchmark scene (half at the
+    floor) it takes 1.4 ms, against 4.2 ms for a masked shift that stops
+    once an entry reaches 6 and about 19 ms for scipy's polygamma(1, .) or
+    zeta(2, .) (Intel Xeon VM, numpy 2.4, scipy 1.17).
     """
     z = _prep_arg(x, "trigamma")
     scalar = z.ndim == 0
-    w = np.atleast_1d(z).copy()
+    w = np.array(z, ndmin=1)
     acc = np.zeros_like(w)
-    # psi1(z) = psi1(z + 1) + 1/z^2: shift every entry above _SHIFT_TARGET
+    # ** -1 reuses the temporary w * w; 1.0 / (w * w) allocates another
     for _ in range(6):
-        low = w < _SHIFT_TARGET
-        if not low.any():
-            break
-        acc[low] += 1.0 / (w[low] * w[low])
-        w[low] += 1.0
-    r = 1.0 / (w * w)
+        acc += (w * w) ** -1
+        w += 1.0
+    r = (w * w) ** -1
     series = np.zeros_like(w)
     for c in reversed(_TG_COEF):
-        series = (series + c) * r
+        series += c
+        series *= r
     series /= w
     out = 1.0 / w + 0.5 * r + series + acc
     return float(out[0]) if scalar else out.reshape(np.shape(x))

@@ -60,6 +60,23 @@ class TestSpecialFunctions:
     def test_trigamma_against_mpmath(self):
         _check_against_mpmath(trigamma, lambda z: mpmath.psi(1, z))
 
+    def test_trigamma_relative_error_against_mpmath(self):
+        # relative only: trigamma reaches 1e12 at the concentration floor,
+        # where ABS_TOL would accept any error
+        xs = _mp_grid()
+        want = np.array([float(mpmath.psi(1, mpmath.mpf(float(x)))) for x in xs])
+        rel = np.abs(trigamma(xs) - want) / want
+        assert rel.max() < 1e-13, f"worst rel {rel.max():.3e} at {xs[rel.argmax()]}"
+
+    def test_trigamma_entry_depends_on_that_entry_alone(self, rng):
+        # the concentration update evaluates column chunks of one array, so
+        # an entry's result must not depend on its neighbours
+        x = 10.0 ** rng.uniform(-6, 6, (7, 40))
+        x[:, ::3] = BETA_FLOOR
+        got = trigamma(x)
+        for idx in np.ndindex(*x.shape):
+            assert got[idx] == trigamma(float(x[idx]))
+
     def test_scalar_in_scalar_out(self):
         assert isinstance(log_gamma(3.5), float)
         assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mssmf import (
     DirichletParam,
@@ -22,7 +24,7 @@ from mssmf import (
     update_sigma2,
 )
 from mssmf import solver
-from mssmf.simplex import BETA_FLOOR, sample_dirichlet
+from mssmf.simplex import BETA_FLOOR, dirichlet_entropy, log_gamma, sample_dirichlet
 from mssmf.solver import _spectral_norm_psd, thread_count
 
 from conftest import central_diff, elbo_monte_carlo, expanded_of, random_instance
@@ -242,7 +244,7 @@ class TestBetaUpdate:
             values.append(solver._beta_point(c, g, after, sigma2)[0])
         assert np.all(np.diff(values, axis=0) >= 0)
 
-    def test_evaluates_each_point_once(self, quick_start_state, monkeypatch):
+    def test_evaluates_each_point_once(self, quick_start_state, request, monkeypatch):
         y, b, betas, sigma2 = quick_start_state
         _, tried = reference_beta_ascent(b.T @ y, b.T @ b, betas, sigma2, 5)
         columns = []
@@ -256,7 +258,43 @@ class TestBetaUpdate:
         update_beta(y, b, betas, sigma2, passes=5, workers=1)
         # the starting point once, then only the candidates the searches try
         assert columns[0] == betas.shape[1]
-        assert sum(columns) == betas.shape[1] + tried
+        if request.node.callspec.params["quick_start_state"] == 0:
+            # at init the searches skip the steps the reference loop tries
+            # and rejects at concentrations on the floor
+            assert sum(columns) <= (betas.shape[1] + tried) / 3
+        else:
+            # every pixel takes its first step, so nothing is skipped
+            assert sum(columns) == betas.shape[1] + tried
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.floats(-6.0, 0.0))
+    def test_skip_premises_hold(self, seed, log_sigma2):
+        # the search skips a step whose Armijo demand exceeds the headroom
+        # below yss / (2 sigma2) - log Gamma(K); check that ceiling and that
+        # the skip accepts what the unskipped search accepts
+        rng = np.random.default_rng(seed)
+        y, stack, _ = random_instance(rng, sigma2=10.0**log_sigma2)
+        b = expanded_of(stack)
+        k, n = stack.expanded_count, y.shape[1]
+        sigma2 = stack.noise_var
+        c, g = b.T @ y, b.T @ b
+        ceil = (y * y).sum(axis=0) / (2.0 * sigma2) - log_gamma(float(k))
+        assert dirichlet_entropy(np.ones(k)) == pytest.approx(-log_gamma(float(k)), abs=1e-12)
+        levels = rng.choice([BETA_FLOOR, 1.0, 1e3], size=(k, n), p=[0.6, 0.2, 0.2])
+        start = levels * rng.uniform(1.0, 3.0, (k, n))
+        got = update_beta(y, b, start, sigma2, passes=5, workers=1)
+        for j in range(n):
+            # one pixel at a time, so both searches hand BLAS the same
+            # column subsets and only the skipped candidates differ
+            want, _ = reference_beta_ascent(b.T @ y[:, [j]], g, start[:, [j]], sigma2, 5)
+            alone = update_beta(y[:, [j]], b, start[:, [j]], sigma2, passes=5, workers=1)
+            np.testing.assert_array_equal(alone, want)
+        before = solver._beta_point(c, g, start, sigma2)[0]
+        after = solver._beta_point(c, g, got, sigma2)[0]
+        assert np.all(after >= before)
+        for betas in (start, got, np.ones((k, n)), levels):
+            value = solver._beta_point(c, g, betas, sigma2)[0]
+            assert np.all(value <= ceil + 1e-9 * np.abs(ceil))
 
 
 class TestThreadCount:
