@@ -89,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     up.add_argument("--iters", type=int, default=100)
     up.add_argument("--beta-steps", type=int, default=10,
                     help="concentration ascent steps per outer iteration")
-    up.add_argument("--apg-passes", type=int, default=100,
-                    help="inner FISTA passes per factor per iteration")
     up.add_argument("--tol", type=float, default=0.0,
                     help="relative bound-improvement stop; 0 runs all iterations")
     up.add_argument("--seed", type=int, default=0)
@@ -177,7 +175,6 @@ def _cmd_unmix(args, argv) -> int:
     config = FitConfig(
         max_outer_iters=args.iters,
         beta_steps_per_outer=args.beta_steps,
-        apg_passes_per_factor=args.apg_passes,
         rel_elbo_tol=args.tol,
     )
     result = fit(y, start.stack, start.posterior, config)
@@ -213,7 +210,6 @@ def _cmd_unmix(args, argv) -> int:
         "config": {
             "iters": args.iters,
             "beta_steps": args.beta_steps,
-            "apg_passes": args.apg_passes,
             "tol": args.tol,
         },
         "trace": {

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .model import (
     FactorStack,
@@ -25,7 +24,7 @@ from .model import (
     compose_expanded,
     validate_dims,
 )
-from .simplex import BETA_FLOOR, DirichletParam, sample_dirichlet
+from .simplex import BETA_FLOOR, DirichletParam, _simplex_lsq, sample_dirichlet
 from .solver import update_sigma2
 
 
@@ -115,16 +114,10 @@ def scls(pixels, endmembers: np.ndarray) -> np.ndarray:
     """Simplex-constrained least squares, one exact solve per pixel.
 
     Minimizes ||y - B s||^2 with s on the unit simplex for every column y
-    of the input (a single vector gives a single solution vector).  On the
-    simplex 1's = 1, so ||y - B s||^2 = ||(y 1' - B) s||^2; each pixel is
-    one nonnegative least-squares solve (Lawson & Hanson's active set)
-
-        min_{u >= 0} ||[y 1' - B; 1'] u - e_{m+1}||^2,   s = u / 1'u.
-
-    This is exact: writing u = lam s, the objective is lam^2 q + (lam - 1)^2
-    with q = ||(y 1' - B) s||^2, whose minimum over lam, q / (1 + q), rises
-    with q, and u = 0 scores 1, so the optimal u is never zero.  Raises the
-    NNLS engine's RuntimeError if it hits its iteration cap.
+    of the input (a single vector gives a single solution vector), each as
+    one nonnegative least-squares solve (see ``simplex._simplex_lsq`` for
+    the reduction).  Raises the NNLS engine's RuntimeError if it hits its
+    iteration cap.
     """
     b = np.asarray(endmembers, dtype=np.float64)
     raw = pixels.data if isinstance(pixels, PixelMatrix) else np.asarray(pixels, dtype=np.float64)
@@ -136,15 +129,7 @@ def scls(pixels, endmembers: np.ndarray) -> np.ndarray:
         )
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(y))):
         raise ValidationError("scls input contains non-finite entries")
-    (m, k), n = b.shape, y.shape[1]
-    lhs = np.ones((m + 1, k))
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    out = np.empty((k, n))
-    for j in range(n):
-        np.subtract(y[:, j, None], b, out=lhs[:m])
-        u, _ = nnls(lhs, rhs)
-        out[:, j] = u / u.sum()
+    out = _simplex_lsq(y, b)
     return out[:, 0] if single else out
 
 

@@ -1,12 +1,12 @@
 """Simplex geometry and Dirichlet math.
 
 Everything the variational solver needs that is not plain linear algebra:
-Euclidean projection onto the unit simplex, log-gamma/digamma/trigamma, and
-Dirichlet moments, entropy, and sampling.  Log-gamma and digamma come from
-scipy.special; trigamma shifts every argument up by 6 with the standard
-recurrence and then applies the asymptotic series.  float64 accuracy is near
-machine level across the domain of interest (see tests for the mpmath
-comparison).
+Euclidean projection onto the unit simplex, simplex-constrained least
+squares, log-gamma/digamma/trigamma, and Dirichlet moments, entropy, and
+sampling.  Log-gamma and digamma come from scipy.special; trigamma shifts
+every argument up by 6 with the standard recurrence and then applies the
+asymptotic series.  float64 accuracy is near machine level across the
+domain of interest (see tests for the mpmath comparison).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.optimize import nnls
 
 from .model import ValidationError, _frozen
 
@@ -126,6 +127,33 @@ def project_simplex_columns(mat: np.ndarray) -> np.ndarray:
     resid = 1.0 - w.sum(axis=0)
     w[np.argmax(w, axis=0), np.arange(n)] += resid
     return w
+
+
+def _simplex_lsq(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Simplex-constrained least squares, one exact solve per column of y.
+
+    Column j of the result minimizes ||y_j - B s||^2 over the unit simplex.
+    On the simplex 1's = 1, so ||y - B s||^2 = ||(y 1' - B) s||^2; each
+    column is one nonnegative least-squares solve (Lawson & Hanson's active
+    set)
+
+        min_{u >= 0} ||[y 1' - B; 1'] u - e_{m+1}||^2,   s = u / 1'u.
+
+    This is exact: writing u = lam s, the objective is lam^2 q + (lam - 1)^2
+    with q = ||(y 1' - B) s||^2, whose minimum over lam, q / (1 + q), rises
+    with q, and u = 0 scores 1, so the optimal u is never zero.  Raises the
+    NNLS engine's RuntimeError if it hits its iteration cap.
+    """
+    (m, k), n = b.shape, y.shape[1]
+    lhs = np.ones((m + 1, k))
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    out = np.empty((k, n))
+    for j in range(n):
+        np.subtract(y[:, j, None], b, out=lhs[:m])
+        u, _ = nnls(lhs, rhs)
+        out[:, j] = u / u.sum()
+    return out
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ The per-pixel abundance posterior is approximated by an independent
 Dirichlet for every pixel.  Coordinate ascent on the evidence lower bound
 alternates four blocks per outer iteration: the Dirichlet concentrations
 (projected gradient ascent with a per-pixel Armijo line search), the core
-basis and each mixing layer (monotone accelerated projected gradient), and
-the noise variance (closed form).  Every block is accepted only if the
-bound does not decrease, so the traced objective is non-decreasing by
-construction.
+basis (solved exactly, one nonnegative least-squares problem per band
+row), each mixing layer (one sweep over its columns, each column solved
+exactly as a simplex least-squares problem with the others fixed: block
+coordinate descent in the manner of HALS for NMF), and the noise variance
+(closed form).  Every block is accepted only if the bound does not
+decrease, so the traced objective is non-decreasing by construction.
 
 The concentration block dominates the cost: each evaluation of the
 per-pixel bound is a log-gamma/digamma sweep over every concentration.  The
@@ -27,14 +29,15 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .model import FactorStack, ValidationError, as_pixel_matrix, compose_expanded
 from .simplex import (
     BETA_FLOOR,
     DirichletParam,
+    _simplex_lsq,
     dirichlet_entropy,
     log_gamma,
-    project_simplex_columns,
     trigamma,
 )
 
@@ -53,16 +56,14 @@ class FitConfig:
     tolerance of zero runs max_outer_iters iterations unless the bound
     drops.
 
-    apg_passes_per_factor is the inner FISTA budget per factor block per
-    outer iteration.  The blocks cost nothing next to the concentration
-    updates (their data enters only through K_P x K_P moment sums), and a
-    single pass leaves the factors far from stationary, so the default
-    solves each subproblem essentially to convergence.
+    beta_steps_per_outer is the number of concentration ascent passes per
+    outer iteration.  The factor blocks take no budget: the basis is solved
+    exactly and each mixer makes one exact column sweep per iteration (see
+    :func:`update_factor`).
     """
 
     max_outer_iters: int = 100
     beta_steps_per_outer: int = 10
-    apg_passes_per_factor: int = 100
     rel_elbo_tol: float = 1e-7
     sigma2_floor: float = 1e-12
 
@@ -71,8 +72,6 @@ class FitConfig:
             raise ValidationError("max_outer_iters must be >= 1")
         if self.beta_steps_per_outer < 1:
             raise ValidationError("beta_steps_per_outer must be >= 1")
-        if self.apg_passes_per_factor < 1:
-            raise ValidationError("apg_passes_per_factor must be >= 1")
         if not (self.rel_elbo_tol >= 0):
             raise ValidationError("rel_elbo_tol must be >= 0")
         if not (self.sigma2_floor > 0):
@@ -426,114 +425,93 @@ def thread_count() -> int:
         return 1
 
 
-def _spectral_norm_psd(mat: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix."""
-    return float(np.linalg.eigvalsh(mat)[-1])
+def _reduced_factor(gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Factor a symmetric PSD matrix as gram = L'L with L of full row rank.
 
-
-def _apg_minimize(x0, grad_fn, obj_fn, lipschitz, project, passes):
-    """Monotone accelerated projected gradient on a single factor block.
-
-    A momentum step is accepted only if it does not increase the
-    objective; otherwise momentum is reset and a plain projected step is
-    tried with halving until acceptance or the step budget runs out, in
-    which case the iterate is returned unchanged.
+    Returns (L, pinv(L')), both r x k, keeping the eigenvalues above
+    roundoff (k * eps times the largest).  An eigen-decomposition rather
+    than Cholesky, because these grams can be singular: a mixer's
+    U = P'P has rank at most K_1 however wide the layer.  pinv(L') gram = L,
+    which the mixer sweep uses.
     """
-    lip = lipschitz if lipschitz > 0 else 1.0
-    x = x0
-    x_prev = x0
-    t = 1.0
-    best = obj_fn(x0)
-    for _ in range(passes):
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = x + ((t - 1.0) / t_next) * (x - x_prev)
-        cand = project(z - grad_fn(z) / lip)
-        val = obj_fn(cand)
-        if val <= best:
-            x_prev, x = x, cand
-            best = val
-            t = t_next
-            continue
-        t = 1.0
-        g = grad_fn(x)
-        step = 1.0 / lip
-        accepted = False
-        for _ in range(_MAX_HALVINGS):
-            cand = project(x - step * g)
-            val = obj_fn(cand)
-            if val <= best:
-                x_prev, x = x, cand
-                best = val
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            x_prev = x
-    return x, best
+    lam, vec = np.linalg.eigh(gram)
+    keep = lam > lam[-1] * gram.shape[0] * np.finfo(np.float64).eps
+    root = np.sqrt(lam[keep])
+    return root[:, None] * vec[:, keep].T, vec[:, keep].T / root[:, None]
 
 
-def apg_update_factor(
-    y: np.ndarray,
-    stack: FactorStack,
-    betas: np.ndarray,
-    which: int,
-    passes: int = 1,
+def update_factor(
+    y: np.ndarray, stack: FactorStack, betas: np.ndarray, which: int
 ) -> FactorStack:
-    """One monotone APG update of a single factor block.
+    """Exact block update of a single factor for fixed concentrations.
 
-    which = 0 updates the core basis (nonnegativity constraint); which = l
-    for l >= 1 updates mixing layer l (columns projected onto the simplex).
+    which = 0 updates the core basis A, which = l for l >= 1 updates mixing
+    layer S = S_l.  With P the product of the factors before the block, W
+    the product of those after it, Pbar the summed Dirichlet second moment
+    and M the posterior means, the block's part of the bound is, up to
+    scale, minus
+
+        basis:  tr(A R A') - 2 <A, C>,      C = Y M' W'
+        mixer:  tr(S' U S R) - 2 <S, C>,    C = P' Y M' W',  U = P'P
+
+    with R = W Pbar W'.  A basis column or mixer column j with r_jj = 0 (a
+    component no later layer uses) does not enter the objective and is left
+    as it is; for the basis this also removes the only directions a >= 0
+    along which the objective is flat, which would let an NNLS solve drift
+    without bound on roundoff.  The basis rows are independent: row i solves
+    min a'Ra - 2 c_i'a over a >= 0, one nonnegative least-squares solve of
+    ||L a - pinv(L') c_i||^2 with R = L'L.  A mixer makes one sweep over its
+    columns, each solved exactly with the others fixed: column j minimizes
+    r_jj ||P s||^2 - 2 s'd_j over the simplex, d_j = c_j - U(S r_j - s_j r_jj).
+    With U = L'L that is r_jj ||L s - t_j||^2 plus a constant, where
+    t_j = pinv(L') d_j / r_jj = (pinv(L') c_j - L S r_j) / r_jj + L s_j, a
+    simplex least-squares problem.  Every solve lowers the block's
+    objective; if roundoff makes it rise anyway, the block keeps its old
+    value, so the bound never drops.
     """
     y = np.asarray(y, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)
-    n = y.shape[1]
-    sigma2 = stack.noise_var
     mean, pbar = _moment_sums(betas)
     ym = y @ mean.T
-    yss = float(np.sum(y * y))
-    scale = 2.0 * sigma2 * n
     mats = [stack.basis, *stack.mixers]
     if not 0 <= which < len(mats):
         raise ValidationError(f"no factor block {which} in a depth-{len(mats)} stack")
-    tail = _suffix_products(mats)
+    w = _suffix_products(mats)[which + 1]
+    r = w @ pbar @ w.T
+    old = mats[which]
     if which == 0:
-        w = tail[1]
-        q = w @ pbar @ w.T
         cmat = ym @ w.T
-        lip = _spectral_norm_psd(q) / (sigma2 * n)
+        used = np.flatnonzero(np.diag(r) > 0.0)
+        low, low_pinv = _reduced_factor(r[np.ix_(used, used)])
+        new = np.array(old)
+        for i, target in enumerate(cmat[:, used] @ low_pinv.T):
+            new[i, used], _ = nnls(low, target)
 
-        def obj(a):
-            return (yss - 2.0 * np.sum(a * cmat) + np.sum((a @ q) * a)) / scale
+        def objective(a):
+            return np.sum((a @ r) * a) - 2.0 * np.sum(a * cmat)
 
-        def grad(a):
-            return (a @ q - cmat) / (sigma2 * n)
+    else:
+        prefix = stack.basis
+        for s in stack.mixers[: which - 1]:
+            prefix = prefix @ s
+        gram_u = prefix.T @ prefix
+        cmat = prefix.T @ ym @ w.T
+        low, low_pinv = _reduced_factor(gram_u)
+        new = np.array(old)
+        low_s = low @ new
+        low_c = low_pinv @ cmat
+        for j in np.flatnonzero(np.diag(r) > 0.0):
+            target = (low_c[:, j] - low_s @ r[:, j]) / r[j, j] + low_s[:, j]
+            new[:, j] = _simplex_lsq(target[:, None], low)[:, 0]
+            low_s[:, j] = low @ new[:, j]
 
-        new, _ = _apg_minimize(
-            stack.basis, grad, obj, lip, lambda a: np.maximum(a, 0.0), passes
-        )
-        return stack.replace(basis=new)
+        def objective(s):
+            return np.sum((gram_u @ s @ r) * s) - 2.0 * np.sum(s * cmat)
 
-    prefix = stack.basis
-    for s in stack.mixers[: which - 1]:
-        prefix = prefix @ s
-    v = tail[which + 1]
-    gram_u = prefix.T @ prefix
-    r = v @ pbar @ v.T
-    cmat = prefix.T @ ym @ v.T
-    lip = _spectral_norm_psd(gram_u) * _spectral_norm_psd(r) / (sigma2 * n)
-
-    def obj(s):
-        return (yss - 2.0 * np.sum(s * cmat) + np.sum((gram_u @ s @ r) * s)) / scale
-
-    def grad(s):
-        return (gram_u @ s @ r - cmat) / (sigma2 * n)
-
-    new, _ = _apg_minimize(
-        stack.mixers[which - 1], grad, obj, lip, project_simplex_columns, passes
-    )
-    mixers = list(stack.mixers)
-    mixers[which - 1] = new
-    return stack.replace(mixers=mixers)
+    if objective(new) > objective(old):
+        return stack
+    mats[which] = new
+    return stack.replace(basis=mats[0], mixers=mats[1:])
 
 
 def update_sigma2(
@@ -571,9 +549,7 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
             passes=config.beta_steps_per_outer, workers=workers,
         )
         for block in range(stack.depth):
-            stack = apg_update_factor(
-                y, stack, betas, block, passes=config.apg_passes_per_factor
-            )
+            stack = update_factor(y, stack, betas, block)
         b = compose_expanded(stack).data
         stack = stack.replace(
             noise_var=update_sigma2(y, b, betas, floor=config.sigma2_floor)

@@ -155,6 +155,39 @@ def simplex_lsq_bruteforce(y, a):
     return best, best_obj
 
 
+def nnls_quadratic_bruteforce(q, c):
+    """Exact min a'Qa - 2c'a over a >= 0 (Q symmetric PSD) by scanning
+    every support, the empty one included.
+
+    For each support S the minimizer with a zero off S solves
+    Q_SS a_S = c_S; lstsq returns one solution when Q_SS is singular.
+    Some optimum has a smallest support, and on it Q_SS is nonsingular: the
+    objective is flat along a null vector of Q_SS there, and moving along
+    it or against it would zero a coordinate.  So the nonnegative candidate
+    with the smallest objective is optimal.
+
+    Returns (a, objective).
+    """
+    q = np.asarray(q, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    k = c.size
+    best = np.zeros(k)
+    best_obj = 0.0
+    for size in range(1, k + 1):
+        for support in itertools.combinations(range(k), size):
+            s = list(support)
+            sol = np.linalg.lstsq(q[np.ix_(s, s)], c[s], rcond=None)[0]
+            if np.any(sol < -1e-12):
+                continue
+            a = np.zeros(k)
+            a[s] = np.maximum(sol, 0.0)
+            obj = float(a @ q @ a - 2.0 * c @ a)
+            if obj < best_obj:
+                best_obj = obj
+                best = a
+    return best, best_obj
+
+
 def assignment_bruteforce(cost):
     """Exhaustive minimum-cost assignment; ties go to the smallest perm."""
     k = cost.shape[0]

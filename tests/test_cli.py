@@ -111,6 +111,7 @@ class TestUnmixCommand:
         man = read_manifest(out / "manifest.json")
         assert man["stop_reason"] in ("max_iters", "converged")
         assert len(man["trace"]["elbo"]) == 5
+        assert sorted(man["config"]) == ["beta_steps", "iters", "tol"]
 
     def test_trace_rows_equal_iters_with_zero_tol(self, scene, tmp_path):
         out = tmp_path / "run"
@@ -141,6 +142,15 @@ class TestUnmixCommand:
             run(
                 "unmix", "--input", str(scene / "data.raw64"), "--dims", "3;6",
                 "--out", str(tmp_path / "run"),
+            )
+        assert exc.value.code == 2
+
+    def test_factor_pass_budget_flag_is_gone(self, scene, tmp_path):
+        # the factor blocks are solved exactly; there is no inner budget
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "unmix", "--input", str(scene / "data.raw64"), "--dims", "3,6",
+                "--apg-passes", "5", "--out", str(tmp_path / "run"),
             )
         assert exc.value.code == 2
 

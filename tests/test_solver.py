@@ -8,7 +8,6 @@ from mssmf import (
     FactorStack,
     FitConfig,
     ValidationError,
-    apg_update_factor,
     assemble_ground_truth,
     builtin_bases,
     compose_expanded,
@@ -21,13 +20,28 @@ from mssmf import (
     grad_factors,
     init_all,
     update_beta,
+    update_factor,
     update_sigma2,
 )
 from mssmf import solver
-from mssmf.simplex import BETA_FLOOR, dirichlet_entropy, log_gamma, sample_dirichlet
-from mssmf.solver import _spectral_norm_psd, thread_count
+from mssmf.simplex import (
+    BETA_FLOOR,
+    dirichlet_entropy,
+    dirichlet_mean,
+    dirichlet_second_moment,
+    log_gamma,
+    sample_dirichlet,
+)
+from mssmf.solver import thread_count
 
-from conftest import central_diff, elbo_monte_carlo, expanded_of, random_instance
+from conftest import (
+    central_diff,
+    elbo_monte_carlo,
+    expanded_of,
+    nnls_quadratic_bruteforce,
+    random_instance,
+    simplex_lsq_bruteforce,
+)
 
 
 def reference_beta_ascent(c, g, betas, sigma2, passes):
@@ -313,38 +327,151 @@ class TestThreadCount:
         assert thread_count() == 1
 
 
-class TestApg:
-    def test_factor_update_never_increases_residual_objective(self, rng):
-        for which in (0, 1):
-            y, stack, betas = random_instance(rng, depth=2)
-            before = elbo_terms(y, expanded_of(stack), betas, stack.noise_var)
-            new_stack = apg_update_factor(y, stack, betas, which, passes=3)
-            after = elbo_terms(y, expanded_of(new_stack), betas, stack.noise_var)
-            assert after >= before - 1e-10 * (1 + abs(before))
+def block_problem(y, stack, betas, which):
+    """Factor block `which` as min tr(X' U X R) - 2 <X, C>, built from the
+    definitions: with P the product of the factors before the block (the
+    identity for the basis) and W the product after it, U = P'P,
+    R = W E[sum_n z_n z_n'] W' and C = P' Y E[Z]' W'.  Returns (U, R, C, P)."""
+    mats = [stack.basis, *stack.mixers]
+    prefix = np.eye(y.shape[0])
+    for mat in mats[:which]:
+        prefix = prefix @ mat
+    after = np.eye(mats[which].shape[1])
+    for mat in mats[which + 1:]:
+        after = after @ mat
+    pbar = sum(dirichlet_second_moment(col) for col in betas.T)
+    mean = dirichlet_mean(betas)
+    r = after @ pbar @ after.T
+    c = prefix.T @ y @ mean.T @ after.T
+    return prefix.T @ prefix, r, c, prefix
 
-    def test_output_stays_feasible(self, rng):
-        y, stack, betas = random_instance(rng, depth=3)
+
+def block_objective(problem, x):
+    u, r, c, _ = problem
+    return float(np.sum((u @ x @ r) * x) - 2.0 * np.sum(x * c))
+
+
+def structured_instance(rng, layers, zero_rows=()):
+    """(y, stack, betas) with the given layer sizes; (mixer, row) pairs in
+    zero_rows name mixer rows set to zero, their columns renormalized."""
+    m, n = 12, 15
+    mixers = [sample_dirichlet(np.ones(a), b, rng) for a, b in zip(layers, layers[1:])]
+    for layer, row in zero_rows:
+        mixers[layer][row] = 0.0
+        mixers[layer] /= mixers[layer].sum(axis=0)
+    stack = FactorStack(
+        basis=rng.uniform(0.05, 1.0, (m, layers[0])), mixers=tuple(mixers), noise_var=0.1
+    )
+    betas = rng.uniform(0.3, 4.0, (layers[-1], n))
+    y = rng.normal(0.4, 0.3, (m, n))
+    return y, stack, betas
+
+
+# (layer sizes, zeroed mixer rows): a prefix of rank K_1 < K_l as on the
+# deep workload; an all-zero row in the first mixer, which makes the basis
+# block's R singular; and an all-zero row in the second mixer, which gives
+# column 2 of the first mixer r_jj = 0
+EXACT_CASES = {
+    "rank_deficient_prefix": ((2, 4, 6), ()),
+    "zero_mixer_row": ((3, 5, 8), ((0, 1),)),
+    "zero_r_jj": ((3, 5, 8), ((1, 2),)),
+}
+
+
+class TestUpdateFactor:
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_basis_matches_support_enumeration_oracle(self, rng, case):
+        layers, zero_rows = EXACT_CASES[case]
+        for _ in range(10):
+            y, stack, betas = structured_instance(rng, layers, zero_rows)
+            _, q, c, _ = block_problem(y, stack, betas, 0)
+            if case == "zero_mixer_row":
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.cholesky(q)
+            got = update_factor(y, stack, betas, 0).basis
+            for a, ci in zip(got, c):
+                _, want = nnls_quadratic_bruteforce(q, ci)
+                assert float(a @ q @ a - 2.0 * ci @ a) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_mixer_sweep_solves_its_last_column(self, rng, case):
+        layers, zero_rows = EXACT_CASES[case]
+        for _ in range(10):
+            y, stack, betas = structured_instance(rng, layers, zero_rows)
+            for which in range(1, stack.depth):
+                u, r, c, prefix = block_problem(y, stack, betas, which)
+                new = update_factor(y, stack, betas, which).mixers[which - 1]
+                j = new.shape[1] - 1
+                rjj = r[j, j]
+                d = c[:, j] - u @ (new @ r[:, j] - new[:, j] * rjj)
+
+                def column_objective(s):
+                    return float(rjj * s @ u @ s - 2.0 * s @ d)
+
+                # d lies in range(P'), so the column problem is a simplex
+                # least squares fit of P s to the target below
+                target = np.linalg.lstsq(prefix.T, d / rjj, rcond=None)[0]
+                s_star, _ = simplex_lsq_bruteforce(target, prefix)
+                want = column_objective(s_star)
+                assert column_objective(new[:, j]) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "case, which, col", [("zero_mixer_row", 0, 1), ("zero_r_jj", 1, 2)]
+    )
+    def test_column_outside_the_objective_is_left_alone(self, rng, case, which, col):
+        # no later layer uses component `col` of block `which`, so r_jj = 0
+        layers, zero_rows = EXACT_CASES[case]
+        y, stack, betas = structured_instance(rng, layers, zero_rows)
+        _, r, _, _ = block_problem(y, stack, betas, which)
+        assert r[col, col] == 0.0
+        old = [stack.basis, *stack.mixers][which]
+        got = update_factor(y, stack, betas, which)
+        new = [got.basis, *got.mixers][which]
+        np.testing.assert_array_equal(new[:, col], old[:, col])
+        assert not np.array_equal(new, old)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_blocks_keep_stack_feasible_and_bound_monotone(self, seed, depth):
+        rng = np.random.default_rng(seed)
+        y, stack, betas = random_instance(rng, max_dim=6, depth=depth)
+        sigma2 = stack.noise_var
+        before = elbo_terms(y, expanded_of(stack), betas, sigma2)
         for which in range(stack.depth):
-            stack = apg_update_factor(y, stack, betas, which, passes=2)
-        assert np.all(stack.basis >= 0)
-        for s in stack.mixers:
-            np.testing.assert_allclose(s.sum(axis=0), 1.0, atol=1e-9)
+            new = update_factor(y, stack, betas, which)
+            assert isinstance(new, FactorStack)
+            assert np.all(new.basis >= 0)
+            for s in new.mixers:
+                assert np.all(s >= 0)
+                np.testing.assert_allclose(s.sum(axis=0), 1.0, atol=1e-12)
+            after = elbo_terms(y, expanded_of(new), betas, sigma2)
+            assert after >= before - 1e-10 * (1.0 + abs(before))
+            problem = block_problem(y, new, betas, which)
+            once = block_objective(problem, [new.basis, *new.mixers][which])
+            again = update_factor(y, new, betas, which)
+            twice = block_objective(problem, [again.basis, *again.mixers][which])
+            if which == 0:
+                assert twice == pytest.approx(once, rel=1e-10, abs=1e-12)
+            else:
+                assert twice <= once + 1e-10 * abs(once)
+            stack, before = new, after
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_keeps_old_block_when_objective_rises(self, rng, monkeypatch, which):
+        # a solver that returns a worse point: the block must stay as it was
+        y, stack, betas = random_instance(rng, depth=2)
+        if which == 0:
+            monkeypatch.setattr(solver, "nnls", lambda a, b: (np.full(a.shape[1], 1e3), 0.0))
+        else:
+            monkeypatch.setattr(
+                solver, "_simplex_lsq", lambda t, b: np.eye(b.shape[1])[:, [0]]
+            )
+        assert update_factor(y, stack, betas, which) is stack
 
     def test_unknown_block_rejected(self, rng):
         y, stack, betas = random_instance(rng, depth=2)
         with pytest.raises(ValidationError, match="factor block"):
-            apg_update_factor(y, stack, betas, 5)
-
-    def test_spectral_norm_matches_numpy(self, rng):
-        # the uniform vector lies in the null space of the first matrix
-        cases = [(np.array([[2.0, -2.0], [-2.0, 2.0]]), 4.0)]
-        for _ in range(10):
-            k = int(rng.integers(1, 9))
-            a = rng.normal(size=(k, k + 2))
-            mat = a @ a.T
-            cases.append((mat, np.linalg.eigvalsh(mat)[-1]))
-        for mat, want in cases:
-            assert _spectral_norm_psd(mat) == pytest.approx(want, rel=1e-6)
+            update_factor(y, stack, betas, 5)
 
 
 class TestFit:
@@ -453,7 +580,6 @@ class TestFitConfig:
         [
             {"max_outer_iters": 0},
             {"beta_steps_per_outer": 0},
-            {"apg_passes_per_factor": 0},
             {"rel_elbo_tol": -1e-3},
             {"sigma2_floor": 0.0},
         ],
