@@ -474,6 +474,28 @@ class TestUpdateFactor:
             update_factor(y, stack, betas, 5)
 
 
+class TestApg:
+    """update_factor on fixed depth-2 and depth-3 stacks.  The class keeps
+    the name it had when the blocks were solved by accelerated projected
+    gradient (APG)."""
+
+    def test_factor_update_never_increases_residual_objective(self, rng):
+        for which in (0, 1):
+            y, stack, betas = random_instance(rng, depth=2)
+            before = elbo_terms(y, expanded_of(stack), betas, stack.noise_var)
+            new_stack = update_factor(y, stack, betas, which)
+            after = elbo_terms(y, expanded_of(new_stack), betas, stack.noise_var)
+            assert after >= before - 1e-10 * (1 + abs(before))
+
+    def test_output_stays_feasible(self, rng):
+        y, stack, betas = random_instance(rng, depth=3)
+        for which in range(stack.depth):
+            stack = update_factor(y, stack, betas, which)
+        assert np.all(stack.basis >= 0)
+        for s in stack.mixers:
+            np.testing.assert_allclose(s.sum(axis=0), 1.0, atol=1e-9)
+
+
 class TestFit:
     def test_trace_is_monotone(self, rng):
         y, stack, betas = random_instance(rng, max_dim=7)
