@@ -2,14 +2,11 @@
 unmixing under endmember variability, fitted by variational inference."""
 
 from .model import (
-    AbundanceMatrix,
     ExpandedEndmembers,
     FactorStack,
-    ModelDims,
     PixelMatrix,
     ValidationError,
     compose_expanded,
-    reconstruct,
     validate_dims,
 )
 from .simplex import (
@@ -30,9 +27,7 @@ from .solver import (
     FitConfig,
     FitResult,
     FitTrace,
-    ElboBreakdown,
     elbo,
-    elbo_breakdown,
     elbo_terms,
     fit,
     grad_beta,
@@ -53,7 +48,6 @@ from .metrics import AlignmentResult, aligned_mse, hungarian, singular_spectrum,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbundanceMatrix",
     "AlignmentResult",
     "BETA_FLOOR",
     "DirichletParam",
@@ -63,7 +57,6 @@ __all__ = [
     "FitResult",
     "FitTrace",
     "InitResult",
-    "ModelDims",
     "PixelMatrix",
     "SynthBundle",
     "ValidationError",
@@ -75,9 +68,7 @@ __all__ = [
     "dirichlet_entropy",
     "dirichlet_mean",
     "dirichlet_second_moment",
-    "ElboBreakdown",
     "elbo",
-    "elbo_breakdown",
     "elbo_terms",
     "fit",
     "gen_dataset",
@@ -89,7 +80,6 @@ __all__ = [
     "log_gamma",
     "project_simplex",
     "project_simplex_columns",
-    "reconstruct",
     "sample_dirichlet",
     "scls",
     "singular_spectrum",

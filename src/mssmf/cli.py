@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     up.add_argument("--input", required=True, help="pixel matrix (bands x pixels)")
     up.add_argument("--dims", type=_dims_value, required=True,
                     help="layer sizes, e.g. 6,18,30")
-    up.add_argument("--iters", type=int, default=100)
-    up.add_argument("--beta-steps", type=int, default=10,
+    up.add_argument("--iters", type=int, default=FitConfig.max_outer_iters)
+    up.add_argument("--beta-steps", type=int, default=FitConfig.beta_steps_per_outer,
                     help="concentration ascent steps per outer iteration")
     up.add_argument("--tol", type=float, default=0.0,
                     help="relative bound-improvement stop; 0 runs all iterations")

@@ -15,7 +15,6 @@ import numpy as np
 
 from .model import (
     FactorStack,
-    ModelDims,
     PixelMatrix,
     RngLike,
     ValidationError,
@@ -155,7 +154,7 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
     px = as_pixel_matrix(pixels)
     y = px.data
     layers = tuple(int(k) for k in layer_sizes)
-    validate_dims(ModelDims(bands=px.bands, layers=layers, pixels=px.pixels))
+    validate_dims(px.bands, layers, px.pixels)
     root = np.random.SeedSequence(seed)
     seed_basis, seed_expanded, seed_mixers = root.spawn(3)
 

@@ -79,14 +79,6 @@ def read_raw64(path) -> np.ndarray:
     return np.frombuffer(blob, dtype="<f8").reshape(rows, cols).astype(np.float64)
 
 
-def save_matrix(path, mat) -> None:
-    """Write a matrix in the encoding implied by the file suffix."""
-    if str(path).endswith(".csv"):
-        write_csv_matrix(path, mat)
-    else:
-        write_raw64(path, mat)
-
-
 def load_matrix(path) -> np.ndarray:
     if str(path).endswith(".csv"):
         return read_csv_matrix(path)

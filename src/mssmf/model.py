@@ -9,7 +9,7 @@ chain of column-stochastic mixing layers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,12 +58,9 @@ class PixelMatrix:
     ----------
     data : ndarray, shape (bands, pixels)
         Reflectance values; all entries must be finite.
-    image_shape : (width, height), optional
-        Spatial layout; ``width * height`` must equal the pixel count.
     """
 
     data: np.ndarray
-    image_shape: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
         data = _frozen(np.atleast_2d(self.data))
@@ -72,13 +69,6 @@ class PixelMatrix:
         if not np.all(np.isfinite(data)):
             raise ValidationError("pixel matrix contains non-finite entries")
         object.__setattr__(self, "data", data)
-        if self.image_shape is not None:
-            w, h = self.image_shape
-            if w * h != data.shape[1]:
-                raise ValidationError(
-                    f"image shape {w}x{h} does not cover {data.shape[1]} pixels"
-                )
-            object.__setattr__(self, "image_shape", (int(w), int(h)))
 
     @property
     def bands(self) -> int:
@@ -96,57 +86,33 @@ def as_pixel_matrix(y) -> PixelMatrix:
     return PixelMatrix(np.asarray(y, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class ModelDims:
-    """Problem dimensions: band count, latent layer sizes, pixel count.
+def validate_dims(bands: int, layers: Sequence[int], pixels: int) -> None:
+    """Check problem dimensions; raise ValidationError naming the violated
+    constraint.
 
     ``layers`` holds the latent sizes (K_1, ..., K_P); the last entry is the
-    number of expanded endmembers.  Use :func:`validate_dims` to check the
-    ordering constraints.
+    number of expanded endmembers.  Sizes must be positive and
+    non-decreasing, with K_1 at most the band count and K_P at most the
+    pixel count.
     """
-
-    bands: int
-    layers: Tuple[int, ...]
-    pixels: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(int(k) for k in self.layers))
-        object.__setattr__(self, "bands", int(self.bands))
-        object.__setattr__(self, "pixels", int(self.pixels))
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    @property
-    def expanded(self) -> int:
-        return self.layers[-1]
-
-
-def validate_dims(dims: ModelDims) -> None:
-    """Check ModelDims invariants; raise ValidationError naming the violated
-    constraint."""
-    if dims.bands < 1:
-        raise ValidationError(f"band count must be >= 1, got {dims.bands}")
-    if dims.pixels < 1:
-        raise ValidationError(f"pixel count must be >= 1, got {dims.pixels}")
-    if len(dims.layers) < 1:
+    layers = tuple(layers)
+    if bands < 1:
+        raise ValidationError(f"band count must be >= 1, got {bands}")
+    if pixels < 1:
+        raise ValidationError(f"pixel count must be >= 1, got {pixels}")
+    if len(layers) < 1:
         raise ValidationError("at least one latent layer is required")
-    if any(k < 1 for k in dims.layers):
-        raise ValidationError(f"layer sizes must be >= 1, got {dims.layers}")
-    for a, b in zip(dims.layers, dims.layers[1:]):
+    if any(k < 1 for k in layers):
+        raise ValidationError(f"layer sizes must be >= 1, got {layers}")
+    for a, b in zip(layers, layers[1:]):
         if a > b:
             raise ValidationError(
-                f"layer sizes must be non-decreasing, got {a} before {b} in {dims.layers}"
+                f"layer sizes must be non-decreasing, got {a} before {b} in {layers}"
             )
-    if dims.layers[0] > dims.bands:
-        raise ValidationError(
-            f"first layer size {dims.layers[0]} exceeds band count {dims.bands}"
-        )
-    if dims.layers[-1] > dims.pixels:
-        raise ValidationError(
-            f"expanded size {dims.layers[-1]} exceeds pixel count {dims.pixels}"
-        )
+    if layers[0] > bands:
+        raise ValidationError(f"first layer size {layers[0]} exceeds band count {bands}")
+    if layers[-1] > pixels:
+        raise ValidationError(f"expanded size {layers[-1]} exceeds pixel count {pixels}")
 
 
 @dataclass(frozen=True)
@@ -217,18 +183,6 @@ class FactorStack:
 
 
 @dataclass(frozen=True)
-class AbundanceMatrix:
-    """Per-pixel expanded abundances; every column lies on the unit simplex."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = _frozen(np.atleast_2d(self.data))
-        _check_column_simplex(data, "abundance matrix")
-        object.__setattr__(self, "data", data)
-
-
-@dataclass(frozen=True)
 class ExpandedEndmembers:
     """Expanded endmember matrix, one column per endmember variant."""
 
@@ -254,13 +208,3 @@ def compose_expanded(stack: FactorStack) -> ExpandedEndmembers:
         return ExpandedEndmembers(stack.basis)
     return ExpandedEndmembers(np.linalg.multi_dot(mats))
 
-
-def reconstruct(stack: FactorStack, abundances: AbundanceMatrix) -> PixelMatrix:
-    """Predict the pixel matrix as expanded endmembers times abundances."""
-    b = compose_expanded(stack).data
-    if abundances.data.shape[0] != b.shape[1]:
-        raise ValidationError(
-            f"abundance rows {abundances.data.shape[0]} do not match "
-            f"{b.shape[1]} expanded endmembers"
-        )
-    return PixelMatrix(b @ abundances.data)

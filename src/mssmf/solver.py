@@ -31,7 +31,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import nnls
 
-from .model import FactorStack, ValidationError, as_pixel_matrix, compose_expanded
+from .model import (
+    NOISE_VAR_FLOOR,
+    FactorStack,
+    ValidationError,
+    as_pixel_matrix,
+    compose_expanded,
+)
 from .simplex import (
     BETA_FLOOR,
     DirichletParam,
@@ -65,7 +71,6 @@ class FitConfig:
     max_outer_iters: int = 100
     beta_steps_per_outer: int = 10
     rel_elbo_tol: float = 1e-7
-    sigma2_floor: float = 1e-12
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
@@ -74,8 +79,6 @@ class FitConfig:
             raise ValidationError("beta_steps_per_outer must be >= 1")
         if not (self.rel_elbo_tol >= 0):
             raise ValidationError("rel_elbo_tol must be >= 0")
-        if not (self.sigma2_floor > 0):
-            raise ValidationError("sigma2_floor must be > 0")
 
 
 @dataclass(frozen=True)
@@ -145,13 +148,6 @@ def _trace_gp(
     return gb, (np.diag(g) @ betas + (betas * gb).sum(axis=0)) / denom
 
 
-def _resid_per_pixel(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    total = betas.sum(axis=0)
-    denom = total * (total + 1.0)
-    _, tr_gp = _trace_gp(b.T @ b, betas, denom)
-    return (y * y).sum(axis=0) - 2.0 * (y * (b @ (betas / total))).sum(axis=0) + tr_gp
-
-
 def elbo_terms(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) -> float:
     """Evidence lower bound from raw arrays, averaged over pixels.
 
@@ -189,45 +185,6 @@ def elbo(pixels, stack: FactorStack, posterior: DirichletParam) -> float:
     """Evidence lower bound of a feasible model state, averaged over pixels."""
     px, betas = _check_state(pixels, stack, posterior)
     return elbo_terms(px.data, compose_expanded(stack).data, betas, stack.noise_var)
-
-
-@dataclass(frozen=True)
-class ElboBreakdown:
-    """The bound split into its pieces.
-
-    total = -(bands/2)*log(2*pi*sigma2) - mean(per_pixel_residual)/(2*sigma2)
-            + log_const + entropy_sum/pixels
-    """
-
-    total: float
-    per_pixel_residual: np.ndarray
-    entropy_sum: float
-    log_const: float
-
-
-def elbo_breakdown(pixels, stack: FactorStack, posterior: DirichletParam) -> ElboBreakdown:
-    """Like :func:`elbo` but keeps the per-term decomposition.
-
-    The per-pixel residual is an expectation of a squared norm, so it is
-    clamped at zero to hide roundoff on perfectly reconstructed pixels.
-    """
-    px, betas = _check_state(pixels, stack, posterior)
-    b = compose_expanded(stack).data
-    resid = np.maximum(_resid_per_pixel(px.data, b, betas), 0.0)
-    ent = float(dirichlet_entropy(betas).sum())
-    const = float(log_gamma(float(stack.expanded_count)))
-    total = (
-        -0.5 * px.bands * np.log(2.0 * np.pi * stack.noise_var)
-        - resid.mean() / (2.0 * stack.noise_var)
-        + const
-        + ent / px.pixels
-    )
-    return ElboBreakdown(
-        total=float(total),
-        per_pixel_residual=resid,
-        entropy_sum=ent,
-        log_const=const,
-    )
 
 
 def grad_factors(
@@ -379,7 +336,7 @@ def update_beta(
     b: np.ndarray,
     betas: np.ndarray,
     sigma2: float,
-    passes: int = 10,
+    passes: int,
     workers: Optional[int] = None,
 ) -> np.ndarray:
     """Improve all per-pixel Dirichlet concentrations for a fixed model.
@@ -514,14 +471,14 @@ def update_factor(
     return stack.replace(basis=mats[0], mixers=mats[1:])
 
 
-def update_sigma2(
-    y: np.ndarray, b: np.ndarray, betas: np.ndarray, floor: float = 1e-12
-) -> float:
+def update_sigma2(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> float:
     """Closed-form noise-variance update: mean expected squared error,
-    floored away from zero."""
+    floored at ``NOISE_VAR_FLOOR``, the least noise variance a
+    :class:`FactorStack` accepts."""
     y = np.asarray(y, dtype=np.float64)
     m, n = y.shape
-    return max(_resid_sum(y, np.asarray(b, dtype=np.float64), np.asarray(betas)) / (m * n), floor)
+    resid = _resid_sum(y, np.asarray(b, dtype=np.float64), np.asarray(betas))
+    return max(resid / (m * n), NOISE_VAR_FLOOR)
 
 
 def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> FitResult:
@@ -551,9 +508,7 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
         for block in range(stack.depth):
             stack = update_factor(y, stack, betas, block)
         b = compose_expanded(stack).data
-        stack = stack.replace(
-            noise_var=update_sigma2(y, b, betas, floor=config.sigma2_floor)
-        )
+        stack = stack.replace(noise_var=update_sigma2(y, b, betas))
         cur = elbo_terms(y, b, betas, stack.noise_var)
         ms_hist.append((time.perf_counter() - t0) * 1e3)
         elbo_hist.append(cur)

@@ -22,14 +22,13 @@ DEFAULT_KNOTS = 10
 
 @dataclass(frozen=True)
 class SynthBundle:
-    """One generated scene: data, ground truth, and the noise actually used."""
+    """One generated scene: the noisy pixels, the true abundances, and the
+    noise variance actually used (0 when noiseless).  The endmembers are the
+    caller's input to :func:`gen_dataset` and are not repeated here."""
 
     pixels: PixelMatrix
-    endmembers: np.ndarray
     abundances: np.ndarray
     sigma2: float
-    snr_db: float
-    seed: int
 
 
 def builtin_bases(bands: int = 198) -> np.ndarray:
@@ -136,7 +135,6 @@ def gen_dataset(
         raise ValidationError("n_pixels must be >= 1")
     if np.isnan(snr_db) or (np.isinf(snr_db) and snr_db < 0):
         raise ValidationError(f"snr_db must be finite or +inf, got {snr_db!r}")
-    seed_int = seed if isinstance(seed, (int, np.integer)) else -1
     rng = _as_rng(seed)
     m, k = a.shape
     z = sample_dirichlet(np.ones(k), n_pixels, rng)
@@ -147,11 +145,4 @@ def gen_dataset(
     else:
         sigma2 = float(np.sum(clean * clean) / (10.0 ** (snr_db / 10.0) * m * n_pixels))
         y = clean + rng.normal(0.0, np.sqrt(sigma2), size=clean.shape)
-    return SynthBundle(
-        pixels=PixelMatrix(y),
-        endmembers=a,
-        abundances=z,
-        sigma2=sigma2,
-        snr_db=float(snr_db),
-        seed=int(seed_int),
-    )
+    return SynthBundle(pixels=PixelMatrix(y), abundances=z, sigma2=sigma2)

@@ -13,7 +13,6 @@ from mssmf.matio import (
     read_manifest,
     read_pgm,
     read_raw64,
-    save_matrix,
     write_csv_matrix,
     write_manifest,
     write_pgm,
@@ -102,8 +101,8 @@ class TestRaw64:
 
     def test_suffix_dispatch(self, tmp_path, rng):
         mat = rng.normal(size=(2, 6))
-        save_matrix(tmp_path / "a.csv", mat)
-        save_matrix(tmp_path / "a.raw64", mat)
+        write_csv_matrix(tmp_path / "a.csv", mat)
+        write_raw64(tmp_path / "a.raw64", mat)
         np.testing.assert_array_equal(load_matrix(tmp_path / "a.csv"), mat)
         np.testing.assert_array_equal(load_matrix(tmp_path / "a.raw64"), mat)
 

@@ -4,13 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mssmf import (
-    AbundanceMatrix,
     FactorStack,
-    ModelDims,
     PixelMatrix,
     ValidationError,
     compose_expanded,
-    reconstruct,
     validate_dims,
 )
 from mssmf.simplex import sample_dirichlet
@@ -31,34 +28,25 @@ class TestPixelMatrix:
         with pytest.raises(ValidationError):
             PixelMatrix(bad)
 
-    def test_image_shape_must_cover_pixels(self):
-        PixelMatrix(np.ones((2, 6)), image_shape=(3, 2))
-        with pytest.raises(ValidationError, match="does not cover"):
-            PixelMatrix(np.ones((2, 6)), image_shape=(4, 2))
-
 
 class TestModelDims:
     def test_valid_chain_passes(self):
-        validate_dims(ModelDims(bands=198, layers=(6, 18, 30), pixels=2500))
+        validate_dims(198, (6, 18, 30), 2500)
 
     @pytest.mark.parametrize(
         "dims,fragment",
         [
-            (ModelDims(0, (2,), 5), "band count"),
-            (ModelDims(5, (2,), 0), "pixel count"),
-            (ModelDims(5, (), 5), "at least one"),
-            (ModelDims(5, (3, 2), 5), "non-decreasing"),
-            (ModelDims(2, (3, 4), 5), "first layer"),
-            (ModelDims(9, (3, 8), 5), "expanded size"),
+            ((0, (2,), 5), "band count"),
+            ((5, (2,), 0), "pixel count"),
+            ((5, (), 5), "at least one"),
+            ((5, (3, 2), 5), "non-decreasing"),
+            ((2, (3, 4), 5), "first layer"),
+            ((9, (3, 8), 5), "expanded size"),
         ],
     )
     def test_violations_name_the_constraint(self, dims, fragment):
         with pytest.raises(ValidationError, match=fragment):
-            validate_dims(dims)
-
-    def test_depth_and_expanded(self):
-        d = ModelDims(10, (2, 4, 6), 20)
-        assert d.depth == 3 and d.expanded == 6
+            validate_dims(*dims)
 
 
 class TestFactorStack:
@@ -122,29 +110,3 @@ class TestCompose:
         stack = FactorStack(basis=basis, mixers=(sample_dirichlet(np.ones(k1), k2, r),))
         sums = compose_expanded(stack).data.sum(axis=0)
         np.testing.assert_allclose(sums, np.ones(k2), atol=1e-12)
-
-
-class TestReconstruct:
-    def test_shapes_and_values(self, rng):
-        _, stack, _ = random_instance(rng)
-        k = stack.expanded_count
-        z = sample_dirichlet(np.ones(k), 9, rng)
-        px = reconstruct(stack, AbundanceMatrix(z))
-        np.testing.assert_allclose(px.data, expanded_of(stack) @ z, rtol=1e-13)
-
-    def test_dimension_mismatch(self, rng):
-        _, stack, _ = random_instance(rng)
-        z = sample_dirichlet(np.ones(stack.expanded_count + 1), 4, rng)
-        with pytest.raises(ValidationError, match="do not match"):
-            reconstruct(stack, AbundanceMatrix(z))
-
-
-class TestAbundanceMatrix:
-    def test_accepts_simplex_columns(self, rng):
-        AbundanceMatrix(sample_dirichlet(np.ones(4), 11, rng))
-
-    def test_rejects_bad_column_sum(self):
-        z = np.full((4, 3), 0.25)
-        z[0, 1] = 0.3
-        with pytest.raises(ValidationError, match="column 1"):
-            AbundanceMatrix(z)
