@@ -33,7 +33,7 @@ from .solver import (
     grad_beta,
     grad_factors,
     update_beta,
-    update_factor,
+    update_factors,
     update_sigma2,
 )
 from .synth import (
@@ -86,7 +86,7 @@ __all__ = [
     "snr_db",
     "trigamma",
     "update_beta",
-    "update_factor",
+    "update_factors",
     "update_sigma2",
     "validate_dims",
     "vca",

@@ -19,7 +19,7 @@ from mssmf import (
     grad_factors,
     init_all,
     update_beta,
-    update_factor,
+    update_factors,
     update_sigma2,
 )
 from mssmf import solver
@@ -74,9 +74,9 @@ def reference_beta_ascent(c, g, betas, sigma2, passes):
 @pytest.fixture(scope="module", params=[0, 3], ids=["init", "fit3"])
 def quick_start_state(request):
     """README quick-start scene (500 px, dims 6,18,30) at init_all's state
-    and after 3 fit iterations, as (y, b, betas, sigma2).  At init most
-    pixels need many step halvings; after 3 iterations every pixel takes
-    its first step."""
+    and after 3 fit iterations, as (y, b, betas, sigma2, stack).  At init
+    most pixels need many step halvings; after 3 iterations every pixel
+    takes its first step."""
     truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
     bundle = gen_dataset(truth, n_pixels=500, snr_db=20.0, seed=8)
     init = init_all(bundle.pixels, layer_sizes=(6, 18, 30), seed=9)
@@ -88,7 +88,7 @@ def quick_start_state(request):
         )
         stack, betas = res.stack, res.posterior.concentration
     b = compose_expanded(stack).data
-    return bundle.pixels.data, b, betas, stack.noise_var
+    return bundle.pixels.data, b, betas, stack.noise_var, stack
 
 
 class TestElbo:
@@ -242,7 +242,7 @@ class TestBetaUpdate:
         assert after > before + 0.1
 
     def test_carried_values_match_reference_loop(self, quick_start_state):
-        y, b, betas, sigma2 = quick_start_state
+        y, b, betas, sigma2, _ = quick_start_state
         c, g = b.T @ y, b.T @ b
         want, _ = reference_beta_ascent(c, g, betas, sigma2, 5)
         got = update_beta(y, b, betas, sigma2, passes=5, workers=1)
@@ -255,7 +255,7 @@ class TestBetaUpdate:
         assert np.all(np.diff(values, axis=0) >= 0)
 
     def test_evaluates_each_point_once(self, quick_start_state, request, monkeypatch):
-        y, b, betas, sigma2 = quick_start_state
+        y, b, betas, sigma2, _ = quick_start_state
         _, tried = reference_beta_ascent(b.T @ y, b.T @ b, betas, sigma2, 5)
         columns = []
         entropy = solver.dirichlet_entropy
@@ -347,6 +347,14 @@ def block_objective(problem, x):
     return float(np.sum((u @ x @ r) * x) - 2.0 * np.sum(x * c))
 
 
+def solve_block(y, stack, betas, which):
+    """The stack with factor `which` replaced by the per-block solver's
+    update, from statistics computed for this block alone."""
+    mats = [stack.basis, *stack.mixers]
+    mats[which] = solver._factor_block(mats, which, *solver._factor_statistics(y, betas))
+    return stack.replace(basis=mats[0], mixers=mats[1:])
+
+
 def structured_instance(rng, layers, zero_rows=()):
     """(y, stack, betas) with the given layer sizes; (mixer, row) pairs in
     zero_rows name mixer rows set to zero, their columns renormalized."""
@@ -384,7 +392,7 @@ class TestUpdateFactor:
             if case == "zero_mixer_row":
                 with pytest.raises(np.linalg.LinAlgError):
                     np.linalg.cholesky(q)
-            got = update_factor(y, stack, betas, 0).basis
+            got = solve_block(y, stack, betas, 0).basis
             for a, ci in zip(got, c):
                 _, want = nnls_quadratic_bruteforce(q, ci)
                 assert float(a @ q @ a - 2.0 * ci @ a) == pytest.approx(want, rel=1e-10)
@@ -396,7 +404,7 @@ class TestUpdateFactor:
             y, stack, betas = structured_instance(rng, layers, zero_rows)
             for which in range(1, stack.depth):
                 u, r, c, prefix = block_problem(y, stack, betas, which)
-                new = update_factor(y, stack, betas, which).mixers[which - 1]
+                new = solve_block(y, stack, betas, which).mixers[which - 1]
                 j = new.shape[1] - 1
                 rjj = r[j, j]
                 d = c[:, j] - u @ (new @ r[:, j] - new[:, j] * rjj)
@@ -421,7 +429,7 @@ class TestUpdateFactor:
         _, r, _, _ = block_problem(y, stack, betas, which)
         assert r[col, col] == 0.0
         old = [stack.basis, *stack.mixers][which]
-        got = update_factor(y, stack, betas, which)
+        got = solve_block(y, stack, betas, which)
         new = [got.basis, *got.mixers][which]
         np.testing.assert_array_equal(new[:, col], old[:, col])
         assert not np.array_equal(new, old)
@@ -434,7 +442,7 @@ class TestUpdateFactor:
         sigma2 = stack.noise_var
         before = elbo_terms(y, expanded_of(stack), betas, sigma2)
         for which in range(stack.depth):
-            new = update_factor(y, stack, betas, which)
+            new = solve_block(y, stack, betas, which)
             assert isinstance(new, FactorStack)
             assert np.all(new.basis >= 0)
             for s in new.mixers:
@@ -444,7 +452,7 @@ class TestUpdateFactor:
             assert after >= before - 1e-10 * (1.0 + abs(before))
             problem = block_problem(y, new, betas, which)
             once = block_objective(problem, [new.basis, *new.mixers][which])
-            again = update_factor(y, new, betas, which)
+            again = solve_block(y, new, betas, which)
             twice = block_objective(problem, [again.basis, *again.mixers][which])
             if which == 0:
                 assert twice == pytest.approx(once, rel=1e-10, abs=1e-12)
@@ -457,36 +465,77 @@ class TestUpdateFactor:
         # a solver that returns a worse point: the block must stay as it was
         y, stack, betas = random_instance(rng, depth=2)
         if which == 0:
-            monkeypatch.setattr(solver, "nnls", lambda a, b: (np.full(a.shape[1], 1e3), 0.0))
+            monkeypatch.setattr(solver, "_nnls_rows", lambda r, c, old: np.full(c.shape, 1e3))
         else:
             monkeypatch.setattr(
                 solver, "_simplex_lsq", lambda t, b: np.eye(b.shape[1])[:, [0]]
             )
-        assert update_factor(y, stack, betas, which) is stack
+        mats = [stack.basis, *stack.mixers]
+        stats = solver._factor_statistics(y, betas)
+        assert solver._factor_block(mats, which, *stats) is mats[which]
 
     def test_unknown_block_rejected(self, rng):
         y, stack, betas = random_instance(rng, depth=2)
+        mats = [stack.basis, *stack.mixers]
         with pytest.raises(ValidationError, match="factor block"):
-            update_factor(y, stack, betas, 5)
+            solver._factor_block(mats, 5, *solver._factor_statistics(y, betas))
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    def test_sweep_matches_blocks_applied_in_order(self, rng, depth):
+        y, stack, betas = random_instance(rng, depth=depth)
+        got = update_factors(y, stack, betas)
+        mats = [stack.basis, *stack.mixers]
+        for which in range(stack.depth):
+            # statistics recomputed from the concentrations for every block
+            stats = solver._factor_statistics(y, betas)
+            mats[which] = solver._factor_block(mats, which, *stats)
+        assert isinstance(got, FactorStack)
+        assert got.noise_var == stack.noise_var
+        assert not np.array_equal(got.basis, stack.basis)
+        for new, want in zip([got.basis, *got.mixers], mats):
+            np.testing.assert_array_equal(new, want)
+
+    def test_basis_rows_at_desk_scale(self, quick_start_state, monkeypatch):
+        # every band row against its own NNLS solve; the batched solve must
+        # certify some rows and send others to the fallback
+        y, _, betas, _, stack = quick_start_state
+        _, r, c, _ = block_problem(y, stack, betas, 0)
+        exact = solver.nnls
+        fallback = []
+
+        def counted(a, b):
+            fallback.append(None)
+            return exact(a, b)
+
+        monkeypatch.setattr(solver, "nnls", counted)
+        mats = [stack.basis, *stack.mixers]
+        got = solver._factor_block(mats, 0, *solver._factor_statistics(y, betas))
+        low = np.linalg.cholesky(r).T
+        for a, ci in zip(got, c):
+            want, _ = exact(low, np.linalg.solve(low.T, ci))
+            assert float(a @ r @ a - 2.0 * ci @ a) == pytest.approx(
+                float(want @ r @ want - 2.0 * ci @ want), rel=1e-10
+            )
+        assert 0 < len(fallback) < got.shape[0]
 
 
 class TestApg:
-    """update_factor on fixed depth-2 and depth-3 stacks.  The class keeps
-    the name it had when the blocks were solved by accelerated projected
-    gradient (APG)."""
+    """The per-block solver on fixed depth-2 and depth-3 stacks.  The class
+    keeps the name it had when the blocks were solved by accelerated
+    projected gradient (APG)."""
 
     def test_factor_update_never_increases_residual_objective(self, rng):
         for which in (0, 1):
             y, stack, betas = random_instance(rng, depth=2)
             before = elbo_terms(y, expanded_of(stack), betas, stack.noise_var)
-            new_stack = update_factor(y, stack, betas, which)
+            new_stack = solve_block(y, stack, betas, which)
             after = elbo_terms(y, expanded_of(new_stack), betas, stack.noise_var)
             assert after >= before - 1e-10 * (1 + abs(before))
 
     def test_output_stays_feasible(self, rng):
         y, stack, betas = random_instance(rng, depth=3)
         for which in range(stack.depth):
-            stack = update_factor(y, stack, betas, which)
+            stack = solve_block(y, stack, betas, which)
         assert np.all(stack.basis >= 0)
         for s in stack.mixers:
             np.testing.assert_allclose(s.sum(axis=0), 1.0, atol=1e-9)
@@ -544,6 +593,26 @@ class TestFit:
         assert res.trace.stop_reason == "non_finite"
         assert len(res.trace) == 2
         assert np.isnan(res.trace.elbo[1])
+
+    def test_invalid_factor_update_raises(self, rng, monkeypatch):
+        # every stack fit holds is validated: a negative basis entry from
+        # the factor sweep fails the first iteration
+        y, stack, betas = random_instance(rng)
+        exact = solver._factor_block
+        calls = []
+
+        def negative_basis(mats, which, ym, pbar):
+            new = exact(mats, which, ym, pbar)
+            if which == 0:
+                calls.append(None)
+                new = np.array(new)
+                new[0, 0] = -1.0
+            return new
+
+        monkeypatch.setattr(solver, "_factor_block", negative_basis)
+        with pytest.raises(ValidationError, match="negative"):
+            fit(y, stack, betas, FitConfig(max_outer_iters=5, rel_elbo_tol=0.0))
+        assert len(calls) == 1
 
     def test_deterministic_given_inputs(self, rng):
         y, stack, betas = random_instance(rng)
