@@ -1,9 +1,8 @@
 """Command line: synth -> unmix -> eval, plus svd and render utilities.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 validation error.
-All commands are deterministic for a fixed seed and flag set; the solver's
-data-parallel concentration updates honor the MSSMF_THREADS environment
-variable (unset means single-threaded).
+All commands are deterministic for a fixed seed and flag set; the fit
+itself starts no threads (BLAS may, as its own settings say).
 """
 
 from __future__ import annotations

@@ -39,6 +39,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _check_column_simplex(mat: np.ndarray, what: str) -> None:
+    # NaN passes both tests below, so rule out non-finite entries first
+    if not np.all(np.isfinite(mat)):
+        raise ValidationError(f"{what}: non-finite entries")
     if np.any(mat < 0):
         raise ValidationError(f"{what}: negative entries")
     sums = mat.sum(axis=0)
@@ -127,7 +130,7 @@ class FactorStack:
         Mixing layers; layer l has shape (K_l, K_{l+1}) and every column
         lies on the unit simplex (within ``COLUMN_SUM_TOL``).
     noise_var : float
-        Observation noise variance, at least ``NOISE_VAR_FLOOR``.
+        Observation noise variance, finite and at least ``NOISE_VAR_FLOOR``.
     """
 
     basis: np.ndarray
@@ -149,6 +152,8 @@ class FactorStack:
                 )
             _check_column_simplex(s, f"mixing layer {l}")
             cols = s.shape[1]
+        if not np.isfinite(self.noise_var):
+            raise ValidationError(f"noise variance {self.noise_var!r} is not finite")
         if not (self.noise_var >= NOISE_VAR_FLOOR):
             raise ValidationError(
                 f"noise variance {self.noise_var!r} below floor {NOISE_VAR_FLOOR:g}"

@@ -26,11 +26,10 @@ not evaluated at steps that are sure to be rejected.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import nnls
@@ -341,15 +340,15 @@ def update_beta(
     betas: np.ndarray,
     sigma2: float,
     passes: int,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> np.ndarray:
     """Improve all per-pixel Dirichlet concentrations for a fixed model.
 
-    Pixels are independent, so the work is split into contiguous column
-    chunks; with a fixed worker count the result is deterministic because
-    every chunk computes the same floating-point sequence regardless of
-    scheduling.  Worker count defaults to the MSSMF_THREADS environment
-    variable (1 if unset).
+    Pixels are independent.  With workers > 1 the pixels are split into
+    contiguous column chunks run on a thread pool.  :func:`fit` never does
+    this: the pool has not paid off at any size measured, and a chunk's
+    `g @ betas` can round differently from the full product's.  The
+    argument remains only for the benchmark's two-worker timing probe.
     """
     y = np.asarray(y, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -357,8 +356,6 @@ def update_beta(
     c = b.T @ y
     g = b.T @ b
     yss = (y * y).sum(axis=0)
-    if workers is None:
-        workers = thread_count()
     n = betas.shape[1]
     if workers <= 1 or n < 2 * workers:
         return _beta_ascent_chunk(c, g, betas, yss, sigma2, passes)
@@ -375,15 +372,6 @@ def update_beta(
         for lo, hi, job in jobs:
             out[:, lo:hi] = job.result()
     return out
-
-
-def thread_count() -> int:
-    """Worker count from MSSMF_THREADS; malformed or missing values mean 1."""
-    raw = os.environ.get("MSSMF_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _reduced_factor(gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -544,7 +532,7 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
         betas = DirichletParam(betas)
     px, betas = _check_state(pixels, stack, betas)
     y = px.data
-    workers = thread_count()
+    b = compose_expanded(stack).data
     elbo_hist: List[float] = []
     sigma2_hist: List[float] = []
     ms_hist: List[float] = []
@@ -552,12 +540,9 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     prev = None
     for _ in range(config.max_outer_iters):
         t0 = time.perf_counter()
-        b = compose_expanded(stack).data
-        betas = update_beta(
-            y, b, betas, stack.noise_var,
-            passes=config.beta_steps_per_outer, workers=workers,
-        )
+        betas = update_beta(y, b, betas, stack.noise_var, passes=config.beta_steps_per_outer)
         stack = update_factors(y, stack, betas)
+        # the noise update leaves b as it is, so the next iteration reuses it
         b = compose_expanded(stack).data
         stack = stack.replace(noise_var=update_sigma2(y, b, betas))
         cur = elbo_terms(y, b, betas, stack.noise_var)

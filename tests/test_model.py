@@ -69,6 +69,18 @@ class TestFactorStack:
         with pytest.raises(ValidationError, match="floor"):
             FactorStack(basis=np.ones((2, 2)), noise_var=0.0)
 
+    def test_rejects_non_finite_mixer(self, rng):
+        # NaN passes both the sign test and the column-sum test
+        s1 = sample_dirichlet(np.ones(2), 2, rng)
+        s_bad = np.array([[np.nan, 0.5], [np.nan, 0.5]])
+        with pytest.raises(ValidationError, match="mixing layer 2: non-finite"):
+            FactorStack(basis=np.ones((4, 2)), mixers=(s1, s_bad), noise_var=1e-3)
+
+    @pytest.mark.parametrize("noise_var", [np.inf, np.nan])
+    def test_rejects_non_finite_noise(self, noise_var):
+        with pytest.raises(ValidationError, match="noise variance"):
+            FactorStack(basis=np.ones((4, 2)), noise_var=noise_var)
+
     def test_layer_sizes(self, rng):
         _, stack, _ = random_instance(rng, depth=3)
         sizes = stack.layer_sizes

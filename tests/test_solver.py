@@ -32,7 +32,6 @@ from mssmf.simplex import (
     log_gamma,
     sample_dirichlet,
 )
-from mssmf.solver import thread_count
 
 from conftest import (
     central_diff,
@@ -71,24 +70,30 @@ def reference_beta_ascent(c, g, betas, sigma2, passes):
     return cur, tried
 
 
-@pytest.fixture(scope="module", params=[0, 3], ids=["init", "fit3"])
-def quick_start_state(request):
-    """README quick-start scene (500 px, dims 6,18,30) at init_all's state
-    and after 3 fit iterations, as (y, b, betas, sigma2, stack).  At init
-    most pixels need many step halvings; after 3 iterations every pixel
-    takes its first step."""
+def quick_start_init():
+    """README quick-start scene (500 px, dims 6,18,30): its pixels and
+    init_all's state."""
     truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
     bundle = gen_dataset(truth, n_pixels=500, snr_db=20.0, seed=8)
-    init = init_all(bundle.pixels, layer_sizes=(6, 18, 30), seed=9)
+    return bundle.pixels, init_all(bundle.pixels, layer_sizes=(6, 18, 30), seed=9)
+
+
+@pytest.fixture(scope="module", params=[0, 3], ids=["init", "fit3"])
+def quick_start_state(request):
+    """README quick-start scene at init_all's state and after 3 fit
+    iterations, as (y, b, betas, sigma2, stack).  At init most pixels need
+    many step halvings; after 3 iterations every pixel takes its first
+    step."""
+    pixels, init = quick_start_init()
     stack, betas = init.stack, init.posterior.concentration
     if request.param:
         res = fit(
-            bundle.pixels, stack, init.posterior,
+            pixels, stack, init.posterior,
             FitConfig(max_outer_iters=request.param, rel_elbo_tol=0.0),
         )
         stack, betas = res.stack, res.posterior.concentration
     b = compose_expanded(stack).data
-    return bundle.pixels.data, b, betas, stack.noise_var, stack
+    return pixels.data, b, betas, stack.noise_var, stack
 
 
 class TestElbo:
@@ -305,22 +310,6 @@ class TestBetaUpdate:
         for betas in (start, got, np.ones((k, n)), levels):
             value = solver._beta_point(c, g, betas, sigma2)[0]
             assert np.all(value <= ceil + 1e-9 * np.abs(ceil))
-
-
-class TestThreadCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("MSSMF_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_env_parsed(self, monkeypatch):
-        monkeypatch.setenv("MSSMF_THREADS", "4")
-        assert thread_count() == 4
-
-    def test_garbage_means_one(self, monkeypatch):
-        monkeypatch.setenv("MSSMF_THREADS", "many")
-        assert thread_count() == 1
-        monkeypatch.setenv("MSSMF_THREADS", "0")
-        assert thread_count() == 1
 
 
 def block_problem(y, stack, betas, which):
@@ -613,6 +602,27 @@ class TestFit:
         with pytest.raises(ValidationError, match="negative"):
             fit(y, stack, betas, FitConfig(max_outer_iters=5, rel_elbo_tol=0.0))
         assert len(calls) == 1
+
+    def test_infinite_noise_update_raises(self, rng, monkeypatch):
+        y, stack, betas = random_instance(rng)
+        monkeypatch.setattr(solver, "update_sigma2", lambda *args: np.inf)
+        with pytest.raises(ValidationError, match="not finite"):
+            fit(y, stack, betas, FitConfig(max_outer_iters=5, rel_elbo_tol=0.0))
+
+    def test_results_ignore_thread_environment(self, monkeypatch):
+        # a worker pool would round a chunk's g @ betas differently from
+        # the full product
+        pixels, init = quick_start_init()
+        cfg = FitConfig(max_outer_iters=3, rel_elbo_tol=0.0)
+        monkeypatch.delenv("MSSMF_THREADS", raising=False)
+        unset = fit(pixels, init.stack, init.posterior, cfg)
+        monkeypatch.setenv("MSSMF_THREADS", "2")
+        two = fit(pixels, init.stack, init.posterior, cfg)
+        np.testing.assert_array_equal(unset.posterior.concentration, two.posterior.concentration)
+        np.testing.assert_array_equal(unset.stack.basis, two.stack.basis)
+        for got, want in zip(two.stack.mixers, unset.stack.mixers, strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(unset.trace.elbo, two.trace.elbo)
 
     def test_deterministic_given_inputs(self, rng):
         y, stack, betas = random_instance(rng)
