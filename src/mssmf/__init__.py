@@ -27,7 +27,6 @@ from .solver import (
     FitConfig,
     FitResult,
     FitTrace,
-    elbo,
     elbo_terms,
     fit,
     grad_beta,
@@ -68,7 +67,6 @@ __all__ = [
     "dirichlet_entropy",
     "dirichlet_mean",
     "dirichlet_second_moment",
-    "elbo",
     "elbo_terms",
     "fit",
     "gen_dataset",

@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep = sub.add_parser("eval", help="score an estimate against ground truth")
     ep.add_argument("--est", help="estimated endmember matrix file")
     ep.add_argument("--truth", help="ground-truth endmember matrix file")
-    ep.add_argument("--snr-db", type=float, default=None,
+    ep.add_argument("--snr-db", type=_snr_value, default=None,
                     help="optional tag recorded for later aggregation")
     ep.add_argument("--runs-dir", default=None,
                     help="aggregate all eval manifests found under this directory")

@@ -139,7 +139,6 @@ class InitResult:
     stack: FactorStack
     posterior: DirichletParam
     basis_indices: np.ndarray
-    expanded_indices: np.ndarray
 
 
 def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
@@ -161,7 +160,7 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
     basis, basis_idx = vca(px, layers[0], np.random.default_rng(seed_basis))
     # noisy pixels can dip below zero; the basis lives in the nonneg orthant
     basis = np.maximum(basis, 0.0)
-    expanded, expanded_idx = vca(px, layers[-1], np.random.default_rng(seed_expanded))
+    expanded, _ = vca(px, layers[-1], np.random.default_rng(seed_expanded))
     # concentrations start at the abundances themselves (total 1 per pixel,
     # maximally diffuse); the ascent sharpens them as the factors settle
     betas = np.maximum(scls(px, expanded), BETA_FLOOR)
@@ -173,9 +172,4 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
     stack = FactorStack(basis=basis, mixers=mixers, noise_var=1.0)
     sigma2 = update_sigma2(y, compose_expanded(stack).data, betas)
     stack = stack.replace(noise_var=sigma2)
-    return InitResult(
-        stack=stack,
-        posterior=DirichletParam(betas),
-        basis_indices=basis_idx,
-        expanded_indices=expanded_idx,
-    )
+    return InitResult(stack=stack, posterior=DirichletParam(betas), basis_indices=basis_idx)

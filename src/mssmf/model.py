@@ -196,10 +196,6 @@ class ExpandedEndmembers:
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen(np.atleast_2d(self.data)))
 
-    @property
-    def count(self) -> int:
-        return self.data.shape[1]
-
 
 def compose_expanded(stack: FactorStack) -> ExpandedEndmembers:
     """Multiply the core basis through the mixing chain.

@@ -225,8 +225,8 @@ def dirichlet_entropy(beta: np.ndarray) -> np.ndarray:
 def sample_dirichlet(alpha: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n Dirichlet(alpha) vectors as the columns of a (K, n) matrix."""
     a = np.asarray(alpha, dtype=np.float64)
-    if a.ndim != 1 or np.any(a <= 0):
-        raise ValidationError("alpha must be a 1-D positive vector")
+    if a.ndim != 1 or not np.all((a > 0) & np.isfinite(a)):
+        raise ValidationError("alpha must be a 1-D positive finite vector")
     g = rng.standard_gamma(a[:, None], size=(a.size, int(n)))
     total = g.sum(axis=0)
     dead = total == 0.0

@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import nnls
@@ -154,9 +154,9 @@ def _trace_gp(
 def elbo_terms(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) -> float:
     """Evidence lower bound from raw arrays, averaged over pixels.
 
-    Exists alongside :func:`elbo` so tests can evaluate the bound at
-    points that violate the feasibility constraints (finite-difference
-    probes leave the simplex).
+    Takes no FactorStack, so tests can evaluate the bound at points that
+    violate the feasibility constraints (finite-difference probes leave
+    the simplex).
     """
     y = np.asarray(y, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -184,32 +184,24 @@ def _check_state(pixels, stack: FactorStack, posterior: DirichletParam):
     return px, betas
 
 
-def elbo(pixels, stack: FactorStack, posterior: DirichletParam) -> float:
-    """Evidence lower bound of a feasible model state, averaged over pixels."""
-    px, betas = _check_state(pixels, stack, posterior)
-    return elbo_terms(px.data, compose_expanded(stack).data, betas, stack.noise_var)
-
-
 def grad_factors(
     y: np.ndarray, stack: FactorStack, betas: np.ndarray
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Gradient of the averaged bound with respect to the basis and every
-    mixing layer, via the chain rule through the expanded product."""
+    mixing layer: -(U X R - C) / (sigma2 N) for each factor X, from the
+    block quadratic :func:`_block_terms` forms (see :func:`update_factors`)."""
     y = np.asarray(y, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
-    n = y.shape[1]
-    mean, pbar = _moment_sums(betas)
-    b = compose_expanded(stack).data
-    grad_b = -(b @ pbar - y @ mean.T) / (stack.noise_var * n)
+    ym, pbar = _factor_statistics(y, np.asarray(betas, dtype=np.float64))
     mats = [stack.basis, *stack.mixers]
     tail = _suffix_products(mats)
-    grad_basis = grad_b @ tail[1].T
-    grads_mix = []
-    prefix = stack.basis
-    for l, s in enumerate(stack.mixers):
-        grads_mix.append(prefix.T @ grad_b @ tail[l + 2].T)
-        prefix = prefix @ s
-    return grad_basis, grads_mix
+    scale = stack.noise_var * y.shape[1]
+    grads = []
+    prefix = None
+    for x, w in zip(mats, tail[1:]):
+        u, r, c = _block_terms(prefix, w, ym, pbar)
+        grads.append(-(_quadratic_part(x, u, r) - c) / scale)
+        prefix = x if prefix is None else prefix @ x
+    return grads[0], grads[1:]
 
 
 def grad_beta(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) -> np.ndarray:
@@ -395,6 +387,24 @@ def _factor_statistics(y: np.ndarray, betas: np.ndarray) -> Tuple[np.ndarray, np
     return y @ mean.T, pbar
 
 
+def _block_terms(
+    prefix: Optional[np.ndarray], w: np.ndarray, ym: np.ndarray, pbar: np.ndarray
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """(U, R, C) of the block quadratic tr(X'UXR) - 2<X, C> for the factor
+    between the products prefix (P) and w (W), from the statistics
+    ym = Y M' and pbar = Pbar.  prefix is None for the basis, whose U is the
+    identity; U is then returned as None."""
+    r = w @ pbar @ w.T
+    if prefix is None:
+        return None, r, ym @ w.T
+    return prefix.T @ prefix, r, prefix.T @ ym @ w.T
+
+
+def _quadratic_part(x: np.ndarray, u: Optional[np.ndarray], r: np.ndarray) -> np.ndarray:
+    """U X R, with U = None standing for the identity."""
+    return (x if u is None else u @ x) @ r
+
+
 def _nnls_rows(r: np.ndarray, c: np.ndarray, old: np.ndarray) -> np.ndarray:
     """Solve min a'Ra - 2 c_i'a over a >= 0 for every row c_i of c,
     warm-started from the support P of each row of old (the certificate
@@ -417,43 +427,27 @@ def _nnls_rows(r: np.ndarray, c: np.ndarray, old: np.ndarray) -> np.ndarray:
 
 
 def _factor_block(
-    mats: Sequence[np.ndarray], which: int, ym: np.ndarray, pbar: np.ndarray
+    old: np.ndarray, u: Optional[np.ndarray], r: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
-    """Exact update of factor `which` of mats = [basis, *mixers] for the
-    statistics ym = Y M' and pbar = Pbar; returns the new factor, or the
-    old one (the same object) if roundoff made the block's objective rise.
-    See :func:`update_factors`."""
-    if not 0 <= which < len(mats):
-        raise ValidationError(f"no factor block {which} in a depth-{len(mats)} stack")
-    w = _suffix_products(mats)[which + 1]
-    r = w @ pbar @ w.T
-    old = mats[which]
-    if which == 0:
-        cmat = ym @ w.T
-        used = np.flatnonzero(np.diag(r) > 0.0)
-        new = np.array(old)
-        new[:, used] = _nnls_rows(r[np.ix_(used, used)], cmat[:, used], old[:, used])
-
-        def objective(a):
-            return np.sum((a @ r) * a) - 2.0 * np.sum(a * cmat)
-
+    """Minimize the block quadratic tr(X'UXR) - 2<X, C> from old: the
+    basis (u None) over X >= 0, a mixer by one sweep over its simplex
+    columns.  Returns the new factor, or old itself (the same object) if
+    roundoff made the objective rise.  See :func:`update_factors`."""
+    used = np.flatnonzero(np.diag(r) > 0.0)
+    new = np.array(old)
+    if u is None:
+        new[:, used] = _nnls_rows(r[np.ix_(used, used)], c[:, used], old[:, used])
     else:
-        prefix = mats[0]
-        for s in mats[1:which]:
-            prefix = prefix @ s
-        gram_u = prefix.T @ prefix
-        cmat = prefix.T @ ym @ w.T
-        low, low_pinv = _reduced_factor(gram_u)
-        new = np.array(old)
+        low, low_pinv = _reduced_factor(u)
         low_s = low @ new
-        low_c = low_pinv @ cmat
-        for j in np.flatnonzero(np.diag(r) > 0.0):
+        low_c = low_pinv @ c
+        for j in used:
             target = (low_c[:, j] - low_s @ r[:, j]) / r[j, j] + low_s[:, j]
             new[:, j] = _simplex_lsq(target[:, None], low)[:, 0]
             low_s[:, j] = low @ new[:, j]
 
-        def objective(s):
-            return np.sum((gram_u @ s @ r) * s) - 2.0 * np.sum(s * cmat)
+    def objective(x):
+        return np.sum(_quadratic_part(x, u, r) * x) - 2.0 * np.sum(x * c)
 
     if objective(new) > objective(old):
         return old
@@ -468,18 +462,24 @@ def update_factors(y: np.ndarray, stack: FactorStack, betas: np.ndarray) -> Fact
     the posterior means, Pbar the summed Dirichlet second moment), which
     the sweep computes once.  With P the product of the factors before a
     block and W the product of those after it, the block's part of the
-    bound is, up to scale, minus
+    bound is, up to scale, minus one quadratic in its factor X:
 
-        basis:  tr(A R A') - 2 <A, C>,      C = Y M' W'
-        mixer:  tr(S' U S R) - 2 <S, C>,    C = P' Y M' W',  U = P'P
+        tr(X' U X R) - 2 <X, C>,   U = P'P,  R = W Pbar W',  C = P' Y M' W'
 
-    with R = W Pbar W'.  A basis column or mixer column j with r_jj = 0 (a
-    component no later layer uses) does not enter the objective and is left
-    as it is; for the basis this also removes the only directions a >= 0
-    along which the objective is flat, which would let an NNLS solve drift
-    without bound on roundoff.
+    For the basis P, and so U, is the identity.  :func:`_block_terms` forms
+    (U, R, C), :func:`_factor_block` minimizes the quadratic and
+    :func:`grad_factors` differentiates it.  The sweep forms every W once,
+    from the incoming factors, and carries P from block to block: when a
+    block is solved, the factors after it are still the incoming ones and
+    those before it are already new.
 
-    The basis rows are independent: row i solves the convex QP
+    A basis column or mixer column j with r_jj = 0 (a component no later
+    layer uses) does not enter the objective and is left as it is; for the
+    basis this also removes the only directions a >= 0 along which the
+    objective is flat, which would let an NNLS solve drift without bound on
+    roundoff.
+
+    With U = I the basis rows are independent: row i solves the convex QP
     min a'Ra - 2 c_i'a over a >= 0.  Each row is warm-started from its
     previous support P: one batched call solves R_PP a_P = c_P for every
     row.  A row keeps that point only if its KKT certificate holds, a_P > 0
@@ -506,8 +506,11 @@ def update_factors(y: np.ndarray, stack: FactorStack, betas: np.ndarray) -> Fact
     betas = np.asarray(betas, dtype=np.float64)
     ym, pbar = _factor_statistics(y, betas)
     mats = [stack.basis, *stack.mixers]
-    for which in range(len(mats)):
-        mats[which] = _factor_block(mats, which, ym, pbar)
+    tail = _suffix_products(mats)
+    prefix = None
+    for i, w in enumerate(tail[1:]):
+        mats[i] = _factor_block(mats[i], *_block_terms(prefix, w, ym, pbar))
+        prefix = mats[i] if prefix is None else prefix @ mats[i]
     return stack.replace(basis=mats[0], mixers=mats[1:])
 
 

@@ -200,6 +200,19 @@ class TestEvalCommand:
         code = run("eval", "--out", str(tmp_path / "eval.json"))
         assert code == 2
 
+    def test_nan_snr_tag_is_a_usage_error(self, tmp_path, rng):
+        # a NaN tag would be written as a bare NaN token, which is not JSON
+        write_raw64(tmp_path / "a.raw64", rng.uniform(0, 1, (5, 3)))
+        out = tmp_path / "eval.json"
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "eval", "--est", str(tmp_path / "a.raw64"),
+                "--truth", str(tmp_path / "a.raw64"),
+                "--snr-db", "nan", "--out", str(out),
+            )
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_batch_aggregation(self, tmp_path, rng):
         truth = rng.uniform(0, 1, (8, 3))
         write_raw64(tmp_path / "truth.raw64", truth)

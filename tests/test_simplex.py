@@ -205,8 +205,9 @@ class TestDirichlet:
         np.testing.assert_allclose(z.mean(axis=1), alpha / alpha.sum(), atol=3e-3)
 
     def test_sampling_rejects_bad_alpha(self, rng):
-        with pytest.raises(ValidationError):
-            sample_dirichlet(np.array([1.0, 0.0]), 5, rng)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                sample_dirichlet(np.array([1.0, bad]), 5, rng)
 
     def test_entropy_uses_gammaln_pieces_correctly(self, rng):
         # independent recomputation from scipy special functions

@@ -11,7 +11,6 @@ from mssmf import (
     assemble_ground_truth,
     builtin_bases,
     compose_expanded,
-    elbo,
     elbo_terms,
     fit,
     gen_dataset,
@@ -104,15 +103,6 @@ class TestElbo:
             closed = elbo_terms(y, b, betas, stack.noise_var)
             est, se = elbo_monte_carlo(y, b, betas, stack.noise_var, 200_000, rng)
             assert abs(closed - est) < 3.0 * se
-
-    def test_wrapper_validates_shapes(self, rng):
-        y, stack, betas = random_instance(rng)
-        good = DirichletParam(np.maximum(betas, BETA_FLOOR))
-        assert np.isfinite(elbo(y, stack, good))
-        with pytest.raises(ValidationError):
-            elbo(y[:-1], stack, good)
-        with pytest.raises(ValidationError):
-            elbo(y, stack, DirichletParam(np.ones((betas.shape[0] + 1, y.shape[1]))))
 
     def test_entropy_term_included(self, rng):
         # scaling all concentrations far up shrinks the posterior entropy,
@@ -336,11 +326,28 @@ def block_objective(problem, x):
     return float(np.sum((u @ x @ r) * x) - 2.0 * np.sum(x * c))
 
 
+def block_terms(mats, which, y, betas):
+    """(U, R, C) of factor `which` of mats = [basis, *mixers] as the sweep
+    forms them, with the statistics, the prefix and the suffix products
+    computed for this block alone."""
+    ym, pbar = solver._factor_statistics(y, betas)
+    prefix = None
+    for mat in mats[:which]:
+        prefix = mat if prefix is None else prefix @ mat
+    w = solver._suffix_products(mats)[which + 1]
+    return solver._block_terms(prefix, w, ym, pbar)
+
+
+def block_update(mats, which, y, betas):
+    """The per-block solver's update of factor `which` of mats."""
+    return solver._factor_block(mats[which], *block_terms(mats, which, y, betas))
+
+
 def solve_block(y, stack, betas, which):
     """The stack with factor `which` replaced by the per-block solver's
-    update, from statistics computed for this block alone."""
+    update."""
     mats = [stack.basis, *stack.mixers]
-    mats[which] = solver._factor_block(mats, which, *solver._factor_statistics(y, betas))
+    mats[which] = block_update(mats, which, y, betas)
     return stack.replace(basis=mats[0], mixers=mats[1:])
 
 
@@ -372,6 +379,23 @@ EXACT_CASES = {
 
 
 class TestUpdateFactor:
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_block_terms_match_definitions(self, rng, case):
+        layers, zero_rows = EXACT_CASES[case]
+        y, stack, betas = structured_instance(rng, layers, zero_rows)
+        mats = [stack.basis, *stack.mixers]
+        for which in range(stack.depth):
+            u, r, c = block_terms(mats, which, y, betas)
+            want_u, want_r, want_c, _ = block_problem(y, stack, betas, which)
+            if which == 0:
+                # the basis's U is the identity, passed as None
+                assert u is None
+                np.testing.assert_array_equal(want_u, np.eye(y.shape[0]))
+            else:
+                np.testing.assert_allclose(u, want_u, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(r, want_r, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(c, want_c, rtol=1e-12, atol=1e-14)
+
     @pytest.mark.parametrize("case", sorted(EXACT_CASES))
     def test_basis_matches_support_enumeration_oracle(self, rng, case):
         layers, zero_rows = EXACT_CASES[case]
@@ -426,10 +450,24 @@ class TestUpdateFactor:
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     def test_blocks_keep_stack_feasible_and_bound_monotone(self, seed, depth):
+        # every block of an outer iteration, in fit's order: concentrations,
+        # basis, each mixer, noise variance
         rng = np.random.default_rng(seed)
         y, stack, betas = random_instance(rng, max_dim=6, depth=depth)
-        sigma2 = stack.noise_var
-        before = elbo_terms(y, expanded_of(stack), betas, sigma2)
+
+        def bound(stack, betas):
+            return elbo_terms(y, expanded_of(stack), betas, stack.noise_var)
+
+        def assert_no_drop(before, after):
+            assert after >= before - 1e-10 * (1.0 + abs(before))
+
+        before = bound(stack, betas)
+        passes = FitConfig().beta_steps_per_outer
+        betas = update_beta(y, expanded_of(stack), betas, stack.noise_var, passes=passes)
+        betas = DirichletParam(betas).concentration
+        after = bound(stack, betas)
+        assert_no_drop(before, after)
+        before = after
         for which in range(stack.depth):
             new = solve_block(y, stack, betas, which)
             assert isinstance(new, FactorStack)
@@ -437,8 +475,8 @@ class TestUpdateFactor:
             for s in new.mixers:
                 assert np.all(s >= 0)
                 np.testing.assert_allclose(s.sum(axis=0), 1.0, atol=1e-12)
-            after = elbo_terms(y, expanded_of(new), betas, sigma2)
-            assert after >= before - 1e-10 * (1.0 + abs(before))
+            after = bound(new, betas)
+            assert_no_drop(before, after)
             problem = block_problem(y, new, betas, which)
             once = block_objective(problem, [new.basis, *new.mixers][which])
             again = solve_block(y, new, betas, which)
@@ -448,6 +486,8 @@ class TestUpdateFactor:
             else:
                 assert twice <= once + 1e-10 * abs(once)
             stack, before = new, after
+        stack = stack.replace(noise_var=update_sigma2(y, expanded_of(stack), betas))
+        assert_no_drop(before, bound(stack, betas))
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_keeps_old_block_when_objective_rises(self, rng, monkeypatch, which):
@@ -460,14 +500,7 @@ class TestUpdateFactor:
                 solver, "_simplex_lsq", lambda t, b: np.eye(b.shape[1])[:, [0]]
             )
         mats = [stack.basis, *stack.mixers]
-        stats = solver._factor_statistics(y, betas)
-        assert solver._factor_block(mats, which, *stats) is mats[which]
-
-    def test_unknown_block_rejected(self, rng):
-        y, stack, betas = random_instance(rng, depth=2)
-        mats = [stack.basis, *stack.mixers]
-        with pytest.raises(ValidationError, match="factor block"):
-            solver._factor_block(mats, 5, *solver._factor_statistics(y, betas))
+        assert block_update(mats, which, y, betas) is mats[which]
 
     @pytest.mark.parametrize("depth", [1, 2, 4])
     def test_sweep_matches_blocks_applied_in_order(self, rng, depth):
@@ -475,9 +508,10 @@ class TestUpdateFactor:
         got = update_factors(y, stack, betas)
         mats = [stack.basis, *stack.mixers]
         for which in range(stack.depth):
-            # statistics recomputed from the concentrations for every block
-            stats = solver._factor_statistics(y, betas)
-            mats[which] = solver._factor_block(mats, which, *stats)
+            # statistics, prefix and suffix products recomputed for every
+            # block: the sweep's carried prefix and one set of suffix
+            # products must give the same bits
+            mats[which] = block_update(mats, which, y, betas)
         assert isinstance(got, FactorStack)
         assert got.noise_var == stack.noise_var
         assert not np.array_equal(got.basis, stack.basis)
@@ -498,7 +532,7 @@ class TestUpdateFactor:
 
         monkeypatch.setattr(solver, "nnls", counted)
         mats = [stack.basis, *stack.mixers]
-        got = solver._factor_block(mats, 0, *solver._factor_statistics(y, betas))
+        got = block_update(mats, 0, y, betas)
         low = np.linalg.cholesky(r).T
         for a, ci in zip(got, c):
             want, _ = exact(low, np.linalg.solve(low.T, ci))
@@ -590,9 +624,9 @@ class TestFit:
         exact = solver._factor_block
         calls = []
 
-        def negative_basis(mats, which, ym, pbar):
-            new = exact(mats, which, ym, pbar)
-            if which == 0:
+        def negative_basis(old, u, r, c):
+            new = exact(old, u, r, c)
+            if u is None:
                 calls.append(None)
                 new = np.array(new)
                 new[0, 0] = -1.0
