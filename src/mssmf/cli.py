@@ -86,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     up.add_argument("--dims", type=_dims_value, required=True,
                     help="layer sizes, e.g. 6,18,30")
     up.add_argument("--iters", type=int, default=FitConfig.max_outer_iters)
-    up.add_argument("--beta-steps", type=int, default=FitConfig.beta_steps_per_outer,
-                    help="concentration ascent steps per outer iteration")
     up.add_argument("--tol", type=float, default=0.0,
                     help="relative bound-improvement stop; 0 runs all iterations")
     up.add_argument("--seed", type=int, default=0)
@@ -171,11 +169,7 @@ def _cmd_synth(args, argv) -> int:
 def _cmd_unmix(args, argv) -> int:
     y = load_matrix(args.input)
     start = init_all(y, args.dims, seed=args.seed)
-    config = FitConfig(
-        max_outer_iters=args.iters,
-        beta_steps_per_outer=args.beta_steps,
-        rel_elbo_tol=args.tol,
-    )
+    config = FitConfig(max_outer_iters=args.iters, rel_elbo_tol=args.tol)
     result = fit(y, start.stack, start.posterior, config)
     out = Path(args.out)
     os.makedirs(out, exist_ok=True)
@@ -208,7 +202,6 @@ def _cmd_unmix(args, argv) -> int:
         },
         "config": {
             "iters": args.iters,
-            "beta_steps": args.beta_steps,
             "tol": args.tol,
         },
         "trace": {

@@ -3,9 +3,10 @@
 Two matrix encodings, chosen by file suffix: ".csv" is comma-separated
 text (no header, LF endings, '.' decimal) and anything else is RAW64,
 little-endian float64 in row-major order with a JSON sidecar at
-path + ".json" holding {"rows": R, "cols": C}.  Manifests are JSON with
-sorted keys and a fixed layout so identical content gives identical
-bytes.  Images are binary 8-bit PGM.
+path + ".json" holding {"rows": R, "cols": C}.  Manifests are strict JSON
+with sorted keys and a fixed layout so identical content gives identical
+bytes; a non-finite float is stored as the string "inf", "-inf" or "nan",
+which float() reads back.  Images are binary 8-bit PGM.
 """
 
 from __future__ import annotations
@@ -85,9 +86,21 @@ def load_matrix(path) -> np.ndarray:
     return read_raw64(path)
 
 
+def _finite_json(value):
+    """value with every non-finite float replaced by its str()."""
+    if isinstance(value, float) and not np.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
 def write_manifest(path, doc: dict) -> None:
+    text = json.dumps(_finite_json(doc), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2))
+        fh.write(text)
         fh.write("\n")
 
 

@@ -9,7 +9,7 @@ chain of column-stochastic mixing layers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -197,6 +197,16 @@ class ExpandedEndmembers:
         object.__setattr__(self, "data", _frozen(np.atleast_2d(self.data)))
 
 
+def _suffix_products(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """The chain product and all its suffixes: tail[i] = mats[i] @ ... @
+    mats[-1], multiplied right to left, with tail[len(mats)] an identity."""
+    tail = [np.eye(mats[-1].shape[1])]
+    for m in reversed(mats):
+        tail.append(m @ tail[-1])
+    tail.reverse()
+    return tail
+
+
 def compose_expanded(stack: FactorStack) -> ExpandedEndmembers:
     """Multiply the core basis through the mixing chain.
 
@@ -204,8 +214,4 @@ def compose_expanded(stack: FactorStack) -> ExpandedEndmembers:
     core basis itself.  Each output column is a convex combination of basis
     columns, so nonnegativity and per-column sums of the basis are preserved.
     """
-    mats = [stack.basis, *stack.mixers]
-    if len(mats) == 1:
-        return ExpandedEndmembers(stack.basis)
-    return ExpandedEndmembers(np.linalg.multi_dot(mats))
-
+    return ExpandedEndmembers(_suffix_products([stack.basis, *stack.mixers])[0])

@@ -97,8 +97,6 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ValidationError("project_simplex expects a non-empty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("project_simplex requires finite input")
     return project_simplex_columns(v[:, None])[:, 0]
 
 
@@ -110,6 +108,8 @@ def project_simplex_columns(mat: np.ndarray) -> np.ndarray:
     v = np.asarray(mat, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 1:
         raise ValidationError("expected a 2-D array with at least one row")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("simplex projection requires finite input")
     k, n = v.shape
     if k == 1:
         return np.ones_like(v)

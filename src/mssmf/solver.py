@@ -22,6 +22,12 @@ candidate's value and gradient pieces (totals, g @ betas, tr(G P), c . beta)
 become the next pass's starting value and feed its gradient.  Each search
 starts at the first step that could pass its Armijo test, so the bound is
 not evaluated at steps that are sure to be rejected.
+
+The bound's only data term is each pixel's expected squared reconstruction
+error E||y_n - B z_n||^2 under its Dirichlet.  One kernel,
+:func:`_expected_resid`, forms it (less ||y_n||^2) from c = B'Y and
+G = B'B; the concentration line search, the noise update and the bound all
+read it, so every one of them sees the same number.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import nnls
@@ -38,6 +44,7 @@ from .model import (
     NOISE_VAR_FLOOR,
     FactorStack,
     ValidationError,
+    _suffix_products,
     as_pixel_matrix,
     compose_expanded,
 )
@@ -65,21 +72,19 @@ class FitConfig:
     tolerance of zero runs max_outer_iters iterations unless the bound
     drops.
 
-    beta_steps_per_outer is the number of concentration ascent passes per
-    outer iteration.  The factor blocks take no budget: the basis is solved
-    exactly and each mixer makes one exact column sweep per iteration (see
-    :func:`update_factors`).
+    Every outer iteration makes beta_steps_per_outer concentration ascent
+    passes, a constant rather than a setting.  The factor blocks take no
+    budget: the basis is solved exactly and each mixer makes one exact
+    column sweep per iteration (see :func:`update_factors`).
     """
 
+    beta_steps_per_outer: ClassVar[int] = 10
     max_outer_iters: int = 100
-    beta_steps_per_outer: int = 10
     rel_elbo_tol: float = 1e-7
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise ValidationError("max_outer_iters must be >= 1")
-        if self.beta_steps_per_outer < 1:
-            raise ValidationError("beta_steps_per_outer must be >= 1")
         if not (self.rel_elbo_tol >= 0):
             raise ValidationError("rel_elbo_tol must be >= 0")
 
@@ -117,43 +122,11 @@ class FitResult:
         return self.posterior.mean
 
 
-def _moment_sums(betas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Mean matrix and summed second moment of the per-pixel Dirichlets.
-
-    Returns (mean, pbar) with mean of shape (K, N) and
-    pbar = sum_n E[z_n z_n^T] of shape (K, K).
-    """
-    total = betas.sum(axis=0)
-    denom = total * (total + 1.0)
-    mean = betas / total
-    weighted = betas / denom
-    pbar = np.diag(weighted.sum(axis=1)) + betas @ weighted.T
-    return mean, pbar
-
-
-def _resid_sum(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> float:
-    """Total expected squared reconstruction error over all pixels."""
-    mean, pbar = _moment_sums(betas)
-    g = b.T @ b
-    return float(
-        np.sum(y * y) - 2.0 * np.sum(y * (b @ mean)) + np.sum(g * pbar)
-    )
-
-
-def _trace_gp(
-    g: np.ndarray, betas: np.ndarray, denom: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-pixel tr(G E[z z^T]) for Dirichlet(betas) columns.
-
-    denom is total * (total + 1) per pixel; returns (g @ betas, trace).
-    """
-    gb = g @ betas
-    return gb, (np.diag(g) @ betas + (betas * gb).sum(axis=0)) / denom
-
-
 def elbo_terms(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) -> float:
     """Evidence lower bound from raw arrays, averaged over pixels.
 
+    The data term is the summed expected squared error, ||Y||^2 plus the
+    per-pixel :func:`_expected_resid` that the concentration update reads.
     Takes no FactorStack, so tests can evaluate the bound at points that
     violate the feasibility constraints (finite-difference probes leave
     the simplex).
@@ -163,7 +136,7 @@ def elbo_terms(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) -
     betas = np.asarray(betas, dtype=np.float64)
     m, n = y.shape
     k = betas.shape[0]
-    rsum = _resid_sum(y, b, betas)
+    rsum = np.sum(y * y) + _expected_resid(b.T @ y, b.T @ b, betas)[0].sum()
     ent = dirichlet_entropy(betas).sum()
     const = n * (-0.5 * m * np.log(2.0 * np.pi * sigma2) + log_gamma(float(k)))
     return float((const - rsum / (2.0 * sigma2) + ent) / n)
@@ -216,31 +189,33 @@ def grad_beta(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) ->
     return _beta_gradient(c, g, betas, sigma2, pieces) / n
 
 
-def _suffix_products(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """tail[i] = product of mats[i:], with tail[len] an identity."""
-    k_last = mats[-1].shape[1]
-    tail = [np.eye(k_last)]
-    for m in reversed(mats):
-        tail.append(m @ tail[-1])
-    tail.reverse()
-    return tail
+def _expected_resid(
+    c: np.ndarray, g: np.ndarray, betas: np.ndarray
+) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """Per-pixel E||y_n - B z_n||^2 - ||y_n||^2 for z_n ~ Dirichlet(betas),
+    from c = B^T Y and g = B^T B: tr(G E[z z^T]) - 2 c . betas / total.
+
+    The only code that forms the expected residual.  Also returns the
+    pieces :func:`_beta_gradient` reuses at the same point: (total, denom,
+    g @ betas, tr(G E[z z^T]), c . betas), one column per pixel, with
+    total = sum(betas) and denom = total * (total + 1).
+    """
+    total = betas.sum(axis=0)
+    denom = total * (total + 1.0)
+    gb = g @ betas
+    tr_gp = (np.diag(g) @ betas + (betas * gb).sum(axis=0)) / denom
+    cb = (c * betas).sum(axis=0)
+    return -2.0 * cb / total + tr_gp, (total, denom, gb, tr_gp, cb)
 
 
 def _beta_point(
     c: np.ndarray, g: np.ndarray, betas: np.ndarray, sigma2: float
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-    """Per-pixel bound at betas, up to beta-independent constants.
-
-    c = B^T Y and g = B^T B are fixed.  Also returns the pieces
-    :func:`_beta_gradient` reuses at the same point: (total, denom,
-    g @ betas, tr(G E[z z^T]), c . betas), one column per pixel.
-    """
-    total = betas.sum(axis=0)
-    denom = total * (total + 1.0)
-    gb, tr_gp = _trace_gp(g, betas, denom)
-    cb = (c * betas).sum(axis=0)
-    value = -(-2.0 * cb / total + tr_gp) / (2.0 * sigma2) + dirichlet_entropy(betas)
-    return value, (total, denom, gb, tr_gp, cb)
+    """Per-pixel bound at betas, up to beta-independent constants: the
+    :func:`_expected_resid` term over -2 sigma2 plus the entropy.  Returns
+    the kernel's gradient pieces with it."""
+    resid, pieces = _expected_resid(c, g, betas)
+    return -resid / (2.0 * sigma2) + dirichlet_entropy(betas), pieces
 
 
 def _beta_gradient(
@@ -382,9 +357,12 @@ def _reduced_factor(gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _factor_statistics(y: np.ndarray, betas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The E-step statistics the factor blocks read: (Y M', Pbar)."""
-    mean, pbar = _moment_sums(betas)
-    return y @ mean.T, pbar
+    """The E-step statistics the factor blocks read: (Y M', Pbar), with M
+    the posterior means and Pbar = sum_n E[z_n z_n^T]."""
+    total = betas.sum(axis=0)
+    weighted = betas / (total * (total + 1.0))
+    pbar = np.diag(weighted.sum(axis=1)) + betas @ weighted.T
+    return y @ (betas / total).T, pbar
 
 
 def _block_terms(
@@ -516,12 +494,14 @@ def update_factors(y: np.ndarray, stack: FactorStack, betas: np.ndarray) -> Fact
 
 def update_sigma2(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> float:
     """Closed-form noise-variance update: mean expected squared error,
-    floored at ``NOISE_VAR_FLOOR``, the least noise variance a
+    ||Y||^2 plus the summed per-pixel :func:`_expected_resid` (the term the
+    bound reads), floored at ``NOISE_VAR_FLOOR``, the least noise variance a
     :class:`FactorStack` accepts."""
     y = np.asarray(y, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     m, n = y.shape
-    resid = _resid_sum(y, np.asarray(b, dtype=np.float64), np.asarray(betas))
-    return max(resid / (m * n), NOISE_VAR_FLOOR)
+    resid = np.sum(y * y) + _expected_resid(b.T @ y, b.T @ b, np.asarray(betas))[0].sum()
+    return max(float(resid) / (m * n), NOISE_VAR_FLOOR)
 
 
 def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> FitResult:

@@ -1,7 +1,12 @@
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mssmf.cli import main
 from mssmf.matio import (
@@ -111,7 +116,7 @@ class TestUnmixCommand:
         man = read_manifest(out / "manifest.json")
         assert man["stop_reason"] in ("max_iters", "converged")
         assert len(man["trace"]["elbo"]) == 5
-        assert sorted(man["config"]) == ["beta_steps", "iters", "tol"]
+        assert sorted(man["config"]) == ["iters", "tol"]
 
     def test_trace_rows_equal_iters_with_zero_tol(self, scene, tmp_path):
         out = tmp_path / "run"
@@ -151,6 +156,15 @@ class TestUnmixCommand:
             run(
                 "unmix", "--input", str(scene / "data.raw64"), "--dims", "3,6",
                 "--apg-passes", "5", "--out", str(tmp_path / "run"),
+            )
+        assert exc.value.code == 2
+
+    def test_beta_steps_flag_is_gone(self, scene, tmp_path):
+        # the concentration passes per iteration are a constant of the fit
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "unmix", "--input", str(scene / "data.raw64"), "--dims", "3,6",
+                "--beta-steps", "5", "--out", str(tmp_path / "run"),
             )
         assert exc.value.code == 2
 
@@ -243,6 +257,30 @@ class TestEvalCommand:
         assert table.shape == (3, 3)
         np.testing.assert_array_equal(table[:, 0], [10.0, 20.0, 30.0])
 
+    def test_manifests_are_strict_json(self, tmp_path):
+        # an infinite SNR is written as the string "inf", not a bare token
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        scene = tmp_path / "scene"
+        assert run(*synth_args(scene, snr="inf")) == 0
+        truth = str(scene / "endmembers_true.raw64")
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        for i, snr in enumerate(["inf", "20", "inf"]):
+            out = str(runs / f"eval_{i}.json")
+            assert run("eval", "--est", truth, "--truth", truth, "--snr-db", snr, "--out", out) == 0
+        agg = tmp_path / "agg.json"
+        assert run("eval", "--runs-dir", str(runs), "--out", str(agg)) == 0
+        docs = {
+            p.name: json.loads(p.read_text(), parse_constant=reject)
+            for p in [scene / "manifest.json", runs / "eval_0.json", agg]
+        }
+        assert docs["manifest.json"]["snr_db"] == "inf"
+        assert docs["eval_0.json"]["snr_db"] == "inf"
+        groups = docs["agg.json"]["groups"]
+        assert [(g["snr_db"], g["runs"]) for g in groups] == [(20.0, 1), ("inf", 2)]
+
     def test_batch_with_no_manifests_exits_three(self, tmp_path):
         (tmp_path / "empty").mkdir()
         code = run(
@@ -250,6 +288,50 @@ class TestEvalCommand:
             "--out", str(tmp_path / "agg.json"),
         )
         assert code == 3
+
+
+class TestRoundTrip:
+    @staticmethod
+    def outputs(root: Path):
+        """Bytes of every file a round trip wrote, except the wall-clock
+        trace.csv."""
+        return {
+            str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "trace.csv"
+        }
+
+    @settings(deadline=None, max_examples=10)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        bands=st.integers(20, 40),
+        pixels=st.integers(30, 60),
+        snr=st.sampled_from(["20", "inf"]),
+    )
+    def test_synth_unmix_eval_is_byte_reproducible(self, seed, bands, pixels, snr):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            scene, fitted = root / "scene", root / "run"
+            rounds = []
+            for _ in range(2):
+                assert run(*synth_args(scene, pixels, snr, seed, bands), "--variants", "6", "--pick", "2") == 0
+                assert run(
+                    "unmix", "--input", str(scene / "data.raw64"), "--dims", "2,6",
+                    "--iters", "3", "--tol", "0", "--seed", str(seed), "--out", str(fitted),
+                ) == 0
+                assert run(
+                    "eval", "--est", str(fitted / "expanded.raw64"),
+                    "--truth", str(scene / "endmembers_true.raw64"),
+                    "--snr-db", snr, "--out", str(fitted / "eval.json"),
+                ) == 0
+                rounds.append(self.outputs(root))
+                shutil.rmtree(scene)
+                shutil.rmtree(fitted)
+        first, second = rounds
+        assert sum(name.endswith(".raw64") for name in first) == 8
+        assert first.keys() == second.keys()
+        for name in first:
+            assert first[name] == second[name], name
 
 
 class TestSvdCommand:

@@ -121,7 +121,9 @@ class TestManifest:
         once = read_manifest(path)
         write_manifest(path, once)
         twice = read_manifest(path)
-        assert once == twice == doc
+        # a non-finite float is stored as the string float() reads back
+        assert once == twice == {**doc, "inf_ok": "inf"}
+        assert float(once["inf_ok"]) == float("inf")
 
     def test_identical_content_identical_bytes(self, tmp_path):
         doc = {"b": 2.5, "a": [1, 2, 3]}
@@ -129,6 +131,17 @@ class TestManifest:
         write_manifest(p1, doc)
         write_manifest(p2, {"a": [1, 2, 3], "b": 2.5})
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_non_finite_floats_are_strict_json(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = {"a": [float("inf"), -float("inf"), float("nan")], "b": {"c": (1.5, np.inf)}}
+        path = tmp_path / "m.json"
+        write_manifest(path, doc)
+        got = json.loads(path.read_text(), parse_constant=reject)
+        assert got == {"a": ["inf", "-inf", "nan"], "b": {"c": [1.5, "inf"]}}
+        assert np.isnan(float(got["a"][2]))
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

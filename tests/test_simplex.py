@@ -155,6 +155,15 @@ class TestProjection:
         with pytest.raises(ValidationError):
             project_simplex(np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize(
+        "mat",
+        [[[np.nan], [1.0]], [[np.inf, 1.0], [1.0, 2.0]], [[-np.inf]]],
+        ids=["nan", "inf", "single_row"],
+    )
+    def test_columns_reject_nonfinite(self, mat):
+        with pytest.raises(ValidationError):
+            project_simplex_columns(np.array(mat))
+
 
 class TestDirichlet:
     def test_param_floor_enforced(self):

@@ -710,7 +710,7 @@ class TestFitConfig:
         "kwargs",
         [
             {"max_outer_iters": 0},
-            {"beta_steps_per_outer": 0},
+            {"rel_elbo_tol": float("nan")},
             {"rel_elbo_tol": -1e-3},
         ],
     )
