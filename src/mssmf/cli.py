@@ -42,6 +42,16 @@ def _snr_value(text: str) -> float:
     return val
 
 
+def _seed_value(text: str) -> int:
+    try:
+        val = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed: {text!r}") from None
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {val}")
+    return val
+
+
 def _dims_value(text: str):
     try:
         dims = tuple(int(tok) for tok in text.split(","))
@@ -78,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pixels", type=int, required=True)
     sp.add_argument("--snr-db", type=_snr_value, required=True,
                     help="target SNR in dB; 'inf' for noiseless")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed_value, default=0)
     sp.add_argument("--out", required=True, help="output directory")
 
     up = sub.add_parser("unmix", help="fit the multilayer model to a scene")
@@ -88,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     up.add_argument("--iters", type=int, default=FitConfig.max_outer_iters)
     up.add_argument("--tol", type=float, default=0.0,
                     help="relative bound-improvement stop; 0 runs all iterations")
-    up.add_argument("--seed", type=int, default=0)
+    up.add_argument("--seed", type=_seed_value, default=0)
     up.add_argument("--out", required=True, help="output directory")
 
     ep = sub.add_parser("eval", help="score an estimate against ground truth")
@@ -299,6 +309,8 @@ def _cmd_svd(args, argv) -> int:
 def _cmd_render(args, argv) -> int:
     ab = load_matrix(args.abundances)
     k, n = ab.shape
+    if not np.all(np.isfinite(ab)):
+        raise ValidationError(f"{args.abundances}: non-finite abundances")
     if args.width < 1 or args.height < 1:
         raise ValidationError("width and height must be positive")
     if args.width * args.height != n:
@@ -313,6 +325,9 @@ def _cmd_render(args, argv) -> int:
             raise ValidationError(
                 f"{labels.size} group labels for {k} abundance rows"
             )
+        # finite integers only; |label| < 2**53 also keeps the cast exact
+        if not np.all((np.abs(labels) < 2.0**53) & (labels == np.round(labels))):
+            raise ValidationError(f"{args.groups}: group labels must be finite integers")
         labels = labels.astype(int)
         for lab in np.unique(labels):
             img = ab[labels == lab].sum(axis=0)

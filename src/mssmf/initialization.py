@@ -27,12 +27,13 @@ from .simplex import BETA_FLOOR, DirichletParam, _simplex_lsq, sample_dirichlet
 from .solver import update_sigma2
 
 
-def _estimate_snr_db(y: np.ndarray, mean_col: np.ndarray, proj: np.ndarray) -> float:
-    """Rough SNR of the data given its projection onto a low-dim subspace."""
+def _estimate_snr_db(y: np.ndarray, mean_col: np.ndarray, top: np.ndarray) -> float:
+    """Rough SNR of the data; the power of its projection onto the leading
+    covariance eigenvectors is the sum of their eigenvalues ``top``."""
     m, n = y.shape
-    p = proj.shape[0]
+    p = top.size
     power_y = np.sum(y * y) / n
-    power_x = np.sum(proj * proj) / n + float(np.vdot(mean_col, mean_col))
+    power_x = float(top.sum()) + float(np.vdot(mean_col, mean_col))
     den = power_y - power_x
     if den <= np.finfo(np.float64).eps * power_y:
         return np.inf
@@ -50,8 +51,10 @@ def vca(pixels, k: int, seed: RngLike = 0) -> Tuple[np.ndarray, np.ndarray]:
     estimated first; clean data is handled in a projective subspace of
     dimension k, noisy data in an affine subspace of dimension k - 1.
 
-    Raises ValidationError when the mean-removed data has rank below
-    k - 1 (fewer than k affinely independent spectra).
+    One decomposition of the data covariance serves the diversity check,
+    the k = 1 pick, the SNR estimate and the low-SNR subspace.  Raises
+    ValidationError when lam[k-2] <= lam[0] * bands * eps (the factor grams'
+    rank rule): that decomposition cannot resolve a direction below it.
     """
     y = as_pixel_matrix(pixels).data
     m, n = y.shape
@@ -60,19 +63,16 @@ def vca(pixels, k: int, seed: RngLike = 0) -> Tuple[np.ndarray, np.ndarray]:
     rng = _as_rng(seed)
     mean_col = y.mean(axis=1, keepdims=True)
     centered = y - mean_col
-    if np.linalg.matrix_rank(centered) < k - 1:
+    u, lam, _ = np.linalg.svd((centered @ centered.T) / n)
+    if k == 1:
+        idx = int(np.argmax(np.abs(u[:, 0] @ y)))
+        return y[:, [idx]].copy(), np.array([idx])
+    if lam[k - 2] <= lam[0] * m * np.finfo(np.float64).eps:
         raise ValidationError(
             f"insufficient spectral diversity: centered rank below {k - 1} "
             f"cannot support {k} endmembers"
         )
-    if k == 1:
-        u, _, _ = np.linalg.svd(centered, full_matrices=False)
-        idx = int(np.argmax(np.abs(u[:, 0] @ y)))
-        return y[:, [idx]].copy(), np.array([idx])
-
-    u, _, _ = np.linalg.svd((centered @ centered.T) / n)
-    proj_centered = u[:, :k].T @ centered
-    snr = _estimate_snr_db(y, mean_col, proj_centered)
+    snr = _estimate_snr_db(y, mean_col, lam[:k])
     snr_threshold = 15.0 + 10.0 * np.log10(k)
 
     if snr > snr_threshold:
@@ -88,20 +88,18 @@ def vca(pixels, k: int, seed: RngLike = 0) -> Tuple[np.ndarray, np.ndarray]:
         tiny = np.finfo(np.float64).tiny
         scale = np.where(np.abs(scale) < tiny, tiny, scale)
         work = x / scale
-        d = k
     else:
         # low SNR: drop to the (k-1)-dim affine subspace and append a
         # constant coordinate so the vertices stay affinely independent
         x = u[:, : k - 1].T @ centered
         c = np.sqrt((x * x).sum(axis=0).max())
         work = np.vstack([x, np.full((1, n), c)])
-        d = k
 
     indices = np.zeros(k, dtype=int)
-    a = np.zeros((d, k))
+    a = np.zeros((k, k))
     a[-1, 0] = 1.0
     for i in range(k):
-        w = rng.standard_normal(d)
+        w = rng.standard_normal(k)
         f = w - a @ (np.linalg.pinv(a) @ w)
         f /= np.linalg.norm(f)
         indices[i] = int(np.argmax(np.abs(f @ work)))

@@ -53,6 +53,16 @@ def _check_column_simplex(mat: np.ndarray, what: str) -> None:
         )
 
 
+def _checked_noise_var(value) -> float:
+    """value as a float, if it is a finite noise variance of at least
+    ``NOISE_VAR_FLOOR``; ValidationError otherwise."""
+    if not np.isfinite(value):
+        raise ValidationError(f"noise variance {value!r} is not finite")
+    if not (value >= NOISE_VAR_FLOOR):
+        raise ValidationError(f"noise variance {value!r} below floor {NOISE_VAR_FLOOR:g}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PixelMatrix:
     """Observed hyperspectral data, one column per pixel.
@@ -152,15 +162,9 @@ class FactorStack:
                 )
             _check_column_simplex(s, f"mixing layer {l}")
             cols = s.shape[1]
-        if not np.isfinite(self.noise_var):
-            raise ValidationError(f"noise variance {self.noise_var!r} is not finite")
-        if not (self.noise_var >= NOISE_VAR_FLOOR):
-            raise ValidationError(
-                f"noise variance {self.noise_var!r} below floor {NOISE_VAR_FLOOR:g}"
-            )
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "mixers", mixers)
-        object.__setattr__(self, "noise_var", float(self.noise_var))
+        object.__setattr__(self, "noise_var", _checked_noise_var(self.noise_var))
 
     @property
     def bands(self) -> int:

@@ -44,6 +44,7 @@ from .model import (
     NOISE_VAR_FLOOR,
     FactorStack,
     ValidationError,
+    _checked_noise_var,
     _suffix_products,
     as_pixel_matrix,
     compose_expanded,
@@ -516,6 +517,9 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     px, betas = _check_state(pixels, stack, betas)
     y = px.data
     b = compose_expanded(stack).data
+    # the factor sweep does not read the noise variance, so the loop carries
+    # it as a float and the stack takes it once, after the loop
+    sigma2 = stack.noise_var
     elbo_hist: List[float] = []
     sigma2_hist: List[float] = []
     ms_hist: List[float] = []
@@ -523,15 +527,15 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     prev = None
     for _ in range(config.max_outer_iters):
         t0 = time.perf_counter()
-        betas = update_beta(y, b, betas, stack.noise_var, passes=config.beta_steps_per_outer)
+        betas = update_beta(y, b, betas, sigma2, passes=config.beta_steps_per_outer)
         stack = update_factors(y, stack, betas)
         # the noise update leaves b as it is, so the next iteration reuses it
         b = compose_expanded(stack).data
-        stack = stack.replace(noise_var=update_sigma2(y, b, betas))
-        cur = elbo_terms(y, b, betas, stack.noise_var)
+        sigma2 = _checked_noise_var(update_sigma2(y, b, betas))
+        cur = elbo_terms(y, b, betas, sigma2)
         ms_hist.append((time.perf_counter() - t0) * 1e3)
         elbo_hist.append(cur)
-        sigma2_hist.append(stack.noise_var)
+        sigma2_hist.append(sigma2)
         if not np.isfinite(cur):
             stop_reason = "non_finite"
             break
@@ -544,6 +548,7 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
                 stop_reason = "converged"
                 break
         prev = cur
+    stack = stack.replace(noise_var=sigma2)
     trace = FitTrace(
         elbo=np.asarray(elbo_hist),
         sigma2=np.asarray(sigma2_hist),

@@ -86,6 +86,12 @@ class TestSynthCommand:
         code = run(*synth_args(tmp_path / "s"), "--gamma", "1.5")
         assert code == 3
 
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(*synth_args(tmp_path / "s", seed=-1))
+        assert exc.value.code == 2
+        assert not (tmp_path / "s").exists()
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("synth", "--pixels", "10")  # missing required --snr-db/--out
@@ -167,6 +173,15 @@ class TestUnmixCommand:
                 "--beta-steps", "5", "--out", str(tmp_path / "run"),
             )
         assert exc.value.code == 2
+
+    def test_negative_seed_is_usage_error(self, scene, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "unmix", "--input", str(scene / "data.raw64"), "--dims", "3,6",
+                "--seed", "-3", "--out", str(tmp_path / "run"),
+            )
+        assert exc.value.code == 2
+        assert not (tmp_path / "run").exists()
 
     def test_missing_input_is_io_error(self, tmp_path):
         code = run(
@@ -397,6 +412,31 @@ class TestRenderCommand:
             "--groups", str(tmp_path / "labels.csv"), "--out", str(tmp_path / "maps"),
         )
         assert code == 3
+
+    def test_nan_abundances_exit_three(self, tmp_path, rng):
+        ab = rng.dirichlet(np.ones(3), size=12).T
+        ab[1, 5] = np.nan
+        write_raw64(tmp_path / "ab.raw64", ab)
+        code = run(
+            "render", "--abundances", str(tmp_path / "ab.raw64"),
+            "--width", "3", "--height", "4", "--out", str(tmp_path / "maps"),
+        )
+        assert code == 3
+
+    @pytest.mark.parametrize(
+        "labels", [[0.5, 1.7, 2.0], [0.0, np.nan, 1.0]], ids=["fractional", "nan"]
+    )
+    def test_non_integer_group_labels_exit_three(self, tmp_path, rng, labels):
+        write_raw64(tmp_path / "ab.raw64", rng.dirichlet(np.ones(3), size=12).T)
+        write_csv_matrix(tmp_path / "labels.csv", np.array([labels]))
+        out = tmp_path / "maps"
+        code = run(
+            "render", "--abundances", str(tmp_path / "ab.raw64"),
+            "--width", "3", "--height", "4",
+            "--groups", str(tmp_path / "labels.csv"), "--out", str(out),
+        )
+        assert code == 3
+        assert not list(out.glob("*.pgm"))
 
     def test_raster_order_matches_column_order(self, tmp_path):
         ab = np.linspace(0, 1, 6)[None, :]

@@ -59,6 +59,24 @@ class TestVca:
         with pytest.raises(ValidationError, match="spectral diversity"):
             vca(y, 3, seed=0)
 
+    @pytest.mark.parametrize("offset", [1e-9, 1e-6])
+    def test_diversity_rule_is_the_covariance_rank(self, rng, offset):
+        # mixtures of three vertices, the third `offset` off the line through
+        # the other two: the covariance's second eigenvalue is about offset^2
+        # relative, below bands * eps at 1e-9 and resolved at 1e-6
+        a, b = rng.uniform(0.1, 1.0, (2, 10))
+        normal = rng.standard_normal(10)
+        normal -= (normal @ (b - a)) / ((b - a) @ (b - a)) * (b - a)
+        c = 0.5 * (a + b) + offset * normal / np.linalg.norm(normal)
+        y = np.column_stack([a, b, c]) @ sample_dirichlet(np.ones(3), 40, rng)
+        if offset < 1e-7:
+            with pytest.raises(ValidationError, match="spectral diversity"):
+                vca(y, 3, seed=0)
+        else:
+            est, idx = vca(y, 3, seed=0)
+            assert est.shape == (10, 3)
+            np.testing.assert_array_equal(est, y[:, idx])
+
     def test_rejects_out_of_range_k(self, rng):
         y = rng.uniform(0.1, 1.0, (6, 30))
         with pytest.raises(ValidationError):

@@ -643,6 +643,23 @@ class TestFit:
         with pytest.raises(ValidationError, match="not finite"):
             fit(y, stack, betas, FitConfig(max_outer_iters=5, rel_elbo_tol=0.0))
 
+    def test_builds_one_stack_per_iteration(self, rng, monkeypatch):
+        # the loop carries the noise variance as a float: one stack per
+        # factor sweep, and one more after the loop that takes the noise
+        y, stack, betas = random_instance(rng)
+        exact = FactorStack.replace
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(None)
+            return exact(self, *args, **kwargs)
+
+        monkeypatch.setattr(FactorStack, "replace", counted)
+        res = fit(y, stack, betas, FitConfig(max_outer_iters=4, rel_elbo_tol=0.0))
+        assert len(res.trace) == 4
+        assert len(calls) == 5
+        assert res.stack.noise_var == res.trace.sigma2[-1]
+
     def test_results_ignore_thread_environment(self, monkeypatch):
         # a worker pool would round a chunk's g @ betas differently from
         # the full product
