@@ -112,8 +112,11 @@ def scls(pixels, endmembers: np.ndarray) -> np.ndarray:
 
     Minimizes ||y - B s||^2 with s on the unit simplex for every column y
     of the input (a single vector gives a single solution vector), each as
-    one nonnegative least-squares solve (see ``simplex._simplex_lsq`` for
-    the reduction).  Raises the NNLS engine's RuntimeError if it hits its
+    one nonnegative least-squares solve.  With more bands than endmembers,
+    one thin QR B = Q R per call puts every solve in the endmember space:
+    ||y - B s||^2 = ||Q'y - R s||^2 + ||y - Q Q'y||^2, and the last term
+    does not depend on s (see ``simplex._simplex_lsq`` for both
+    reductions).  Raises the NNLS engine's RuntimeError if it hits its
     iteration cap.
     """
     b = np.asarray(endmembers, dtype=np.float64)

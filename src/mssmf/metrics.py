@@ -94,14 +94,26 @@ def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
 
 def snr_db(endmembers: np.ndarray, abundances: np.ndarray, sigma2: float) -> float:
     """Signal-to-noise ratio in dB of a mixing model with noise variance
-    sigma2: signal power is the mean squared entry of the clean mix."""
-    if not sigma2 > 0:
-        raise ValidationError(f"sigma2 must be positive, got {sigma2!r}")
+    sigma2: signal power is the mean squared entry of the clean mix.
+
+    Computed in logarithms, with the mix scaled by its largest magnitude
+    before squaring, so entries near the float64 limits and a subnormal
+    sigma2 still give a finite value; zero signal power gives -inf.
+    Non-finite inputs and a sigma2 that is not positive raise
+    ValidationError.
+    """
+    if not (sigma2 > 0 and np.isfinite(sigma2)):
+        raise ValidationError(f"sigma2 must be positive and finite, got {sigma2!r}")
     a = np.atleast_2d(np.asarray(endmembers, dtype=np.float64))
     z = np.atleast_2d(np.asarray(abundances, dtype=np.float64))
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(z))):
+        raise ValidationError("snr_db requires finite endmembers and abundances")
     clean = a @ z
-    m, n = clean.shape
-    return float(10.0 * np.log10(np.sum(clean * clean) / (sigma2 * m * n)))
+    peak = np.abs(clean).max()
+    if peak == 0.0:
+        return -np.inf
+    power = np.mean((clean / peak) ** 2)
+    return float(10.0 * (2.0 * np.log10(peak) + np.log10(power) - np.log10(sigma2)))
 
 
 def singular_spectrum(mat: np.ndarray) -> np.ndarray:

@@ -141,10 +141,25 @@ def _simplex_lsq(y: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     This is exact: writing u = lam s, the objective is lam^2 q + (lam - 1)^2
     with q = ||(y 1' - B) s||^2, whose minimum over lam, q / (1 + q), rises
-    with q, and u = 0 scores 1, so the optimal u is never zero.  Raises the
-    NNLS engine's RuntimeError if it hits its iteration cap.
+    with q, and u = 0 scores 1, so the optimal u is never zero.
+
+    When B (m x k) has more rows than columns, the solves run in the
+    k-dimensional space of its columns (Bro & De Jong 1997).  With one thin
+    QR B = Q R and a = Q'y, for every s
+
+        ||y - B s||^2 = ||a - R s||^2 + rho^2,   rho^2 = ||y||^2 - ||a||^2,
+
+    because y - Q a is orthogonal to Q.  rho does not depend on s, so the
+    minimizers are those of (a, R), whose NNLS has k + 1 rows.  (In the
+    homogenized form rho adds rho^2 (1'u)^2, which rescales u and leaves
+    s = u / 1'u as it is, so no rho row is needed.)  Raises the NNLS
+    engine's RuntimeError if it hits its iteration cap.
     """
     (m, k), n = b.shape, y.shape[1]
+    if m > k:
+        q, b = np.linalg.qr(b)
+        y = q.T @ y
+        m = k
     lhs = np.ones((m + 1, k))
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0

@@ -21,7 +21,9 @@ line search therefore evaluates each (pixel, point) pair once.  An accepted
 candidate's value and gradient pieces (totals, g @ betas, tr(G P), c . beta)
 become the next pass's starting value and feed its gradient.  Each search
 starts at the first step that could pass its Armijo test, so the bound is
-not evaluated at steps that are sure to be rejected.
+not evaluated at steps that are sure to be rejected.  That first step is
+tried for every pixel on the whole arrays, with no gather or scatter; only
+the pixels it fails for are gathered for the halving retries.
 
 The bound's only data term is each pixel's expected squared reconstruction
 error E||y_n - B z_n||^2 under its Dirichlet.  One kernel,
@@ -236,6 +238,24 @@ def _beta_gradient(
     return -d_resid / (2.0 * sigma2) + d_ent
 
 
+def _armijo_trial(
+    c: np.ndarray,
+    g: np.ndarray,
+    cur: np.ndarray,
+    step: np.ndarray,
+    grad: np.ndarray,
+    f0: np.ndarray,
+    sigma2: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+    """Try one clamped step per pixel from cur, whose bound is f0.  Returns
+    which pixels pass the Armijo test, the candidates, and their bound and
+    :func:`_beta_point` pieces."""
+    cand = np.maximum(cur + step * grad, BETA_FLOOR)
+    f, pieces = _beta_point(c, g, cand, sigma2)
+    ok = f - f0 >= _ARMIJO_C1 * (grad * (cand - cur)).sum(axis=0)
+    return ok, cand, f, pieces
+
+
 def _beta_ascent_chunk(
     c: np.ndarray,
     g: np.ndarray,
@@ -252,6 +272,13 @@ def _beta_ascent_chunk(
     at the starting point; after that every pixel carries the value and
     pieces of the candidate its search last accepted, so the next pass
     starts from them and no point is evaluated twice.
+
+    A pass tries its first step for every pixel on the whole arrays and
+    copies the accepted candidates, their values and their pieces in place
+    under the acceptance mask.  Only the pixels whose first step failed are
+    gathered, by index, for the halving retries.  On the README
+    quick-start scene, after 3, 10 or 30 fit iterations every first step
+    passes, so the retries gather nothing.
 
     A search starts at the first step it could accept.  yss holds each
     pixel's ||y||^2.  No concentrations lift the per-pixel bound above
@@ -272,7 +299,6 @@ def _beta_ascent_chunk(
     halvings for every pixel of the README quick-start scene at 2 000 px.
     """
     cur = np.array(betas)
-    n = cur.shape[1]
     ceil = yss / (2.0 * sigma2) - log_gamma(float(cur.shape[0]))
     last = 0.5 ** (_MAX_HALVINGS - 1)
     f0, pieces = _beta_point(c, g, cur, sigma2)
@@ -285,20 +311,26 @@ def _beta_ascent_chunk(
         # headroom <= 0 or non-finite leaves no finite skip: start at step 1
         skip[~np.isfinite(skip)] = 0.0
         step = 0.5 ** np.clip(skip, 0.0, _MAX_HALVINGS - 1)
-        todo = np.arange(n)
-        while todo.size:
-            cand = np.maximum(cur[:, todo] + step[todo] * grad[:, todo], BETA_FLOOR)
-            move = cand - cur[:, todo]
-            f, cand_pieces = _beta_point(c[:, todo], g, cand, sigma2)
-            ok = f - f0[todo] >= _ARMIJO_C1 * (grad[:, todo] * move).sum(axis=0)
+        ok, cand, f, cand_pieces = _armijo_trial(c, g, cur, step, grad, f0, sigma2)
+        np.copyto(cur, cand, where=ok)
+        np.copyto(f0, f, where=ok)
+        for kept, tried in zip(pieces, cand_pieces):
+            np.copyto(kept, tried, where=ok)
+        todo = np.flatnonzero(~ok)
+        while True:
+            step[todo] *= 0.5
+            todo = todo[step[todo] >= last]
+            if not todo.size:
+                break
+            ok, cand, f, cand_pieces = _armijo_trial(
+                c[:, todo], g, cur[:, todo], step[todo], grad[:, todo], f0[todo], sigma2
+            )
             hit = todo[ok]
             cur[:, hit] = cand[:, ok]
             f0[hit] = f[ok]
             for kept, tried in zip(pieces, cand_pieces):
                 kept[..., hit] = tried[..., ok]
             todo = todo[~ok]
-            step[todo] *= 0.5
-            todo = todo[step[todo] >= last]
     return cur
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from conftest import simplex_lsq_bruteforce
 from mssmf import (
@@ -13,6 +14,7 @@ from mssmf import (
     scls,
     vca,
 )
+from mssmf import initialization, simplex
 from mssmf.simplex import project_simplex, project_simplex_columns, sample_dirichlet
 
 
@@ -91,6 +93,35 @@ class TestVca:
         np.testing.assert_array_equal(est, noisy[:, idx])
 
 
+def unreduced_simplex_lsq(y, a):
+    """Simplex least squares with every band: per pixel, the NNLS
+    min ||[y 1' - A; 1'] u - e_last||^2 over u >= 0, then s = u / 1'u."""
+    m, k = a.shape
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    out = np.empty((k, y.shape[1]))
+    for j in range(y.shape[1]):
+        u, _ = nnls(np.vstack([y[:, [j]] - a, np.ones((1, k))]), rhs)
+        out[:, j] = u / u.sum()
+    return out
+
+
+@pytest.fixture(scope="module")
+def quick_start_endmembers():
+    """README quick-start pixels and the 30 VCA endmembers init_all hands
+    to scls."""
+    truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
+    bundle = gen_dataset(truth, n_pixels=500, snr_db=20.0, seed=8)
+    seen = []
+    patch = pytest.MonkeyPatch()
+    patch.setattr(initialization, "scls", lambda px, e: seen.append(e) or scls(px, e))
+    try:
+        init_all(bundle.pixels, layer_sizes=(6, 18, 30), seed=9)
+    finally:
+        patch.undo()
+    return bundle.pixels.data, seen[0]
+
+
 class TestScls:
     def test_vertex_is_recovered_exactly(self, rng):
         a = rng.uniform(0.1, 1.0, (12, 4))
@@ -152,6 +183,46 @@ class TestScls:
             _, best = simplex_lsq_bruteforce(y, a)
             ours = float(np.sum((y - a @ s) ** 2))
             assert ours == pytest.approx(best, rel=1e-10, abs=1e-10 * float(y @ y))
+
+    @pytest.mark.parametrize(
+        "case", ["vca", "duplicated", "rank_deficient", "fewer_bands"]
+    )
+    def test_reduction_matches_unreduced_solve(self, quick_start_endmembers, case):
+        # the solves run on one QR of the endmembers; every pixel's residual
+        # must be the one an NNLS over all bands reaches
+        y, a = quick_start_endmembers
+        if case == "duplicated":
+            a = np.hstack([a, a[:, :5]])
+        elif case == "rank_deficient":
+            a = a.copy()
+            a[:, 25:] = a[:, :5] @ np.full((5, 5), 0.2)
+        elif case == "fewer_bands":
+            # 20 bands, 30 endmembers: nothing to reduce
+            y, a = y[::10], a[::10]
+        s = scls(y, a)
+        assert np.all(s >= 0.0)
+        np.testing.assert_allclose(s.sum(axis=0), 1.0, atol=1e-14)
+        got = ((y - a @ s) ** 2).sum(axis=0)
+        want = ((y - a @ unreduced_simplex_lsq(y, a)) ** 2).sum(axis=0)
+        # the VCA picks are pixels, whose residual is zero up to roundoff
+        floor = 1e-24 * (y * y).sum(axis=0)
+        assert np.all(np.abs(got - want) <= 1e-12 * want + floor)
+
+    def test_pixel_solves_have_endmember_count_rows(self, quick_start_endmembers, monkeypatch):
+        y, a = quick_start_endmembers
+        shapes = set()
+
+        def recorded(lhs, rhs):
+            shapes.add(lhs.shape)
+            return nnls(lhs, rhs)
+
+        monkeypatch.setattr(simplex, "nnls", recorded)
+        scls(y[:, :5], a)
+        assert shapes == {(31, 30)}
+        # with fewer bands than endmembers every band stays
+        shapes.clear()
+        scls(y[::10, :5], a[::10])
+        assert shapes == {(21, 30)}
 
     def test_solves_when_uniform_start_is_in_gram_null_space(self):
         # B^T B = [[2, -2], [-2, 2]] annihilates the uniform start vector

@@ -126,6 +126,36 @@ class TestSnrDb:
         with pytest.raises(ValidationError):
             snr_db(a, z, 0.0)
 
+    def test_rejects_infinite_sigma2(self, rng):
+        a = rng.uniform(0.1, 1.0, (4, 2))
+        with pytest.raises(ValidationError):
+            snr_db(a, np.full((2, 5), 0.5), np.inf)
+
+    @pytest.mark.parametrize("which", ["endmembers", "abundances"])
+    def test_rejects_nan_input(self, rng, which):
+        a = rng.uniform(0.1, 1.0, (4, 2))
+        z = np.full((2, 5), 0.5)
+        (a if which == "endmembers" else z)[1, 1] = np.nan
+        with pytest.raises(ValidationError):
+            snr_db(a, z, 0.01)
+
+    def test_subnormal_sigma2_is_finite(self, rng):
+        a = rng.uniform(0.1, 1.0, (4, 2))
+        z = np.full((2, 5), 0.5)
+        clean = a @ z
+        want = 10.0 * (np.log10(np.mean(clean * clean)) + 320.0)
+        assert snr_db(a, z, 1e-320) == pytest.approx(want, rel=1e-3)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_endmember_scale_stays_finite(self, rng, scale):
+        a = rng.uniform(0.1, 1.0, (4, 2))
+        z = np.full((2, 5), 0.5)
+        want = snr_db(a, z, 0.01) + 20.0 * np.log10(scale)
+        assert snr_db(scale * a, z, 0.01) == pytest.approx(want, rel=1e-12)
+
+    def test_zero_signal_is_minus_infinity(self):
+        assert snr_db(np.zeros((4, 2)), np.full((2, 5), 0.5), 0.01) == -np.inf
+
 
 class TestSingularSpectrum:
     def test_identity(self):

@@ -249,6 +249,20 @@ class TestBetaUpdate:
             values.append(solver._beta_point(c, g, after, sigma2)[0])
         assert np.all(np.diff(values, axis=0) >= 0)
 
+    def test_every_pass_keeps_each_pixel_bound(self, rng):
+        # on these instances later passes reject steps; a pass that kept a
+        # stale value for a pixel whose step it accepted would let the next
+        # one accept a step that lowers that pixel's bound
+        for _ in range(20):
+            y, stack, betas = random_instance(rng, sigma2=10.0 ** rng.uniform(-6.0, 0.0))
+            b = expanded_of(stack)
+            c, g, sigma2 = b.T @ y, b.T @ b, stack.noise_var
+            values = np.array([
+                solver._beta_point(c, g, update_beta(y, b, betas, sigma2, passes=p), sigma2)[0]
+                for p in range(11)
+            ])
+            assert np.all(np.diff(values, axis=0) >= -1e-12 * (1.0 + np.abs(values[:-1])))
+
     def test_evaluates_each_point_once(self, quick_start_state, request, monkeypatch):
         y, b, betas, sigma2, _ = quick_start_state
         _, tried = reference_beta_ascent(b.T @ y, b.T @ b, betas, sigma2, 5)
