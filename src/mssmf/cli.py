@@ -32,13 +32,20 @@ from .solver import FitConfig, fit
 from .synth import assemble_ground_truth, builtin_bases, gen_dataset
 
 
-def _snr_value(text: str) -> float:
+def _as_float(value, kinds=(int, float)):
+    """float(value) when value is one of ``kinds`` and not a bool, else None."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        return None
     try:
-        val = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid SNR value: {text!r}") from None
-    if np.isnan(val) or (np.isinf(val) and val < 0):
-        raise argparse.ArgumentTypeError("SNR must be finite or inf")
+        return float(value)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _snr_value(text) -> float:
+    val = _as_float(text, (int, float, str))
+    if val is None or not -np.inf < val <= np.inf:
+        raise argparse.ArgumentTypeError(f"SNR must be a number, finite or inf, got {text!r}")
     return val
 
 
@@ -244,7 +251,16 @@ def _aggregate_evals(runs_dir: str):
             continue
         if doc.get("kind") != "eval" or doc.get("snr_db") is None:
             continue
-        groups.setdefault(float(doc["snr_db"]), []).append(float(doc["mse"]))
+        try:
+            snr = _snr_value(doc["snr_db"])
+        except argparse.ArgumentTypeError as exc:
+            raise ValidationError(f"{path}: eval manifest: {exc}") from None
+        mse = _as_float(doc.get("mse"))
+        if mse is None or not 0.0 <= mse < np.inf:
+            raise ValidationError(
+                f"{path}: eval manifest mse must be a finite number >= 0, got {doc.get('mse')!r}"
+            )
+        groups.setdefault(snr, []).append(mse)
     if not groups:
         raise ValidationError(f"no eval manifests with an snr_db tag under {runs_dir}")
     rows = []

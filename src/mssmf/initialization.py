@@ -27,42 +27,28 @@ from .simplex import BETA_FLOOR, DirichletParam, _simplex_lsq, sample_dirichlet
 from .solver import update_sigma2
 
 
-def _estimate_snr_db(y: np.ndarray, mean_col: np.ndarray, top: np.ndarray) -> float:
-    """Rough SNR of the data; the power of its projection onto the leading
-    covariance eigenvectors is the sum of their eigenvalues ``top``."""
-    m, n = y.shape
-    p = top.size
-    power_y = np.sum(y * y) / n
-    power_x = float(top.sum()) + float(np.vdot(mean_col, mean_col))
-    den = power_y - power_x
-    if den <= np.finfo(np.float64).eps * power_y:
-        return np.inf
-    num = power_x - (p / m) * power_y
-    if num <= 0.0:
-        return -np.inf
-    return 10.0 * np.log10(num / den)
-
-
 def vca(pixels, k: int, seed: RngLike = 0) -> Tuple[np.ndarray, np.ndarray]:
     """Vertex component analysis: pick k pixels that span the data simplex.
 
     Returns (endmembers, indices) where endmembers = Y[:, indices], so the
-    extracted columns are actual observed spectra.  The noise regime is
-    estimated first; clean data is handled in a projective subspace of
-    dimension k, noisy data in an affine subspace of dimension k - 1.
+    extracted columns are actual observed spectra.  The picks are made in
+    one frame, the (k - 1)-dimensional affine subspace of the centered data
+    plus a constant coordinate: under the model y_n = B z_n + noise with
+    z_n on the simplex, noiseless pixels lie in exactly that affine set.
+    Pixels scaled by a per-pixel factor (y_n = s_n E z_n) leave it, so the
+    picks are not invariant to such a scale.
 
     One decomposition of the data covariance serves the diversity check,
-    the k = 1 pick, the SNR estimate and the low-SNR subspace.  Raises
-    ValidationError when lam[k-2] <= lam[0] * bands * eps (the factor grams'
-    rank rule): that decomposition cannot resolve a direction below it.
+    the k = 1 pick and the subspace.  Raises ValidationError when
+    lam[k-2] <= lam[0] * bands * eps (the factor grams' rank rule): that
+    decomposition cannot resolve a direction below it.
     """
     y = as_pixel_matrix(pixels).data
     m, n = y.shape
     if not 1 <= k <= min(m, n):
         raise ValidationError(f"endmember count {k} outside [1, min({m}, {n})]")
     rng = _as_rng(seed)
-    mean_col = y.mean(axis=1, keepdims=True)
-    centered = y - mean_col
+    centered = y - y.mean(axis=1, keepdims=True)
     u, lam, _ = np.linalg.svd((centered @ centered.T) / n)
     if k == 1:
         idx = int(np.argmax(np.abs(u[:, 0] @ y)))
@@ -72,28 +58,11 @@ def vca(pixels, k: int, seed: RngLike = 0) -> Tuple[np.ndarray, np.ndarray]:
             f"insufficient spectral diversity: centered rank below {k - 1} "
             f"cannot support {k} endmembers"
         )
-    snr = _estimate_snr_db(y, mean_col, lam[:k])
-    snr_threshold = 15.0 + 10.0 * np.log10(k)
-
-    if snr > snr_threshold:
-        # high SNR: project the raw data onto k dims and scale each column
-        # so the cloud lies on an affine hyperplane.  The basis must come
-        # from the uncentered moment: the covariance is rank k-1 on simplex
-        # data, so its k-th direction is arbitrary and the projective
-        # scaling below would divide by near-zero, mixed-sign values.
-        u_raw, _, _ = np.linalg.svd((y @ y.T) / n)
-        x = u_raw[:, :k].T @ y
-        anchor = x.mean(axis=1)
-        scale = anchor @ x
-        tiny = np.finfo(np.float64).tiny
-        scale = np.where(np.abs(scale) < tiny, tiny, scale)
-        work = x / scale
-    else:
-        # low SNR: drop to the (k-1)-dim affine subspace and append a
-        # constant coordinate so the vertices stay affinely independent
-        x = u[:, : k - 1].T @ centered
-        c = np.sqrt((x * x).sum(axis=0).max())
-        work = np.vstack([x, np.full((1, n), c)])
+    # the (k-1)-dim affine subspace of the centered data, plus a constant
+    # coordinate so the vertices stay affinely independent
+    x = u[:, : k - 1].T @ centered
+    c = np.sqrt((x * x).sum(axis=0).max())
+    work = np.vstack([x, np.full((1, n), c)])
 
     indices = np.zeros(k, dtype=int)
     a = np.zeros((k, k))
@@ -147,7 +116,9 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
 
     The core basis is a VCA run at the first layer size; the per-pixel
     concentrations are the simplex least-squares abundances against a
-    second VCA run at the expanded size (floored away from zero); mixing
+    second VCA run at the expanded size (floored away from zero).  Each
+    run decomposes the data covariance once and picks in its affine
+    frame, the geometry of the model's noiseless pixels; mixing
     layers start at independent uniform-Dirichlet columns; the noise
     variance starts at its closed-form update for that state.
     """

@@ -3,10 +3,11 @@
 Two matrix encodings, chosen by file suffix: ".csv" is comma-separated
 text (no header, LF endings, '.' decimal) and anything else is RAW64,
 little-endian float64 in row-major order with a JSON sidecar at
-path + ".json" holding {"rows": R, "cols": C}.  Manifests are strict JSON
-with sorted keys and a fixed layout so identical content gives identical
-bytes; a non-finite float is stored as the string "inf", "-inf" or "nan",
-which float() reads back.  Images are binary 8-bit PGM.
+path + ".json" holding {"rows": R, "cols": C} as JSON integers.
+Manifests are strict JSON with sorted keys and a fixed layout so
+identical content gives identical bytes; a non-finite float is stored
+as the string "inf", "-inf" or "nan", which float() reads back.  Images
+are binary 8-bit PGM.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ def read_raw64(path) -> np.ndarray:
             sidecar = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{sidecar_path}: malformed sidecar: {exc}") from None
-    try:
-        rows, cols = int(sidecar["rows"]), int(sidecar["cols"])
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError(f"{sidecar_path}: sidecar must hold rows and cols") from None
+    dims = [sidecar.get(key) for key in ("rows", "cols")] if isinstance(sidecar, dict) else [None]
+    if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
+        raise ValidationError(f"{sidecar_path}: sidecar must hold integer rows and cols")
+    rows, cols = dims
     if rows < 1 or cols < 1:
         raise ValidationError(f"{sidecar_path}: non-positive dimensions")
     with open(path, "rb") as fh:

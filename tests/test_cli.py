@@ -296,6 +296,26 @@ class TestEvalCommand:
         groups = docs["agg.json"]["groups"]
         assert [(g["snr_db"], g["runs"]) for g in groups] == [(20.0, 1), ("inf", 2)]
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "eval", "snr_db": 20},
+            {"kind": "eval", "snr_db": "abc", "mse": 0.1},
+            {"kind": "eval", "snr_db": 20, "mse": None},
+        ],
+        ids=["missing_mse", "non_numeric_snr", "null_mse"],
+    )
+    def test_malformed_eval_manifest_exits_three(self, tmp_path, capsys, doc):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "good.json").write_text(json.dumps({"kind": "eval", "snr_db": 10, "mse": 0.5}))
+        (runs / "bad.json").write_text(json.dumps(doc))
+        agg = tmp_path / "agg.json"
+        code = run("eval", "--runs-dir", str(runs), "--out", str(agg))
+        assert code == 3
+        assert "bad.json" in capsys.readouterr().err
+        assert not agg.exists()
+
     def test_batch_with_no_manifests_exits_three(self, tmp_path):
         (tmp_path / "empty").mkdir()
         code = run(

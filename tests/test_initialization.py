@@ -92,6 +92,28 @@ class TestVca:
         est, idx = vca(noisy, 4, seed=5)
         np.testing.assert_array_equal(est, noisy[:, idx])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_recovers_thirty_planted_vertices(self, seed):
+        # desk geometry: 198 bands, 500 noiseless pixels, 30 vertices
+        # planted as pixels 0, 3, ..., 87
+        rng = np.random.default_rng(seed)
+        y, truth, _ = pure_pixel_scene(rng, m=198, k=30, n=500)
+        est, idx = vca(y, 30, seed=seed)
+        assert sorted(idx.tolist()) == list(range(0, 90, 3))
+        assert aligned_mse(est, truth).mse == 0.0
+
+    def test_one_decomposition_per_call(self, rng, monkeypatch):
+        # on noiseless data too, the covariance's decomposition serves the
+        # diversity check and the frame the picks are made in
+        calls = []
+        svd = initialization.np.linalg.svd
+        monkeypatch.setattr(
+            initialization.np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw)
+        )
+        y, _, _ = pure_pixel_scene(rng, m=30, k=6, n=200)
+        vca(y, 6, seed=0)
+        assert len(calls) == 1
+
 
 def unreduced_simplex_lsq(y, a):
     """Simplex least squares with every band: per pixel, the NNLS

@@ -95,6 +95,24 @@ class TestRaw64:
         with pytest.raises(ValidationError, match="sidecar"):
             read_raw64(path)
 
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            '{"rows": 2.7, "cols": 3}',
+            '{"rows": true, "cols": 6}',
+            '{"rows": "2", "cols": 3}',
+            '{"rows": 6, "cols": 1.0}',
+        ],
+        ids=["fractional", "bool", "string", "integral_float"],
+    )
+    def test_non_integer_sidecar_dims_rejected(self, tmp_path, rng, sidecar):
+        # a 6-entry payload, so each of these would otherwise read as a matrix
+        path = tmp_path / "m.raw64"
+        write_raw64(path, rng.normal(size=(2, 3)))
+        (tmp_path / "m.raw64.json").write_text(sidecar)
+        with pytest.raises(ValidationError, match="sidecar"):
+            read_raw64(path)
+
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             read_raw64(tmp_path / "absent.raw64")
