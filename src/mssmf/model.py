@@ -8,6 +8,7 @@ chain of column-stochastic mixing layers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple, Union
 
@@ -51,6 +52,18 @@ def _check_column_simplex(mat: np.ndarray, what: str) -> None:
         raise ValidationError(
             f"{what}: column {j} sums to {sums[j]:.12g}, not 1 within {COLUMN_SUM_TOL:g}"
         )
+
+
+def _checked_count(value, what: str, least: int) -> int:
+    """value as an int, if it is an integer (Python or numpy) of at least
+    least; ValidationError otherwise (a float, even 2.0, is refused)."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValidationError(f"{what} must be >= {least}, got {count}")
+    return count
 
 
 def _checked_noise_var(value) -> float:

@@ -7,6 +7,12 @@ sampling.  Log-gamma and digamma come from scipy.special; trigamma shifts
 every argument up by 6 with the standard recurrence and then applies the
 asymptotic series.  float64 accuracy is near machine level across the
 domain of interest (see tests for the mpmath comparison).
+
+Every public function checks each array argument once, with
+:func:`_prep_arg`.  :func:`dirichlet_entropy` checks its concentrations and
+its result and calls scipy directly; the solver's gradient calls the
+unchecked :func:`_trigamma` on arrays the same line-search pass has
+already checked.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from scipy import special
 from scipy.optimize import nnls
 
-from .model import ValidationError, _frozen
+from .model import ValidationError, _checked_count, _frozen
 
 BETA_FLOOR = 1e-6
 
@@ -33,10 +39,16 @@ _TG_COEF = (
 )
 
 
-def _prep_arg(x, name: str):
+def _prep_arg(x, name: str, positive: bool = True):
+    """x as a float64 array, if every entry is finite and (by default)
+    positive; ValidationError otherwise.  Two reductions, no temporaries:
+    min and max propagate NaN, so a NaN fails like an infinity, a zero
+    (also -0.0) or a negative entry."""
     z = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(z)) or np.any(z <= 0):
-        raise ValidationError(f"{name} requires finite positive arguments")
+    low = 0.0 if positive else -np.inf
+    if z.size and not (z.min() > low and z.max() < np.inf):
+        what = "finite and positive" if positive else "finite"
+        raise ValidationError(f"{name}: values must be {what}")
     return z
 
 
@@ -71,7 +83,13 @@ def trigamma(x):
     zeta(2, .) (Intel Xeon VM, numpy 2.4, scipy 1.17).
     """
     z = _prep_arg(x, "trigamma")
-    scalar = z.ndim == 0
+    out = _trigamma(z)
+    return float(out) if z.ndim == 0 else out
+
+
+def _trigamma(z: np.ndarray) -> np.ndarray:
+    """:func:`trigamma` of a float64 array that is already known to be
+    finite and positive, without the check; same shape out, same bits."""
     w = np.array(z, ndmin=1)
     acc = np.zeros_like(w)
     # ** -1 reuses the temporary w * w; 1.0 / (w * w) allocates another
@@ -85,7 +103,7 @@ def trigamma(x):
         series *= r
     series /= w
     out = 1.0 / w + 0.5 * r + series + acc
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    return out.reshape(z.shape)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -205,13 +223,13 @@ class DirichletParam:
 
 def dirichlet_mean(beta: np.ndarray) -> np.ndarray:
     """Mean of a Dirichlet; columns are treated independently for 2-D input."""
-    b = np.asarray(beta, dtype=np.float64)
+    b = _prep_arg(beta, "dirichlet_mean")
     return b / b.sum(axis=0)
 
 
 def dirichlet_second_moment(beta: np.ndarray) -> np.ndarray:
     """Second-moment matrix E[z z^T] of a Dirichlet(beta), beta 1-D."""
-    b = np.asarray(beta, dtype=np.float64)
+    b = _prep_arg(beta, "dirichlet_second_moment")
     if b.ndim != 1:
         raise ValidationError("dirichlet_second_moment expects a 1-D vector")
     t = b.sum()
@@ -222,27 +240,34 @@ def dirichlet_entropy(beta: np.ndarray) -> np.ndarray:
     """Differential entropy of Dirichlet(beta).
 
     1-D input gives a scalar; a (K, N) matrix gives one entropy per column.
+    The concentrations are checked once, and so is the result: a total or
+    a log-gamma can overflow at finite concentrations (three entries of
+    1e307 do), and any overflow ends in a non-finite result.
     """
-    b = np.asarray(beta, dtype=np.float64)
+    b = _prep_arg(beta, "dirichlet_entropy")
     squeeze = b.ndim == 1
     b = np.atleast_2d(b.T).T if squeeze else b
     k = b.shape[0]
-    t = b.sum(axis=0)
-    h = (
-        log_gamma(b).sum(axis=0)
-        - log_gamma(t)
-        + (t - k) * digamma(t)
-        - ((b - 1.0) * digamma(b)).sum(axis=0)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = b.sum(axis=0)
+        h = (
+            special.gammaln(b).sum(axis=0)
+            - special.gammaln(t)
+            + (t - k) * special.psi(t)
+            - ((b - 1.0) * special.psi(b)).sum(axis=0)
+        )
+    _prep_arg(h, "dirichlet_entropy (overflow)", positive=False)
     return float(h[0]) if squeeze else h
 
 
 def sample_dirichlet(alpha: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n Dirichlet(alpha) vectors as the columns of a (K, n) matrix."""
-    a = np.asarray(alpha, dtype=np.float64)
-    if a.ndim != 1 or not np.all((a > 0) & np.isfinite(a)):
-        raise ValidationError("alpha must be a 1-D positive finite vector")
-    g = rng.standard_gamma(a[:, None], size=(a.size, int(n)))
+    """Draw n Dirichlet(alpha) vectors as the columns of a (K, n) matrix;
+    n is an integer (Python or numpy), at least 0."""
+    a = _prep_arg(alpha, "sample_dirichlet")
+    if a.ndim != 1:
+        raise ValidationError("alpha must be a 1-D vector")
+    n = _checked_count(n, "sample count n", 0)
+    g = rng.standard_gamma(a[:, None], size=(a.size, n))
     total = g.sum(axis=0)
     dead = total == 0.0
     if dead.any():

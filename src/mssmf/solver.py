@@ -30,6 +30,12 @@ error E||y_n - B z_n||^2 under its Dirichlet.  One kernel,
 :func:`_expected_resid`, forms it (less ||y_n||^2) from c = B'Y and
 G = B'B; the concentration line search, the noise update and the bound all
 read it, so every one of them sees the same number.
+
+Inputs are checked once, where they enter.  The raw-array entry points
+check the noise variance (finite and positive) and c and G (finite) before
+other arithmetic.  In the line search each evaluated point is checked by
+its ``dirichlet_entropy`` call, which runs before the residual divides by
+the totals; the gradient then reads the same arrays unchecked.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .model import (
     NOISE_VAR_FLOOR,
     FactorStack,
     ValidationError,
+    _checked_count,
     _checked_noise_var,
     _suffix_products,
     as_pixel_matrix,
@@ -54,10 +61,11 @@ from .model import (
 from .simplex import (
     BETA_FLOOR,
     DirichletParam,
+    _prep_arg,
     _simplex_lsq,
+    _trigamma,
     dirichlet_entropy,
     log_gamma,
-    trigamma,
 )
 
 _ARMIJO_C1 = 1e-4
@@ -86,8 +94,8 @@ class FitConfig:
     rel_elbo_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.max_outer_iters < 1:
-            raise ValidationError("max_outer_iters must be >= 1")
+        iters = _checked_count(self.max_outer_iters, "max_outer_iters", 1)
+        object.__setattr__(self, "max_outer_iters", iters)
         if not (self.rel_elbo_tol >= 0):
             raise ValidationError("rel_elbo_tol must be >= 0")
 
@@ -132,17 +140,36 @@ def elbo_terms(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) -
     per-pixel :func:`_expected_resid` that the concentration update reads.
     Takes no FactorStack, so tests can evaluate the bound at points that
     violate the feasibility constraints (finite-difference probes leave
-    the simplex).
+    the simplex).  For the same reason the noise variance need only be
+    finite and positive, with no floor: the probes evaluate sigma2 +- h.
     """
-    y = np.asarray(y, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    _prep_arg(sigma2, "elbo_terms's noise variance")
+    y, c, g = _data_terms(y, b, "elbo_terms")
     betas = np.asarray(betas, dtype=np.float64)
     m, n = y.shape
     k = betas.shape[0]
-    rsum = np.sum(y * y) + _expected_resid(b.T @ y, b.T @ b, betas)[0].sum()
+    # the entropy checks the concentrations before the residual divides by
+    # their totals
     ent = dirichlet_entropy(betas).sum()
+    rsum = np.sum(y * y) + _expected_resid(c, g, betas)[0].sum()
     const = n * (-0.5 * m * np.log(2.0 * np.pi * sigma2) + log_gamma(float(k)))
     return float((const - rsum / (2.0 * sigma2) + ent) / n)
+
+
+def _data_terms(y, b, name: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Y, c, G) as float64, with c = B'Y and G = B'B checked finite.  A
+    NaN or an infinity in B makes diag(G) non-finite, and one in pixel n of
+    Y then makes column n of c non-finite, so the products check both
+    inputs."""
+    y = np.asarray(y, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    # a product of an infinity warns, on small arrays, before the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = b.T @ y
+        g = b.T @ b
+    _prep_arg(g, f"{name}'s endmembers", positive=False)
+    _prep_arg(c, f"{name}'s data", positive=False)
+    return y, c, g
 
 
 def _check_state(pixels, stack: FactorStack, posterior: DirichletParam):
@@ -182,12 +209,10 @@ def grad_factors(
 
 def grad_beta(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) -> np.ndarray:
     """Gradient of the averaged bound with respect to every concentration."""
-    y = np.asarray(y, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    _prep_arg(sigma2, "grad_beta's noise variance")
+    y, c, g = _data_terms(y, b, "grad_beta")
     betas = np.asarray(betas, dtype=np.float64)
     n = y.shape[1]
-    c = b.T @ y
-    g = b.T @ b
     _, pieces = _beta_point(c, g, betas, sigma2)
     return _beta_gradient(c, g, betas, sigma2, pieces) / n
 
@@ -216,9 +241,12 @@ def _beta_point(
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
     """Per-pixel bound at betas, up to beta-independent constants: the
     :func:`_expected_resid` term over -2 sigma2 plus the entropy.  Returns
-    the kernel's gradient pieces with it."""
+    the kernel's gradient pieces with it.  The entropy comes first: it
+    checks betas (finite and positive) before the residual divides by their
+    totals."""
+    ent = dirichlet_entropy(betas)
     resid, pieces = _expected_resid(c, g, betas)
-    return -resid / (2.0 * sigma2) + dirichlet_entropy(betas), pieces
+    return -resid / (2.0 * sigma2) + ent, pieces
 
 
 def _beta_gradient(
@@ -229,12 +257,13 @@ def _beta_gradient(
     pieces: Tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """d(per-pixel bound)/d(betas) from the pieces :func:`_beta_point`
-    returned at the same betas."""
+    returned at the same betas.  That call's entropy has checked betas and
+    their totals, so trigamma runs without its input check."""
     total, denom, gb, tr_gp, cb = pieces
     k = betas.shape[0]
     d_resid = -2.0 * (c - cb / total) / total
     d_resid += (np.diag(g)[:, None] + 2.0 * gb - (2.0 * total + 1.0) * tr_gp) / denom
-    d_ent = (total - k) * trigamma(total) - (betas - 1.0) * trigamma(betas)
+    d_ent = (total - k) * _trigamma(total) - (betas - 1.0) * _trigamma(betas)
     return -d_resid / (2.0 * sigma2) + d_ent
 
 
@@ -350,11 +379,10 @@ def update_beta(
     `g @ betas` can round differently from the full product's.  The
     argument remains only for the benchmark's two-worker timing probe.
     """
-    y = np.asarray(y, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    _prep_arg(sigma2, "update_beta's noise variance")
+    passes = _checked_count(passes, "passes", 0)
+    y, c, g = _data_terms(y, b, "update_beta")
     betas = np.asarray(betas, dtype=np.float64)
-    c = b.T @ y
-    g = b.T @ b
     yss = (y * y).sum(axis=0)
     n = betas.shape[1]
     if workers <= 1 or n < 2 * workers:
@@ -530,10 +558,10 @@ def update_sigma2(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> float:
     ||Y||^2 plus the summed per-pixel :func:`_expected_resid` (the term the
     bound reads), floored at ``NOISE_VAR_FLOOR``, the least noise variance a
     :class:`FactorStack` accepts."""
-    y = np.asarray(y, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    y, c, g = _data_terms(y, b, "update_sigma2")
+    betas = _prep_arg(betas, "update_sigma2's concentrations")
     m, n = y.shape
-    resid = np.sum(y * y) + _expected_resid(b.T @ y, b.T @ b, np.asarray(betas))[0].sum()
+    resid = np.sum(y * y) + _expected_resid(c, g, betas)[0].sum()
     return max(float(resid) / (m * n), NOISE_VAR_FLOOR)
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
 
+from mssmf import simplex
 from mssmf import (
     BETA_FLOOR,
     DirichletParam,
@@ -229,3 +230,93 @@ class TestDirichlet:
             - ((b - 1.0) * sp.psi(b)).sum()
         )
         assert dirichlet_entropy(b) == pytest.approx(ref, rel=1e-11)
+
+
+def _entropy_from_wrappers(b):
+    """The Dirichlet entropy as the four checked wrappers compute it, on a
+    (K, N) matrix."""
+    k = b.shape[0]
+    t = b.sum(axis=0)
+    return (
+        log_gamma(b).sum(axis=0)
+        - log_gamma(t)
+        + (t - k) * digamma(t)
+        - ((b - 1.0) * digamma(b)).sum(axis=0)
+    )
+
+
+def _grid_matrix(rng, k, n):
+    """k x n concentrations spread log-uniformly from BETA_FLOOR to 1e6,
+    with some entries exactly on the floor."""
+    x = rng.permutation(np.logspace(np.log10(BETA_FLOOR), 6, k * n)).reshape(k, n)
+    x[:, ::7] = BETA_FLOOR
+    return x
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestChecks:
+    """Each array is checked once: dirichlet_entropy checks its argument
+    and its result and calls scipy directly, and the solver's gradient calls
+    the unchecked trigamma core.  None of that may change a bit."""
+
+    @pytest.mark.parametrize("shape", [(2, 50), (6, 40), (30, 200)])
+    def test_entropy_matches_wrapper_expression(self, rng, shape):
+        x = _grid_matrix(rng, *shape)
+        assert np.array_equal(dirichlet_entropy(x), _entropy_from_wrappers(x))
+        # 1-D input is computed as a single column
+        for col in x.T[:10]:
+            assert np.array_equal(
+                dirichlet_entropy(col), _entropy_from_wrappers(col[:, None])[0]
+            )
+
+    @pytest.mark.parametrize("shape", [(), (7,), (30, 200)])
+    def test_trigamma_core_matches_trigamma(self, rng, shape):
+        x = _grid_matrix(rng, 30, 200).ravel()[: int(np.prod(shape))].reshape(shape)
+        got = simplex._trigamma(np.asarray(x))
+        assert got.shape == np.shape(x)
+        assert np.array_equal(got, trigamma(x))
+
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 5e-324, 1e308]
+    )
+    def test_prep_arg_keeps_its_accepted_set(self, value):
+        for x in (np.float64(value), np.array([1.0, value]), np.full((2, 3), value)):
+            z = np.asarray(x, dtype=np.float64)
+            rejected_before = not np.all(np.isfinite(z)) or np.any(z <= 0)
+            if rejected_before:
+                with pytest.raises(ValidationError):
+                    simplex._prep_arg(x, "probe")
+            else:
+                assert np.array_equal(simplex._prep_arg(x, "probe"), z)
+
+    def test_prep_arg_accepts_empty(self):
+        for x in (np.empty(0), np.empty((3, 0))):
+            assert simplex._prep_arg(x, "probe").shape == x.shape
+
+    @pytest.mark.parametrize("value", [1e307, 1e308])
+    def test_entropy_overflow_raises(self, value):
+        # 1e307: the log-gammas overflow; 1e308: the total itself does
+        with pytest.raises(ValidationError, match="dirichlet_entropy"):
+            dirichlet_entropy(np.full(3, value))
+        with pytest.raises(ValidationError, match="dirichlet_entropy"):
+            dirichlet_entropy(np.column_stack([np.ones(3), np.full(3, value)]))
+
+    @pytest.mark.parametrize("func", [dirichlet_mean, dirichlet_second_moment])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_moments_reject_bad_concentrations(self, func, bad):
+        with pytest.raises(ValidationError):
+            func(np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("func", [dirichlet_mean, dirichlet_second_moment])
+    def test_moments_reject_all_zero(self, func):
+        with pytest.raises(ValidationError):
+            func(np.zeros(3))
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, -1, "3", None])
+    def test_sampling_rejects_bad_counts(self, rng, n):
+        with pytest.raises(ValidationError):
+            sample_dirichlet(np.ones(3), n, rng)
+
+    def test_sampling_takes_numpy_and_zero_counts(self, rng):
+        assert sample_dirichlet(np.ones(3), np.int64(4), rng).shape == (3, 4)
+        assert sample_dirichlet(np.ones(3), 0, rng).shape == (3, 0)

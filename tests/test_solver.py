@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,7 @@ from mssmf import (
     update_factors,
     update_sigma2,
 )
-from mssmf import solver
+from mssmf import simplex, solver
 from mssmf.model import NOISE_VAR_FLOOR
 from mssmf.simplex import (
     BETA_FLOOR,
@@ -285,6 +288,36 @@ class TestBetaUpdate:
             # every pixel takes its first step, so nothing is skipped
             assert sum(columns) == betas.shape[1] + tried
 
+    def test_checks_each_array_once_per_pass(self, quick_start_state, monkeypatch):
+        # every evaluated point is checked by its dirichlet_entropy call
+        # (the concentrations and the result), and the gradient at that
+        # point reads the checked arrays without checking them again
+        y, b, betas, sigma2, _ = quick_start_state
+        entropy_calls = []
+        checks = []
+        entropy = solver.dirichlet_entropy
+        prep = simplex._prep_arg
+
+        def counted(x):
+            entropy_calls.append(None)
+            return entropy(x)
+
+        def recorded(*args, **kwargs):
+            frame = sys._getframe(1)
+            checks.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+            return prep(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "dirichlet_entropy", counted)
+        monkeypatch.setattr(simplex, "_prep_arg", recorded)
+        monkeypatch.setattr(solver, "_prep_arg", recorded)
+        update_beta(y, b, betas, sigma2, passes=5)
+        callers = Counter(caller for caller, _ in checks)
+        assert callers.pop("dirichlet_entropy") == 2 * len(entropy_calls)
+        # the rest run once per call: the noise variance, G and c, and
+        # log Gamma(K) for the line search's ceiling
+        assert callers == {"update_beta": 1, "_data_terms": 2, "log_gamma": 1}
+        assert not any("_beta_gradient" in chain for chain in checks)
+
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.floats(-6.0, 0.0))
     def test_skip_premises_hold(self, seed, log_sigma2):
@@ -390,6 +423,71 @@ EXACT_CASES = {
     "zero_mixer_row": ((3, 5, 8), ((0, 1),)),
     "zero_r_jj": ((3, 5, 8), ((1, 2),)),
 }
+
+
+def _raw_entry_calls(y, b, betas, sigma2):
+    """Each raw-array entry point with a noise-variance argument, called."""
+    return {
+        "update_beta": lambda: update_beta(y, b, betas, sigma2, 2),
+        "grad_beta": lambda: grad_beta(y, b, betas, sigma2),
+        "elbo_terms": lambda: elbo_terms(y, b, betas, sigma2),
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestRawEntryChecks:
+    """update_beta, grad_beta, elbo_terms and update_sigma2 take raw arrays,
+    so they check them: a bad input raises ValidationError before any
+    arithmetic turns it into a warning or a silent result."""
+
+    @pytest.mark.parametrize("entry", ["update_beta", "grad_beta", "elbo_terms"])
+    @pytest.mark.parametrize("sigma2", [-1.0, 0.0, -0.0, np.nan, np.inf])
+    def test_reject_bad_noise_variance(self, rng, entry, sigma2):
+        y, stack, betas = random_instance(rng)
+        call = _raw_entry_calls(y, expanded_of(stack), betas, sigma2)[entry]
+        with pytest.raises(ValidationError, match="noise variance"):
+            call()
+
+    @pytest.mark.parametrize("entry", ["update_beta", "grad_beta", "elbo_terms", "update_sigma2"])
+    @pytest.mark.parametrize("where", ["y", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_reject_non_finite_data(self, rng, entry, where, bad):
+        y, stack, betas = random_instance(rng)
+        b = np.array(expanded_of(stack))
+        if where == "y":
+            y[1, 0] = bad
+        else:
+            b[1, 0] = bad
+        calls = _raw_entry_calls(y, b, betas, stack.noise_var)
+        calls["update_sigma2"] = lambda: update_sigma2(y, b, betas)
+        with pytest.raises(ValidationError, match="data" if where == "y" else "endmembers"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["update_beta", "grad_beta", "elbo_terms", "update_sigma2"])
+    @pytest.mark.parametrize("column", [True, False])
+    def test_reject_zero_concentrations(self, rng, entry, column):
+        # a zero column would divide by its zero total in the residual
+        y, stack, betas = random_instance(rng)
+        b = expanded_of(stack)
+        if column:
+            betas[:, 0] = 0.0
+        else:
+            betas[0, 0] = 0.0
+        calls = _raw_entry_calls(y, b, betas, stack.noise_var)
+        calls["update_sigma2"] = lambda: update_sigma2(y, b, betas)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("passes", [2.5, 2.0, -1])
+    def test_update_beta_rejects_bad_pass_counts(self, rng, passes):
+        y, stack, betas = random_instance(rng)
+        with pytest.raises(ValidationError, match="passes"):
+            update_beta(y, expanded_of(stack), betas, stack.noise_var, passes)
+
+    def test_tiny_noise_variance_is_accepted(self, rng):
+        # no floor: finite differences probe the bound at sigma2 +- h
+        y, stack, betas = random_instance(rng)
+        assert np.isfinite(elbo_terms(y, expanded_of(stack), betas, 1e-14))
 
 
 class TestUpdateFactor:
@@ -748,3 +846,12 @@ class TestFitConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError):
             FitConfig(**kwargs)
+
+    @pytest.mark.parametrize("iters", [2.5, 2.0, "3", None])
+    def test_rejects_non_integer_iteration_counts(self, iters):
+        with pytest.raises(ValidationError, match="integer"):
+            FitConfig(max_outer_iters=iters)
+
+    def test_takes_numpy_integers(self):
+        cfg = FitConfig(max_outer_iters=np.int64(3))
+        assert cfg.max_outer_iters == 3 and type(cfg.max_outer_iters) is int
