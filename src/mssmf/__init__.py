@@ -15,8 +15,6 @@ from .simplex import (
     dirichlet_entropy,
     dirichlet_mean,
     dirichlet_second_moment,
-    digamma,
-    log_gamma,
     project_simplex,
     project_simplex_columns,
     sample_dirichlet,
@@ -63,7 +61,6 @@ __all__ = [
     "assemble_ground_truth",
     "builtin_bases",
     "compose_expanded",
-    "digamma",
     "dirichlet_entropy",
     "dirichlet_mean",
     "dirichlet_second_moment",
@@ -75,7 +72,6 @@ __all__ = [
     "grad_factors",
     "hungarian",
     "init_all",
-    "log_gamma",
     "project_simplex",
     "project_simplex_columns",
     "sample_dirichlet",

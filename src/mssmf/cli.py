@@ -27,7 +27,7 @@ from .matio import (
     write_raw64,
 )
 from .metrics import aligned_mse, singular_spectrum
-from .model import ValidationError, compose_expanded
+from .model import ValidationError, _prep_arg, compose_expanded
 from .solver import FitConfig, fit
 from .synth import assemble_ground_truth, builtin_bases, gen_dataset
 
@@ -324,9 +324,8 @@ def _cmd_svd(args, argv) -> int:
 
 def _cmd_render(args, argv) -> int:
     ab = load_matrix(args.abundances)
+    _prep_arg(ab, f"{args.abundances}: abundances", positive=False)
     k, n = ab.shape
-    if not np.all(np.isfinite(ab)):
-        raise ValidationError(f"{args.abundances}: non-finite abundances")
     if args.width < 1 or args.height < 1:
         raise ValidationError("width and height must be positive")
     if args.width * args.height != n:

@@ -15,10 +15,10 @@ import numpy as np
 
 from .model import (
     FactorStack,
-    PixelMatrix,
     RngLike,
     ValidationError,
     _as_rng,
+    _prep_arg,
     as_pixel_matrix,
     compose_expanded,
     validate_dims,
@@ -88,16 +88,14 @@ def scls(pixels, endmembers: np.ndarray) -> np.ndarray:
     reductions).  Raises the NNLS engine's RuntimeError if it hits its
     iteration cap.
     """
-    b = np.asarray(endmembers, dtype=np.float64)
-    raw = pixels.data if isinstance(pixels, PixelMatrix) else np.asarray(pixels, dtype=np.float64)
-    single = raw.ndim == 1
-    y = raw[:, None] if single else as_pixel_matrix(raw).data
+    b = _prep_arg(endmembers, "scls's endmembers", positive=False)
+    # a PixelMatrix has ndim 0 here and passes through, checked already
+    single = np.ndim(pixels) == 1
+    y = as_pixel_matrix(np.reshape(pixels, (-1, 1)) if single else pixels).data
     if b.ndim != 2 or b.shape[0] != y.shape[0]:
         raise ValidationError(
             f"endmember matrix shape {b.shape} incompatible with {y.shape[0]} bands"
         )
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(y))):
-        raise ValidationError("scls input contains non-finite entries")
     out = _simplex_lsq(y, b)
     return out[:, 0] if single else out
 

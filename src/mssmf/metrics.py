@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import ValidationError
+from .model import ValidationError, _prep_arg
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,9 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     smallest perm is returned, found by fixing rows in order to the
     smallest column that keeps the optimum attainable.
     """
-    c = np.asarray(cost, dtype=np.float64)
+    c = _prep_arg(cost, "cost matrix", positive=False)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValidationError(f"cost matrix must be square, got {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise ValidationError("cost matrix must be finite")
     k = c.shape[0]
 
     def optimum(sub: np.ndarray) -> float:
@@ -102,12 +100,9 @@ def snr_db(endmembers: np.ndarray, abundances: np.ndarray, sigma2: float) -> flo
     Non-finite inputs and a sigma2 that is not positive raise
     ValidationError.
     """
-    if not (sigma2 > 0 and np.isfinite(sigma2)):
-        raise ValidationError(f"sigma2 must be positive and finite, got {sigma2!r}")
-    a = np.atleast_2d(np.asarray(endmembers, dtype=np.float64))
-    z = np.atleast_2d(np.asarray(abundances, dtype=np.float64))
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(z))):
-        raise ValidationError("snr_db requires finite endmembers and abundances")
+    sigma2 = _prep_arg(sigma2, "snr_db's sigma2")
+    a = np.atleast_2d(_prep_arg(endmembers, "snr_db's endmembers", positive=False))
+    z = np.atleast_2d(_prep_arg(abundances, "snr_db's abundances", positive=False))
     clean = a @ z
     peak = np.abs(clean).max()
     if peak == 0.0:
@@ -118,7 +113,5 @@ def snr_db(endmembers: np.ndarray, abundances: np.ndarray, sigma2: float) -> flo
 
 def singular_spectrum(mat: np.ndarray) -> np.ndarray:
     """All singular values of a matrix, descending."""
-    a = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("singular_spectrum requires finite input")
+    a = np.atleast_2d(_prep_arg(mat, "singular_spectrum", positive=False))
     return np.linalg.svd(a, compute_uv=False)

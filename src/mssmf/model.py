@@ -39,10 +39,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _prep_arg(x, name: str, positive: bool = True) -> np.ndarray:
+    """x as a float64 array, if every entry is finite and (by default)
+    positive; ValidationError naming the fault otherwise.  The package's
+    one finite test: two reductions, no temporaries.  min and max propagate
+    NaN, so a NaN fails like an infinity; a zero (also -0.0) is not
+    positive."""
+    z = np.asarray(x, dtype=np.float64)
+    what = "finite and positive" if positive else "finite"
+    if z.size:
+        low, high = z.min(), z.max()
+        if not (-np.inf < low and high < np.inf):
+            raise ValidationError(f"{name}: non-finite values, must be {what}")
+        if positive and not low > 0.0:
+            raise ValidationError(f"{name}: non-positive values, must be {what}")
+    return z
+
+
 def _check_column_simplex(mat: np.ndarray, what: str) -> None:
     # NaN passes both tests below, so rule out non-finite entries first
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError(f"{what}: non-finite entries")
+    _prep_arg(mat, what, positive=False)
     if np.any(mat < 0):
         raise ValidationError(f"{what}: negative entries")
     sums = mat.sum(axis=0)
@@ -92,8 +108,7 @@ class PixelMatrix:
         data = _frozen(np.atleast_2d(self.data))
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ValidationError("pixel matrix must be 2-D with at least one band and one pixel")
-        if not np.all(np.isfinite(data)):
-            raise ValidationError("pixel matrix contains non-finite entries")
+        _prep_arg(data, "pixel matrix", positive=False)
         object.__setattr__(self, "data", data)
 
     @property
@@ -162,8 +177,7 @@ class FactorStack:
 
     def __post_init__(self):
         basis = _frozen(np.atleast_2d(self.basis))
-        if not np.all(np.isfinite(basis)):
-            raise ValidationError("core basis contains non-finite entries")
+        _prep_arg(basis, "core basis", positive=False)
         if np.any(basis < 0):
             raise ValidationError("core basis has negative entries")
         mixers = tuple(_frozen(np.atleast_2d(s)) for s in self.mixers)

@@ -2,17 +2,16 @@
 
 Everything the variational solver needs that is not plain linear algebra:
 Euclidean projection onto the unit simplex, simplex-constrained least
-squares, log-gamma/digamma/trigamma, and Dirichlet moments, entropy, and
-sampling.  Log-gamma and digamma come from scipy.special; trigamma shifts
-every argument up by 6 with the standard recurrence and then applies the
-asymptotic series.  float64 accuracy is near machine level across the
-domain of interest (see tests for the mpmath comparison).
+squares, trigamma, and Dirichlet moments, entropy, and sampling.  The
+entropy calls scipy.special's gammaln and psi; trigamma shifts every
+argument up by 6 with the standard recurrence and then applies the
+asymptotic series, near machine accuracy across the domain of interest
+(see tests for the mpmath comparison).
 
-Every public function checks each array argument once, with
-:func:`_prep_arg`.  :func:`dirichlet_entropy` checks its concentrations and
-its result and calls scipy directly; the solver's gradient calls the
-unchecked :func:`_trigamma` on arrays the same line-search pass has
-already checked.
+Every public function checks each array argument once, with the package's
+one finite test, ``model._prep_arg``.  :func:`dirichlet_entropy` checks its
+concentrations and its result; the solver's gradient calls the unchecked
+:func:`_trigamma` on arrays the same line-search pass has already checked.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from scipy import special
 from scipy.optimize import nnls
 
-from .model import ValidationError, _checked_count, _frozen
+from .model import ValidationError, _checked_count, _frozen, _prep_arg
 
 BETA_FLOOR = 1e-6
 
@@ -37,36 +36,6 @@ _TG_COEF = (
     -691.0 / 2730.0,
     7.0 / 6.0,
 )
-
-
-def _prep_arg(x, name: str, positive: bool = True):
-    """x as a float64 array, if every entry is finite and (by default)
-    positive; ValidationError otherwise.  Two reductions, no temporaries:
-    min and max propagate NaN, so a NaN fails like an infinity, a zero
-    (also -0.0) or a negative entry."""
-    z = np.asarray(x, dtype=np.float64)
-    low = 0.0 if positive else -np.inf
-    if z.size and not (z.min() > low and z.max() < np.inf):
-        what = "finite and positive" if positive else "finite"
-        raise ValidationError(f"{name}: values must be {what}")
-    return z
-
-
-def log_gamma(x):
-    """Natural log of the gamma function for positive arguments.
-
-    Accepts scalars or arrays; the return matches the input shape.
-    """
-    z = _prep_arg(x, "log_gamma")
-    out = special.gammaln(z)
-    return float(out) if z.ndim == 0 else out
-
-
-def digamma(x):
-    """Logarithmic derivative of gamma for positive arguments."""
-    z = _prep_arg(x, "digamma")
-    out = special.psi(z)
-    return float(out) if z.ndim == 0 else out
 
 
 def trigamma(x):
@@ -123,11 +92,9 @@ def project_simplex_columns(mat: np.ndarray) -> np.ndarray:
 
     Vectorized form of :func:`project_simplex`; shape is preserved.
     """
-    v = np.asarray(mat, dtype=np.float64)
+    v = _prep_arg(mat, "simplex projection", positive=False)
     if v.ndim != 2 or v.shape[0] < 1:
         raise ValidationError("expected a 2-D array with at least one row")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("simplex projection requires finite input")
     k, n = v.shape
     if k == 1:
         return np.ones_like(v)
@@ -203,8 +170,7 @@ class DirichletParam:
 
     def __post_init__(self):
         conc = _frozen(np.atleast_2d(self.concentration))
-        if not np.all(np.isfinite(conc)):
-            raise ValidationError("Dirichlet concentration must be finite")
+        _prep_arg(conc, "Dirichlet concentration", positive=False)
         if np.any(conc < BETA_FLOOR):
             raise ValidationError(
                 f"Dirichlet concentration below floor {BETA_FLOOR:g}"

@@ -32,10 +32,11 @@ G = B'B; the concentration line search, the noise update and the bound all
 read it, so every one of them sees the same number.
 
 Inputs are checked once, where they enter.  The raw-array entry points
-check the noise variance (finite and positive) and c and G (finite) before
-other arithmetic.  In the line search each evaluated point is checked by
-its ``dirichlet_entropy`` call, which runs before the residual divides by
-the totals; the gradient then reads the same arrays unchecked.
+share one prologue, :func:`_entry_terms`: the noise variance (finite and
+positive), the shapes, then c and G (finite), before other arithmetic.  In
+the line search each evaluated point is checked by its
+``dirichlet_entropy`` call, which runs before the residual divides by the
+totals; the gradient then reads the same arrays unchecked.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import nnls
+from scipy.special import gammaln
 
 from .model import (
     NOISE_VAR_FLOOR,
@@ -54,6 +56,7 @@ from .model import (
     ValidationError,
     _checked_count,
     _checked_noise_var,
+    _prep_arg,
     _suffix_products,
     as_pixel_matrix,
     compose_expanded,
@@ -61,11 +64,9 @@ from .model import (
 from .simplex import (
     BETA_FLOOR,
     DirichletParam,
-    _prep_arg,
     _simplex_lsq,
     _trigamma,
     dirichlet_entropy,
-    log_gamma,
 )
 
 _ARMIJO_C1 = 1e-4
@@ -143,48 +144,51 @@ def elbo_terms(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) -
     the simplex).  For the same reason the noise variance need only be
     finite and positive, with no floor: the probes evaluate sigma2 +- h.
     """
-    _prep_arg(sigma2, "elbo_terms's noise variance")
-    y, c, g = _data_terms(y, b, "elbo_terms")
-    betas = np.asarray(betas, dtype=np.float64)
+    y, betas, c, g = _entry_terms(y, b, betas, sigma2, "elbo_terms")
     m, n = y.shape
-    k = betas.shape[0]
     # the entropy checks the concentrations before the residual divides by
     # their totals
     ent = dirichlet_entropy(betas).sum()
     rsum = np.sum(y * y) + _expected_resid(c, g, betas)[0].sum()
-    const = n * (-0.5 * m * np.log(2.0 * np.pi * sigma2) + log_gamma(float(k)))
+    const = n * (-0.5 * m * np.log(2.0 * np.pi * sigma2) + gammaln(betas.shape[0]))
     return float((const - rsum / (2.0 * sigma2) + ent) / n)
 
 
-def _data_terms(y, b, name: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Y, c, G) as float64, with c = B'Y and G = B'B checked finite.  A
-    NaN or an infinity in B makes diag(G) non-finite, and one in pixel n of
-    Y then makes column n of c non-finite, so the products check both
-    inputs."""
+def _check_shapes(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> None:
+    """ValidationError naming the shapes unless Y (bands x N) and B
+    (bands x K) are 2-D with equal bands and the concentrations are K x N."""
+    if y.ndim != 2 or b.ndim != 2 or b.shape[0] != y.shape[0]:
+        raise ValidationError(
+            f"endmembers {b.shape} and data {y.shape} must be 2-D with equal bands"
+        )
+    if betas.shape != (b.shape[1], y.shape[1]):
+        raise ValidationError(
+            f"concentrations {betas.shape} do not match (K, N) = {(b.shape[1], y.shape[1])}"
+        )
+
+
+def _entry_terms(
+    y, b, betas, sigma2: Optional[float], name: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The raw-array entry points' prologue: (Y, betas, c, G) as float64,
+    with c = B'Y and G = B'B.  Checks, in this order, the noise variance
+    (finite and positive; update_sigma2 passes None), the shapes, and c and
+    G finite.  A NaN or an infinity in B makes diag(G) non-finite, and one
+    in pixel n of Y then makes column n of c non-finite, so the products
+    check both inputs.  The concentrations are left to the caller."""
+    if sigma2 is not None:
+        _prep_arg(sigma2, f"{name}'s noise variance")
     y = np.asarray(y, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    betas = np.asarray(betas, dtype=np.float64)
+    _check_shapes(y, b, betas)
     # a product of an infinity warns, on small arrays, before the check
     with np.errstate(over="ignore", invalid="ignore"):
         c = b.T @ y
         g = b.T @ b
     _prep_arg(g, f"{name}'s endmembers", positive=False)
     _prep_arg(c, f"{name}'s data", positive=False)
-    return y, c, g
-
-
-def _check_state(pixels, stack: FactorStack, posterior: DirichletParam):
-    px = as_pixel_matrix(pixels)
-    betas = posterior.concentration
-    if betas.shape != (stack.expanded_count, px.pixels):
-        raise ValidationError(
-            f"posterior concentrations {betas.shape} do not match "
-            f"({stack.expanded_count}, {px.pixels})"
-        )
-    if stack.bands != px.bands:
-        raise ValidationError(
-            f"stack bands {stack.bands} do not match data bands {px.bands}"
-        )
-    return px, betas
+    return y, betas, c, g
 
 
 def grad_factors(
@@ -209,12 +213,9 @@ def grad_factors(
 
 def grad_beta(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) -> np.ndarray:
     """Gradient of the averaged bound with respect to every concentration."""
-    _prep_arg(sigma2, "grad_beta's noise variance")
-    y, c, g = _data_terms(y, b, "grad_beta")
-    betas = np.asarray(betas, dtype=np.float64)
-    n = y.shape[1]
+    y, betas, c, g = _entry_terms(y, b, betas, sigma2, "grad_beta")
     _, pieces = _beta_point(c, g, betas, sigma2)
-    return _beta_gradient(c, g, betas, sigma2, pieces) / n
+    return _beta_gradient(c, g, betas, sigma2, pieces) / y.shape[1]
 
 
 def _expected_resid(
@@ -328,7 +329,7 @@ def _beta_ascent_chunk(
     halvings for every pixel of the README quick-start scene at 2 000 px.
     """
     cur = np.array(betas)
-    ceil = yss / (2.0 * sigma2) - log_gamma(float(cur.shape[0]))
+    ceil = yss / (2.0 * sigma2) - gammaln(cur.shape[0])
     last = 0.5 ** (_MAX_HALVINGS - 1)
     f0, pieces = _beta_point(c, g, cur, sigma2)
     for _ in range(passes):
@@ -379,10 +380,8 @@ def update_beta(
     `g @ betas` can round differently from the full product's.  The
     argument remains only for the benchmark's two-worker timing probe.
     """
-    _prep_arg(sigma2, "update_beta's noise variance")
     passes = _checked_count(passes, "passes", 0)
-    y, c, g = _data_terms(y, b, "update_beta")
-    betas = np.asarray(betas, dtype=np.float64)
+    y, betas, c, g = _entry_terms(y, b, betas, sigma2, "update_beta")
     yss = (y * y).sum(axis=0)
     n = betas.shape[1]
     if workers <= 1 or n < 2 * workers:
@@ -558,8 +557,8 @@ def update_sigma2(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> float:
     ||Y||^2 plus the summed per-pixel :func:`_expected_resid` (the term the
     bound reads), floored at ``NOISE_VAR_FLOOR``, the least noise variance a
     :class:`FactorStack` accepts."""
-    y, c, g = _data_terms(y, b, "update_sigma2")
-    betas = _prep_arg(betas, "update_sigma2's concentrations")
+    y, betas, c, g = _entry_terms(y, b, betas, None, "update_sigma2")
+    _prep_arg(betas, "update_sigma2's concentrations")
     m, n = y.shape
     resid = np.sum(y * y) + _expected_resid(c, g, betas)[0].sum()
     return max(float(resid) / (m * n), NOISE_VAR_FLOOR)
@@ -574,9 +573,10 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     """
     if not isinstance(betas, DirichletParam):
         betas = DirichletParam(betas)
-    px, betas = _check_state(pixels, stack, betas)
-    y = px.data
+    y = as_pixel_matrix(pixels).data
     b = compose_expanded(stack).data
+    betas = betas.concentration
+    _check_shapes(y, b, betas)
     # the factor sweep does not read the noise variance, so the loop carries
     # it as a float and the stack takes it once, after the loop
     sigma2 = stack.noise_var

@@ -6,16 +6,14 @@ from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
 
-from mssmf import simplex
+from mssmf import model, simplex
 from mssmf import (
     BETA_FLOOR,
     DirichletParam,
     ValidationError,
-    digamma,
     dirichlet_entropy,
     dirichlet_mean,
     dirichlet_second_moment,
-    log_gamma,
     project_simplex,
     project_simplex_columns,
     sample_dirichlet,
@@ -52,11 +50,14 @@ def _check_against_mpmath(func, mp_func):
 
 
 class TestSpecialFunctions:
+    """Trigamma is in-repo; log-gamma and digamma are scipy's gammaln and
+    psi, which dirichlet_entropy evaluates, held to the same oracle."""
+
     def test_log_gamma_against_mpmath(self):
-        _check_against_mpmath(log_gamma, mpmath.loggamma)
+        _check_against_mpmath(sp.gammaln, mpmath.loggamma)
 
     def test_digamma_against_mpmath(self):
-        _check_against_mpmath(digamma, lambda z: mpmath.psi(0, z))
+        _check_against_mpmath(sp.psi, lambda z: mpmath.psi(0, z))
 
     def test_trigamma_against_mpmath(self):
         _check_against_mpmath(trigamma, lambda z: mpmath.psi(1, z))
@@ -79,28 +80,28 @@ class TestSpecialFunctions:
             assert got[idx] == trigamma(float(x[idx]))
 
     def test_scalar_in_scalar_out(self):
-        assert isinstance(log_gamma(3.5), float)
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
+        assert isinstance(trigamma(3.5), float)
+        assert sp.gammaln(1.0) == pytest.approx(0.0, abs=1e-14)
+        assert sp.gammaln(2.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_shape_preserved(self, rng):
         x = rng.uniform(0.1, 9.0, (3, 4))
-        for f in (log_gamma, digamma, trigamma):
+        for f in (sp.gammaln, sp.psi, trigamma):
             assert f(x).shape == (3, 4)
 
     def test_recurrence_identities(self, rng):
         x = rng.uniform(0.01, 20.0, 200)
         np.testing.assert_allclose(
-            log_gamma(x + 1.0) - log_gamma(x), np.log(x), rtol=1e-11, atol=1e-11
+            sp.gammaln(x + 1.0) - sp.gammaln(x), np.log(x), rtol=1e-11, atol=1e-11
         )
         np.testing.assert_allclose(
-            digamma(x + 1.0) - digamma(x), 1.0 / x, rtol=1e-9, atol=1e-11
+            sp.psi(x + 1.0) - sp.psi(x), 1.0 / x, rtol=1e-9, atol=1e-11
         )
         np.testing.assert_allclose(
             trigamma(x) - trigamma(x + 1.0), 1.0 / x**2, rtol=1e-9, atol=1e-11
         )
 
-    @pytest.mark.parametrize("func", [log_gamma, digamma, trigamma])
+    @pytest.mark.parametrize("func", [trigamma])
     def test_rejects_nonpositive(self, func):
         with pytest.raises(ValidationError):
             func(0.0)
@@ -232,16 +233,16 @@ class TestDirichlet:
         assert dirichlet_entropy(b) == pytest.approx(ref, rel=1e-11)
 
 
-def _entropy_from_wrappers(b):
-    """The Dirichlet entropy as the four checked wrappers compute it, on a
-    (K, N) matrix."""
+def _entropy_reference(b):
+    """The Dirichlet entropy from scipy's gammaln and psi, on a (K, N)
+    matrix, in the order of the textbook expression."""
     k = b.shape[0]
     t = b.sum(axis=0)
     return (
-        log_gamma(b).sum(axis=0)
-        - log_gamma(t)
-        + (t - k) * digamma(t)
-        - ((b - 1.0) * digamma(b)).sum(axis=0)
+        sp.gammaln(b).sum(axis=0)
+        - sp.gammaln(t)
+        + (t - k) * sp.psi(t)
+        - ((b - 1.0) * sp.psi(b)).sum(axis=0)
     )
 
 
@@ -262,11 +263,11 @@ class TestChecks:
     @pytest.mark.parametrize("shape", [(2, 50), (6, 40), (30, 200)])
     def test_entropy_matches_wrapper_expression(self, rng, shape):
         x = _grid_matrix(rng, *shape)
-        assert np.array_equal(dirichlet_entropy(x), _entropy_from_wrappers(x))
+        assert np.array_equal(dirichlet_entropy(x), _entropy_reference(x))
         # 1-D input is computed as a single column
         for col in x.T[:10]:
             assert np.array_equal(
-                dirichlet_entropy(col), _entropy_from_wrappers(col[:, None])[0]
+                dirichlet_entropy(col), _entropy_reference(col[:, None])[0]
             )
 
     @pytest.mark.parametrize("shape", [(), (7,), (30, 200)])
@@ -285,13 +286,13 @@ class TestChecks:
             rejected_before = not np.all(np.isfinite(z)) or np.any(z <= 0)
             if rejected_before:
                 with pytest.raises(ValidationError):
-                    simplex._prep_arg(x, "probe")
+                    model._prep_arg(x, "probe")
             else:
-                assert np.array_equal(simplex._prep_arg(x, "probe"), z)
+                assert np.array_equal(model._prep_arg(x, "probe"), z)
 
     def test_prep_arg_accepts_empty(self):
         for x in (np.empty(0), np.empty((3, 0))):
-            assert simplex._prep_arg(x, "probe").shape == x.shape
+            assert model._prep_arg(x, "probe").shape == x.shape
 
     @pytest.mark.parametrize("value", [1e307, 1e308])
     def test_entropy_overflow_raises(self, value):

@@ -1,3 +1,4 @@
+import re
 import sys
 from collections import Counter
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from mssmf import (
     DirichletParam,
@@ -24,14 +26,13 @@ from mssmf import (
     update_factors,
     update_sigma2,
 )
-from mssmf import simplex, solver
+from mssmf import model, simplex, solver
 from mssmf.model import NOISE_VAR_FLOOR
 from mssmf.simplex import (
     BETA_FLOOR,
     dirichlet_entropy,
     dirichlet_mean,
     dirichlet_second_moment,
-    log_gamma,
     sample_dirichlet,
 )
 
@@ -290,33 +291,57 @@ class TestBetaUpdate:
 
     def test_checks_each_array_once_per_pass(self, quick_start_state, monkeypatch):
         # every evaluated point is checked by its dirichlet_entropy call
-        # (the concentrations and the result), and the gradient at that
-        # point reads the checked arrays without checking them again
+        # (the concentrations and the result), the gradient at that point
+        # reads the checked arrays without checking them again, and every
+        # other array is checked once per entry-point call
         y, b, betas, sigma2, _ = quick_start_state
         entropy_calls = []
         checks = []
         entropy = solver.dirichlet_entropy
-        prep = simplex._prep_arg
+        prep = model._prep_arg
 
         def counted(x):
             entropy_calls.append(None)
             return entropy(x)
 
-        def recorded(*args, **kwargs):
+        def recorded(x, name, *args, **kwargs):
             frame = sys._getframe(1)
-            checks.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
-            return prep(*args, **kwargs)
+            checks.append((name, frame.f_code.co_name, frame.f_back.f_code.co_name))
+            return prep(x, name, *args, **kwargs)
 
         monkeypatch.setattr(solver, "dirichlet_entropy", counted)
-        monkeypatch.setattr(simplex, "_prep_arg", recorded)
-        monkeypatch.setattr(solver, "_prep_arg", recorded)
-        update_beta(y, b, betas, sigma2, passes=5)
-        callers = Counter(caller for caller, _ in checks)
-        assert callers.pop("dirichlet_entropy") == 2 * len(entropy_calls)
-        # the rest run once per call: the noise variance, G and c, and
-        # log Gamma(K) for the line search's ceiling
-        assert callers == {"update_beta": 1, "_data_terms": 2, "log_gamma": 1}
-        assert not any("_beta_gradient" in chain for chain in checks)
+        for module in (model, simplex, solver):
+            monkeypatch.setattr(module, "_prep_arg", recorded)
+        entries = {
+            "update_beta": lambda: update_beta(y, b, betas, sigma2, passes=5),
+            "grad_beta": lambda: grad_beta(y, b, betas, sigma2),
+            "elbo_terms": lambda: elbo_terms(y, b, betas, sigma2),
+            "update_sigma2": lambda: update_sigma2(y, b, betas),
+        }
+        evaluations = {}
+        for entry, call in entries.items():
+            entropy_calls.clear()
+            checks.clear()
+            call()
+            evaluations[entry] = len(entropy_calls)
+            names = Counter(name for name, _, _ in checks)
+            assert names.pop("dirichlet_entropy", 0) == len(entropy_calls)
+            assert names.pop("dirichlet_entropy (overflow)", 0) == len(entropy_calls)
+            # the noise variance (not update_sigma2's), G and c in the
+            # shared prologue; update_sigma2 checks its concentrations, the
+            # others leave them to the entropy
+            want = {f"{entry}'s endmembers": 1, f"{entry}'s data": 1}
+            if entry == "update_sigma2":
+                want["update_sigma2's concentrations"] = 1
+            else:
+                want[f"{entry}'s noise variance"] = 1
+            assert names == want
+            assert not any("_beta_gradient" in chain for chain in checks)
+        # the line search evaluates its start and at least one point per
+        # pass; the gradient and the bound evaluate one point
+        assert evaluations["update_beta"] >= 1 + 5
+        assert evaluations["grad_beta"] == evaluations["elbo_terms"] == 1
+        assert evaluations["update_sigma2"] == 0
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.floats(-6.0, 0.0))
@@ -330,8 +355,8 @@ class TestBetaUpdate:
         k, n = stack.expanded_count, y.shape[1]
         sigma2 = stack.noise_var
         c, g = b.T @ y, b.T @ b
-        ceil = (y * y).sum(axis=0) / (2.0 * sigma2) - log_gamma(float(k))
-        assert dirichlet_entropy(np.ones(k)) == pytest.approx(-log_gamma(float(k)), abs=1e-12)
+        ceil = (y * y).sum(axis=0) / (2.0 * sigma2) - gammaln(k)
+        assert dirichlet_entropy(np.ones(k)) == pytest.approx(-gammaln(k), abs=1e-12)
         levels = rng.choice([BETA_FLOOR, 1.0, 1e3], size=(k, n), p=[0.6, 0.2, 0.2])
         start = levels * rng.uniform(1.0, 3.0, (k, n))
         got = update_beta(y, b, start, sigma2, passes=5, workers=1)
@@ -476,6 +501,28 @@ class TestRawEntryChecks:
         calls = _raw_entry_calls(y, b, betas, stack.noise_var)
         calls["update_sigma2"] = lambda: update_sigma2(y, b, betas)
         with pytest.raises(ValidationError, match="finite and positive"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["update_beta", "grad_beta", "elbo_terms", "update_sigma2"])
+    @pytest.mark.parametrize(
+        "case", ["bands", "concentration_rows", "concentration_columns", "concentrations_1d"]
+    )
+    def test_reject_mismatched_shapes(self, rng, entry, case):
+        # a bad shape is named, not left to a broadcasting or matmul error
+        y, stack, betas = random_instance(rng)
+        b = expanded_of(stack)
+        if case == "bands":
+            y = y[:-1]
+        elif case == "concentration_rows":
+            betas = betas[:-1]
+        elif case == "concentration_columns":
+            betas = betas[:, :-1]
+        else:
+            betas = betas[:, 0]
+        calls = _raw_entry_calls(y, b, betas, stack.noise_var)
+        calls["update_sigma2"] = lambda: update_sigma2(y, b, betas)
+        shapes = y.shape if case == "bands" else betas.shape
+        with pytest.raises(ValidationError, match=re.escape(str(shapes))):
             calls[entry]()
 
     @pytest.mark.parametrize("passes", [2.5, 2.0, -1])
