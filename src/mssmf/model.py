@@ -82,14 +82,26 @@ def _checked_count(value, what: str, least: int) -> int:
     return count
 
 
+def _scalar(value, name: str) -> float:
+    """value as a Python float if it is one number; ValidationError otherwise."""
+    try:
+        z = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        z = None
+    if z is None or z.ndim:
+        raise ValidationError(f"{name} must be one number, got {value!r}")
+    return float(z)
+
+
 def _checked_noise_var(value) -> float:
     """value as a float, if it is a finite noise variance of at least
     ``NOISE_VAR_FLOOR``; ValidationError otherwise."""
-    if not np.isfinite(value):
+    var = _scalar(value, "noise variance")
+    if not np.isfinite(var):
         raise ValidationError(f"noise variance {value!r} is not finite")
-    if not (value >= NOISE_VAR_FLOOR):
+    if not (var >= NOISE_VAR_FLOOR):
         raise ValidationError(f"noise variance {value!r} below floor {NOISE_VAR_FLOOR:g}")
-    return float(value)
+    return var
 
 
 @dataclass(frozen=True)

@@ -3,38 +3,26 @@
 The per-pixel abundance posterior is approximated by an independent
 Dirichlet for every pixel.  Coordinate ascent on the evidence lower bound
 alternates three steps per outer iteration: the Dirichlet concentrations
-(projected gradient ascent with a per-pixel Armijo line search), one sweep
-over the factors (:func:`update_factors`), and the noise variance (closed
-form).  The sweep reads the data only through the statistics Y M' and
-Pbar, computed once per iteration.  It solves the core basis exactly, one
-nonnegative least-squares problem per band row: each row first tries a
-linear solve on last iteration's support and keeps it when its KKT
-certificate holds.  Then each mixing layer makes one sweep over its
-columns, each column solved exactly as a simplex least-squares problem
-with the others fixed (block coordinate descent in the manner of HALS for
-NMF).  Every block is accepted only if the bound does not decrease, so the
-traced objective is non-decreasing by construction.
-
-The concentration block dominates the cost: each evaluation of the
-per-pixel bound is a log-gamma/digamma sweep over every concentration.  The
-line search therefore evaluates each (pixel, point) pair once.  An accepted
-candidate's value and gradient pieces (totals, g @ betas, tr(G P), c . beta)
-become the next pass's starting value and feed its gradient.  Each search
-starts at the first step that could pass its Armijo test, so the bound is
-not evaluated at steps that are sure to be rejected.  That first step is
-tried for every pixel on the whole arrays, with no gather or scatter; only
-the pixels it fails for are gathered for the halving retries.
+(projected gradient ascent with a per-pixel Armijo line search,
+:func:`_beta_ascent_chunk`), one exact sweep over the factors
+(:func:`update_factors`), and the noise variance (closed form).  Every
+block is accepted only if the bound does not decrease, so the traced
+objective is non-decreasing by construction.
 
 The bound's only data term is each pixel's expected squared reconstruction
 error E||y_n - B z_n||^2 under its Dirichlet.  One kernel,
 :func:`_expected_resid`, forms it (less ||y_n||^2) from c = B'Y and
 G = B'B; the concentration line search, the noise update and the bound all
-read it, so every one of them sees the same number.
+read it, so every one of them sees the same number.  :func:`fit` forms
+||Y||^2 once per fit and (c, G) once per iteration; one residual evaluation
+feeds the noise formula :func:`_noise_var` and the bound formula
+:func:`_bound`, each defined once.  The factor sweep reads the data only
+through Y M' and Pbar, also formed once per iteration.
 
 Inputs are checked once, where they enter.  The raw-array entry points
-share one prologue, :func:`_entry_terms`: the noise variance (finite and
-positive), the shapes, then c and G (finite), before other arithmetic.  In
-the line search each evaluated point is checked by its
+share one prologue, :func:`_entry_terms`: the noise variance (one finite,
+positive number), the shapes, then c and G (finite), before other
+arithmetic.  In the line search each evaluated point is checked by its
 ``dirichlet_entropy`` call, which runs before the residual divides by the
 totals; the gradient then reads the same arrays unchecked.
 """
@@ -57,6 +45,7 @@ from .model import (
     _checked_count,
     _checked_noise_var,
     _prep_arg,
+    _scalar,
     _suffix_products,
     as_pixel_matrix,
     compose_expanded,
@@ -135,22 +124,27 @@ class FitResult:
 
 
 def elbo_terms(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) -> float:
-    """Evidence lower bound from raw arrays, averaged over pixels.
+    """Evidence lower bound from raw arrays, averaged over pixels
+    (:func:`_bound`).
 
-    The data term is the summed expected squared error, ||Y||^2 plus the
-    per-pixel :func:`_expected_resid` that the concentration update reads.
     Takes no FactorStack, so tests can evaluate the bound at points that
     violate the feasibility constraints (finite-difference probes leave
     the simplex).  For the same reason the noise variance need only be
     finite and positive, with no floor: the probes evaluate sigma2 +- h.
     """
-    y, betas, c, g = _entry_terms(y, b, betas, sigma2, "elbo_terms")
-    m, n = y.shape
+    y, betas, c, g, sigma2 = _entry_terms(y, b, betas, sigma2, "elbo_terms")
+    yy = _squared_norms(y, "elbo_terms")[1]
     # the entropy checks the concentrations before the residual divides by
     # their totals
     ent = dirichlet_entropy(betas).sum()
-    rsum = np.sum(y * y) + _expected_resid(c, g, betas)[0].sum()
-    const = n * (-0.5 * m * np.log(2.0 * np.pi * sigma2) + gammaln(betas.shape[0]))
+    rsum = yy + _expected_resid(c, g, betas)[0].sum()
+    return _bound(rsum, ent, sigma2, y.shape[0], *betas.shape)
+
+
+def _bound(rsum, ent, sigma2: float, m: int, k: int, n: int) -> float:
+    """The bound per pixel from the summed expected squared error rsum and
+    the summed entropy ent, for n pixels, m bands and k endmembers."""
+    const = n * (-0.5 * m * np.log(2.0 * np.pi * sigma2) + gammaln(k))
     return float((const - rsum / (2.0 * sigma2) + ent) / n)
 
 
@@ -167,28 +161,43 @@ def _check_shapes(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> None:
         )
 
 
-def _entry_terms(
-    y, b, betas, sigma2: Optional[float], name: str
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The raw-array entry points' prologue: (Y, betas, c, G) as float64,
-    with c = B'Y and G = B'B.  Checks, in this order, the noise variance
-    (finite and positive; update_sigma2 passes None), the shapes, and c and
-    G finite.  A NaN or an infinity in B makes diag(G) non-finite, and one
-    in pixel n of Y then makes column n of c non-finite, so the products
-    check both inputs.  The concentrations are left to the caller."""
+def _entry_terms(y, b, betas, sigma2, name: str) -> Tuple[np.ndarray, ...]:
+    """The raw-array entry points' prologue: (Y, betas, c, G, sigma2), the
+    arrays as float64 and sigma2 as a Python float.  Checks, in this order,
+    the noise variance (one finite, positive number; update_sigma2 passes
+    None), the shapes, and c and G.  The concentrations are left to the
+    caller."""
     if sigma2 is not None:
+        sigma2 = _scalar(sigma2, f"{name}'s noise variance")
         _prep_arg(sigma2, f"{name}'s noise variance")
     y = np.asarray(y, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)
     _check_shapes(y, b, betas)
+    return (y, betas, *_products(y, b, name), sigma2)
+
+
+def _products(y: np.ndarray, b: np.ndarray, name: str) -> Tuple[np.ndarray, np.ndarray]:
+    """(c, G) = (B'Y, B'B), checked finite.  A NaN or an infinity in B
+    makes diag(G) non-finite, and one in pixel n of Y then makes column n
+    of c non-finite, so the products check both inputs and themselves."""
     # a product of an infinity warns, on small arrays, before the check
     with np.errstate(over="ignore", invalid="ignore"):
         c = b.T @ y
         g = b.T @ b
     _prep_arg(g, f"{name}'s endmembers", positive=False)
     _prep_arg(c, f"{name}'s data", positive=False)
-    return y, betas, c, g
+    return c, g
+
+
+def _squared_norms(y: np.ndarray, name: str) -> Tuple[np.ndarray, float]:
+    """Each pixel's ||y_n||^2 and ||Y||^2 of a finite Y, which must not overflow."""
+    with np.errstate(over="ignore"):
+        sq = y * y
+    yy = np.sum(sq)
+    if not yy < np.inf:
+        raise ValidationError(f"{name}'s data: squared norm overflows")
+    return sq.sum(axis=0), yy
 
 
 def grad_factors(
@@ -213,7 +222,7 @@ def grad_factors(
 
 def grad_beta(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) -> np.ndarray:
     """Gradient of the averaged bound with respect to every concentration."""
-    y, betas, c, g = _entry_terms(y, b, betas, sigma2, "grad_beta")
+    y, betas, c, g, sigma2 = _entry_terms(y, b, betas, sigma2, "grad_beta")
     _, pieces = _beta_point(c, g, betas, sigma2)
     return _beta_gradient(c, g, betas, sigma2, pieces) / y.shape[1]
 
@@ -375,14 +384,15 @@ def update_beta(
     """Improve all per-pixel Dirichlet concentrations for a fixed model.
 
     Pixels are independent.  With workers > 1 the pixels are split into
-    contiguous column chunks run on a thread pool.  :func:`fit` never does
-    this: the pool has not paid off at any size measured, and a chunk's
-    `g @ betas` can round differently from the full product's.  The
-    argument remains only for the benchmark's two-worker timing probe.
+    contiguous column chunks run on a thread pool.  :func:`fit` runs the
+    ascent on all pixels at once: the pool has not paid off at any size
+    measured, and a chunk's `g @ betas` can round differently from the full
+    product's.  The argument remains only for the benchmark's two-worker
+    timing probe.
     """
     passes = _checked_count(passes, "passes", 0)
-    y, betas, c, g = _entry_terms(y, b, betas, sigma2, "update_beta")
-    yss = (y * y).sum(axis=0)
+    y, betas, c, g, sigma2 = _entry_terms(y, b, betas, sigma2, "update_beta")
+    yss = _squared_norms(y, "update_beta")[0]
     n = betas.shape[1]
     if workers <= 1 or n < 2 * workers:
         return _beta_ascent_chunk(c, g, betas, yss, sigma2, passes)
@@ -553,15 +563,18 @@ def update_factors(y: np.ndarray, stack: FactorStack, betas: np.ndarray) -> Fact
 
 
 def update_sigma2(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> float:
-    """Closed-form noise-variance update: mean expected squared error,
-    ||Y||^2 plus the summed per-pixel :func:`_expected_resid` (the term the
-    bound reads), floored at ``NOISE_VAR_FLOOR``, the least noise variance a
-    :class:`FactorStack` accepts."""
-    y, betas, c, g = _entry_terms(y, b, betas, None, "update_sigma2")
+    """Closed-form noise-variance update (:func:`_noise_var`) from ||Y||^2
+    plus the summed per-pixel :func:`_expected_resid`, as the bound reads."""
+    y, betas, c, g, _ = _entry_terms(y, b, betas, None, "update_sigma2")
+    yy = _squared_norms(y, "update_sigma2")[1]
     _prep_arg(betas, "update_sigma2's concentrations")
-    m, n = y.shape
-    resid = np.sum(y * y) + _expected_resid(c, g, betas)[0].sum()
-    return max(float(resid) / (m * n), NOISE_VAR_FLOOR)
+    return _noise_var(yy + _expected_resid(c, g, betas)[0].sum(), y.size)
+
+
+def _noise_var(rsum, size: int) -> float:
+    """The mean expected squared error, rsum over the size of Y, floored at
+    ``NOISE_VAR_FLOOR``, the least noise variance a FactorStack accepts."""
+    return max(float(rsum) / size, NOISE_VAR_FLOOR)
 
 
 def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> FitResult:
@@ -569,7 +582,10 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
 
     Per outer iteration the update order is: concentrations, core basis,
     each mixing layer in order, then the noise variance.  The traced bound
-    is evaluated after the four blocks and is non-decreasing.
+    is evaluated after the four blocks and is non-decreasing.  The (c, G)
+    formed after the factor sweep serve the noise update, the bound and the
+    next iteration's concentration passes: the noise update leaves B as it
+    is.
     """
     if not isinstance(betas, DirichletParam):
         betas = DirichletParam(betas)
@@ -577,6 +593,8 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     b = compose_expanded(stack).data
     betas = betas.concentration
     _check_shapes(y, b, betas)
+    c, g = _products(y, b, "fit")
+    yss, yy = _squared_norms(y, "fit")
     # the factor sweep does not read the noise variance, so the loop carries
     # it as a float and the stack takes it once, after the loop
     sigma2 = stack.noise_var
@@ -587,12 +605,13 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     prev = None
     for _ in range(config.max_outer_iters):
         t0 = time.perf_counter()
-        betas = update_beta(y, b, betas, sigma2, passes=config.beta_steps_per_outer)
+        betas = _beta_ascent_chunk(c, g, betas, yss, sigma2, config.beta_steps_per_outer)
         stack = update_factors(y, stack, betas)
-        # the noise update leaves b as it is, so the next iteration reuses it
-        b = compose_expanded(stack).data
-        sigma2 = _checked_noise_var(update_sigma2(y, b, betas))
-        cur = elbo_terms(y, b, betas, sigma2)
+        c, g = _products(y, compose_expanded(stack).data, "fit")
+        # the concentration passes checked every point they accepted
+        rsum = yy + _expected_resid(c, g, betas)[0].sum()
+        sigma2 = _checked_noise_var(_noise_var(rsum, y.size))
+        cur = _bound(rsum, dirichlet_entropy(betas).sum(), sigma2, y.shape[0], *betas.shape)
         ms_hist.append((time.perf_counter() - t0) * 1e3)
         elbo_hist.append(cur)
         sigma2_hist.append(sigma2)

@@ -81,6 +81,19 @@ class TestFactorStack:
         with pytest.raises(ValidationError, match="noise variance"):
             FactorStack(basis=np.ones((4, 2)), noise_var=noise_var)
 
+    @pytest.mark.parametrize(
+        "noise_var", [None, "abc", np.array([0.1]), [0.1, 0.2]], ids=repr
+    )
+    def test_rejects_non_scalar_noise(self, noise_var):
+        # one number or a ValidationError, never a TypeError from numpy
+        with pytest.raises(ValidationError, match="noise variance"):
+            FactorStack(basis=np.ones((4, 2)), noise_var=noise_var)
+
+    @pytest.mark.parametrize("noise_var", ["0.1", np.float32(0.1), np.array(0.1)], ids=repr)
+    def test_noise_is_held_as_a_float(self, noise_var):
+        got = FactorStack(basis=np.ones((4, 2)), noise_var=noise_var).noise_var
+        assert type(got) is float and got == float(noise_var)
+
     def test_layer_sizes(self, rng):
         _, stack, _ = random_instance(rng, depth=3)
         sizes = stack.layer_sizes

@@ -459,11 +459,29 @@ def _raw_entry_calls(y, b, betas, sigma2):
     }
 
 
+def entry_point_fit(y, stack, betas, iters):
+    """fit's loop built from the public raw-array entry points, each
+    forming its own statistics.  Returns (stack, betas, bounds, noise
+    variances); the stack keeps its initial noise variance."""
+    sigma2 = stack.noise_var
+    bounds, noise = [], []
+    for _ in range(iters):
+        b = compose_expanded(stack).data
+        betas = update_beta(y, b, betas, sigma2, FitConfig.beta_steps_per_outer)
+        stack = update_factors(y, stack, betas)
+        b = compose_expanded(stack).data
+        sigma2 = update_sigma2(y, b, betas)
+        bounds.append(elbo_terms(y, b, betas, sigma2))
+        noise.append(sigma2)
+    return stack, betas, bounds, noise
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRawEntryChecks:
     """update_beta, grad_beta, elbo_terms and update_sigma2 take raw arrays,
-    so they check them: a bad input raises ValidationError before any
-    arithmetic turns it into a warning or a silent result."""
+    so they check them, as fit checks the statistics it forms: a bad input
+    raises ValidationError before any arithmetic turns it into a warning or
+    a silent result."""
 
     @pytest.mark.parametrize("entry", ["update_beta", "grad_beta", "elbo_terms"])
     @pytest.mark.parametrize("sigma2", [-1.0, 0.0, -0.0, np.nan, np.inf])
@@ -472,6 +490,48 @@ class TestRawEntryChecks:
         call = _raw_entry_calls(y, expanded_of(stack), betas, sigma2)[entry]
         with pytest.raises(ValidationError, match="noise variance"):
             call()
+
+    @pytest.mark.parametrize("entry", ["update_beta", "grad_beta", "elbo_terms"])
+    def test_compute_with_the_checked_noise_variance(self, rng, entry):
+        # a numeric string passes the check and is what the entry computes with
+        y, stack, betas = random_instance(rng)
+        b = expanded_of(stack)
+        want = _raw_entry_calls(y, b, betas, 0.1)[entry]()
+        got = _raw_entry_calls(y, b, betas, "0.1")[entry]()
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("entry", ["update_beta", "grad_beta", "elbo_terms"])
+    @pytest.mark.parametrize("sigma2", [np.array([0.1]), [0.1, 0.2], "abc"], ids=repr)
+    def test_reject_non_scalar_noise_variance(self, rng, entry, sigma2):
+        y, stack, betas = random_instance(rng)
+        call = _raw_entry_calls(y, expanded_of(stack), betas, sigma2)[entry]
+        with pytest.raises(ValidationError, match="noise variance"):
+            call()
+
+    @pytest.mark.parametrize("entry", ["fit", "update_beta", "elbo_terms", "update_sigma2"])
+    def test_reject_overflowing_squared_norm(self, rng, entry):
+        # finite data whose ||Y||^2 overflows, where it is formed
+        y, stack, betas = random_instance(rng)
+        y = y * 1e160
+        b = expanded_of(stack)
+        calls = _raw_entry_calls(y, b, betas, stack.noise_var)
+        calls["update_sigma2"] = lambda: update_sigma2(y, b, betas)
+        calls["fit"] = lambda: fit(y, stack, betas, FitConfig(max_outer_iters=2))
+        with pytest.raises(ValidationError, match="data: squared norm overflows"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("when", ["start", "sweep"])
+    def test_fit_rejects_overflowing_endmembers(self, rng, monkeypatch, when):
+        # B'B overflows at a finite basis of entries 1e200; fit checks
+        # (c, G) each time it forms them, before the loop and after a sweep
+        y, stack, betas = random_instance(rng)
+        huge = stack.replace(basis=stack.basis * 1e200)
+        if when == "start":
+            stack = huge
+        else:
+            monkeypatch.setattr(solver, "update_factors", lambda *args: huge)
+        with pytest.raises(ValidationError, match="fit's endmembers: non-finite"):
+            fit(y, stack, betas, FitConfig(max_outer_iters=3, rel_elbo_tol=0.0))
 
     @pytest.mark.parametrize("entry", ["update_beta", "grad_beta", "elbo_terms", "update_sigma2"])
     @pytest.mark.parametrize("where", ["y", "b"])
@@ -748,14 +808,14 @@ class TestFit:
     def test_bound_drop_stops_with_its_own_reason(self, rng, monkeypatch):
         # a noise variance 100x off its closed form lowers the bound
         y, stack, betas = random_instance(rng)
-        exact = solver.update_sigma2
+        exact = solver._noise_var
         calls = []
 
         def wrong_after_first(*args, **kwargs):
             calls.append(None)
             return exact(*args, **kwargs) * (1.0 if len(calls) == 1 else 100.0)
 
-        monkeypatch.setattr(solver, "update_sigma2", wrong_after_first)
+        monkeypatch.setattr(solver, "_noise_var", wrong_after_first)
         res = fit(y, stack, betas, FitConfig(max_outer_iters=10, rel_elbo_tol=0.0))
         assert res.trace.stop_reason == "bound_decreased"
         assert len(res.trace) == 2
@@ -763,14 +823,14 @@ class TestFit:
 
     def test_non_finite_bound_stops_with_its_own_reason(self, rng, monkeypatch):
         y, stack, betas = random_instance(rng)
-        exact = solver.elbo_terms
+        exact = solver._bound
         calls = []
 
         def nan_on_second(*args, **kwargs):
             calls.append(None)
             return exact(*args, **kwargs) if len(calls) != 2 else float("nan")
 
-        monkeypatch.setattr(solver, "elbo_terms", nan_on_second)
+        monkeypatch.setattr(solver, "_bound", nan_on_second)
         res = fit(y, stack, betas, FitConfig(max_outer_iters=10, rel_elbo_tol=0.0))
         assert res.trace.stop_reason == "non_finite"
         assert len(res.trace) == 2
@@ -798,9 +858,55 @@ class TestFit:
 
     def test_infinite_noise_update_raises(self, rng, monkeypatch):
         y, stack, betas = random_instance(rng)
-        monkeypatch.setattr(solver, "update_sigma2", lambda *args: np.inf)
+        monkeypatch.setattr(solver, "_noise_var", lambda *args: np.inf)
         with pytest.raises(ValidationError, match="not finite"):
             fit(y, stack, betas, FitConfig(max_outer_iters=5, rel_elbo_tol=0.0))
+
+    @pytest.mark.parametrize("case", ["quick_start", "depth5"])
+    def test_matches_entry_point_loop(self, rng, case):
+        # fit's own statistics give the bits the public entry points give
+        if case == "quick_start":
+            pixels, init = quick_start_init()
+            y, stack, betas = pixels.data, init.stack, init.posterior.concentration
+        else:
+            y, stack, betas = random_instance(rng, max_dim=10, depth=5)
+        res = fit(y, stack, betas, FitConfig(max_outer_iters=5, rel_elbo_tol=0.0))
+        want, want_betas, bounds, noise = entry_point_fit(y, stack, betas, 5)
+        np.testing.assert_array_equal(res.trace.elbo, bounds)
+        np.testing.assert_array_equal(res.trace.sigma2, noise)
+        np.testing.assert_array_equal(res.posterior.concentration, want_betas)
+        np.testing.assert_array_equal(res.stack.basis, want.basis)
+        for got, mixer in zip(res.stack.mixers, want.mixers, strict=True):
+            np.testing.assert_array_equal(got, mixer)
+
+    def test_forms_statistics_once_per_iteration(self, rng, monkeypatch):
+        # no raw-array entry point: the squared norms once per fit, (c, G)
+        # before the loop and after each sweep, and one residual per
+        # iteration besides the concentration passes'
+        y, stack, betas = random_instance(rng)
+        calls = Counter()
+
+        def refused(*args):
+            raise AssertionError("fit called a raw-array entry point")
+
+        def counted(name):
+            exact = getattr(solver, name)
+
+            def wrapper(*args):
+                calls[name, sys._getframe(1).f_code.co_name] += 1
+                return exact(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(solver, "_entry_terms", refused)
+        for name in ("_products", "_squared_norms", "_expected_resid"):
+            monkeypatch.setattr(solver, name, counted(name))
+        res = fit(y, stack, betas, FitConfig(max_outer_iters=4, rel_elbo_tol=0.0))
+        assert len(res.trace) == 4
+        assert calls.pop(("_expected_resid", "_beta_point")) >= 4 * 11
+        assert calls == {
+            ("_products", "fit"): 5, ("_squared_norms", "fit"): 1, ("_expected_resid", "fit"): 4
+        }
 
     def test_builds_one_stack_per_iteration(self, rng, monkeypatch):
         # the loop carries the noise variance as a float: one stack per
