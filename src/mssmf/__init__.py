@@ -2,7 +2,6 @@
 unmixing under endmember variability, fitted by variational inference."""
 
 from .model import (
-    ExpandedEndmembers,
     FactorStack,
     PixelMatrix,
     ValidationError,
@@ -48,7 +47,6 @@ __all__ = [
     "AlignmentResult",
     "BETA_FLOOR",
     "DirichletParam",
-    "ExpandedEndmembers",
     "FactorStack",
     "FitConfig",
     "FitResult",

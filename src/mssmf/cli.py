@@ -197,7 +197,7 @@ def _cmd_unmix(args, argv) -> int:
         name = f"mixer_{idx}.raw64"
         write_raw64(out / name, mixer)
         mixer_names.append(name)
-    write_raw64(out / "expanded.raw64", compose_expanded(stack).data)
+    write_raw64(out / "expanded.raw64", compose_expanded(stack))
     write_raw64(out / "concentration.raw64", result.posterior.concentration)
     write_raw64(out / "abundances.raw64", result.abundances)
     trace = result.trace

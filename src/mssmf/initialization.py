@@ -18,9 +18,10 @@ from .model import (
     RngLike,
     ValidationError,
     _as_rng,
+    _checked_count,
     _prep_arg,
+    _suffix_products,
     as_pixel_matrix,
-    compose_expanded,
     validate_dims,
 )
 from .simplex import BETA_FLOOR, DirichletParam, _simplex_lsq, sample_dirichlet
@@ -39,17 +40,23 @@ def vca(pixels, k: int, seed: RngLike = 0) -> Tuple[np.ndarray, np.ndarray]:
     picks are not invariant to such a scale.
 
     One decomposition of the data covariance serves the diversity check,
-    the k = 1 pick and the subspace.  Raises ValidationError when
-    lam[k-2] <= lam[0] * bands * eps (the factor grams' rank rule): that
-    decomposition cannot resolve a direction below it.
+    the k = 1 pick and the subspace.  k is an integer (Python or numpy).
+    Raises ValidationError when the covariance is not finite (finite data
+    whose squared norm overflows) and when lam[k-2] <= lam[0] * bands * eps
+    (the factor grams' rank rule): the decomposition cannot resolve a
+    direction below it.
     """
     y = as_pixel_matrix(pixels).data
     m, n = y.shape
-    if not 1 <= k <= min(m, n):
-        raise ValidationError(f"endmember count {k} outside [1, min({m}, {n})]")
+    k = _checked_count(k, "endmember count", 1)
+    if k > min(m, n):
+        raise ValidationError(f"endmember count {k} exceeds min({m}, {n})")
     rng = _as_rng(seed)
-    centered = y - y.mean(axis=1, keepdims=True)
-    u, lam, _ = np.linalg.svd((centered @ centered.T) / n)
+    # an overflow makes the covariance non-finite; the check names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = y - y.mean(axis=1, keepdims=True)
+        cov = (centered @ centered.T) / n
+    u, lam, _ = np.linalg.svd(_prep_arg(cov, "vca's data covariance", positive=False))
     if k == 1:
         idx = int(np.argmax(np.abs(u[:, 0] @ y)))
         return y[:, [idx]].copy(), np.array([idx])
@@ -118,11 +125,12 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
     run decomposes the data covariance once and picks in its affine
     frame, the geometry of the model's noiseless pixels; mixing
     layers start at independent uniform-Dirichlet columns; the noise
-    variance starts at its closed-form update for that state.
+    variance starts at its closed-form update for that state.  Layer sizes
+    are integers (Python or numpy).
     """
     px = as_pixel_matrix(pixels)
     y = px.data
-    layers = tuple(int(k) for k in layer_sizes)
+    layers = tuple(_checked_count(k, "layer size", 1) for k in layer_sizes)
     validate_dims(px.bands, layers, px.pixels)
     root = np.random.SeedSequence(seed)
     seed_basis, seed_expanded, seed_mixers = root.spawn(3)
@@ -139,7 +147,6 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
     mixers = tuple(
         sample_dirichlet(np.ones(a), b, rng) for a, b in zip(layers, layers[1:])
     )
-    stack = FactorStack(basis=basis, mixers=mixers, noise_var=1.0)
-    sigma2 = update_sigma2(y, compose_expanded(stack).data, betas)
-    stack = stack.replace(noise_var=sigma2)
+    sigma2 = update_sigma2(y, _suffix_products([basis, *mixers])[0], betas)
+    stack = FactorStack(basis=basis, mixers=mixers, noise_var=sigma2)
     return InitResult(stack=stack, posterior=DirichletParam(betas), basis_indices=basis_idx)

@@ -206,10 +206,6 @@ class FactorStack:
         object.__setattr__(self, "noise_var", _checked_noise_var(self.noise_var))
 
     @property
-    def bands(self) -> int:
-        return self.basis.shape[0]
-
-    @property
     def layer_sizes(self) -> Tuple[int, ...]:
         return (self.basis.shape[1],) + tuple(s.shape[1] for s in self.mixers)
 
@@ -230,16 +226,6 @@ class FactorStack:
         )
 
 
-@dataclass(frozen=True)
-class ExpandedEndmembers:
-    """Expanded endmember matrix, one column per endmember variant."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _frozen(np.atleast_2d(self.data)))
-
-
 def _suffix_products(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
     """The chain product and all its suffixes: tail[i] = mats[i] @ ... @
     mats[-1], multiplied right to left, with tail[len(mats)] an identity."""
@@ -250,11 +236,12 @@ def _suffix_products(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
     return tail
 
 
-def compose_expanded(stack: FactorStack) -> ExpandedEndmembers:
+def compose_expanded(stack: FactorStack) -> np.ndarray:
     """Multiply the core basis through the mixing chain.
 
-    Returns the expanded endmember matrix; with no mixing layers this is the
-    core basis itself.  Each output column is a convex combination of basis
-    columns, so nonnegativity and per-column sums of the basis are preserved.
+    Returns the expanded endmember matrix, bands x K_P, as a new float64
+    array; with no mixing layers it equals the core basis.  Each output
+    column is a convex combination of basis columns, so nonnegativity and
+    per-column sums of the basis are preserved.
     """
-    return ExpandedEndmembers(_suffix_products([stack.basis, *stack.mixers])[0])
+    return _suffix_products([stack.basis, *stack.mixers])[0]

@@ -205,11 +205,13 @@ def grad_factors(
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Gradient of the averaged bound with respect to the basis and every
     mixing layer: -(U X R - C) / (sigma2 N) for each factor X, from the
-    block quadratic :func:`_block_terms` forms (see :func:`update_factors`)."""
-    y = np.asarray(y, dtype=np.float64)
-    ym, pbar = _factor_statistics(y, np.asarray(betas, dtype=np.float64))
+    block quadratic :func:`_block_terms` forms (see :func:`update_factors`).
+    Checks Y and betas as :func:`update_sigma2` does."""
     mats = [stack.basis, *stack.mixers]
     tail = _suffix_products(mats)
+    y, betas, *_ = _entry_terms(y, tail[0], betas, None, "grad_factors")
+    _prep_arg(betas, "grad_factors's concentrations")
+    ym, pbar = _factor_statistics(y, betas)
     scale = stack.noise_var * y.shape[1]
     grads = []
     prefix = None
@@ -590,7 +592,7 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     if not isinstance(betas, DirichletParam):
         betas = DirichletParam(betas)
     y = as_pixel_matrix(pixels).data
-    b = compose_expanded(stack).data
+    b = compose_expanded(stack)
     betas = betas.concentration
     _check_shapes(y, b, betas)
     c, g = _products(y, b, "fit")
@@ -607,7 +609,7 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
         t0 = time.perf_counter()
         betas = _beta_ascent_chunk(c, g, betas, yss, sigma2, config.beta_steps_per_outer)
         stack = update_factors(y, stack, betas)
-        c, g = _products(y, compose_expanded(stack).data, "fit")
+        c, g = _products(y, compose_expanded(stack), "fit")
         # the concentration passes checked every point they accepted
         rsum = yy + _expected_resid(c, g, betas)[0].sum()
         sigma2 = _checked_noise_var(_noise_var(rsum, y.size))

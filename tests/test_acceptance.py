@@ -216,7 +216,7 @@ def test_08_mse_improves_with_snr():
             bundle = gen_dataset(truth, 500, snr, seed=seed + 1)
             init = init_all(bundle.pixels, (6, 18, 30), seed=seed + 2)
             result = fit(bundle.pixels, init.stack, init.posterior, config)
-            est = compose_expanded(result.stack).data
+            est = compose_expanded(result.stack)
             vals.append(aligned_mse(est, truth).mse)
         means.append(float(np.mean(vals)))
     elapsed = time.perf_counter() - start

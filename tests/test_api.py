@@ -1,16 +1,23 @@
-"""The public surface: the package's export list and the README quick start."""
+"""The public surface: the package's export list, the README quick start
+and the calls the benchmark in perfbench/ makes into the package."""
 
 import ast
+import importlib
+import inspect
 import re
+import runpy
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mssmf
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "mssmf").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SOURCES = sorted((ROOT / "src" / "mssmf").glob("*.py"))
+BENCH_SOURCES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -59,3 +66,60 @@ def _unused_imports(tree: ast.Module):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _package_uses(tree: ast.Module):
+    """The mssmf.<name> attributes tree reads, and its calls mssmf.<name>(...)."""
+    names, calls = set(), []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "mssmf"
+        ):
+            names.add(node.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if isinstance(node.func.value, ast.Name) and node.func.value.id == "mssmf":
+                calls.append(node)
+    return names, calls
+
+
+@pytest.mark.parametrize("path", BENCH_SOURCES, ids=lambda p: p.name)
+def test_benchmark_calls_fit_the_package(path):
+    # every name the benchmark reads resolves, and every call binds to the
+    # callee's signature: its positional count and each keyword it passes
+    names, calls = _package_uses(ast.parse(path.read_text()))
+    assert sorted(name for name in names if not hasattr(mssmf, name)) == []
+    for call in calls:
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            kw.arg is None for kw in call.keywords
+        ):
+            continue
+        sig = inspect.signature(getattr(mssmf, call.func.attr))
+        sig.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+
+
+def test_benchmark_scan_sees_the_unmixing_path():
+    called = set()
+    for path in BENCH_SOURCES:
+        called |= {c.func.attr for c in _package_uses(ast.parse(path.read_text()))[1]}
+    assert {"init_all", "fit", "compose_expanded", "gen_dataset"} <= called
+
+
+def test_benchmark_contracts_beyond_the_scan(rng):
+    # the benchmark passes this as update_beta's integer `passes`
+    assert type(mssmf.FitConfig().beta_steps_per_outer) is int
+    # the tracer imports these modules and wraps FactorStack.replace
+    for name in runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))["MODULES"]:
+        importlib.import_module("mssmf." + name)
+    assert "replace" in mssmf.FactorStack.__dict__
+    # the benchmark reads the expanded matrix through .data; small integers
+    # times dyadic weights make the product exact in any summation order
+    basis = rng.integers(1, 9, (7, 3)).astype(np.float64)
+    mixer = np.array(
+        [[1.0, 0.0, 0.5, 0.0, 0.25], [0.0, 1.0, 0.5, 0.0, 0.25], [0.0, 0.0, 0.0, 1.0, 0.5]]
+    )
+    got = np.asarray(mssmf.compose_expanded(mssmf.FactorStack(basis, [mixer])).data)
+    want = basis @ mixer
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -148,6 +148,16 @@ class TestUnmixCommand:
         )
         assert code == 3
 
+    def test_overflowing_data_exits_three(self, scene, tmp_path):
+        # finite data whose squared norm overflows is a validation error
+        data = tmp_path / "huge.raw64"
+        write_raw64(data, load_matrix(scene / "data.raw64") * 1e160)
+        code = run(
+            "unmix", "--input", str(data), "--dims", "3,6",
+            "--iters", "2", "--out", str(tmp_path / "run"),
+        )
+        assert code == 3
+
     def test_malformed_dims_is_usage_error(self, scene, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(

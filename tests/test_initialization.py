@@ -335,6 +335,28 @@ class TestInitAll:
         with pytest.raises(ValidationError, match="non-decreasing"):
             init_all(y, (5, 3), seed=0)
 
+    def test_overflowing_data_is_a_validation_error(self, rng):
+        # finite data whose squared norm overflows: vca's covariance names it
+        y, _, _ = pure_pixel_scene(rng, m=30, k=5, n=100)
+        with pytest.raises(ValidationError, match="vca's data covariance: non-finite"):
+            init_all(y * 1e160, (3, 5), seed=0)
+
+    @pytest.mark.parametrize("bad", [6.7, "6", 2.0], ids=repr)
+    def test_counts_must_be_integers(self, rng, bad):
+        # layer sizes and vca's k are counts, like sample_dirichlet's n
+        y, _, _ = pure_pixel_scene(rng, m=30, k=8, n=100)
+        with pytest.raises(ValidationError, match="layer size must be an integer"):
+            init_all(y, (bad, 8), seed=0)
+        with pytest.raises(ValidationError, match="endmember count must be an integer"):
+            vca(y, bad, seed=0)
+
+    def test_numpy_integer_counts_pass(self, rng):
+        y, _, _ = pure_pixel_scene(rng, m=30, k=8, n=100)
+        want = init_all(y, (3, 8), seed=0)
+        got = init_all(y, (np.int64(3), np.int32(8)), seed=0)
+        np.testing.assert_array_equal(got.posterior.concentration, want.posterior.concentration)
+        np.testing.assert_array_equal(vca(y, np.int64(3))[1], vca(y, 3)[1])
+
     def test_basis_columns_come_from_data(self, rng):
         y, _, _ = pure_pixel_scene(rng, m=30, k=6, n=150)
         res = init_all(y, (3, 6), seed=12)

@@ -110,18 +110,27 @@ class TestFactorStack:
 class TestCompose:
     def test_no_mixers_returns_basis(self):
         stack = FactorStack(basis=np.arange(6.0).reshape(3, 2))
-        assert np.array_equal(compose_expanded(stack).data, stack.basis)
+        assert np.array_equal(compose_expanded(stack), stack.basis)
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_returns_a_fresh_array(self, rng, depth):
+        # a plain float64 array, never a view of the stack's frozen basis
+        _, stack, _ = random_instance(rng, depth=depth)
+        got = compose_expanded(stack)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.shape == (stack.basis.shape[0], stack.expanded_count)
+        assert got.flags.writeable and not np.shares_memory(got, stack.basis)
 
     def test_matches_plain_product(self, rng):
         for _ in range(10):
             _, stack, _ = random_instance(rng, depth=3)
-            got = compose_expanded(stack).data
+            got = compose_expanded(stack)
             np.testing.assert_allclose(got, expanded_of(stack), rtol=1e-13)
 
     def test_expanded_is_nonnegative(self, rng):
         for _ in range(10):
             _, stack, _ = random_instance(rng, depth=2)
-            assert np.all(compose_expanded(stack).data >= 0)
+            assert np.all(compose_expanded(stack) >= 0)
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 2**32 - 1))
@@ -133,5 +142,5 @@ class TestCompose:
         basis = r.uniform(0.0, 1.0, (m, k1))
         basis /= basis.sum(axis=0)
         stack = FactorStack(basis=basis, mixers=(sample_dirichlet(np.ones(k1), k2, r),))
-        sums = compose_expanded(stack).data.sum(axis=0)
+        sums = compose_expanded(stack).sum(axis=0)
         np.testing.assert_allclose(sums, np.ones(k2), atol=1e-12)

@@ -95,7 +95,7 @@ def quick_start_state(request):
             FitConfig(max_outer_iters=request.param, rel_elbo_tol=0.0),
         )
         stack, betas = res.stack, res.posterior.concentration
-    b = compose_expanded(stack).data
+    b = compose_expanded(stack)
     return pixels.data, b, betas, stack.noise_var, stack
 
 
@@ -466,10 +466,10 @@ def entry_point_fit(y, stack, betas, iters):
     sigma2 = stack.noise_var
     bounds, noise = [], []
     for _ in range(iters):
-        b = compose_expanded(stack).data
+        b = compose_expanded(stack)
         betas = update_beta(y, b, betas, sigma2, FitConfig.beta_steps_per_outer)
         stack = update_factors(y, stack, betas)
-        b = compose_expanded(stack).data
+        b = compose_expanded(stack)
         sigma2 = update_sigma2(y, b, betas)
         bounds.append(elbo_terms(y, b, betas, sigma2))
         noise.append(sigma2)
@@ -478,10 +478,11 @@ def entry_point_fit(y, stack, betas, iters):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRawEntryChecks:
-    """update_beta, grad_beta, elbo_terms and update_sigma2 take raw arrays,
-    so they check them, as fit checks the statistics it forms: a bad input
-    raises ValidationError before any arithmetic turns it into a warning or
-    a silent result."""
+    """update_beta, grad_beta, elbo_terms, update_sigma2 and grad_factors
+    take raw arrays, so they check them, as fit checks the statistics it
+    forms: a bad input raises ValidationError before any arithmetic turns
+    it into a warning or a silent result.  grad_factors reads B and the
+    noise variance from a FactorStack, which checks them itself."""
 
     @pytest.mark.parametrize("entry", ["update_beta", "grad_beta", "elbo_terms"])
     @pytest.mark.parametrize("sigma2", [-1.0, 0.0, -0.0, np.nan, np.inf])
@@ -533,7 +534,9 @@ class TestRawEntryChecks:
         with pytest.raises(ValidationError, match="fit's endmembers: non-finite"):
             fit(y, stack, betas, FitConfig(max_outer_iters=3, rel_elbo_tol=0.0))
 
-    @pytest.mark.parametrize("entry", ["update_beta", "grad_beta", "elbo_terms", "update_sigma2"])
+    @pytest.mark.parametrize(
+        "entry", ["update_beta", "grad_beta", "elbo_terms", "update_sigma2", "grad_factors"]
+    )
     @pytest.mark.parametrize("where", ["y", "b"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_reject_non_finite_data(self, rng, entry, where, bad):
@@ -545,10 +548,15 @@ class TestRawEntryChecks:
             b[1, 0] = bad
         calls = _raw_entry_calls(y, b, betas, stack.noise_var)
         calls["update_sigma2"] = lambda: update_sigma2(y, b, betas)
+        # a stack's basis is finite, so a bad B is one whose B'B overflows
+        huge = stack.replace(basis=stack.basis * 1e200)
+        calls["grad_factors"] = lambda: grad_factors(y, stack if where == "y" else huge, betas)
         with pytest.raises(ValidationError, match="data" if where == "y" else "endmembers"):
             calls[entry]()
 
-    @pytest.mark.parametrize("entry", ["update_beta", "grad_beta", "elbo_terms", "update_sigma2"])
+    @pytest.mark.parametrize(
+        "entry", ["update_beta", "grad_beta", "elbo_terms", "update_sigma2", "grad_factors"]
+    )
     @pytest.mark.parametrize("column", [True, False])
     def test_reject_zero_concentrations(self, rng, entry, column):
         # a zero column would divide by its zero total in the residual
@@ -560,10 +568,13 @@ class TestRawEntryChecks:
             betas[0, 0] = 0.0
         calls = _raw_entry_calls(y, b, betas, stack.noise_var)
         calls["update_sigma2"] = lambda: update_sigma2(y, b, betas)
+        calls["grad_factors"] = lambda: grad_factors(y, stack, betas)
         with pytest.raises(ValidationError, match="finite and positive"):
             calls[entry]()
 
-    @pytest.mark.parametrize("entry", ["update_beta", "grad_beta", "elbo_terms", "update_sigma2"])
+    @pytest.mark.parametrize(
+        "entry", ["update_beta", "grad_beta", "elbo_terms", "update_sigma2", "grad_factors"]
+    )
     @pytest.mark.parametrize(
         "case", ["bands", "concentration_rows", "concentration_columns", "concentrations_1d"]
     )
@@ -581,6 +592,7 @@ class TestRawEntryChecks:
             betas = betas[:, 0]
         calls = _raw_entry_calls(y, b, betas, stack.noise_var)
         calls["update_sigma2"] = lambda: update_sigma2(y, b, betas)
+        calls["grad_factors"] = lambda: grad_factors(y, stack, betas)
         shapes = y.shape if case == "bands" else betas.shape
         with pytest.raises(ValidationError, match=re.escape(str(shapes))):
             calls[entry]()
