@@ -8,6 +8,7 @@ itself starts no threads (BLAS may, as its own settings say).
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -21,15 +22,15 @@ from .matio import (
     quantize_unit,
     read_csv_matrix,
     read_manifest,
+    save_matrix,
     write_csv_matrix,
     write_manifest,
     write_pgm,
-    write_raw64,
 )
 from .metrics import aligned_mse, singular_spectrum
-from .model import ValidationError, _prep_arg, compose_expanded
+from .model import ValidationError, _prep_arg, as_pixel_matrix, compose_expanded
 from .solver import FitConfig, fit
-from .synth import assemble_ground_truth, builtin_bases, gen_dataset
+from .synth import DEFAULT_GAMMA, DEFAULT_KNOTS, assemble_ground_truth, builtin_bases, gen_dataset
 
 
 def _as_float(value, kinds=(int, float)):
@@ -61,14 +62,16 @@ def _seed_value(text: str) -> int:
 
 def _dims_value(text: str):
     try:
-        dims = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"dims must be comma-separated integers, got {text!r}"
         ) from None
-    if not dims:
-        raise argparse.ArgumentTypeError("dims must name at least one layer size")
-    return dims
+
+
+def _default(func, name):
+    """The default value of func's parameter name."""
+    return inspect.signature(func).parameters[name].default
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,17 +83,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate a synthetic variability scene")
+    sp.set_defaults(run=_cmd_synth)
     sp.add_argument("--bases", default="builtin",
                     help="'builtin' or path to a CSV of base spectra (bands x bases)")
-    sp.add_argument("--bands", type=int, default=198,
+    sp.add_argument("--bands", type=int, default=_default(builtin_bases, "bands"),
                     help="band count for the builtin bases")
-    sp.add_argument("--variants", type=int, default=200,
+    sp.add_argument("--variants", type=int,
+                    default=_default(assemble_ground_truth, "variants_per_base"),
                     help="variant pool size per base")
-    sp.add_argument("--pick", type=int, default=10,
+    sp.add_argument("--pick", type=int, default=_default(assemble_ground_truth, "pick"),
                     help="variants kept per base in the ground truth")
-    sp.add_argument("--gamma", type=float, default=0.25,
+    sp.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
                     help="variability amplitude in [0, 1)")
-    sp.add_argument("--knots", type=int, default=10,
+    sp.add_argument("--knots", type=int, default=DEFAULT_KNOTS,
                     help="knot count of the smooth multiplicative field")
     sp.add_argument("--pixels", type=int, required=True)
     sp.add_argument("--snr-db", type=_snr_value, required=True,
@@ -99,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output directory")
 
     up = sub.add_parser("unmix", help="fit the multilayer model to a scene")
+    up.set_defaults(run=_cmd_unmix)
     up.add_argument("--input", required=True, help="pixel matrix (bands x pixels)")
     up.add_argument("--dims", type=_dims_value, required=True,
                     help="layer sizes, e.g. 6,18,30")
@@ -109,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     up.add_argument("--out", required=True, help="output directory")
 
     ep = sub.add_parser("eval", help="score an estimate against ground truth")
+    ep.set_defaults(run=_cmd_eval)
     ep.add_argument("--est", help="estimated endmember matrix file")
     ep.add_argument("--truth", help="ground-truth endmember matrix file")
     ep.add_argument("--snr-db", type=_snr_value, default=None,
@@ -118,10 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--out", required=True, help="output manifest path (.json)")
 
     vp = sub.add_parser("svd", help="write the singular values of a matrix")
+    vp.set_defaults(run=_cmd_svd)
     vp.add_argument("--input", required=True)
     vp.add_argument("--out", required=True, help="output CSV, one value per line")
 
     rp = sub.add_parser("render", help="write abundance maps as PGM images")
+    rp.set_defaults(run=_cmd_render)
     rp.add_argument("--abundances", required=True,
                     help="abundance matrix file (components x pixels)")
     rp.add_argument("--width", type=int, required=True)
@@ -130,6 +139,28 @@ def build_parser() -> argparse.ArgumentParser:
                     help="CSV of per-component group labels; maps are summed per group")
     rp.add_argument("--out", required=True, help="output directory")
     return parser
+
+
+def _manifest(path, kind: str, argv, **fields) -> None:
+    """Write the manifest of one command: its kind, the package version and
+    its argv, then the command's own fields."""
+    write_manifest(path, {"kind": kind, "version": __version__, "argv": argv, **fields})
+
+
+def _write_run(out, outputs, kind: str, argv, **fields) -> None:
+    """Create the directory out and write into it every matrix of outputs,
+    a {key: (file name, matrix)} table whose value may also be a list of
+    such pairs; then its manifest.json, whose "outputs" map each key to
+    its file name (or list of names)."""
+    out = Path(out)
+    os.makedirs(out, exist_ok=True)
+    names = {}
+    for key, entry in outputs.items():
+        pairs = entry if isinstance(entry, list) else [entry]
+        for name, mat in pairs:
+            save_matrix(out / name, mat)
+        names[key] = [name for name, _ in pairs] if isinstance(entry, list) else entry[0]
+    _manifest(out / "manifest.json", kind, argv, outputs=names, **fields)
 
 
 def _cmd_synth(args, argv) -> int:
@@ -147,98 +178,53 @@ def _cmd_synth(args, argv) -> int:
         seed=rng,
     )
     bundle = gen_dataset(truth, args.pixels, args.snr_db, seed=rng)
-    out = Path(args.out)
-    os.makedirs(out, exist_ok=True)
-    write_raw64(out / "data.raw64", bundle.pixels.data)
-    write_raw64(out / "endmembers_true.raw64", truth)
-    write_raw64(out / "abundances_true.raw64", bundle.abundances)
-    write_csv_matrix(out / "labels.csv", labels[None, :].astype(np.float64))
-    manifest = {
-        "kind": "synth",
-        "version": __version__,
-        "argv": argv,
-        "seed": args.seed,
-        "snr_db": args.snr_db,
-        "sigma2": bundle.sigma2,
-        "dims": {
-            "bands": int(truth.shape[0]),
-            "expanded": int(truth.shape[1]),
-            "pixels": int(args.pixels),
-        },
-        "config": {
-            "bases": args.bases,
-            "variants": args.variants,
-            "pick": args.pick,
-            "gamma": args.gamma,
-            "knots": args.knots,
-        },
-        "outputs": {
-            "data": "data.raw64",
-            "endmembers_true": "endmembers_true.raw64",
-            "abundances_true": "abundances_true.raw64",
-            "labels": "labels.csv",
-        },
+    outputs = {
+        "data": ("data.raw64", bundle.pixels.data),
+        "endmembers_true": ("endmembers_true.raw64", truth),
+        "abundances_true": ("abundances_true.raw64", bundle.abundances),
+        "labels": ("labels.csv", labels[None, :].astype(np.float64)),
     }
-    write_manifest(out / "manifest.json", manifest)
+    _write_run(
+        args.out, outputs, "synth", argv,
+        seed=args.seed,
+        snr_db=args.snr_db,
+        sigma2=bundle.sigma2,
+        dims={"bands": truth.shape[0], "expanded": truth.shape[1], "pixels": args.pixels},
+        config={k: getattr(args, k) for k in ("bases", "variants", "pick", "gamma", "knots")},
+    )
     return 0
 
 
 def _cmd_unmix(args, argv) -> int:
-    y = load_matrix(args.input)
-    start = init_all(y, args.dims, seed=args.seed)
+    px = as_pixel_matrix(load_matrix(args.input))
+    start = init_all(px, args.dims, seed=args.seed)
     config = FitConfig(max_outer_iters=args.iters, rel_elbo_tol=args.tol)
-    result = fit(y, start.stack, start.posterior, config)
-    out = Path(args.out)
-    os.makedirs(out, exist_ok=True)
-    stack = result.stack
-    write_raw64(out / "basis.raw64", stack.basis)
-    mixer_names = []
-    for idx, mixer in enumerate(stack.mixers, start=1):
-        name = f"mixer_{idx}.raw64"
-        write_raw64(out / name, mixer)
-        mixer_names.append(name)
-    write_raw64(out / "expanded.raw64", compose_expanded(stack))
-    write_raw64(out / "concentration.raw64", result.posterior.concentration)
-    write_raw64(out / "abundances.raw64", result.abundances)
-    trace = result.trace
+    result = fit(px, start.stack, start.posterior, config)
+    stack, trace = result.stack, result.trace
     iters_run = len(trace)
     rows = np.column_stack(
         [np.arange(1, iters_run + 1, dtype=np.float64), trace.elbo, trace.sigma2, trace.millis]
     )
-    write_csv_matrix(out / "trace.csv", rows)
-    manifest = {
-        "kind": "unmix",
-        "version": __version__,
-        "argv": argv,
-        "seed": args.seed,
-        "input": args.input,
-        "dims": {
-            "bands": int(y.shape[0]),
-            "layers": list(args.dims),
-            "pixels": int(y.shape[1]),
-        },
-        "config": {
-            "iters": args.iters,
-            "tol": args.tol,
-        },
-        "trace": {
-            "elbo": [float(v) for v in trace.elbo],
-            "sigma2": [float(v) for v in trace.sigma2],
-        },
-        "iterations_run": iters_run,
-        "stop_reason": trace.stop_reason,
-        "final_elbo": result.elbo,
-        "final_sigma2": stack.noise_var,
-        "outputs": {
-            "basis": "basis.raw64",
-            "mixers": mixer_names,
-            "expanded": "expanded.raw64",
-            "concentration": "concentration.raw64",
-            "abundances": "abundances.raw64",
-            "trace": "trace.csv",
-        },
+    outputs = {
+        "basis": ("basis.raw64", stack.basis),
+        "mixers": [(f"mixer_{i}.raw64", s) for i, s in enumerate(stack.mixers, start=1)],
+        "expanded": ("expanded.raw64", compose_expanded(stack)),
+        "concentration": ("concentration.raw64", result.posterior.concentration),
+        "abundances": ("abundances.raw64", result.abundances),
+        "trace": ("trace.csv", rows),
     }
-    write_manifest(out / "manifest.json", manifest)
+    _write_run(
+        args.out, outputs, "unmix", argv,
+        seed=args.seed,
+        input=args.input,
+        dims={"bands": px.bands, "layers": list(args.dims), "pixels": px.pixels},
+        config={"iters": args.iters, "tol": args.tol},
+        trace={"elbo": trace.elbo.tolist(), "sigma2": trace.sigma2.tolist()},
+        iterations_run=iters_run,
+        stop_reason=trace.stop_reason,
+        final_elbo=result.elbo,
+        final_sigma2=stack.noise_var,
+    )
     return 0
 
 
@@ -282,14 +268,7 @@ def _cmd_eval(args, argv) -> int:
     out = str(args.out)
     if args.runs_dir is not None:
         rows = _aggregate_evals(args.runs_dir)
-        manifest = {
-            "kind": "eval_aggregate",
-            "version": __version__,
-            "argv": argv,
-            "runs_dir": args.runs_dir,
-            "groups": rows,
-        }
-        write_manifest(out, manifest)
+        _manifest(out, "eval_aggregate", argv, runs_dir=args.runs_dir, groups=rows)
         csv_path = out[: -len(".json")] + ".csv" if out.endswith(".json") else out + ".csv"
         table = np.array([[r["snr_db"], r["mean_mse"], r["std_mse"]] for r in rows])
         write_csv_matrix(csv_path, table)
@@ -300,18 +279,11 @@ def _cmd_eval(args, argv) -> int:
     est = load_matrix(args.est)
     truth = load_matrix(args.truth)
     result = aligned_mse(est, truth)
-    manifest = {
-        "kind": "eval",
-        "version": __version__,
-        "argv": argv,
-        "est": args.est,
-        "truth": args.truth,
-        "mse": result.mse,
-        "permutation": [int(j) for j in result.permutation],
-    }
-    if args.snr_db is not None:
-        manifest["snr_db"] = args.snr_db
-    write_manifest(out, manifest)
+    tag = {} if args.snr_db is None else {"snr_db": args.snr_db}
+    _manifest(
+        out, "eval", argv, est=args.est, truth=args.truth, mse=result.mse,
+        permutation=[int(j) for j in result.permutation], **tag,
+    )
     return 0
 
 
@@ -353,21 +325,12 @@ def _cmd_render(args, argv) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "unmix": _cmd_unmix,
-    "eval": _cmd_eval,
-    "svd": _cmd_svd,
-    "render": _cmd_render,
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, argv)
+        return args.run(args, argv)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

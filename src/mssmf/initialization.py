@@ -130,8 +130,7 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
     """
     px = as_pixel_matrix(pixels)
     y = px.data
-    layers = tuple(_checked_count(k, "layer size", 1) for k in layer_sizes)
-    validate_dims(px.bands, layers, px.pixels)
+    layers = validate_dims(px.bands, layer_sizes, px.pixels)
     root = np.random.SeedSequence(seed)
     seed_basis, seed_expanded, seed_mixers = root.spawn(3)
 

@@ -27,14 +27,16 @@ def _as_matrix(mat) -> np.ndarray:
     return a
 
 
-def write_csv_matrix(path, mat) -> None:
-    a = _as_matrix(mat)
-    lines = []
-    for row in a:
-        lines.append(",".join(repr(float(v)) for v in row))
+def _write_text(path, text: str) -> None:
+    """text plus a final newline, LF line endings on every platform."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines))
+        fh.write(text)
         fh.write("\n")
+
+
+def write_csv_matrix(path, mat) -> None:
+    rows = (",".join(repr(float(v)) for v in row) for row in _as_matrix(mat))
+    _write_text(path, "\n".join(rows))
 
 
 def read_csv_matrix(path) -> np.ndarray:
@@ -53,9 +55,7 @@ def write_raw64(path, mat) -> None:
     with open(path, "wb") as fh:
         fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
     sidecar = {"rows": int(rows), "cols": int(cols)}
-    with open(str(path) + ".json", "w", newline="\n") as fh:
-        fh.write(json.dumps(sidecar, sort_keys=True, separators=(", ", ": ")))
-        fh.write("\n")
+    _write_text(str(path) + ".json", json.dumps(sidecar, sort_keys=True, separators=(", ", ": ")))
 
 
 def read_raw64(path) -> np.ndarray:
@@ -87,6 +87,14 @@ def load_matrix(path) -> np.ndarray:
     return read_raw64(path)
 
 
+def save_matrix(path, mat) -> None:
+    """Write mat in the encoding :func:`load_matrix` reads back from path."""
+    if str(path).endswith(".csv"):
+        write_csv_matrix(path, mat)
+    else:
+        write_raw64(path, mat)
+
+
 def _finite_json(value):
     """value with every non-finite float replaced by its str()."""
     if isinstance(value, float) and not np.isfinite(value):
@@ -99,10 +107,7 @@ def _finite_json(value):
 
 
 def write_manifest(path, doc: dict) -> None:
-    text = json.dumps(_finite_json(doc), sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-        fh.write("\n")
+    _write_text(path, json.dumps(_finite_json(doc), sort_keys=True, indent=2, allow_nan=False))
 
 
 def read_manifest(path) -> dict:

@@ -139,24 +139,20 @@ def as_pixel_matrix(y) -> PixelMatrix:
     return PixelMatrix(np.asarray(y, dtype=np.float64))
 
 
-def validate_dims(bands: int, layers: Sequence[int], pixels: int) -> None:
+def validate_dims(bands: int, layers: Sequence[int], pixels: int) -> Tuple[int, ...]:
     """Check problem dimensions; raise ValidationError naming the violated
-    constraint.
+    constraint, or return the layer sizes as a tuple of ints.
 
     ``layers`` holds the latent sizes (K_1, ..., K_P); the last entry is the
-    number of expanded endmembers.  Sizes must be positive and
-    non-decreasing, with K_1 at most the band count and K_P at most the
-    pixel count.
+    number of expanded endmembers.  Every size is an integer (Python or
+    numpy); sizes must be positive and non-decreasing, with K_1 at most the
+    band count and K_P at most the pixel count.
     """
-    layers = tuple(layers)
-    if bands < 1:
-        raise ValidationError(f"band count must be >= 1, got {bands}")
-    if pixels < 1:
-        raise ValidationError(f"pixel count must be >= 1, got {pixels}")
-    if len(layers) < 1:
+    bands = _checked_count(bands, "band count", 1)
+    pixels = _checked_count(pixels, "pixel count", 1)
+    layers = tuple(_checked_count(k, "layer size", 1) for k in layers)
+    if not layers:
         raise ValidationError("at least one latent layer is required")
-    if any(k < 1 for k in layers):
-        raise ValidationError(f"layer sizes must be >= 1, got {layers}")
     for a, b in zip(layers, layers[1:]):
         if a > b:
             raise ValidationError(
@@ -166,6 +162,7 @@ def validate_dims(bands: int, layers: Sequence[int], pixels: int) -> None:
         raise ValidationError(f"first layer size {layers[0]} exceeds band count {bands}")
     if layers[-1] > pixels:
         raise ValidationError(f"expanded size {layers[-1]} exceeds pixel count {pixels}")
+    return layers
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import PixelMatrix, RngLike, ValidationError, _as_rng
+from .model import (
+    PixelMatrix, RngLike, ValidationError, _as_rng, _checked_count, _prep_arg, _scalar,
+)
 from .simplex import sample_dirichlet
 
 DEFAULT_GAMMA = 0.25
@@ -35,10 +37,10 @@ def builtin_bases(bands: int = 198) -> np.ndarray:
     """Three deterministic smooth base spectra on [0.05, 0.95].
 
     Each column is a fixed mixture of Gaussian bumps over the band axis;
-    no randomness, so every caller sees identical spectra.
+    no randomness, so every caller sees identical spectra.  bands is an
+    integer (Python or numpy) of at least 2.
     """
-    if bands < 2:
-        raise ValidationError("builtin bases need at least 2 bands")
+    bands = _checked_count(bands, "builtin bases' band count", 2)
     x = np.linspace(0.0, 1.0, bands)
 
     def bump(center, width, height):
@@ -66,19 +68,18 @@ def gen_variants(
     between `knots` equally spaced values drawn uniformly from
     [1 - gamma, 1 + gamma].  Consequently each band i of each variant v
     satisfies |v_i - base_i| <= gamma * base_i, and nonnegativity is
-    preserved.
+    preserved.  The base must be finite; count and knots are integers.
     """
-    a = np.asarray(base, dtype=np.float64)
+    a = _prep_arg(base, "base spectrum", positive=False)
     if a.ndim != 1:
         raise ValidationError("base spectrum must be 1-D")
     if np.any(a < 0):
         raise ValidationError("base spectrum must be nonnegative")
+    gamma = _scalar(gamma, "gamma")
     if not 0.0 <= gamma < 1.0:
         raise ValidationError(f"gamma must be in [0, 1), got {gamma!r}")
-    if knots < 2:
-        raise ValidationError(f"need at least 2 knots, got {knots}")
-    if count < 1:
-        raise ValidationError("count must be >= 1")
+    knots = _checked_count(knots, "knots", 2)
+    count = _checked_count(count, "count", 1)
     rng = _as_rng(seed)
     m = a.size
     grid = np.arange(m, dtype=np.float64)
@@ -102,15 +103,16 @@ def assemble_ground_truth(
 
     For each base column, generates a pool of variants and picks `pick`
     of them uniformly without replacement.  Returns (endmembers, labels)
-    where labels[j] is the base index variant j came from.
+    where labels[j] is the base index variant j came from.  The counts are
+    integers; :func:`gen_variants` checks each base and the field settings.
     """
     b = np.atleast_2d(np.asarray(bases, dtype=np.float64))
+    variants_per_base = _checked_count(variants_per_base, "variants_per_base", 1)
+    pick = _checked_count(pick, "pick", 1)
     if pick > variants_per_base:
         raise ValidationError(
             f"cannot pick {pick} from a pool of {variants_per_base} variants"
         )
-    if pick < 1:
-        raise ValidationError("pick must be >= 1")
     rng = _as_rng(seed)
     groups = []
     labels = []
@@ -130,10 +132,10 @@ def gen_dataset(
 ) -> SynthBundle:
     """Mix ground-truth endmembers with Dirichlet(1) abundances and add
     white Gaussian noise at the requested SNR (inf means noiseless)."""
-    a = np.atleast_2d(np.asarray(endmembers, dtype=np.float64))
-    if n_pixels < 1:
-        raise ValidationError("n_pixels must be >= 1")
-    if np.isnan(snr_db) or (np.isinf(snr_db) and snr_db < 0):
+    a = np.atleast_2d(_prep_arg(endmembers, "gen_dataset's endmembers", positive=False))
+    n_pixels = _checked_count(n_pixels, "n_pixels", 1)
+    snr_db = _scalar(snr_db, "snr_db")
+    if np.isnan(snr_db) or snr_db == -np.inf:
         raise ValidationError(f"snr_db must be finite or +inf, got {snr_db!r}")
     rng = _as_rng(seed)
     m, k = a.shape

@@ -379,6 +379,39 @@ class TestRoundTrip:
             assert first[name] == second[name], name
 
 
+class TestOutputTable:
+    @staticmethod
+    def listed_and_present(out: Path):
+        """(files the manifest's outputs name, matrix files in out); a RAW64
+        file's sidecar counts as part of it."""
+        listed = set()
+        for entry in read_manifest(out / "manifest.json")["outputs"].values():
+            listed.update(entry if isinstance(entry, list) else [entry])
+        present = {
+            p.name for p in out.iterdir()
+            if p.name != "manifest.json" and not p.name.endswith(".raw64.json")
+        }
+        for name in present:
+            if name.endswith(".raw64"):
+                assert (out / (name + ".json")).is_file(), name
+        return listed, present
+
+    def test_manifest_lists_every_file_written(self, tmp_path):
+        scene, fitted = tmp_path / "scene", tmp_path / "run"
+        assert run(*synth_args(scene)) == 0
+        assert run(
+            "unmix", "--input", str(scene / "data.raw64"), "--dims", "2,4,8",
+            "--iters", "2", "--out", str(fitted),
+        ) == 0
+        for out in (scene, fitted):
+            listed, present = self.listed_and_present(out)
+            assert listed == present
+            assert all((out / name).is_file() for name in listed)
+        assert read_manifest(fitted / "manifest.json")["outputs"]["mixers"] == [
+            "mixer_1.raw64", "mixer_2.raw64",
+        ]
+
+
 class TestSvdCommand:
     def test_identity_gives_ones(self, tmp_path):
         write_raw64(tmp_path / "eye.raw64", np.eye(5))

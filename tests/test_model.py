@@ -48,6 +48,24 @@ class TestModelDims:
         with pytest.raises(ValidationError, match=fragment):
             validate_dims(*dims)
 
+    @pytest.mark.parametrize(
+        "dims,fragment",
+        [
+            ((198, (6.5, 18), 500), "layer size must be an integer"),
+            ((198, (6, 18.0), 500), "layer size must be an integer"),
+            ((198.5, (6, 18), 500), "band count must be an integer"),
+            ((198, (6, 18), "500"), "pixel count must be an integer"),
+        ],
+    )
+    def test_sizes_must_be_integers(self, dims, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            validate_dims(*dims)
+
+    def test_returns_the_layer_sizes_as_ints(self):
+        layers = validate_dims(np.int64(198), [np.int32(6), 18, np.int64(30)], 500)
+        assert layers == (6, 18, 30)
+        assert all(type(k) is int for k in layers)
+
 
 class TestFactorStack:
     def test_rejects_negative_basis(self):

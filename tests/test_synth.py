@@ -91,6 +91,47 @@ class TestAssembleGroundTruth:
         np.testing.assert_array_equal(l1, l2)
 
 
+_BASE = np.linspace(0.2, 0.8, 12)
+_NAN_BASE = np.array([np.nan, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        (lambda: gen_variants(_NAN_BASE, 2), "base spectrum"),
+        (lambda: assemble_ground_truth(_NAN_BASE[:, None], 4, pick=2), "base spectrum"),
+        (lambda: gen_variants(_BASE, 2.0), "count"),
+        (lambda: gen_variants(_BASE, 2, knots=3.0), "knots"),
+        (lambda: gen_variants(_BASE, 2, gamma="wide"), "gamma"),
+        (lambda: assemble_ground_truth(builtin_bases(20), 4, pick=2.0), "pick"),
+        (lambda: assemble_ground_truth(builtin_bases(20), 4.0, pick=2), "variants_per_base"),
+        (lambda: builtin_bases(20.0), "band count"),
+        (lambda: gen_dataset(builtin_bases(20), 10, "twenty"), "snr_db"),
+        (lambda: gen_dataset(builtin_bases(20), 10, [20.0, 30.0]), "snr_db"),
+        (lambda: gen_dataset(builtin_bases(20), 10.0, 20.0), "n_pixels"),
+        (lambda: gen_dataset(np.full((20, 3), np.inf), 10, 20.0), "endmembers"),
+    ],
+    ids=[
+        "nan_base", "nan_bases", "float_count", "float_knots", "text_gamma",
+        "float_pick", "float_pool", "float_bands", "text_snr", "array_snr",
+        "float_pixels", "inf_endmembers",
+    ],
+)
+def test_bad_synth_inputs_raise_validation_error(call, fragment):
+    # every input goes through the package's checks: no NaN output, no
+    # TypeError from numpy
+    with pytest.raises(ValidationError, match=fragment):
+        call()
+
+
+def test_numeric_text_snr_reads_as_its_number():
+    # one number, as for a noise variance: "20" is 20 dB
+    truth = builtin_bases(20)
+    text = gen_dataset(truth, 10, "20", seed=3)
+    number = gen_dataset(truth, 10, 20.0, seed=3)
+    np.testing.assert_array_equal(text.pixels.data, number.pixels.data)
+
+
 class TestGenDataset:
     def test_noiseless_is_exact(self):
         truth, _ = assemble_ground_truth(builtin_bases(80), seed=3)
