@@ -14,10 +14,7 @@ from .simplex import (
     dirichlet_entropy,
     dirichlet_mean,
     dirichlet_second_moment,
-    project_simplex,
-    project_simplex_columns,
     sample_dirichlet,
-    trigamma,
 )
 from .initialization import InitResult, init_all, scls, vca
 from .solver import (
@@ -70,13 +67,10 @@ __all__ = [
     "grad_factors",
     "hungarian",
     "init_all",
-    "project_simplex",
-    "project_simplex_columns",
     "sample_dirichlet",
     "scls",
     "singular_spectrum",
     "snr_db",
-    "trigamma",
     "update_beta",
     "update_factors",
     "update_sigma2",

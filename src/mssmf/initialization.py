@@ -99,9 +99,10 @@ def scls(pixels, endmembers: np.ndarray) -> np.ndarray:
     # a PixelMatrix has ndim 0 here and passes through, checked already
     single = np.ndim(pixels) == 1
     y = as_pixel_matrix(np.reshape(pixels, (-1, 1)) if single else pixels).data
-    if b.ndim != 2 or b.shape[0] != y.shape[0]:
+    # scipy's nnls aborts the interpreter on a matrix with no columns
+    if b.ndim != 2 or b.shape[0] != y.shape[0] or b.shape[1] < 1:
         raise ValidationError(
-            f"endmember matrix shape {b.shape} incompatible with {y.shape[0]} bands"
+            f"endmember matrix {b.shape} must be 2-D, {y.shape[0]} bands by at least one column"
         )
     out = _simplex_lsq(y, b)
     return out[:, 0] if single else out
@@ -126,12 +127,12 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
     frame, the geometry of the model's noiseless pixels; mixing
     layers start at independent uniform-Dirichlet columns; the noise
     variance starts at its closed-form update for that state.  Layer sizes
-    are integers (Python or numpy).
+    and the seed (at least 0) are integers (Python or numpy).
     """
     px = as_pixel_matrix(pixels)
     y = px.data
     layers = validate_dims(px.bands, layer_sizes, px.pixels)
-    root = np.random.SeedSequence(seed)
+    root = np.random.SeedSequence(_checked_count(seed, "seed", 0))
     seed_basis, seed_expanded, seed_mixers = root.spawn(3)
 
     basis, basis_idx = vca(px, layers[0], np.random.default_rng(seed_basis))

@@ -35,8 +35,8 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     smallest column that keeps the optimum attainable.
     """
     c = _prep_arg(cost, "cost matrix", positive=False)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValidationError(f"cost matrix must be square, got {c.shape}")
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
+        raise ValidationError(f"cost matrix must be square with at least one row, got {c.shape}")
     k = c.shape[0]
 
     def optimum(sub: np.ndarray) -> float:

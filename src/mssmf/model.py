@@ -72,11 +72,14 @@ def _check_column_simplex(mat: np.ndarray, what: str) -> None:
 
 def _checked_count(value, what: str, least: int) -> int:
     """value as an int, if it is an integer (Python or numpy) of at least
-    least; ValidationError otherwise (a float, even 2.0, is refused)."""
+    least; ValidationError otherwise (a float, even 2.0, and a bool are
+    refused)."""
     try:
-        count = operator.index(value)
+        count = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+        count = None
+    if count is None:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
     if count < least:
         raise ValidationError(f"{what} must be >= {least}, got {count}")
     return count
@@ -198,6 +201,9 @@ class FactorStack:
                 )
             _check_column_simplex(s, f"mixing layer {l}")
             cols = s.shape[1]
+        # an empty layer fails a column-sum check above or leaves cols at 0
+        if cols < 1:
+            raise ValidationError("every layer of a factor stack needs at least one column")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "mixers", mixers)
         object.__setattr__(self, "noise_var", _checked_noise_var(self.noise_var))

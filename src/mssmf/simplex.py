@@ -1,17 +1,17 @@
 """Simplex geometry and Dirichlet math.
 
 Everything the variational solver needs that is not plain linear algebra:
-Euclidean projection onto the unit simplex, simplex-constrained least
-squares, trigamma, and Dirichlet moments, entropy, and sampling.  The
-entropy calls scipy.special's gammaln and psi; trigamma shifts every
-argument up by 6 with the standard recurrence and then applies the
-asymptotic series, near machine accuracy across the domain of interest
-(see tests for the mpmath comparison).
+simplex-constrained least squares, trigamma, and Dirichlet moments,
+entropy, and sampling.  The entropy calls scipy.special's gammaln and psi;
+trigamma shifts every argument up by 6 with the standard recurrence and
+then applies the asymptotic series, near machine accuracy across the
+domain of interest (see tests for the mpmath comparison).
 
 Every public function checks each array argument once, with the package's
 one finite test, ``model._prep_arg``.  :func:`dirichlet_entropy` checks its
-concentrations and its result; the solver's gradient calls the unchecked
-:func:`_trigamma` on arrays the same line-search pass has already checked.
+concentrations and its result; the solver's gradient calls
+:func:`_trigamma`, which checks nothing, on arrays the same line-search
+pass has already checked.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ _TG_COEF = (
 )
 
 
-def trigamma(x):
-    """Second derivative of log-gamma for positive arguments.
+def _trigamma(z: np.ndarray) -> np.ndarray:
+    """Second derivative of log-gamma of a float64 array that is already
+    known to be finite and positive (no check); same shape out.
 
     Every entry is shifted up by six with psi1(z) = psi1(z + 1) + 1/z^2 and
     then summed with the asymptotic series.  The shift has no masks and no
@@ -51,14 +52,6 @@ def trigamma(x):
     once an entry reaches 6 and about 19 ms for scipy's polygamma(1, .) or
     zeta(2, .) (Intel Xeon VM, numpy 2.4, scipy 1.17).
     """
-    z = _prep_arg(x, "trigamma")
-    out = _trigamma(z)
-    return float(out) if z.ndim == 0 else out
-
-
-def _trigamma(z: np.ndarray) -> np.ndarray:
-    """:func:`trigamma` of a float64 array that is already known to be
-    finite and positive, without the check; same shape out, same bits."""
     w = np.array(z, ndmin=1)
     acc = np.zeros_like(w)
     # ** -1 reuses the temporary w * w; 1.0 / (w * w) allocates another
@@ -73,45 +66,6 @@ def _trigamma(z: np.ndarray) -> np.ndarray:
     series /= w
     out = 1.0 / w + 0.5 * r + series + acc
     return out.reshape(z.shape)
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the unit simplex.
-
-    Sort-based thresholding; the result is renormalized so it sums to one
-    up to the last ulp regardless of the input scale.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValidationError("project_simplex expects a non-empty 1-D vector")
-    return project_simplex_columns(v[:, None])[:, 0]
-
-
-def project_simplex_columns(mat: np.ndarray) -> np.ndarray:
-    """Project every column of a matrix onto the unit simplex.
-
-    Vectorized form of :func:`project_simplex`; shape is preserved.
-    """
-    v = _prep_arg(mat, "simplex projection", positive=False)
-    if v.ndim != 2 or v.shape[0] < 1:
-        raise ValidationError("expected a 2-D array with at least one row")
-    k, n = v.shape
-    if k == 1:
-        return np.ones_like(v)
-    u = np.sort(v, axis=0)[::-1]
-    css = np.cumsum(u, axis=0) - 1.0
-    j = np.arange(1, k + 1, dtype=np.float64)[:, None]
-    active = u - css / j > 0
-    # the support size is the last index where the threshold test passes
-    rho = k - 1 - np.argmax(active[::-1], axis=0)
-    theta = css[rho, np.arange(n)] / (rho + 1.0)
-    w = np.maximum(v - theta, 0.0)
-    s = w.sum(axis=0)
-    w /= s
-    # push the leftover rounding error into the largest coordinate
-    resid = 1.0 - w.sum(axis=0)
-    w[np.argmax(w, axis=0), np.arange(n)] += resid
-    return w
 
 
 def _simplex_lsq(y: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,6 +125,8 @@ class DirichletParam:
     def __post_init__(self):
         conc = _frozen(np.atleast_2d(self.concentration))
         _prep_arg(conc, "Dirichlet concentration", positive=False)
+        if conc.shape[0] < 1:
+            raise ValidationError("Dirichlet concentration needs at least one row")
         if np.any(conc < BETA_FLOOR):
             raise ValidationError(
                 f"Dirichlet concentration below floor {BETA_FLOOR:g}"

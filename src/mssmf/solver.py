@@ -150,10 +150,12 @@ def _bound(rsum, ent, sigma2: float, m: int, k: int, n: int) -> float:
 
 def _check_shapes(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> None:
     """ValidationError naming the shapes unless Y (bands x N) and B
-    (bands x K) are 2-D with equal bands and the concentrations are K x N."""
-    if y.ndim != 2 or b.ndim != 2 or b.shape[0] != y.shape[0]:
+    (bands x K, K >= 1) are 2-D with equal bands and the concentrations are
+    K x N."""
+    if y.ndim != 2 or b.ndim != 2 or b.shape[0] != y.shape[0] or b.shape[1] < 1:
         raise ValidationError(
             f"endmembers {b.shape} and data {y.shape} must be 2-D with equal bands"
+            " and at least one endmember"
         )
     if betas.shape != (b.shape[1], y.shape[1]):
         raise ValidationError(

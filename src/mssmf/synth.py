@@ -107,6 +107,8 @@ def assemble_ground_truth(
     integers; :func:`gen_variants` checks each base and the field settings.
     """
     b = np.atleast_2d(np.asarray(bases, dtype=np.float64))
+    if b.shape[1] < 1:
+        raise ValidationError("assemble_ground_truth needs at least one base spectrum")
     variants_per_base = _checked_count(variants_per_base, "variants_per_base", 1)
     pick = _checked_count(pick, "pick", 1)
     if pick > variants_per_base:
@@ -139,6 +141,8 @@ def gen_dataset(
         raise ValidationError(f"snr_db must be finite or +inf, got {snr_db!r}")
     rng = _as_rng(seed)
     m, k = a.shape
+    if k < 1:
+        raise ValidationError("gen_dataset needs at least one endmember")
     z = sample_dirichlet(np.ones(k), n_pixels, rng)
     clean = a @ z
     if np.isinf(snr_db):

@@ -85,36 +85,6 @@ def central_diff(f, x, h=1e-5):
     return g
 
 
-def simplex_projection_bruteforce(v):
-    """Exact simplex projection by scanning every support set.
-
-    For each nonempty support S the equality-constrained minimizer is
-    w_S = v_S - (sum(v_S) - 1)/|S|; the candidate is valid when w_S > 0
-    and the KKT multiplier dominates every off-support coordinate.  The
-    valid candidate with the smallest distance to v is the projection.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    k = v.size
-    best = None
-    best_dist = np.inf
-    for size in range(1, k + 1):
-        for support in itertools.combinations(range(k), size):
-            s = list(support)
-            lam = (v[s].sum() - 1.0) / size
-            w = np.zeros(k)
-            w[s] = v[s] - lam
-            if np.any(w[s] < -1e-12):
-                continue
-            off = [j for j in range(k) if j not in support]
-            if off and np.any(v[off] > lam + 1e-12):
-                continue
-            dist = float(np.sum((w - v) ** 2))
-            if dist < best_dist:
-                best_dist = dist
-                best = w
-    return best
-
-
 def simplex_lsq_bruteforce(y, a):
     """Exact simplex-constrained least squares by scanning every support.
 

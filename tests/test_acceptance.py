@@ -23,7 +23,6 @@ from mssmf import (
     grad_factors,
     hungarian,
     init_all,
-    project_simplex,
     scls,
     update_sigma2,
     vca,
@@ -38,7 +37,7 @@ from conftest import (
     elbo_monte_carlo,
     expanded_of,
     random_instance,
-    simplex_projection_bruteforce,
+    simplex_lsq_bruteforce,
 )
 
 
@@ -145,18 +144,25 @@ def test_04_noise_variance_update_is_stationary():
 
 
 def test_05_projection_matches_active_set_oracle():
+    # the simplex least squares behind scls and the mixer sweeps (the id
+    # dates from when criterion 05 tested the simplex projection); A and
+    # y = A z + noise scale together, so optimal supports of every size occur
     rng = np.random.default_rng(505)
     worst = 0.0
     for _ in range(1000):
         k = int(rng.integers(1, 7))
-        scale = 10.0 ** int(rng.integers(-2, 3))
-        v = rng.normal(0.0, scale, k)
-        gap = np.max(np.abs(project_simplex(v) - simplex_projection_bruteforce(v)))
-        worst = max(worst, float(gap))
+        m = int(rng.integers(k + 1, 13))
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        a = rng.uniform(0.0, 1.0, (m, k))
+        y = scale * (a @ rng.dirichlet(np.ones(k)) + rng.normal(0.0, 0.3, m))
+        a *= scale
+        s, _ = simplex_lsq_bruteforce(y, a)
+        worst = max(worst, float(np.max(np.abs(scls(y, a) - s))))
     verdict(
-        "criterion 05 simplex projection",
+        "criterion 05 simplex least squares",
         worst < 1e-9,
-        f"1000 vectors with K <= 6, worst abs gap {worst:.3e} (< 1e-9)",
+        f"1000 instances with K <= 6 < bands, scale 1e-2..1e2, "
+        f"worst abs gap on s {worst:.3e} (< 1e-9)",
     )
 
 

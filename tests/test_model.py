@@ -4,10 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mssmf import (
+    DirichletParam,
     FactorStack,
     PixelMatrix,
     ValidationError,
+    aligned_mse,
+    assemble_ground_truth,
     compose_expanded,
+    elbo_terms,
+    gen_dataset,
+    grad_beta,
+    hungarian,
+    update_beta,
+    update_sigma2,
     validate_dims,
 )
 from mssmf.simplex import sample_dirichlet
@@ -55,11 +64,39 @@ class TestModelDims:
             ((198, (6, 18.0), 500), "layer size must be an integer"),
             ((198.5, (6, 18), 500), "band count must be an integer"),
             ((198, (6, 18), "500"), "pixel count must be an integer"),
+            ((198, (True, 18), 500), "layer size must be an integer"),
         ],
     )
     def test_sizes_must_be_integers(self, dims, fragment):
         with pytest.raises(ValidationError, match=fragment):
             validate_dims(*dims)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: FactorStack(np.ones((5, 0))),
+            lambda: FactorStack(np.ones((5, 2)), [np.ones((2, 0))]),
+            lambda: DirichletParam(np.ones((0, 4))),
+            lambda: elbo_terms(np.ones((5, 4)), np.ones((5, 0)), np.ones((0, 4)), 0.1),
+            lambda: grad_beta(np.ones((5, 4)), np.ones((5, 0)), np.ones((0, 4)), 0.1),
+            lambda: update_beta(np.ones((5, 4)), np.ones((5, 0)), np.ones((0, 4)), 0.1, 1),
+            lambda: update_sigma2(np.ones((5, 4)), np.ones((5, 0)), np.ones((0, 4))),
+            lambda: assemble_ground_truth(np.ones((5, 0)), 4, pick=2),
+            lambda: gen_dataset(np.ones((5, 0)), 4, 20.0),
+            lambda: hungarian(np.ones((0, 0))),
+            lambda: aligned_mse(np.ones((3, 0)), np.ones((3, 0))),
+        ],
+        ids=[
+            "stack_basis", "stack_mixer", "concentrations", "elbo_terms", "grad_beta",
+            "update_beta", "update_sigma2", "ground_truth", "dataset", "hungarian",
+            "aligned_mse",
+        ],
+    )
+    def test_zero_endmembers_raise_validation_error(self, call):
+        # K = 0, like a layer size of 0 above: not an empty result, a
+        # number, or an error from inside numpy or about something else
+        with pytest.raises(ValidationError, match="at least one"):
+            call()
 
     def test_returns_the_layer_sizes_as_ints(self):
         layers = validate_dims(np.int64(198), [np.int32(6), 18, np.int64(30)], 500)

@@ -597,7 +597,7 @@ class TestRawEntryChecks:
         with pytest.raises(ValidationError, match=re.escape(str(shapes))):
             calls[entry]()
 
-    @pytest.mark.parametrize("passes", [2.5, 2.0, -1])
+    @pytest.mark.parametrize("passes", [2.5, 2.0, -1, True])
     def test_update_beta_rejects_bad_pass_counts(self, rng, passes):
         y, stack, betas = random_instance(rng)
         with pytest.raises(ValidationError, match="passes"):
@@ -1012,7 +1012,7 @@ class TestFitConfig:
         with pytest.raises(ValidationError):
             FitConfig(**kwargs)
 
-    @pytest.mark.parametrize("iters", [2.5, 2.0, "3", None])
+    @pytest.mark.parametrize("iters", [2.5, 2.0, "3", None, True])
     def test_rejects_non_integer_iteration_counts(self, iters):
         with pytest.raises(ValidationError, match="integer"):
             FitConfig(max_outer_iters=iters)

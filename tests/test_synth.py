@@ -101,6 +101,7 @@ _NAN_BASE = np.array([np.nan, 1.0, 1.0])
         (lambda: gen_variants(_NAN_BASE, 2), "base spectrum"),
         (lambda: assemble_ground_truth(_NAN_BASE[:, None], 4, pick=2), "base spectrum"),
         (lambda: gen_variants(_BASE, 2.0), "count"),
+        (lambda: gen_variants(_BASE, True), "count"),
         (lambda: gen_variants(_BASE, 2, knots=3.0), "knots"),
         (lambda: gen_variants(_BASE, 2, gamma="wide"), "gamma"),
         (lambda: assemble_ground_truth(builtin_bases(20), 4, pick=2.0), "pick"),
@@ -112,7 +113,7 @@ _NAN_BASE = np.array([np.nan, 1.0, 1.0])
         (lambda: gen_dataset(np.full((20, 3), np.inf), 10, 20.0), "endmembers"),
     ],
     ids=[
-        "nan_base", "nan_bases", "float_count", "float_knots", "text_gamma",
+        "nan_base", "nan_bases", "float_count", "bool_count", "float_knots", "text_gamma",
         "float_pick", "float_pool", "float_bands", "text_snr", "array_snr",
         "float_pixels", "inf_endmembers",
     ],
