@@ -13,7 +13,6 @@ from .simplex import (
     DirichletParam,
     dirichlet_entropy,
     dirichlet_mean,
-    dirichlet_second_moment,
     sample_dirichlet,
 )
 from .initialization import InitResult, init_all, scls, vca
@@ -21,10 +20,7 @@ from .solver import (
     FitConfig,
     FitResult,
     FitTrace,
-    elbo_terms,
     fit,
-    grad_beta,
-    grad_factors,
     update_beta,
     update_factors,
     update_sigma2,
@@ -58,13 +54,9 @@ __all__ = [
     "compose_expanded",
     "dirichlet_entropy",
     "dirichlet_mean",
-    "dirichlet_second_moment",
-    "elbo_terms",
     "fit",
     "gen_dataset",
     "gen_variants",
-    "grad_beta",
-    "grad_factors",
     "hungarian",
     "init_all",
     "sample_dirichlet",

@@ -30,38 +30,14 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     """Optimal assignment on a square cost matrix.
 
     Returns perm with perm[i] the column assigned to row i, minimizing the
-    total cost.  Among all optimal assignments the lexicographically
-    smallest perm is returned, found by fixing rows in order to the
-    smallest column that keeps the optimum attainable.
+    total cost: one call of scipy's linear_sum_assignment.  Where several
+    assignments are optimal it returns one of them, always the same one for
+    the same costs.
     """
     c = _prep_arg(cost, "cost matrix", positive=False)
     if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
         raise ValidationError(f"cost matrix must be square with at least one row, got {c.shape}")
-    k = c.shape[0]
-
-    def optimum(sub: np.ndarray) -> float:
-        if sub.size == 0:
-            return 0.0
-        rows, cols = linear_sum_assignment(sub)
-        return float(sub[rows, cols].sum())
-
-    total = optimum(c)
-    slack = 1e-12 * max(1.0, float(np.abs(c).max())) * k
-    perm = np.empty(k, dtype=int)
-    cols_left = list(range(k))
-    fixed = 0.0
-    for i in range(k):
-        for pos, j in enumerate(cols_left):
-            rest = [jj for jj in cols_left if jj != j]
-            sub = c[np.ix_(range(i + 1, k), rest)]
-            if fixed + c[i, j] + optimum(sub) <= total + slack:
-                perm[i] = j
-                fixed += c[i, j]
-                cols_left.pop(pos)
-                break
-        else:
-            raise AssertionError("assignment search lost the optimum")
-    return perm
+    return linear_sum_assignment(c)[1]
 
 
 def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
@@ -103,6 +79,9 @@ def snr_db(endmembers: np.ndarray, abundances: np.ndarray, sigma2: float) -> flo
     sigma2 = _prep_arg(sigma2, "snr_db's sigma2")
     a = np.atleast_2d(_prep_arg(endmembers, "snr_db's endmembers", positive=False))
     z = np.atleast_2d(_prep_arg(abundances, "snr_db's abundances", positive=False))
+    clean_shape = (a.shape[0], z.shape[1])
+    if 0 in clean_shape:
+        raise ValidationError(f"snr_db needs at least one band and one pixel, got {clean_shape}")
     clean = a @ z
     peak = np.abs(clean).max()
     if peak == 0.0:

@@ -143,19 +143,19 @@ class DirichletParam:
         return dirichlet_mean(self.concentration)
 
 
+def _concentrations(beta, name: str) -> np.ndarray:
+    """beta as a float64 array of finite, positive concentrations with at
+    least one category (row); ValidationError naming the fault otherwise."""
+    b = np.asarray(beta, dtype=np.float64)
+    if b.shape[:1] == (0,):
+        raise ValidationError(f"{name} needs at least one category")
+    return _prep_arg(b, name)
+
+
 def dirichlet_mean(beta: np.ndarray) -> np.ndarray:
     """Mean of a Dirichlet; columns are treated independently for 2-D input."""
-    b = _prep_arg(beta, "dirichlet_mean")
+    b = _concentrations(beta, "dirichlet_mean")
     return b / b.sum(axis=0)
-
-
-def dirichlet_second_moment(beta: np.ndarray) -> np.ndarray:
-    """Second-moment matrix E[z z^T] of a Dirichlet(beta), beta 1-D."""
-    b = _prep_arg(beta, "dirichlet_second_moment")
-    if b.ndim != 1:
-        raise ValidationError("dirichlet_second_moment expects a 1-D vector")
-    t = b.sum()
-    return (np.diag(b) + np.outer(b, b)) / (t * (t + 1.0))
 
 
 def dirichlet_entropy(beta: np.ndarray) -> np.ndarray:
@@ -166,7 +166,7 @@ def dirichlet_entropy(beta: np.ndarray) -> np.ndarray:
     a log-gamma can overflow at finite concentrations (three entries of
     1e307 do), and any overflow ends in a non-finite result.
     """
-    b = _prep_arg(beta, "dirichlet_entropy")
+    b = _concentrations(beta, "dirichlet_entropy")
     squeeze = b.ndim == 1
     b = np.atleast_2d(b.T).T if squeeze else b
     k = b.shape[0]
@@ -185,7 +185,7 @@ def dirichlet_entropy(beta: np.ndarray) -> np.ndarray:
 def sample_dirichlet(alpha: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n Dirichlet(alpha) vectors as the columns of a (K, n) matrix;
     n is an integer (Python or numpy), at least 0."""
-    a = _prep_arg(alpha, "sample_dirichlet")
+    a = _concentrations(alpha, "sample_dirichlet")
     if a.ndim != 1:
         raise ValidationError("alpha must be a 1-D vector")
     n = _checked_count(n, "sample count n", 0)

@@ -20,11 +20,12 @@ feeds the noise formula :func:`_noise_var` and the bound formula
 through Y M' and Pbar, also formed once per iteration.
 
 Inputs are checked once, where they enter.  The raw-array entry points
-share one prologue, :func:`_entry_terms`: the noise variance (one finite,
-positive number), the shapes, then c and G (finite), before other
-arithmetic.  In the line search each evaluated point is checked by its
-``dirichlet_entropy`` call, which runs before the residual divides by the
-totals; the gradient then reads the same arrays unchecked.
+:func:`update_beta` and :func:`update_sigma2` share one prologue,
+:func:`_entry_terms`: the noise variance (one finite, positive number), the
+shapes, then c and G (finite), before other arithmetic.  In the line search
+each evaluated point is checked by its ``dirichlet_entropy`` call, which
+runs before the residual divides by the totals; the gradient then reads
+the same arrays unchecked.
 """
 
 from __future__ import annotations
@@ -123,24 +124,6 @@ class FitResult:
         return self.posterior.mean
 
 
-def elbo_terms(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) -> float:
-    """Evidence lower bound from raw arrays, averaged over pixels
-    (:func:`_bound`).
-
-    Takes no FactorStack, so tests can evaluate the bound at points that
-    violate the feasibility constraints (finite-difference probes leave
-    the simplex).  For the same reason the noise variance need only be
-    finite and positive, with no floor: the probes evaluate sigma2 +- h.
-    """
-    y, betas, c, g, sigma2 = _entry_terms(y, b, betas, sigma2, "elbo_terms")
-    yy = _squared_norms(y, "elbo_terms")[1]
-    # the entropy checks the concentrations before the residual divides by
-    # their totals
-    ent = dirichlet_entropy(betas).sum()
-    rsum = yy + _expected_resid(c, g, betas)[0].sum()
-    return _bound(rsum, ent, sigma2, y.shape[0], *betas.shape)
-
-
 def _bound(rsum, ent, sigma2: float, m: int, k: int, n: int) -> float:
     """The bound per pixel from the summed expected squared error rsum and
     the summed entropy ent, for n pixels, m bands and k endmembers."""
@@ -200,35 +183,6 @@ def _squared_norms(y: np.ndarray, name: str) -> Tuple[np.ndarray, float]:
     if not yy < np.inf:
         raise ValidationError(f"{name}'s data: squared norm overflows")
     return sq.sum(axis=0), yy
-
-
-def grad_factors(
-    y: np.ndarray, stack: FactorStack, betas: np.ndarray
-) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Gradient of the averaged bound with respect to the basis and every
-    mixing layer: -(U X R - C) / (sigma2 N) for each factor X, from the
-    block quadratic :func:`_block_terms` forms (see :func:`update_factors`).
-    Checks Y and betas as :func:`update_sigma2` does."""
-    mats = [stack.basis, *stack.mixers]
-    tail = _suffix_products(mats)
-    y, betas, *_ = _entry_terms(y, tail[0], betas, None, "grad_factors")
-    _prep_arg(betas, "grad_factors's concentrations")
-    ym, pbar = _factor_statistics(y, betas)
-    scale = stack.noise_var * y.shape[1]
-    grads = []
-    prefix = None
-    for x, w in zip(mats, tail[1:]):
-        u, r, c = _block_terms(prefix, w, ym, pbar)
-        grads.append(-(_quadratic_part(x, u, r) - c) / scale)
-        prefix = x if prefix is None else prefix @ x
-    return grads[0], grads[1:]
-
-
-def grad_beta(y: np.ndarray, b: np.ndarray, betas: np.ndarray, sigma2: float) -> np.ndarray:
-    """Gradient of the averaged bound with respect to every concentration."""
-    y, betas, c, g, sigma2 = _entry_terms(y, b, betas, sigma2, "grad_beta")
-    _, pieces = _beta_point(c, g, betas, sigma2)
-    return _beta_gradient(c, g, betas, sigma2, pieces) / y.shape[1]
 
 
 def _expected_resid(
@@ -519,11 +473,10 @@ def update_factors(y: np.ndarray, stack: FactorStack, betas: np.ndarray) -> Fact
         tr(X' U X R) - 2 <X, C>,   U = P'P,  R = W Pbar W',  C = P' Y M' W'
 
     For the basis P, and so U, is the identity.  :func:`_block_terms` forms
-    (U, R, C), :func:`_factor_block` minimizes the quadratic and
-    :func:`grad_factors` differentiates it.  The sweep forms every W once,
-    from the incoming factors, and carries P from block to block: when a
-    block is solved, the factors after it are still the incoming ones and
-    those before it are already new.
+    (U, R, C) and :func:`_factor_block` minimizes the quadratic.  The sweep
+    forms every W once, from the incoming factors, and carries P from block
+    to block: when a block is solved, the factors after it are still the
+    incoming ones and those before it are already new.
 
     A basis column or mixer column j with r_jj = 0 (a component no later
     layer uses) does not enter the objective and is left as it is; for the

@@ -71,8 +71,8 @@ def gen_variants(
     preserved.  The base must be finite; count and knots are integers.
     """
     a = _prep_arg(base, "base spectrum", positive=False)
-    if a.ndim != 1:
-        raise ValidationError("base spectrum must be 1-D")
+    if a.ndim != 1 or a.size < 1:
+        raise ValidationError(f"base spectrum must be 1-D with at least one band, got {a.shape}")
     if np.any(a < 0):
         raise ValidationError("base spectrum must be nonnegative")
     gamma = _scalar(gamma, "gamma")
@@ -107,8 +107,10 @@ def assemble_ground_truth(
     integers; :func:`gen_variants` checks each base and the field settings.
     """
     b = np.atleast_2d(np.asarray(bases, dtype=np.float64))
-    if b.shape[1] < 1:
-        raise ValidationError("assemble_ground_truth needs at least one base spectrum")
+    if 0 in b.shape:
+        raise ValidationError(
+            f"assemble_ground_truth needs at least one band and one base spectrum, got {b.shape}"
+        )
     variants_per_base = _checked_count(variants_per_base, "variants_per_base", 1)
     pick = _checked_count(pick, "pick", 1)
     if pick > variants_per_base:
@@ -139,10 +141,12 @@ def gen_dataset(
     snr_db = _scalar(snr_db, "snr_db")
     if np.isnan(snr_db) or snr_db == -np.inf:
         raise ValidationError(f"snr_db must be finite or +inf, got {snr_db!r}")
+    if 0 in a.shape:
+        raise ValidationError(
+            f"gen_dataset needs at least one band and one endmember, got {a.shape}"
+        )
     rng = _as_rng(seed)
     m, k = a.shape
-    if k < 1:
-        raise ValidationError("gen_dataset needs at least one endmember")
     z = sample_dirichlet(np.ones(k), n_pixels, rng)
     clean = a @ z
     if np.isinf(snr_db):

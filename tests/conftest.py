@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from mssmf import FactorStack
-from mssmf.simplex import sample_dirichlet
+from mssmf import FactorStack, solver
+from mssmf.simplex import _concentrations, dirichlet_entropy, sample_dirichlet
 
 
 @pytest.fixture
@@ -39,6 +39,43 @@ def expanded_of(stack):
     for s in stack.mixers:
         out = out @ s
     return out
+
+
+def elbo_terms(y, b, betas, sigma2):
+    """The bound per pixel as fit traces it, from the kernels fit runs: the
+    raw-array prologue (the noise variance, the shapes, then c = B'Y and
+    G = B'B), ||Y||^2, the summed expected residual and entropy, and the
+    bound formula.  The noise variance need only be finite and positive,
+    with no floor, and the factors need not be feasible, so probes may
+    evaluate sigma2 +- h or step off the simplex."""
+    y, betas, c, g, sigma2 = solver._entry_terms(y, b, betas, sigma2, "elbo_terms")
+    yy = solver._squared_norms(y, "elbo_terms")[1]
+    # the entropy checks the concentrations before the residual divides by
+    # their totals
+    ent = dirichlet_entropy(betas).sum()
+    rsum = yy + solver._expected_resid(c, g, betas)[0].sum()
+    return solver._bound(rsum, ent, sigma2, y.shape[0], *betas.shape)
+
+
+def block_terms(mats, which, y, betas):
+    """(U, R, C) of factor `which` of mats = [basis, *mixers] as the sweep
+    forms them, with the statistics, the prefix and the suffix products
+    computed for this block alone."""
+    ym, pbar = solver._factor_statistics(y, betas)
+    prefix = None
+    for mat in mats[:which]:
+        prefix = mat if prefix is None else prefix @ mat
+    w = solver._suffix_products(mats)[which + 1]
+    return solver._block_terms(prefix, w, ym, pbar)
+
+
+def dirichlet_second_moment(beta):
+    """Second-moment matrix E[z z^T] of a Dirichlet(beta), beta 1-D: the
+    oracle for one pixel's term of Pbar.  Checks beta as dirichlet_mean
+    does."""
+    b = _concentrations(beta, "dirichlet_second_moment")
+    t = b.sum()
+    return (np.diag(b) + np.outer(b, b)) / (t * (t + 1.0))
 
 
 def elbo_monte_carlo(y, b, betas, sigma2, draws, rng):

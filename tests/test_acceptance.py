@@ -15,26 +15,26 @@ from mssmf import (
     assemble_ground_truth,
     builtin_bases,
     compose_expanded,
-    elbo_terms,
     fit,
     gen_dataset,
     gen_variants,
-    grad_beta,
-    grad_factors,
     hungarian,
     init_all,
     scls,
     update_sigma2,
     vca,
 )
+from mssmf import solver
 from mssmf.cli import main as cli_main
 from mssmf.matio import read_csv_matrix, read_pgm, read_raw64, write_pgm, write_raw64
 from mssmf.simplex import sample_dirichlet
 
 from conftest import (
     assignment_bruteforce,
+    block_terms,
     central_diff,
     elbo_monte_carlo,
+    elbo_terms,
     expanded_of,
     random_instance,
     simplex_lsq_bruteforce,
@@ -47,8 +47,13 @@ def verdict(tag, ok, detail):
 
 
 def test_01_gradients_match_finite_differences():
+    # the kernels fit runs: the concentration gradient against central
+    # differences of the summed per-pixel bound, and each factor block's
+    # quadratic q(X) = tr(X'UXR) - 2<X, C> against the bound, which is
+    # exactly -q / (2 sigma2 N) plus a constant in that factor
     start = time.perf_counter()
     rng = np.random.default_rng(101)
+    probe = np.random.default_rng(1010)
     worst = 0.0
 
     def rel(analytic, fd):
@@ -58,7 +63,7 @@ def test_01_gradients_match_finite_differences():
 
     for case in range(20):
         y, stack, betas = random_instance(rng, max_dim=6, depth=2 + case % 2)
-        s2 = stack.noise_var
+        s2, n = stack.noise_var, y.shape[1]
         mats = [stack.basis, *stack.mixers]
 
         def bound_at(replacement, slot):
@@ -69,16 +74,23 @@ def test_01_gradients_match_finite_differences():
                 out = out @ mat
             return elbo_terms(y, out, betas, s2)
 
-        grad_basis, grads_mix = grad_factors(y, stack, betas)
-        worst = max(worst, rel(grad_basis, central_diff(
-            lambda a: bound_at(a, 0), stack.basis)))
-        for l in range(len(stack.mixers)):
-            worst = max(worst, rel(grads_mix[l], central_diff(
-                lambda s, l=l: bound_at(s, l + 1), stack.mixers[l])))
+        for slot, x in enumerate(mats):
+            u, r, c = block_terms(mats, slot, y, betas)
+            q, bound = [], []
+            for trial in [x] + [probe.uniform(0.0, 1.0, x.shape) for _ in range(3)]:
+                ux = trial if u is None else u @ trial
+                q.append(np.sum(ux @ r * trial) - 2.0 * np.sum(trial * c))
+                bound.append(bound_at(trial, slot))
+            worst = max(worst, rel(
+                np.subtract(bound[1:], bound[0]),
+                -np.subtract(q[1:], q[0]) / (2.0 * s2 * n),
+            ))
         b = expanded_of(stack)
+        cb, g = b.T @ y, b.T @ b
+        pieces = solver._beta_point(cb, g, betas, s2)[1]
         worst = max(worst, rel(
-            grad_beta(y, b, betas, s2),
-            central_diff(lambda t: elbo_terms(y, b, t, s2), betas),
+            solver._beta_gradient(cb, g, betas, s2, pieces) / n,
+            central_diff(lambda t: solver._beta_point(cb, g, t, s2)[0].sum() / n, betas),
         ))
     elapsed = time.perf_counter() - start
     verdict(
@@ -89,14 +101,17 @@ def test_01_gradients_match_finite_differences():
 
 
 def test_02_bound_matches_monte_carlo():
+    # the bound fit reports, at the state a one-iteration fit returns
     rng = np.random.default_rng(202)
     worst_z = 0.0
     for _ in range(5):
         y, stack, betas = random_instance(rng, max_dim=5)
-        b = expanded_of(stack)
-        closed = elbo_terms(y, b, betas, stack.noise_var)
-        est, se = elbo_monte_carlo(y, b, betas, stack.noise_var, 1_000_000, rng)
-        worst_z = max(worst_z, abs(closed - est) / se)
+        res = fit(y, stack, betas, FitConfig(max_outer_iters=1, rel_elbo_tol=0.0))
+        est, se = elbo_monte_carlo(
+            y, compose_expanded(res.stack), res.posterior.concentration,
+            res.stack.noise_var, 1_000_000, rng,
+        )
+        worst_z = max(worst_z, abs(res.trace.elbo[-1] - est) / se)
     verdict(
         "criterion 02 bound vs monte carlo",
         worst_z < 3.0,

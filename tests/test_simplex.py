@@ -11,9 +11,10 @@ from mssmf import (
     ValidationError,
     dirichlet_entropy,
     dirichlet_mean,
-    dirichlet_second_moment,
     sample_dirichlet,
 )
+
+from conftest import dirichlet_second_moment
 
 # float64 cannot hold 1e-10 absolute accuracy where the function value is
 # ~1e7 (or 1e12), so huge arguments are covered by the relative branch
