@@ -32,7 +32,7 @@ from .synth import (
     gen_dataset,
     gen_variants,
 )
-from .metrics import AlignmentResult, aligned_mse, hungarian, singular_spectrum, snr_db
+from .metrics import AlignmentResult, aligned_mse, hungarian, singular_spectrum
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "sample_dirichlet",
     "scls",
     "singular_spectrum",
-    "snr_db",
     "update_beta",
     "update_factors",
     "update_sigma2",

@@ -40,7 +40,8 @@ def vca(pixels, k: int, seed: RngLike = 0) -> Tuple[np.ndarray, np.ndarray]:
     picks are not invariant to such a scale.
 
     One decomposition of the data covariance serves the diversity check,
-    the k = 1 pick and the subspace.  k is an integer (Python or numpy).
+    the k = 1 pick and the subspace.  k is an integer (Python or numpy);
+    seed is a Generator or such an integer of at least 0.
     Raises ValidationError when the covariance is not finite (finite data
     whose squared norm overflows) and when lam[k-2] <= lam[0] * bands * eps
     (the factor grams' rank rule): the decomposition cannot resolve a
@@ -114,7 +115,6 @@ class InitResult:
 
     stack: FactorStack
     posterior: DirichletParam
-    basis_indices: np.ndarray
 
 
 def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
@@ -135,7 +135,7 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
     root = np.random.SeedSequence(_checked_count(seed, "seed", 0))
     seed_basis, seed_expanded, seed_mixers = root.spawn(3)
 
-    basis, basis_idx = vca(px, layers[0], np.random.default_rng(seed_basis))
+    basis, _ = vca(px, layers[0], np.random.default_rng(seed_basis))
     # noisy pixels can dip below zero; the basis lives in the nonneg orthant
     basis = np.maximum(basis, 0.0)
     expanded, _ = vca(px, layers[-1], np.random.default_rng(seed_expanded))
@@ -149,4 +149,4 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
     )
     sigma2 = update_sigma2(y, _suffix_products([basis, *mixers])[0], betas)
     stack = FactorStack(basis=basis, mixers=mixers, noise_var=sigma2)
-    return InitResult(stack=stack, posterior=DirichletParam(betas), basis_indices=basis_idx)
+    return InitResult(stack=stack, posterior=DirichletParam(betas))

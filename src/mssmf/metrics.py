@@ -1,5 +1,5 @@
 """Evaluation helpers: permutation-aligned endmember error, optimal
-assignment, SNR, and singular-value spectra."""
+assignment, and singular-value spectra."""
 
 from __future__ import annotations
 
@@ -15,15 +15,13 @@ from .model import ValidationError, _prep_arg
 class AlignmentResult:
     """Outcome of matching estimated endmember columns to the truth.
 
-    permutation[i] is the truth column assigned to estimate column i;
-    per_column_sq[i] is the squared distance of that pair; mse is the
-    total squared error normalized by K times the truth's squared
+    permutation[i] is the truth column assigned to estimate column i; mse
+    is the total squared error normalized by K times the truth's squared
     Frobenius norm.
     """
 
     permutation: np.ndarray
     mse: float
-    per_column_sq: np.ndarray
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -45,10 +43,12 @@ def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
 
     Columns of the estimate are matched one-to-one to truth columns by
     minimum total squared distance; the reported value is that total
-    divided by K times the squared Frobenius norm of the truth.
+    divided by K times the squared Frobenius norm of the truth.  Both
+    matrices must be finite; entries large enough to overflow a squared
+    distance still fail the assignment's check on the cost.
     """
-    a = np.atleast_2d(np.asarray(estimate, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(truth, dtype=np.float64))
+    a = np.atleast_2d(_prep_arg(estimate, "aligned_mse's estimate", positive=False))
+    b = np.atleast_2d(_prep_arg(truth, "aligned_mse's truth", positive=False))
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: estimate {a.shape} vs truth {b.shape}")
     k = a.shape[1]
@@ -59,35 +59,7 @@ def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
     denom = k * float(np.sum(b * b))
     if denom == 0.0:
         raise ValidationError("truth matrix is identically zero")
-    return AlignmentResult(
-        permutation=perm,
-        mse=float(per_col.sum() / denom),
-        per_column_sq=per_col,
-    )
-
-
-def snr_db(endmembers: np.ndarray, abundances: np.ndarray, sigma2: float) -> float:
-    """Signal-to-noise ratio in dB of a mixing model with noise variance
-    sigma2: signal power is the mean squared entry of the clean mix.
-
-    Computed in logarithms, with the mix scaled by its largest magnitude
-    before squaring, so entries near the float64 limits and a subnormal
-    sigma2 still give a finite value; zero signal power gives -inf.
-    Non-finite inputs and a sigma2 that is not positive raise
-    ValidationError.
-    """
-    sigma2 = _prep_arg(sigma2, "snr_db's sigma2")
-    a = np.atleast_2d(_prep_arg(endmembers, "snr_db's endmembers", positive=False))
-    z = np.atleast_2d(_prep_arg(abundances, "snr_db's abundances", positive=False))
-    clean_shape = (a.shape[0], z.shape[1])
-    if 0 in clean_shape:
-        raise ValidationError(f"snr_db needs at least one band and one pixel, got {clean_shape}")
-    clean = a @ z
-    peak = np.abs(clean).max()
-    if peak == 0.0:
-        return -np.inf
-    power = np.mean((clean / peak) ** 2)
-    return float(10.0 * (2.0 * np.log10(peak) + np.log10(power) - np.log10(sigma2)))
+    return AlignmentResult(permutation=perm, mse=float(per_col.sum() / denom))
 
 
 def singular_spectrum(mat: np.ndarray) -> np.ndarray:

@@ -17,19 +17,12 @@ import numpy as np
 COLUMN_SUM_TOL = 1e-9
 NOISE_VAR_FLOOR = 1e-12
 
-RngLike = Union[int, np.random.Generator, np.random.SeedSequence]
+RngLike = Union[int, np.random.Generator]
 
 
 class ValidationError(ValueError):
     """Raised when data violates a structural invariant (shapes, simplex
     feasibility, layer-size ordering)."""
-
-
-def _as_rng(seed: RngLike) -> np.random.Generator:
-    """Pass a Generator through; build one from an int or SeedSequence."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -83,6 +76,15 @@ def _checked_count(value, what: str, least: int) -> int:
     if count < least:
         raise ValidationError(f"{what} must be >= {least}, got {count}")
     return count
+
+
+def _as_rng(seed: RngLike) -> np.random.Generator:
+    """Pass a Generator through; build one from any other seed, which must
+    be an integer (Python or numpy) of at least 0 (ValidationError
+    otherwise)."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(_checked_count(seed, "seed", 0))
 
 
 def _scalar(value, name: str) -> float:
@@ -207,18 +209,6 @@ class FactorStack:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "mixers", mixers)
         object.__setattr__(self, "noise_var", _checked_noise_var(self.noise_var))
-
-    @property
-    def layer_sizes(self) -> Tuple[int, ...]:
-        return (self.basis.shape[1],) + tuple(s.shape[1] for s in self.mixers)
-
-    @property
-    def depth(self) -> int:
-        return len(self.mixers) + 1
-
-    @property
-    def expanded_count(self) -> int:
-        return self.layer_sizes[-1]
 
     def replace(self, basis=None, mixers=None, noise_var=None) -> "FactorStack":
         """Return a copy with the given pieces swapped in (revalidates)."""

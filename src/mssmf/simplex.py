@@ -134,11 +134,6 @@ class DirichletParam:
         object.__setattr__(self, "concentration", conc)
 
     @property
-    def total(self) -> np.ndarray:
-        """Column sums of the concentration matrix, shape (N,)."""
-        return self.concentration.sum(axis=0)
-
-    @property
     def mean(self) -> np.ndarray:
         return dirichlet_mean(self.concentration)
 

@@ -87,8 +87,10 @@ class FitConfig:
     def __post_init__(self):
         iters = _checked_count(self.max_outer_iters, "max_outer_iters", 1)
         object.__setattr__(self, "max_outer_iters", iters)
-        if not (self.rel_elbo_tol >= 0):
-            raise ValidationError("rel_elbo_tol must be >= 0")
+        tol = _scalar(self.rel_elbo_tol, "rel_elbo_tol")
+        if not tol >= 0:
+            raise ValidationError(f"rel_elbo_tol must be >= 0, got {self.rel_elbo_tol!r}")
+        object.__setattr__(self, "rel_elbo_tol", tol)
 
 
 @dataclass(frozen=True)

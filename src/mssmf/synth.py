@@ -3,7 +3,8 @@
 Ground-truth expanded endmembers are variants of a few smooth base
 spectra, produced by multiplying each base with a smooth piecewise-linear
 random field close to one.  Abundances are uniform-Dirichlet columns and
-noise is white Gaussian calibrated to a target SNR.
+noise is white Gaussian calibrated to a target SNR.  Every seed is a numpy
+Generator or an integer (Python or numpy) of at least 0.
 """
 
 from __future__ import annotations

@@ -38,10 +38,15 @@ def test_public_attributes_are_exactly_the_export_list():
     assert public == set(mssmf.__all__)
 
 
-def test_readme_quick_start_runs():
+def _quick_start() -> str:
+    """The README's one python block."""
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
     assert len(blocks) == 1
-    exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_quick_start"})
+    return blocks[0]
+
+
+def test_readme_quick_start_runs():
+    exec(compile(_quick_start(), str(README), "exec"), {"__name__": "readme_quick_start"})
 
 
 def _unused_imports(tree: ast.Module):
@@ -66,6 +71,73 @@ def _unused_imports(tree: ast.Module):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _module_names(tree: ast.Module):
+    """The names tree's module-level defs, classes and assignments bind."""
+    names = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names.add(top.name)
+        elif isinstance(top, ast.Assign):
+            names |= {t.id for t in top.targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _public_members(cls: ast.ClassDef):
+    """The public dataclass fields, properties and methods of a class body."""
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        elif isinstance(node, ast.FunctionDef):
+            name = node.name
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name
+
+
+def _unread_public_api():
+    """Exported names, and public members of exported classes, that nothing
+    outside tests/ reads, as "name" or "Class.member".
+
+    A read is an import by name, a load of mssmf.<name>, an .attr load of a
+    member, or a Name load of a name in the module that defines it.  It
+    counts in the package's modules (the export list aside) outside the
+    name's own definition or class body, in the benchmark's scripts and in
+    the README quick start."""
+    own = [ast.parse(p.read_text()) for p in SOURCES if p.name != "__init__.py"]
+    others = [ast.parse(p.read_text()) for p in BENCH_SOURCES] + [ast.parse(_quick_start())]
+    wanted = {(name,) for name in mssmf.__all__}
+    classes = set()
+    for tree in own:
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef) and top.name in mssmf.__all__:
+                classes.add(top.name)
+                wanted |= {(top.name, member) for member in _public_members(top)}
+    read = set()
+    for tree, scoped in [(t, True) for t in own] + [(t, False) for t in others]:
+        defined = _module_names(tree) if scoped else set()
+        for top in tree.body:
+            owner = getattr(top, "name", None) if scoped else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    read |= {(alias.name,) for alias in node.names}
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id in defined and node.id != owner:
+                        read.add((node.id,))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    if isinstance(node.value, ast.Name) and node.value.id == "mssmf":
+                        read.add((node.attr,))
+                    read |= {(cls, node.attr) for cls in classes if cls != owner}
+    return sorted(".".join(item) for item in wanted - read)
+
+
+def test_every_public_name_has_a_reader():
+    # the package, the benchmark or the quick start reads every exported
+    # name and every public member of an exported class; a name that only
+    # tests read is surface to delete, not to keep
+    assert _unread_public_api() == []
 
 
 def _package_uses(tree: ast.Module):

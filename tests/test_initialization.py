@@ -341,7 +341,7 @@ class TestInitAll:
     def test_concentrations_start_at_abundances(self, rng):
         y, truth, z = pure_pixel_scene(rng, m=30, k=4, n=120)
         res = init_all(y, (2, 4), seed=9)
-        totals = res.posterior.total
+        totals = res.posterior.concentration.sum(axis=0)
         # scls abundances sum to one per pixel; the concentration floor
         # can add a few 1e-6 on zeroed components
         np.testing.assert_allclose(totals, 1.0, atol=1e-5)
@@ -395,6 +395,8 @@ class TestInitAll:
         y, _, _ = pure_pixel_scene(rng, m=30, k=8, n=100)
         with pytest.raises(ValidationError, match="seed must be"):
             init_all(y, (3, 8), seed=seed)
+        with pytest.raises(ValidationError, match="seed must be"):
+            vca(y, 3, seed=seed)
 
     def test_numpy_integer_counts_pass(self, rng):
         y, _, _ = pure_pixel_scene(rng, m=30, k=8, n=100)
@@ -406,4 +408,6 @@ class TestInitAll:
     def test_basis_columns_come_from_data(self, rng):
         y, _, _ = pure_pixel_scene(rng, m=30, k=6, n=150)
         res = init_all(y, (3, 6), seed=12)
-        np.testing.assert_array_equal(res.stack.basis, y[:, res.basis_indices])
+        # every basis column is an observed pixel, as picked by vca
+        for col in res.stack.basis.T:
+            assert np.any(np.all(y == col[:, None], axis=0))

@@ -16,7 +16,6 @@ from mssmf import (
     gen_dataset,
     gen_variants,
     hungarian,
-    snr_db,
     update_beta,
     update_sigma2,
     validate_dims,
@@ -92,21 +91,18 @@ class TestModelDims:
             lambda: gen_variants(np.ones(0), 2),
             lambda: assemble_ground_truth(np.ones((0, 3)), 4, pick=2),
             lambda: gen_dataset(np.ones((0, 3)), 5, 20.0),
-            lambda: snr_db(np.ones((0, 3)), np.ones((3, 4)), 0.1),
-            lambda: snr_db(np.ones((5, 3)), np.ones((3, 0)), 0.1),
         ],
         ids=[
             "stack_basis", "stack_mixer", "concentrations", "elbo_terms", "update_beta",
             "update_sigma2", "ground_truth", "dataset", "hungarian", "aligned_mse",
             "sample_no_categories", "mean_no_categories", "entropy_no_categories",
-            "variants_no_bands", "ground_truth_no_bands", "dataset_no_bands", "snr_no_bands",
-            "snr_no_pixels",
+            "variants_no_bands", "ground_truth_no_bands", "dataset_no_bands",
         ],
     )
     def test_zero_endmembers_raise_validation_error(self, call):
-        # K = 0, like a layer size of 0 above, and likewise zero categories,
-        # zero bands or (for snr_db) zero pixels: not an empty result, a
-        # number, or an error from inside numpy or about something else
+        # K = 0, like a layer size of 0 above, and likewise zero categories
+        # or zero bands: not an empty result, a number, or an error from
+        # inside numpy or about something else
         with pytest.raises(ValidationError, match="at least one"):
             call()
 
@@ -161,13 +157,6 @@ class TestFactorStack:
         got = FactorStack(basis=np.ones((4, 2)), noise_var=noise_var).noise_var
         assert type(got) is float and got == float(noise_var)
 
-    def test_layer_sizes(self, rng):
-        _, stack, _ = random_instance(rng, depth=3)
-        sizes = stack.layer_sizes
-        assert sizes[0] == stack.basis.shape[1]
-        assert len(sizes) == stack.depth
-        assert sizes[-1] == stack.expanded_count
-
     def test_replace_revalidates(self, rng):
         _, stack, _ = random_instance(rng)
         with pytest.raises(ValidationError):
@@ -185,7 +174,8 @@ class TestCompose:
         _, stack, _ = random_instance(rng, depth=depth)
         got = compose_expanded(stack)
         assert type(got) is np.ndarray and got.dtype == np.float64
-        assert got.shape == (stack.basis.shape[0], stack.expanded_count)
+        cols = stack.mixers[-1].shape[1] if stack.mixers else stack.basis.shape[1]
+        assert got.shape == (stack.basis.shape[0], cols)
         assert got.flags.writeable and not np.shares_memory(got, stack.basis)
 
     def test_matches_plain_product(self, rng):

@@ -105,7 +105,7 @@ class TestDirichlet:
     def test_param_total_and_mean(self, rng):
         conc = rng.uniform(0.5, 4.0, (4, 6))
         p = DirichletParam(conc)
-        np.testing.assert_allclose(p.total, conc.sum(axis=0))
+        np.testing.assert_array_equal(p.concentration, conc)
         np.testing.assert_allclose(p.mean.sum(axis=0), np.ones(6), atol=1e-12)
 
     def test_mean_formula(self, rng):

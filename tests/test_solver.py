@@ -363,7 +363,7 @@ class TestBetaUpdate:
         rng = np.random.default_rng(seed)
         y, stack, _ = random_instance(rng, sigma2=10.0**log_sigma2)
         b = expanded_of(stack)
-        k, n = stack.expanded_count, y.shape[1]
+        k, n = b.shape[1], y.shape[1]
         sigma2 = stack.noise_var
         c, g = b.T @ y, b.T @ b
         ceil = (y * y).sum(axis=0) / (2.0 * sigma2) - gammaln(k)
@@ -603,7 +603,7 @@ class TestUpdateFactor:
         layers, zero_rows = EXACT_CASES[case]
         y, stack, betas = structured_instance(rng, layers, zero_rows)
         mats = [stack.basis, *stack.mixers]
-        for which in range(stack.depth):
+        for which in range(len(stack.mixers) + 1):
             u, r, c = block_terms(mats, which, y, betas)
             want_u, want_r, want_c, _ = block_problem(y, stack, betas, which)
             if which == 0:
@@ -634,7 +634,7 @@ class TestUpdateFactor:
         layers, zero_rows = EXACT_CASES[case]
         for _ in range(10):
             y, stack, betas = structured_instance(rng, layers, zero_rows)
-            for which in range(1, stack.depth):
+            for which in range(1, len(stack.mixers) + 1):
                 u, r, c, prefix = block_problem(y, stack, betas, which)
                 new = solve_block(y, stack, betas, which).mixers[which - 1]
                 j = new.shape[1] - 1
@@ -687,7 +687,7 @@ class TestUpdateFactor:
         after = bound(stack, betas)
         assert_no_drop(before, after)
         before = after
-        for which in range(stack.depth):
+        for which in range(len(stack.mixers) + 1):
             new = solve_block(y, stack, betas, which)
             assert isinstance(new, FactorStack)
             assert np.all(new.basis >= 0)
@@ -726,7 +726,7 @@ class TestUpdateFactor:
         y, stack, betas = random_instance(rng, depth=depth)
         got = update_factors(y, stack, betas)
         mats = [stack.basis, *stack.mixers]
-        for which in range(stack.depth):
+        for which in range(len(stack.mixers) + 1):
             # statistics, prefix and suffix products recomputed for every
             # block: the sweep's carried prefix and one set of suffix
             # products must give the same bits
@@ -776,7 +776,7 @@ class TestApg:
 
     def test_output_stays_feasible(self, rng):
         y, stack, betas = random_instance(rng, depth=3)
-        for which in range(stack.depth):
+        for which in range(len(stack.mixers) + 1):
             stack = solve_block(y, stack, betas, which)
         assert np.all(stack.basis >= 0)
         for s in stack.mixers:
@@ -994,11 +994,19 @@ class TestFitConfig:
             {"max_outer_iters": 0},
             {"rel_elbo_tol": float("nan")},
             {"rel_elbo_tol": -1e-3},
+            {"rel_elbo_tol": "abc"},
+            {"rel_elbo_tol": None},
+            {"rel_elbo_tol": [1e-3, 1e-3]},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError):
             FitConfig(**kwargs)
+
+    @pytest.mark.parametrize("tol", [0, True, np.float32(1e-3)], ids=repr)
+    def test_stores_the_tolerance_as_a_float(self, tol):
+        cfg = FitConfig(rel_elbo_tol=tol)
+        assert cfg.rel_elbo_tol == float(tol) and type(cfg.rel_elbo_tol) is float
 
     @pytest.mark.parametrize("iters", [2.5, 2.0, "3", None, True])
     def test_rejects_non_integer_iteration_counts(self, iters):

@@ -9,7 +9,6 @@ from mssmf import (
     builtin_bases,
     gen_dataset,
     gen_variants,
-    snr_db,
 )
 
 
@@ -111,11 +110,16 @@ _NAN_BASE = np.array([np.nan, 1.0, 1.0])
         (lambda: gen_dataset(builtin_bases(20), 10, [20.0, 30.0]), "snr_db"),
         (lambda: gen_dataset(builtin_bases(20), 10.0, 20.0), "n_pixels"),
         (lambda: gen_dataset(np.full((20, 3), np.inf), 10, 20.0), "endmembers"),
+        (lambda: gen_variants(_BASE, 2, seed=True), "seed must be"),
+        (lambda: assemble_ground_truth(builtin_bases(20), 4, pick=2, seed=-1), "seed must be"),
+        (lambda: gen_dataset(builtin_bases(20), 10, 20.0, seed=1.5), "seed must be"),
+        (lambda: gen_dataset(builtin_bases(20), 10, 20.0, seed="3"), "seed must be"),
     ],
     ids=[
         "nan_base", "nan_bases", "float_count", "bool_count", "float_knots", "text_gamma",
         "float_pick", "float_pool", "float_bands", "text_snr", "array_snr",
-        "float_pixels", "inf_endmembers",
+        "float_pixels", "inf_endmembers", "bool_seed", "negative_seed", "float_seed",
+        "text_seed",
     ],
 )
 def test_bad_synth_inputs_raise_validation_error(call, fragment):
@@ -143,9 +147,9 @@ class TestGenDataset:
     def test_sigma2_matches_snr_definition_exactly(self):
         truth, _ = assemble_ground_truth(builtin_bases(80), seed=4)
         bundle = gen_dataset(truth, 100, 17.0, seed=4)
-        assert snr_db(truth, bundle.abundances, bundle.sigma2) == pytest.approx(
-            17.0, abs=1e-12
-        )
+        clean = truth @ bundle.abundances
+        snr = 10.0 * np.log10(np.mean(clean**2) / bundle.sigma2)
+        assert snr == pytest.approx(17.0, abs=1e-12)
 
     def test_empirical_noise_variance(self):
         # desk check of the full-size protocol: realized noise within 5%
