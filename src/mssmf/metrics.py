@@ -45,7 +45,8 @@ def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
     minimum total squared distance; the reported value is that total
     divided by K times the squared Frobenius norm of the truth.  Both
     matrices must be finite; entries large enough to overflow a squared
-    distance still fail the assignment's check on the cost.
+    distance still fail the assignment's check on the cost, and a truth
+    whose squared norm overflows is refused.
     """
     a = np.atleast_2d(_prep_arg(estimate, "aligned_mse's estimate", positive=False))
     b = np.atleast_2d(_prep_arg(truth, "aligned_mse's truth", positive=False))
@@ -56,7 +57,10 @@ def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
     cost = np.einsum("mij,mij->ij", diff, diff)
     perm = hungarian(cost)
     per_col = cost[np.arange(k), perm]
-    denom = k * float(np.sum(b * b))
+    with np.errstate(over="ignore"):
+        denom = k * float(np.sum(b * b))
+    if not denom < np.inf:
+        raise ValidationError("aligned_mse's truth: squared norm overflows")
     if denom == 0.0:
         raise ValidationError("truth matrix is identically zero")
     return AlignmentResult(permutation=perm, mse=float(per_col.sum() / denom))

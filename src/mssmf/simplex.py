@@ -12,6 +12,10 @@ one finite test, ``model._prep_arg``.  :func:`dirichlet_entropy` checks its
 concentrations and its result; the solver's gradient calls
 :func:`_trigamma`, which checks nothing, on arrays the same line-search
 pass has already checked.
+
+Both kernels give each column a result that depends on that column alone,
+whatever the array's width and memory layout, so the solver can evaluate a
+gathered subset of pixels and keep the values as the whole array's.
 """
 
 from __future__ import annotations
@@ -153,6 +157,16 @@ def dirichlet_mean(beta: np.ndarray) -> np.ndarray:
     return b / b.sum(axis=0)
 
 
+def _row_order_sums(x: np.ndarray) -> np.ndarray:
+    """Column sums of a C-ordered (K, N) array, adding the rows in order.
+
+    numpy sums a C-ordered matrix over its rows one row at a time, but sums
+    a lone column, or the columns of an F-ordered gather b[:, idx],
+    pairwise, which rounds differently for K >= 8.  A lone column takes
+    its running sum (cumsum), which is in row order."""
+    return np.cumsum(x, axis=0)[-1] if x.shape[1] == 1 else x.sum(axis=0)
+
+
 def dirichlet_entropy(beta: np.ndarray) -> np.ndarray:
     """Differential entropy of Dirichlet(beta).
 
@@ -160,18 +174,23 @@ def dirichlet_entropy(beta: np.ndarray) -> np.ndarray:
     The concentrations are checked once, and so is the result: a total or
     a log-gamma can overflow at finite concentrations (three entries of
     1e307 do), and any overflow ends in a non-finite result.
+
+    A column's entropy depends on that column alone: every sum over the
+    categories adds them in row order (see :func:`_row_order_sums`), so a
+    1-D vector, a single column or a gathered subset of columns gets the
+    bits the whole matrix gives those columns.
     """
     b = _concentrations(beta, "dirichlet_entropy")
     squeeze = b.ndim == 1
-    b = np.atleast_2d(b.T).T if squeeze else b
+    b = np.ascontiguousarray(b[:, None] if squeeze else b)
     k = b.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        t = b.sum(axis=0)
+        t = _row_order_sums(b)
         h = (
-            special.gammaln(b).sum(axis=0)
+            _row_order_sums(special.gammaln(b))
             - special.gammaln(t)
             + (t - k) * special.psi(t)
-            - ((b - 1.0) * special.psi(b)).sum(axis=0)
+            - _row_order_sums((b - 1.0) * special.psi(b))
         )
     _prep_arg(h, "dirichlet_entropy (overflow)", positive=False)
     return float(h[0]) if squeeze else h

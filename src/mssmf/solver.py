@@ -15,9 +15,13 @@ error E||y_n - B z_n||^2 under its Dirichlet.  One kernel,
 G = B'B; the concentration line search, the noise update and the bound all
 read it, so every one of them sees the same number.  :func:`fit` forms
 ||Y||^2 once per fit and (c, G) once per iteration; one residual evaluation
-feeds the noise formula :func:`_noise_var` and the bound formula
-:func:`_bound`, each defined once.  The factor sweep reads the data only
-through Y M' and Pbar, also formed once per iteration.
+feeds the noise formula :func:`_noise_var`, the bound formula
+:func:`_bound`, each defined once, and the next iteration's concentration
+passes, which start from it instead of evaluating that point again.  The
+passes carry each pixel's entropy with its accepted concentrations and the
+bound sums it, so a fit evaluates every point once.  The factor sweep
+reads the data only through Y M' and Pbar, also formed once per
+iteration.
 
 Inputs are checked once, where they enter.  The raw-array entry points
 :func:`update_beta` and :func:`update_sigma2` share one prologue,
@@ -206,17 +210,21 @@ def _expected_resid(
     return -2.0 * cb / total + tr_gp, (total, denom, gb, tr_gp, cb)
 
 
+def _point_value(resid: np.ndarray, ent: np.ndarray, sigma2: float) -> np.ndarray:
+    """Per-pixel bound, up to beta-independent constants, from the
+    :func:`_expected_resid` term and the entropy at one point."""
+    return -resid / (2.0 * sigma2) + ent
+
+
 def _beta_point(
     c: np.ndarray, g: np.ndarray, betas: np.ndarray, sigma2: float
-) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-    """Per-pixel bound at betas, up to beta-independent constants: the
-    :func:`_expected_resid` term over -2 sigma2 plus the entropy.  Returns
-    the kernel's gradient pieces with it.  The entropy comes first: it
-    checks betas (finite and positive) before the residual divides by their
-    totals."""
+) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+    """Evaluate one point: (per-pixel bound, entropy, the kernel's gradient
+    pieces) at betas.  The entropy comes first: it checks betas (finite and
+    positive) before the residual divides by their totals."""
     ent = dirichlet_entropy(betas)
     resid, pieces = _expected_resid(c, g, betas)
-    return -resid / (2.0 * sigma2) + ent, pieces
+    return _point_value(resid, ent, sigma2), ent, pieces
 
 
 def _beta_gradient(
@@ -245,14 +253,14 @@ def _armijo_trial(
     grad: np.ndarray,
     f0: np.ndarray,
     sigma2: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
     """Try one clamped step per pixel from cur, whose bound is f0.  Returns
-    which pixels pass the Armijo test, the candidates, and their bound and
-    :func:`_beta_point` pieces."""
+    which pixels pass the Armijo test, the candidates, and their
+    :func:`_beta_point` evaluation."""
     cand = np.maximum(cur + step * grad, BETA_FLOOR)
-    f, pieces = _beta_point(c, g, cand, sigma2)
+    f, ent, pieces = _beta_point(c, g, cand, sigma2)
     ok = f - f0 >= _ARMIJO_C1 * (grad * (cand - cur)).sum(axis=0)
-    return ok, cand, f, pieces
+    return ok, cand, (f, ent, *pieces)
 
 
 def _beta_ascent_chunk(
@@ -262,19 +270,26 @@ def _beta_ascent_chunk(
     yss: np.ndarray,
     sigma2: float,
     passes: int,
-) -> np.ndarray:
+    start: Optional[Tuple] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
     """Run `passes` clamped gradient-ascent steps on a block of pixels.
+    Returns the concentrations and their per-pixel entropy.
 
     Each pass takes one Armijo-backtracked step per pixel; a pixel whose
     search fails keeps its current concentrations, so the per-pixel bound
-    never decreases.  The bound and its gradient pieces are evaluated once
-    at the starting point; after that every pixel carries the value and
+    never decreases.  start is the :func:`_beta_point` evaluation at betas,
+    (bound, entropy, gradient pieces), which :func:`fit` forms from the
+    residual its bound already computes; without it the chunk evaluates
+    betas itself.  After that every pixel carries the value, entropy and
     pieces of the candidate its search last accepted, so the next pass
-    starts from them and no point is evaluated twice.
+    starts from them, the caller's bound reads the entropy, and no point is
+    evaluated twice.  The entropy of a gathered pixel has the bits a
+    whole-array evaluation gives it (see :func:`dirichlet_entropy`), so the
+    carried entropy is the entropy of the returned concentrations.
 
     A pass tries its first step for every pixel on the whole arrays and
-    copies the accepted candidates, their values and their pieces in place
-    under the acceptance mask.  Only the pixels whose first step failed are
+    copies the accepted candidates and their evaluations in place under the
+    acceptance mask.  Only the pixels whose first step failed are
     gathered, by index, for the halving retries.  On the README
     quick-start scene, after 3, 10 or 30 fit iterations every first step
     passes, so the retries gather nothing.
@@ -300,7 +315,8 @@ def _beta_ascent_chunk(
     cur = np.array(betas)
     ceil = yss / (2.0 * sigma2) - gammaln(cur.shape[0])
     last = 0.5 ** (_MAX_HALVINGS - 1)
-    f0, pieces = _beta_point(c, g, cur, sigma2)
+    f0, ent, pieces = _beta_point(c, g, cur, sigma2) if start is None else start
+    carried = (f0, ent, *pieces)
     for _ in range(passes):
         grad = _beta_gradient(c, g, cur, sigma2, pieces)
         room = ceil - f0
@@ -310,27 +326,25 @@ def _beta_ascent_chunk(
         # headroom <= 0 or non-finite leaves no finite skip: start at step 1
         skip[~np.isfinite(skip)] = 0.0
         step = 0.5 ** np.clip(skip, 0.0, _MAX_HALVINGS - 1)
-        ok, cand, f, cand_pieces = _armijo_trial(c, g, cur, step, grad, f0, sigma2)
+        ok, cand, tried = _armijo_trial(c, g, cur, step, grad, f0, sigma2)
         np.copyto(cur, cand, where=ok)
-        np.copyto(f0, f, where=ok)
-        for kept, tried in zip(pieces, cand_pieces):
-            np.copyto(kept, tried, where=ok)
+        for kept, new in zip(carried, tried):
+            np.copyto(kept, new, where=ok)
         todo = np.flatnonzero(~ok)
         while True:
             step[todo] *= 0.5
             todo = todo[step[todo] >= last]
             if not todo.size:
                 break
-            ok, cand, f, cand_pieces = _armijo_trial(
+            ok, cand, tried = _armijo_trial(
                 c[:, todo], g, cur[:, todo], step[todo], grad[:, todo], f0[todo], sigma2
             )
             hit = todo[ok]
             cur[:, hit] = cand[:, ok]
-            f0[hit] = f[ok]
-            for kept, tried in zip(pieces, cand_pieces):
-                kept[..., hit] = tried[..., ok]
+            for kept, new in zip(carried, tried):
+                kept[..., hit] = new[..., ok]
             todo = todo[~ok]
-    return cur
+    return cur, ent
 
 
 def update_beta(
@@ -355,7 +369,7 @@ def update_beta(
     yss = _squared_norms(y, "update_beta")[0]
     n = betas.shape[1]
     if workers <= 1 or n < 2 * workers:
-        return _beta_ascent_chunk(c, g, betas, yss, sigma2, passes)
+        return _beta_ascent_chunk(c, g, betas, yss, sigma2, passes)[0]
     bounds = np.linspace(0, n, workers + 1).astype(int)
     chunks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     out = np.empty_like(betas)
@@ -367,7 +381,7 @@ def update_beta(
             for lo, hi in chunks
         ]
         for lo, hi, job in jobs:
-            out[:, lo:hi] = job.result()
+            out[:, lo:hi] = job.result()[0]
     return out
 
 
@@ -544,7 +558,10 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     is evaluated after the four blocks and is non-decreasing.  The (c, G)
     formed after the factor sweep serve the noise update, the bound and the
     next iteration's concentration passes: the noise update leaves B as it
-    is.
+    is.  The passes' start is evaluated once, before the loop; after each
+    sweep the residual that the noise update and the bound read, with the
+    entropy the passes carried, forms the next start.  Each iteration's
+    time covers all of its work, the first's that start evaluation too.
     """
     if not isinstance(betas, DirichletParam):
         betas = DirichletParam(betas)
@@ -562,15 +579,20 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     ms_hist: List[float] = []
     stop_reason = "max_iters"
     prev = None
+    t0 = time.perf_counter()
+    start = _beta_point(c, g, betas, sigma2)
     for _ in range(config.max_outer_iters):
-        t0 = time.perf_counter()
-        betas = _beta_ascent_chunk(c, g, betas, yss, sigma2, config.beta_steps_per_outer)
+        betas, ent = _beta_ascent_chunk(
+            c, g, betas, yss, sigma2, config.beta_steps_per_outer, start
+        )
         stack = update_factors(y, stack, betas)
         c, g = _products(y, compose_expanded(stack), "fit")
         # the concentration passes checked every point they accepted
-        rsum = yy + _expected_resid(c, g, betas)[0].sum()
+        resid, pieces = _expected_resid(c, g, betas)
+        rsum = yy + resid.sum()
         sigma2 = _checked_noise_var(_noise_var(rsum, y.size))
-        cur = _bound(rsum, dirichlet_entropy(betas).sum(), sigma2, y.shape[0], *betas.shape)
+        cur = _bound(rsum, ent.sum(), sigma2, y.shape[0], *betas.shape)
+        start = _point_value(resid, ent, sigma2), ent, pieces
         ms_hist.append((time.perf_counter() - t0) * 1e3)
         elbo_hist.append(cur)
         sigma2_hist.append(sigma2)
@@ -586,6 +608,7 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
                 stop_reason = "converged"
                 break
         prev = cur
+        t0 = time.perf_counter()
     stack = stack.replace(noise_var=sigma2)
     trace = FitTrace(
         elbo=np.asarray(elbo_hist),

@@ -105,6 +105,13 @@ class TestAlignedMse:
         with pytest.raises(ValidationError, match=f"aligned_mse's {which}: non-finite"):
             aligned_mse(mats["estimate"], mats["truth"])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_truth_norm_overflow_is_named(self):
+        # the cost is zero and finite; only the normalizer overflows
+        b = np.full((4, 1), 1e160)
+        with pytest.raises(ValidationError, match="aligned_mse's truth: squared norm overflows"):
+            aligned_mse(b, b)
+
 
 class TestSingularSpectrum:
     def test_identity(self):

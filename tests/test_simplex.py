@@ -194,11 +194,26 @@ class TestChecks:
     def test_entropy_matches_wrapper_expression(self, rng, shape):
         x = _grid_matrix(rng, *shape)
         assert np.array_equal(dirichlet_entropy(x), _entropy_reference(x))
-        # 1-D input is computed as a single column
-        for col in x.T[:10]:
-            assert np.array_equal(
-                dirichlet_entropy(col), _entropy_reference(col[:, None])[0]
-            )
+        # 1-D input gets the bits of its column in the whole matrix
+        whole = _entropy_reference(x)
+        for j, col in enumerate(x.T[:10]):
+            assert np.array_equal(dirichlet_entropy(col), whole[j])
+
+    @pytest.mark.parametrize("k", [6, 18, 30])
+    def test_entropy_of_a_column_depends_on_it_alone(self, rng, k):
+        # the solver keeps the entropy of gathered pixels as the whole
+        # array's; b[:, idx] is not C-ordered, and numpy sums a lone
+        # contiguous column pairwise
+        x = _grid_matrix(rng, k, 600)
+        whole = dirichlet_entropy(x)
+        for n in (1, 2, 3, 7, 8, 9, 64, 250, 500):
+            idx = np.sort(rng.choice(x.shape[1], n, replace=False))
+            gathered = x[:, idx]
+            assert np.array_equal(dirichlet_entropy(gathered), whole[idx])
+            assert np.array_equal(dirichlet_entropy(np.ascontiguousarray(gathered)), whole[idx])
+            assert np.array_equal(dirichlet_entropy(np.asfortranarray(gathered)), whole[idx])
+            assert np.array_equal(dirichlet_entropy(x[:, idx[:1]]), whole[idx[:1]])
+            assert dirichlet_entropy(x[:, idx[0]]) == whole[idx[0]]
 
     @pytest.mark.parametrize(
         "value", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 5e-324, 1e308]

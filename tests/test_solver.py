@@ -1,5 +1,6 @@
 import re
 import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -54,7 +55,7 @@ def reference_beta_ascent(c, g, betas, sigma2, passes):
     n = cur.shape[1]
     tried = 0
     for _ in range(passes):
-        f0, pieces = solver._beta_point(c, g, cur, sigma2)
+        f0, _, pieces = solver._beta_point(c, g, cur, sigma2)
         grad = solver._beta_gradient(c, g, cur, sigma2, pieces)
         step = np.ones(n)
         todo = np.arange(n)
@@ -78,6 +79,19 @@ def quick_start_init():
     truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
     bundle = gen_dataset(truth, n_pixels=500, snr_db=20.0, seed=8)
     return bundle.pixels, init_all(bundle.pixels, layer_sizes=(6, 18, 30), seed=9)
+
+
+def retrying_state(case):
+    """(y, stack, betas) at init_all's state of the README quick-start
+    scene or of a deep 30 dB scene (200 px, dims 3,5,8,12,18,30): states at
+    which the concentration searches retry."""
+    if case == "quick_start":
+        pixels, init = quick_start_init()
+    else:
+        truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
+        pixels = gen_dataset(truth, n_pixels=200, snr_db=30.0, seed=8).pixels
+        init = init_all(pixels, layer_sizes=(3, 5, 8, 12, 18, 30), seed=9)
+    return pixels.data, init.stack, init.posterior.concentration
 
 
 @pytest.fixture(scope="module", params=[0, 3], ids=["init", "fit3"])
@@ -161,7 +175,7 @@ class TestGradients:
             y, stack, betas = random_instance(rng, max_dim=6)
             b = expanded_of(stack)
             c, g, sigma2, n = b.T @ y, b.T @ b, stack.noise_var, y.shape[1]
-            pieces = solver._beta_point(c, g, betas, sigma2)[1]
+            pieces = solver._beta_point(c, g, betas, sigma2)[2]
             got = solver._beta_gradient(c, g, betas, sigma2, pieces) / n
             fd = central_diff(
                 lambda t: solver._beta_point(c, g, t, sigma2)[0].sum() / n, betas
@@ -882,7 +896,9 @@ class TestFit:
     def test_forms_statistics_once_per_iteration(self, rng, monkeypatch):
         # no raw-array entry point: the squared norms once per fit, (c, G)
         # before the loop and after each sweep, and one residual per
-        # iteration besides the concentration passes'
+        # iteration besides the concentration passes'.  The passes'
+        # starting point is evaluated once, before the loop; after that
+        # every evaluation is a candidate a search tries
         y, stack, betas = random_instance(rng)
         calls = Counter()
 
@@ -899,14 +915,75 @@ class TestFit:
             return wrapper
 
         monkeypatch.setattr(solver, "_entry_terms", refused)
-        for name in ("_products", "_squared_norms", "_expected_resid"):
+        for name in (
+            "_products", "_squared_norms", "_expected_resid", "_beta_point",
+            "_armijo_trial", "dirichlet_entropy",
+        ):
             monkeypatch.setattr(solver, name, counted(name))
         res = fit(y, stack, betas, FitConfig(max_outer_iters=4, rel_elbo_tol=0.0))
         assert len(res.trace) == 4
-        assert calls.pop(("_expected_resid", "_beta_point")) >= 4 * 11
+        trials = calls.pop(("_armijo_trial", "_beta_ascent_chunk"))
+        assert trials >= 4 * 10
+        assert calls.pop(("_beta_point", "_armijo_trial")) == trials
+        assert calls.pop(("_expected_resid", "_beta_point")) == 1 + trials
+        assert calls.pop(("dirichlet_entropy", "_beta_point")) == 1 + trials
         assert calls == {
-            ("_products", "fit"): 5, ("_squared_norms", "fit"): 1, ("_expected_resid", "fit"): 4
+            ("_products", "fit"): 5, ("_squared_norms", "fit"): 1,
+            ("_expected_resid", "fit"): 4, ("_beta_point", "fit"): 1,
         }
+
+    @pytest.mark.parametrize("case", ["quick_start", "deep"])
+    def test_evaluates_each_point_once(self, case, monkeypatch):
+        # the first entropy evaluation is the starting point; every later
+        # one is a candidate a search tries, on the same columns.  At these
+        # states the searches retry, so candidates are gathered
+        y, stack, betas = retrying_state(case)
+        entropy_columns, candidate_columns = [], []
+        entropy, trial = solver.dirichlet_entropy, solver._armijo_trial
+
+        def counted_entropy(x):
+            entropy_columns.append(x.shape[1])
+            return entropy(x)
+
+        def counted_trial(c, *args):
+            candidate_columns.append(c.shape[1])
+            return trial(c, *args)
+
+        monkeypatch.setattr(solver, "dirichlet_entropy", counted_entropy)
+        monkeypatch.setattr(solver, "_armijo_trial", counted_trial)
+        fit(y, stack, betas, FitConfig(max_outer_iters=3, rel_elbo_tol=0.0))
+        assert entropy_columns == [betas.shape[1]] + candidate_columns
+        assert min(candidate_columns) < betas.shape[1]
+
+    @pytest.mark.parametrize("case", ["quick_start", "deep"])
+    def test_bound_matches_a_fresh_evaluation(self, case):
+        # the traced bound sums the entropy the passes carried, gathered
+        # retries included; it must have the bits of the bound evaluated
+        # again from the returned state.  On the deep scene, an entropy
+        # that summed a gathered column pairwise is one ulp off at 15
+        y, stack, betas = retrying_state(case)
+        for iters in (1, 2, 5, 10, 15):
+            res = fit(y, stack, betas, FitConfig(max_outer_iters=iters, rel_elbo_tol=0.0))
+            fresh = elbo_terms(
+                y, compose_expanded(res.stack), res.posterior.concentration, res.stack.noise_var
+            )
+            assert len(res.trace) == iters
+            assert res.elbo == fresh
+
+    def test_first_iteration_time_covers_the_start(self, rng, monkeypatch):
+        # fit evaluates the passes' start before its loop, on the first
+        # iteration's clock
+        y, stack, betas = random_instance(rng)
+        point = solver._beta_point
+
+        def slow_start(*args):
+            if sys._getframe(1).f_code.co_name == "fit":
+                time.sleep(0.05)
+            return point(*args)
+
+        monkeypatch.setattr(solver, "_beta_point", slow_start)
+        res = fit(y, stack, betas, FitConfig(max_outer_iters=2, rel_elbo_tol=0.0))
+        assert res.trace.millis[0] >= 50.0
 
     def test_builds_one_stack_per_iteration(self, rng, monkeypatch):
         # the loop carries the noise variance as a float: one stack per
