@@ -39,25 +39,47 @@ def vca(pixels, k: int, seed: RngLike = 0) -> Tuple[np.ndarray, np.ndarray]:
     Pixels scaled by a per-pixel factor (y_n = s_n E z_n) leave it, so the
     picks are not invariant to such a scale.
 
-    One decomposition of the data covariance serves the diversity check,
-    the k = 1 pick and the subspace.  k is an integer (Python or numpy);
-    seed is a Generator or such an integer of at least 0.
+    Each call makes its own decomposition of the data covariance, which
+    serves the diversity check, the k = 1 pick and the subspace
+    (``init_all`` makes one for both of its runs).  k is an integer (Python
+    or numpy); seed is a Generator or such an integer of at least 0.  Both
+    are checked before any arithmetic.
     Raises ValidationError when the covariance is not finite (finite data
     whose squared norm overflows) and when lam[k-2] <= lam[0] * bands * eps
     (the factor grams' rank rule): the decomposition cannot resolve a
     direction below it.
     """
     y = as_pixel_matrix(pixels).data
+    k = _endmember_count(k, y)
+    rng = _as_rng(seed)
+    return _vca_picks(_vca_frame(y), k, rng)
+
+
+def _endmember_count(k, y: np.ndarray) -> int:
+    """k as an int, if it is a count of at most min(bands, pixels)."""
     m, n = y.shape
     k = _checked_count(k, "endmember count", 1)
     if k > min(m, n):
         raise ValidationError(f"endmember count {k} exceeds min({m}, {n})")
-    rng = _as_rng(seed)
+    return k
+
+
+def _vca_frame(y: np.ndarray):
+    """(y, centered data, left singular vectors, singular values) of the
+    data covariance: everything VCA's picks read, for any k."""
+    n = y.shape[1]
     # an overflow makes the covariance non-finite; the check names it
     with np.errstate(over="ignore", invalid="ignore"):
         centered = y - y.mean(axis=1, keepdims=True)
         cov = (centered @ centered.T) / n
     u, lam, _ = np.linalg.svd(_prep_arg(cov, "vca's data covariance", positive=False))
+    return y, centered, u, lam
+
+
+def _vca_picks(frame, k: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """VCA's k picks in a frame from ``_vca_frame``; k is a checked count."""
+    y, centered, u, lam = frame
+    m, n = y.shape
     if k == 1:
         idx = int(np.argmax(np.abs(u[:, 0] @ y)))
         return y[:, [idx]].copy(), np.array([idx])
@@ -122,9 +144,10 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
 
     The core basis is a VCA run at the first layer size; the per-pixel
     concentrations are the simplex least-squares abundances against a
-    second VCA run at the expanded size (floored away from zero).  Each
-    run decomposes the data covariance once and picks in its affine
-    frame, the geometry of the model's noiseless pixels; mixing
+    second VCA run at the expanded size (floored away from zero).  Both
+    runs pick in one decomposition of the data covariance, in its affine
+    frame, the geometry of the model's noiseless pixels; each gives the
+    bits a direct ``vca`` call with its generator gives.  Mixing
     layers start at independent uniform-Dirichlet columns; the noise
     variance starts at its closed-form update for that state.  Layer sizes
     and the seed (at least 0) are integers (Python or numpy).
@@ -135,10 +158,15 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
     root = np.random.SeedSequence(_checked_count(seed, "seed", 0))
     seed_basis, seed_expanded, seed_mixers = root.spawn(3)
 
-    basis, _ = vca(px, layers[0], np.random.default_rng(seed_basis))
+    frame = _vca_frame(y)
+    basis, _ = _vca_picks(frame, layers[0], np.random.default_rng(seed_basis))
     # noisy pixels can dip below zero; the basis lives in the nonneg orthant
     basis = np.maximum(basis, 0.0)
-    expanded, _ = vca(px, layers[-1], np.random.default_rng(seed_expanded))
+    # validate_dims bounds the expanded size by the pixels, not the bands
+    k_expanded = _endmember_count(layers[-1], y)
+    expanded, _ = _vca_picks(frame, k_expanded, np.random.default_rng(seed_expanded))
+    # the centered copy lives no longer than inside a lone vca call
+    del frame
     # concentrations start at the abundances themselves (total 1 per pixel,
     # maximally diffuse); the ascent sharpens them as the factors settle
     betas = np.maximum(scls(px, expanded), BETA_FLOOR)

@@ -112,6 +112,15 @@ class TestVca:
         with pytest.raises(ValidationError):
             vca(y, 7, seed=0)
 
+    def test_count_and_seed_are_checked_before_the_covariance(self, rng):
+        # on data whose covariance overflows, a bad k or seed is named,
+        # not the covariance
+        y = rng.uniform(0.1, 1.0, (6, 30)) * 1e160
+        with pytest.raises(ValidationError, match="endmember count must be >= 1"):
+            vca(y, 0)
+        with pytest.raises(ValidationError, match="seed must be"):
+            vca(y, 3, seed=-1)
+
     def test_noisy_data_still_selects_columns(self, rng):
         y, _, _ = pure_pixel_scene(rng, m=30, k=4, n=200)
         noisy = y + rng.normal(0, 0.1, y.shape)  # low SNR branch
@@ -155,19 +164,25 @@ def unreduced_simplex_lsq(y, a):
 
 
 @pytest.fixture(scope="module")
-def quick_start_endmembers():
+def quick_start_pixels():
+    """README quick-start pixels: 198 bands, 500 px, 20 dB (init seed 9,
+    dims 6,18,30)."""
+    truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
+    return gen_dataset(truth, n_pixels=500, snr_db=20.0, seed=8).pixels
+
+
+@pytest.fixture(scope="module")
+def quick_start_endmembers(quick_start_pixels):
     """README quick-start pixels and the 30 VCA endmembers init_all hands
     to scls."""
-    truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
-    bundle = gen_dataset(truth, n_pixels=500, snr_db=20.0, seed=8)
     seen = []
     patch = pytest.MonkeyPatch()
     patch.setattr(initialization, "scls", lambda px, e: seen.append(e) or scls(px, e))
     try:
-        init_all(bundle.pixels, layer_sizes=(6, 18, 30), seed=9)
+        init_all(quick_start_pixels, layer_sizes=(6, 18, 30), seed=9)
     finally:
         patch.undo()
-    return bundle.pixels.data, seen[0]
+    return quick_start_pixels.data, seen[0]
 
 
 class TestScls:
@@ -374,6 +389,38 @@ class TestInitAll:
         y = rng.uniform(0.0, 1.0, (10, 50))
         with pytest.raises(ValidationError, match="non-decreasing"):
             init_all(y, (5, 3), seed=0)
+
+    def test_expanded_size_above_band_count_raises(self, rng):
+        # validate_dims bounds the expanded size by the pixel count only
+        y = rng.uniform(0.0, 1.0, (10, 50))
+        with pytest.raises(ValidationError, match=r"endmember count 12 exceeds min\(10, 50\)"):
+            init_all(y, (3, 12), seed=0)
+
+    def test_one_decomposition_for_both_vca_runs(self, quick_start_pixels, monkeypatch):
+        # pinv calls numpy's svd through its own binding, so only the
+        # covariance's decomposition is counted
+        shapes = []
+        svd = initialization.np.linalg.svd
+        monkeypatch.setattr(
+            initialization.np.linalg, "svd",
+            lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw),
+        )
+        init_all(quick_start_pixels, layer_sizes=(6, 18, 30), seed=9)
+        assert shapes.count((198, 198)) == 1
+
+    @pytest.mark.parametrize("scene", ["quick_start", "pure_pixels"])
+    def test_vca_runs_give_the_public_bits(self, quick_start_pixels, scene):
+        if scene == "quick_start":
+            px, layers, seed = quick_start_pixels, (6, 18, 30), 9
+        else:
+            px, _, _ = pure_pixel_scene(np.random.default_rng(3), m=40, k=8, n=300)
+            layers, seed = (3, 5, 8), 4
+        res = init_all(px, layers, seed=seed)
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+        basis = np.maximum(vca(px, layers[0], rngs[0])[0], 0.0)
+        betas = np.maximum(scls(px, vca(px, layers[-1], rngs[1])[0]), BETA_FLOOR)
+        assert np.array_equal(res.stack.basis, basis)
+        assert np.array_equal(res.posterior.concentration, betas)
 
     def test_overflowing_data_is_a_validation_error(self, rng):
         # finite data whose squared norm overflows: vca's covariance names it
