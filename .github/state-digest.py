@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """One sha256 per benchmark workload over the init_all and fit states of its
-scenes: concentrations, basis, mixers, noise variance, and the bound and
-noise-variance traces, in that order, scene by scene and seed by seed.
+scenes: concentrations, basis, mixers, noise variance, the bound and
+noise-variance traces, the fit's posterior-mean abundances, and the
+permutation and MSE of its expanded endmembers aligned to the scene's truth
+(``aligned_mse``), in that order, scene by scene and seed by seed.
 
 Two source trees give the same line for a workload exactly when every one
 of those states matches bit for bit.  The scenes are the benchmark's own
@@ -39,14 +41,16 @@ def digest(mssmf, workload, seeds, scenes):
     config = mssmf.FitConfig(max_outer_iters=workload.iters, rel_elbo_tol=0.0)
     for seed in seeds:
         for index in range(scenes):
-            _, bundle = make_scene(mssmf, workload, seed, index)
+            truth, bundle = make_scene(mssmf, workload, seed, index)
             init = mssmf.init_all(bundle.pixels, layer_sizes=workload.layers,
                                   seed=scene_seeds(seed, index)[2])
             result = mssmf.fit(bundle.pixels, init.stack, init.posterior, config)
+            aligned = mssmf.aligned_mse(mssmf.compose_expanded(result.stack), truth)
             for part in (
                 *state_parts(init.posterior.concentration, init.stack),
                 *state_parts(result.posterior.concentration, result.stack),
-                result.trace.elbo, result.trace.sigma2,
+                result.trace.elbo, result.trace.sigma2, result.abundances,
+                aligned.permutation.astype("<i8"), struct.pack("<d", aligned.mse),
             ):
                 h.update(part if isinstance(part, bytes) else part.tobytes())
     return h.hexdigest()

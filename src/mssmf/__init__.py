@@ -12,7 +12,6 @@ from .simplex import (
     BETA_FLOOR,
     DirichletParam,
     dirichlet_entropy,
-    dirichlet_mean,
     sample_dirichlet,
 )
 from .initialization import InitResult, init_all, scls, vca
@@ -23,7 +22,6 @@ from .solver import (
     fit,
     update_beta,
     update_factors,
-    update_sigma2,
 )
 from .synth import (
     SynthBundle,
@@ -32,7 +30,7 @@ from .synth import (
     gen_dataset,
     gen_variants,
 )
-from .metrics import AlignmentResult, aligned_mse, hungarian, singular_spectrum
+from .metrics import AlignmentResult, aligned_mse, singular_spectrum
 
 __version__ = "0.1.0"
 
@@ -53,18 +51,15 @@ __all__ = [
     "builtin_bases",
     "compose_expanded",
     "dirichlet_entropy",
-    "dirichlet_mean",
     "fit",
     "gen_dataset",
     "gen_variants",
-    "hungarian",
     "init_all",
     "sample_dirichlet",
     "scls",
     "singular_spectrum",
     "update_beta",
     "update_factors",
-    "update_sigma2",
     "validate_dims",
     "vca",
 ]

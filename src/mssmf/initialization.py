@@ -25,7 +25,7 @@ from .model import (
     validate_dims,
 )
 from .simplex import BETA_FLOOR, DirichletParam, _simplex_lsq, sample_dirichlet
-from .solver import update_sigma2
+from .solver import _noise_var_at
 
 
 def vca(pixels, k: int, seed: RngLike = 0) -> Tuple[np.ndarray, np.ndarray]:
@@ -110,25 +110,21 @@ def scls(pixels, endmembers: np.ndarray) -> np.ndarray:
     """Simplex-constrained least squares, one exact solve per pixel.
 
     Minimizes ||y - B s||^2 with s on the unit simplex for every column y
-    of the input (a single vector gives a single solution vector), each as
-    one nonnegative least-squares solve.  With more bands than endmembers,
-    one thin QR B = Q R per call puts every solve in the endmember space:
-    ||y - B s||^2 = ||Q'y - R s||^2 + ||y - Q Q'y||^2, and the last term
-    does not depend on s (see ``simplex._simplex_lsq`` for both
-    reductions).  Raises the NNLS engine's RuntimeError if it hits its
+    of the input, each as one nonnegative least-squares solve.  With more
+    bands than endmembers, one thin QR B = Q R per call puts every solve in
+    the endmember space: ||y - B s||^2 = ||Q'y - R s||^2 + ||y - Q Q'y||^2,
+    and the last term does not depend on s (see ``simplex._simplex_lsq`` for
+    both reductions).  Raises the NNLS engine's RuntimeError if it hits its
     iteration cap.
     """
     b = _prep_arg(endmembers, "scls's endmembers", positive=False)
-    # a PixelMatrix has ndim 0 here and passes through, checked already
-    single = np.ndim(pixels) == 1
-    y = as_pixel_matrix(np.reshape(pixels, (-1, 1)) if single else pixels).data
+    y = as_pixel_matrix(pixels).data
     # scipy's nnls aborts the interpreter on a matrix with no columns
     if b.ndim != 2 or b.shape[0] != y.shape[0] or b.shape[1] < 1:
         raise ValidationError(
             f"endmember matrix {b.shape} must be 2-D, {y.shape[0]} bands by at least one column"
         )
-    out = _simplex_lsq(y, b)
-    return out[:, 0] if single else out
+    return _simplex_lsq(y, b)
 
 
 @dataclass(frozen=True)
@@ -175,6 +171,6 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
     mixers = tuple(
         sample_dirichlet(np.ones(a), b, rng) for a, b in zip(layers, layers[1:])
     )
-    sigma2 = update_sigma2(y, _suffix_products([basis, *mixers])[0], betas)
+    sigma2 = _noise_var_at(y, _suffix_products([basis, *mixers])[0], betas)
     stack = FactorStack(basis=basis, mixers=mixers, noise_var=sigma2)
     return InitResult(stack=stack, posterior=DirichletParam(betas))

@@ -1,5 +1,5 @@
-"""Evaluation helpers: permutation-aligned endmember error, optimal
-assignment, and singular-value spectra."""
+"""Evaluation helpers: permutation-aligned endmember error and
+singular-value spectra."""
 
 from __future__ import annotations
 
@@ -24,38 +24,28 @@ class AlignmentResult:
     mse: float
 
 
-def hungarian(cost: np.ndarray) -> np.ndarray:
-    """Optimal assignment on a square cost matrix.
-
-    Returns perm with perm[i] the column assigned to row i, minimizing the
-    total cost: one call of scipy's linear_sum_assignment.  Where several
-    assignments are optimal it returns one of them, always the same one for
-    the same costs.
-    """
-    c = _prep_arg(cost, "cost matrix", positive=False)
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
-        raise ValidationError(f"cost matrix must be square with at least one row, got {c.shape}")
-    return linear_sum_assignment(c)[1]
-
-
 def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
     """Normalized squared endmember error after optimal column matching.
 
     Columns of the estimate are matched one-to-one to truth columns by
-    minimum total squared distance; the reported value is that total
-    divided by K times the squared Frobenius norm of the truth.  Both
-    matrices must be finite; entries large enough to overflow a squared
-    distance still fail the assignment's check on the cost, and a truth
-    whose squared norm overflows is refused.
+    minimum total squared distance, one call of scipy's
+    linear_sum_assignment (on tied costs, one optimal matching, the same
+    one for the same input); the reported value is that total divided by K
+    times the squared Frobenius norm of the truth.  Both matrices must be
+    finite and have at least one column; entries large enough to overflow
+    a squared distance fail the check on the cost matrix, and a truth whose
+    squared norm overflows is refused.
     """
     a = np.atleast_2d(_prep_arg(estimate, "aligned_mse's estimate", positive=False))
     b = np.atleast_2d(_prep_arg(truth, "aligned_mse's truth", positive=False))
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: estimate {a.shape} vs truth {b.shape}")
     k = a.shape[1]
+    if k == 0:
+        raise ValidationError(f"aligned_mse needs at least one column, got {a.shape}")
     diff = a[:, :, None] - b[:, None, :]
     cost = np.einsum("mij,mij->ij", diff, diff)
-    perm = hungarian(cost)
+    perm = linear_sum_assignment(_prep_arg(cost, "cost matrix", positive=False))[1]
     per_col = cost[np.arange(k), perm]
     with np.errstate(over="ignore"):
         denom = k * float(np.sum(b * b))

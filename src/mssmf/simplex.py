@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 from scipy.optimize import nnls
 
-from .model import ValidationError, _checked_count, _frozen, _prep_arg
+from .model import RngLike, ValidationError, _as_rng, _checked_count, _frozen, _prep_arg
 
 BETA_FLOOR = 1e-6
 
@@ -127,7 +127,11 @@ class DirichletParam:
     concentration: np.ndarray
 
     def __post_init__(self):
-        conc = _frozen(np.atleast_2d(self.concentration))
+        conc = _frozen(self.concentration)
+        if conc.ndim != 2:
+            raise ValidationError(
+                f"Dirichlet concentration must be a K x N matrix, got shape {conc.shape}"
+            )
         _prep_arg(conc, "Dirichlet concentration", positive=False)
         if conc.shape[0] < 1:
             raise ValidationError("Dirichlet concentration needs at least one row")
@@ -139,7 +143,8 @@ class DirichletParam:
 
     @property
     def mean(self) -> np.ndarray:
-        return dirichlet_mean(self.concentration)
+        """Posterior-mean abundances: each column divided by its total."""
+        return self.concentration / self.concentration.sum(axis=0)
 
 
 def _concentrations(beta, name: str) -> np.ndarray:
@@ -149,12 +154,6 @@ def _concentrations(beta, name: str) -> np.ndarray:
     if b.shape[:1] == (0,):
         raise ValidationError(f"{name} needs at least one category")
     return _prep_arg(b, name)
-
-
-def dirichlet_mean(beta: np.ndarray) -> np.ndarray:
-    """Mean of a Dirichlet; columns are treated independently for 2-D input."""
-    b = _concentrations(beta, "dirichlet_mean")
-    return b / b.sum(axis=0)
 
 
 def _row_order_sums(x: np.ndarray) -> np.ndarray:
@@ -196,13 +195,15 @@ def dirichlet_entropy(beta: np.ndarray) -> np.ndarray:
     return float(h[0]) if squeeze else h
 
 
-def sample_dirichlet(alpha: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_dirichlet(alpha: np.ndarray, n: int, rng: RngLike) -> np.ndarray:
     """Draw n Dirichlet(alpha) vectors as the columns of a (K, n) matrix;
-    n is an integer (Python or numpy), at least 0."""
+    n is an integer (Python or numpy), at least 0, and rng a Generator or
+    such an integer seed."""
     a = _concentrations(alpha, "sample_dirichlet")
     if a.ndim != 1:
         raise ValidationError("alpha must be a 1-D vector")
     n = _checked_count(n, "sample count n", 0)
+    rng = _as_rng(rng)
     g = rng.standard_gamma(a[:, None], size=(a.size, n))
     total = g.sum(axis=0)
     dead = total == 0.0

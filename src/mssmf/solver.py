@@ -23,13 +23,12 @@ bound sums it, so a fit evaluates every point once.  The factor sweep
 reads the data only through Y M' and Pbar, also formed once per
 iteration.
 
-Inputs are checked once, where they enter.  The raw-array entry points
-:func:`update_beta` and :func:`update_sigma2` share one prologue,
-:func:`_entry_terms`: the noise variance (one finite, positive number), the
-shapes, then c and G (finite), before other arithmetic.  In the line search
-each evaluated point is checked by its ``dirichlet_entropy`` call, which
-runs before the residual divides by the totals; the gradient then reads
-the same arrays unchecked.
+Inputs are checked once, where they enter.  The raw-array entry point
+:func:`update_beta` runs one prologue, :func:`_entry_terms`: the noise
+variance (one finite, positive number), the shapes, then c and G (finite),
+before other arithmetic.  In the line search each evaluated point is
+checked by its ``dirichlet_entropy`` call, which runs before the residual
+divides by the totals; the gradient then reads the same arrays unchecked.
 """
 
 from __future__ import annotations
@@ -153,14 +152,12 @@ def _check_shapes(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> None:
 
 
 def _entry_terms(y, b, betas, sigma2, name: str) -> Tuple[np.ndarray, ...]:
-    """The raw-array entry points' prologue: (Y, betas, c, G, sigma2), the
+    """The raw-array entry point's prologue: (Y, betas, c, G, sigma2), the
     arrays as float64 and sigma2 as a Python float.  Checks, in this order,
-    the noise variance (one finite, positive number; update_sigma2 passes
-    None), the shapes, and c and G.  The concentrations are left to the
-    caller."""
-    if sigma2 is not None:
-        sigma2 = _scalar(sigma2, f"{name}'s noise variance")
-        _prep_arg(sigma2, f"{name}'s noise variance")
+    the noise variance (one finite, positive number), the shapes, and c and
+    G.  The concentrations are left to the caller."""
+    sigma2 = _scalar(sigma2, f"{name}'s noise variance")
+    _prep_arg(sigma2, f"{name}'s noise variance")
     y = np.asarray(y, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)
@@ -535,12 +532,14 @@ def update_factors(y: np.ndarray, stack: FactorStack, betas: np.ndarray) -> Fact
     return stack.replace(basis=mats[0], mixers=mats[1:])
 
 
-def update_sigma2(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> float:
-    """Closed-form noise-variance update (:func:`_noise_var`) from ||Y||^2
-    plus the summed per-pixel :func:`_expected_resid`, as the bound reads."""
-    y, betas, c, g, _ = _entry_terms(y, b, betas, None, "update_sigma2")
-    yy = _squared_norms(y, "update_sigma2")[1]
-    _prep_arg(betas, "update_sigma2's concentrations")
+def _noise_var_at(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> float:
+    """The closed-form noise variance (:func:`_noise_var`) at (B, betas),
+    from ||Y||^2 plus the summed per-pixel :func:`_expected_resid`, as
+    :func:`fit`'s noise update forms it.  The caller (``init_all``) builds
+    the shapes and floors the concentrations at ``BETA_FLOOR``; only (c, G)
+    and ||Y||^2, which finite data can overflow, are checked."""
+    c, g = _products(y, b, "init_all")
+    yy = _squared_norms(y, "init_all")[1]
     return _noise_var(yy + _expected_resid(c, g, betas)[0].sum(), y.size)
 
 

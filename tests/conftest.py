@@ -71,8 +71,8 @@ def block_terms(mats, which, y, betas):
 
 def dirichlet_second_moment(beta):
     """Second-moment matrix E[z z^T] of a Dirichlet(beta), beta 1-D: the
-    oracle for one pixel's term of Pbar.  Checks beta as dirichlet_mean
-    does."""
+    oracle for one pixel's term of Pbar.  Checks beta (finite and
+    positive, at least one category) as dirichlet_entropy does."""
     b = _concentrations(beta, "dirichlet_second_moment")
     t = b.sum()
     return (np.diag(b) + np.outer(b, b)) / (t * (t + 1.0))
@@ -206,3 +206,9 @@ def assignment_bruteforce(cost):
             best_total = total
             best_perm = perm
     return np.asarray(best_perm), best_total
+
+
+def squared_distances(estimate, truth):
+    """cost[i, j] = ||estimate[:, i] - truth[:, j]||^2, column pair by
+    column pair: the assignment cost aligned_mse minimizes."""
+    return np.array([[np.sum((e - t) ** 2) for t in truth.T] for e in estimate.T])

@@ -188,20 +188,20 @@ def quick_start_endmembers(quick_start_pixels):
 class TestScls:
     def test_vertex_is_recovered_exactly(self, rng):
         a = rng.uniform(0.1, 1.0, (12, 4))
-        s = scls(a[:, 0], a)
+        s = scls(a[:, :1], a)[:, 0]
         np.testing.assert_allclose(s, np.array([1.0, 0, 0, 0]), atol=1e-8)
 
     def test_interior_point_recovered(self, rng):
         a = rng.uniform(0.1, 1.0, (20, 3))
         s_star = np.array([0.2, 0.3, 0.5])
-        s = scls(a @ s_star, a)
+        s = scls((a @ s_star)[:, None], a)[:, 0]
         np.testing.assert_allclose(s, s_star, atol=1e-6)
 
     def test_kkt_residual_small(self, rng):
         for _ in range(10):
             a = rng.uniform(0.0, 1.0, (15, 5))
             y = rng.uniform(0.0, 1.0, 15)
-            s = scls(y, a)
+            s = scls(y[:, None], a)[:, 0]
             assert frank_wolfe_gap(y, a, s) <= FW_GAP_BOUND
             # the bound sees a solution moved 1e-8 toward a vertex
             assert frank_wolfe_gap(y, a, toward_far_vertex(s, 1e-8)) > FW_GAP_BOUND
@@ -238,7 +238,7 @@ class TestScls:
                 # Gram condition number around 1e8, like correlated spectra
                 a[:, 0] = a[:, k - 1] + 1e-4 * rng.standard_normal(m)
             y = rng.uniform(-0.2, 1.2, m)
-            s = scls(y, a)
+            s = scls(y[:, None], a)[:, 0]
             assert np.all(s >= 0.0)
             assert s.sum() == pytest.approx(1.0, abs=1e-14)
             _, best = simplex_lsq_bruteforce(y, a)
@@ -287,8 +287,8 @@ class TestScls:
 
     def test_solves_when_uniform_start_is_in_gram_null_space(self):
         # B^T B = [[2, -2], [-2, 2]] annihilates the uniform start vector
-        s = scls(np.array([1.0, 1.0]), np.array([[1.0, -1.0], [1.0, -1.0]]))
-        np.testing.assert_allclose(s, [1.0, 0.0], atol=1e-8)
+        s = scls(np.array([[1.0], [1.0]]), np.array([[1.0, -1.0], [1.0, -1.0]]))
+        np.testing.assert_allclose(s[:, 0], [1.0, 0.0], atol=1e-8)
 
     def test_zero_endmembers_raise_validation_error(self):
         # scipy's nnls aborts the interpreter on a matrix with no columns,
@@ -296,7 +296,7 @@ class TestScls:
         code = (
             "import numpy as np, mssmf\n"
             "try:\n"
-            "    mssmf.scls(np.ones(30), np.ones((30, 0)))\n"
+            "    mssmf.scls(np.ones((30, 1)), np.ones((30, 0)))\n"
             "except mssmf.ValidationError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n"
@@ -308,32 +308,32 @@ class TestScls:
 
     def test_single_endmember_returns_one(self, rng):
         a = rng.uniform(0.1, 1.0, (9, 1))
-        np.testing.assert_array_equal(scls(rng.uniform(0, 1, 9), a), [1.0])
+        np.testing.assert_array_equal(scls(rng.uniform(0, 1, (9, 1)), a), [[1.0]])
 
     def test_batch_matches_per_pixel(self, rng):
         a = rng.uniform(0.1, 1.0, (10, 4))
         y = rng.uniform(0.0, 1.0, (10, 7))
         batch = scls(y, a)
         for j in range(7):
-            np.testing.assert_allclose(batch[:, j], scls(y[:, j], a), atol=1e-9)
+            np.testing.assert_allclose(batch[:, j], scls(y[:, [j]], a)[:, 0], atol=1e-9)
 
     def test_dominates_every_vertex(self, rng):
         # sanity: optimum cannot be worse than any single endmember
         a = rng.uniform(0.1, 1.0, (8, 4))
         y = rng.uniform(0.0, 1.0, 8)
-        s = scls(y, a)
+        s = scls(y[:, None], a)[:, 0]
         ours = np.sum((y - a @ s) ** 2)
         for j in range(4):
             assert ours <= np.sum((y - a[:, j]) ** 2) + 1e-12
 
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ValidationError):
-            scls(rng.uniform(0, 1, 9), rng.uniform(0, 1, (8, 3)))
+            scls(rng.uniform(0, 1, (9, 1)), rng.uniform(0, 1, (8, 3)))
 
     def test_non_finite_input_raises(self, rng):
         a = rng.uniform(0, 1, (8, 3))
-        y = rng.uniform(0, 1, 8)
-        y[2] = np.nan
+        y = rng.uniform(0, 1, (8, 1))
+        y[2, 0] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
             scls(y, a)
         a[0, 1] = np.inf
@@ -427,6 +427,19 @@ class TestInitAll:
         y, _, _ = pure_pixel_scene(rng, m=30, k=5, n=100)
         with pytest.raises(ValidationError, match="vca's data covariance: non-finite"):
             init_all(y * 1e160, (3, 5), seed=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "sign,fault",
+        [(1.0, "init_all's endmembers: non-finite"), (-1.0, "init_all's data: squared norm")],
+    )
+    def test_noise_variance_terms_overflow_is_named(self, rng, sign, fault):
+        # pixels near 1e160 that vary by 1e-9 of that: the covariance is
+        # finite, but B'B overflows for positive pixels, and for negative
+        # ones (a basis clipped to zero) ||Y||^2 does
+        y = sign * 1e160 * (1.0 + 1e-9 * rng.uniform(0.0, 1.0, (20, 40)))
+        with pytest.raises(ValidationError, match=fault):
+            init_all(y, (2, 4), seed=0)
 
     @pytest.mark.parametrize("bad", [6.7, "6", 2.0, True], ids=repr)
     def test_counts_must_be_integers(self, rng, bad):

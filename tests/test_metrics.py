@@ -8,62 +8,77 @@ from hypothesis import strategies as st
 from mssmf import (
     ValidationError,
     aligned_mse,
-    hungarian,
     singular_spectrum,
 )
 
-from conftest import assignment_bruteforce
+from conftest import assignment_bruteforce, squared_distances
 
 
-class TestHungarian:
+class TestAlignedMse:
     def test_diagonal_zeros_give_identity(self):
-        cost = np.ones((4, 4))
-        np.fill_diagonal(cost, 0.0)
-        np.testing.assert_array_equal(hungarian(cost), [0, 1, 2, 3])
+        # distinct unit columns: every off-diagonal cost is 2
+        res = aligned_mse(np.eye(4), np.eye(4))
+        np.testing.assert_array_equal(res.permutation, [0, 1, 2, 3])
+        assert res.mse == 0.0
 
     def test_two_by_two_example(self):
-        perm = hungarian(np.array([[4.0, 1.0], [2.0, 3.0]]))
-        np.testing.assert_array_equal(perm, [1, 0])
+        # costs [[81, 1], [4, 64]]: the swap costs 5, the identity 145
+        res = aligned_mse(np.array([[9.0, 2.0]]), np.array([[0.0, 10.0]]))
+        np.testing.assert_array_equal(res.permutation, [1, 0])
+        assert res.mse == 5.0 / (2 * 100.0)
 
     def test_matches_bruteforce(self, rng):
         for _ in range(60):
             k = int(rng.integers(2, 7))
-            cost = rng.uniform(0.0, 10.0, (k, k))
-            got = hungarian(cost)
-            want, total = assignment_bruteforce(cost)
-            assert cost[np.arange(k), got].sum() == pytest.approx(total, abs=1e-10)
-            np.testing.assert_array_equal(got, want)
+            truth = rng.uniform(0.0, 1.0, (int(rng.integers(2, 9)), k))
+            est = truth + rng.normal(0.0, 0.3, truth.shape)
+            res = aligned_mse(est, truth)
+            want, total = assignment_bruteforce(squared_distances(est, truth))
+            np.testing.assert_array_equal(res.permutation, want)
+            assert res.mse == pytest.approx(total / (k * np.sum(truth * truth)), rel=1e-12)
 
-    def test_structured_ties(self):
-        # several optimal assignments: one of them, the same one every call
-        for cost in (
-            np.zeros((5, 5)),
-            np.ones((2, 2)),
-            np.array([[0.0, 5.0, 5.0], [5.0, 0.0, 0.0], [5.0, 0.0, 0.0]]),
+    def test_structured_ties(self, rng):
+        # duplicated columns make several assignments optimal: one of them,
+        # the same one every call
+        a, b = rng.uniform(0.0, 1.0, (2, 6))
+        for truth in (
+            np.ones((3, 5)),
+            np.column_stack([a, a]),
+            np.column_stack([a, b, b]),
         ):
-            k = cost.shape[0]
-            got = hungarian(cost)
-            np.testing.assert_array_equal(np.sort(got), np.arange(k))
-            assert cost[np.arange(k), got].sum() == assignment_bruteforce(cost)[1]
-            np.testing.assert_array_equal(hungarian(cost.copy()), got)
+            k = truth.shape[1]
+            for est in (truth, truth + 0.25):
+                res = aligned_mse(est, truth)
+                np.testing.assert_array_equal(np.sort(res.permutation), np.arange(k))
+                cost = squared_distances(est, truth)
+                total = assignment_bruteforce(cost)[1]
+                assert cost[np.arange(k), res.permutation].sum() == pytest.approx(
+                    total, rel=1e-12, abs=1e-15
+                )
+                again = aligned_mse(est.copy(), truth.copy())
+                np.testing.assert_array_equal(again.permutation, res.permutation)
+                assert again.mse == res.mse
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
     def test_dominates_every_permutation(self, seed, k):
-        cost = np.random.default_rng(seed).uniform(0, 1, (k, k))
-        got = hungarian(cost)
-        ours = cost[np.arange(k), got].sum()
+        r = np.random.default_rng(seed)
+        est, truth = r.uniform(0, 1, (2, 5, k))
+        res = aligned_mse(est, truth)
+        norm = k * np.sum(truth * truth)
         for perm in itertools.permutations(range(k)):
-            assert ours <= cost[np.arange(k), perm].sum() + 1e-9
+            assert res.mse <= np.sum((est - truth[:, perm]) ** 2) / norm + 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_bad_input(self):
-        with pytest.raises(ValidationError):
-            hungarian(np.ones((2, 3)))
-        with pytest.raises(ValidationError):
-            hungarian(np.array([[np.inf, 1.0], [1.0, 0.0]]))
+        # finite entries near 1e160: a squared distance overflows, and the
+        # check on the cost names it
+        est = np.array([[1e160, -1e160], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match="cost matrix: non-finite"):
+            aligned_mse(est, np.array([[-1e160, 1e160], [1.0, 0.0]]))
+        with pytest.raises(ValidationError, match="at least one column"):
+            aligned_mse(np.ones((3, 0)), np.ones((3, 0)))
 
-
-class TestAlignedMse:
     def test_zero_on_identical(self, rng):
         a = rng.uniform(0, 1, (12, 5))
         res = aligned_mse(a, a)

@@ -12,12 +12,9 @@ from mssmf import (
     assemble_ground_truth,
     compose_expanded,
     dirichlet_entropy,
-    dirichlet_mean,
     gen_dataset,
     gen_variants,
-    hungarian,
     update_beta,
-    update_sigma2,
     validate_dims,
 )
 from mssmf.simplex import sample_dirichlet
@@ -80,13 +77,10 @@ class TestModelDims:
             lambda: DirichletParam(np.ones((0, 4))),
             lambda: elbo_terms(np.ones((5, 4)), np.ones((5, 0)), np.ones((0, 4)), 0.1),
             lambda: update_beta(np.ones((5, 4)), np.ones((5, 0)), np.ones((0, 4)), 0.1, 1),
-            lambda: update_sigma2(np.ones((5, 4)), np.ones((5, 0)), np.ones((0, 4))),
             lambda: assemble_ground_truth(np.ones((5, 0)), 4, pick=2),
             lambda: gen_dataset(np.ones((5, 0)), 4, 20.0),
-            lambda: hungarian(np.ones((0, 0))),
             lambda: aligned_mse(np.ones((3, 0)), np.ones((3, 0))),
             lambda: sample_dirichlet(np.ones(0), 3, np.random.default_rng(0)),
-            lambda: dirichlet_mean(np.ones((0, 3))),
             lambda: dirichlet_entropy(np.ones((0, 3))),
             lambda: gen_variants(np.ones(0), 2),
             lambda: assemble_ground_truth(np.ones((0, 3)), 4, pick=2),
@@ -94,8 +88,8 @@ class TestModelDims:
         ],
         ids=[
             "stack_basis", "stack_mixer", "concentrations", "elbo_terms", "update_beta",
-            "update_sigma2", "ground_truth", "dataset", "hungarian", "aligned_mse",
-            "sample_no_categories", "mean_no_categories", "entropy_no_categories",
+            "ground_truth", "dataset", "aligned_mse",
+            "sample_no_categories", "entropy_no_categories",
             "variants_no_bands", "ground_truth_no_bands", "dataset_no_bands",
         ],
     )

@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,11 +12,17 @@ from mssmf import (
     DirichletParam,
     ValidationError,
     dirichlet_entropy,
-    dirichlet_mean,
     sample_dirichlet,
 )
 
 from conftest import dirichlet_second_moment
+
+# the Dirichlet moments of one 1-D concentration vector: the mean as
+# DirichletParam computes it, and the second-moment oracle
+MOMENTS = {
+    "dirichlet_mean": lambda b: DirichletParam(np.asarray(b)[:, None]).mean[:, 0],
+    "dirichlet_second_moment": dirichlet_second_moment,
+}
 
 # float64 cannot hold 1e-10 absolute accuracy where the function value is
 # ~1e7 (or 1e12), so huge arguments are covered by the relative branch
@@ -110,13 +118,22 @@ class TestDirichlet:
 
     def test_mean_formula(self, rng):
         b = rng.uniform(0.2, 5.0, 6)
-        np.testing.assert_allclose(dirichlet_mean(b), b / b.sum(), rtol=1e-14)
+        np.testing.assert_allclose(MOMENTS["dirichlet_mean"](b), b / b.sum(), rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "conc", [2.0, [1.0, 2.0, 3.0], np.ones((2, 3, 4))], ids=["0d", "1d", "3d"]
+    )
+    def test_param_must_be_a_matrix(self, conc):
+        # not a (1, 1) array, K = 1 with N pixels, or a 3-D array kept as it is
+        shape = re.escape(str(np.shape(conc)))
+        with pytest.raises(ValidationError, match=f"K x N matrix, got shape {shape}"):
+            DirichletParam(conc)
 
     def test_second_moment_row_sums_give_mean(self, rng):
         # P @ 1 = m is an identity of the Dirichlet second moment
         b = rng.uniform(0.2, 5.0, 5)
         p = dirichlet_second_moment(b)
-        np.testing.assert_allclose(p @ np.ones(5), dirichlet_mean(b), rtol=1e-12)
+        np.testing.assert_allclose(p @ np.ones(5), MOMENTS["dirichlet_mean"](b), rtol=1e-12)
 
     def test_second_moment_monte_carlo(self, rng):
         b = np.array([0.8, 2.5, 1.2, 3.0])
@@ -240,16 +257,16 @@ class TestChecks:
         with pytest.raises(ValidationError, match="dirichlet_entropy"):
             dirichlet_entropy(np.column_stack([np.ones(3), np.full(3, value)]))
 
-    @pytest.mark.parametrize("func", [dirichlet_mean, dirichlet_second_moment])
+    @pytest.mark.parametrize("func", sorted(MOMENTS))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_moments_reject_bad_concentrations(self, func, bad):
         with pytest.raises(ValidationError):
-            func(np.array([1.0, bad, 2.0]))
+            MOMENTS[func](np.array([1.0, bad, 2.0]))
 
-    @pytest.mark.parametrize("func", [dirichlet_mean, dirichlet_second_moment])
+    @pytest.mark.parametrize("func", sorted(MOMENTS))
     def test_moments_reject_all_zero(self, func):
         with pytest.raises(ValidationError):
-            func(np.zeros(3))
+            MOMENTS[func](np.zeros(3))
 
     @pytest.mark.parametrize("n", [2.5, 2.0, -1, "3", None, True])
     def test_sampling_rejects_bad_counts(self, rng, n):
@@ -259,3 +276,15 @@ class TestChecks:
     def test_sampling_takes_numpy_and_zero_counts(self, rng):
         assert sample_dirichlet(np.ones(3), np.int64(4), rng).shape == (3, 4)
         assert sample_dirichlet(np.ones(3), 0, rng).shape == (3, 0)
+
+    def test_sampling_takes_an_integer_seed(self):
+        # a seed builds its generator as every other seeded entry point does
+        alpha = np.array([0.5, 1.0, 3.0])
+        want = sample_dirichlet(alpha, 7, np.random.default_rng(11))
+        np.testing.assert_array_equal(sample_dirichlet(alpha, 7, 11), want)
+        np.testing.assert_array_equal(sample_dirichlet(alpha, 7, np.int64(11)), want)
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "3", True])
+    def test_sampling_rejects_bad_seeds(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            sample_dirichlet(np.ones(3), 4, seed)

@@ -22,14 +22,12 @@ from mssmf import (
     init_all,
     update_beta,
     update_factors,
-    update_sigma2,
 )
 from mssmf import model, simplex, solver
 from mssmf.model import NOISE_VAR_FLOOR
 from mssmf.simplex import (
     BETA_FLOOR,
     dirichlet_entropy,
-    dirichlet_mean,
     sample_dirichlet,
 )
 
@@ -201,7 +199,7 @@ class TestSigma2:
         for _ in range(5):
             y, stack, betas = random_instance(rng)
             b = expanded_of(stack)
-            s2 = update_sigma2(y, b, betas)
+            s2 = solver._noise_var_at(y, b, betas)
             h = 1e-6 * s2
             deriv = (
                 elbo_terms(y, b, betas, s2 + h) - elbo_terms(y, b, betas, s2 - h)
@@ -218,7 +216,7 @@ class TestSigma2:
         z = sample_dirichlet(np.ones(4), 40, r)
         y = basis @ mixer @ z
         betas = np.maximum(z * 1e12, BETA_FLOOR)
-        assert update_sigma2(y, basis @ mixer, betas) == NOISE_VAR_FLOOR
+        assert solver._noise_var_at(y, basis @ mixer, betas) == NOISE_VAR_FLOOR
         stack = FactorStack(basis, (mixer,), NOISE_VAR_FLOOR)
         res = fit(y, stack, betas, FitConfig(max_outer_iters=3, rel_elbo_tol=0.0))
         assert len(res.trace) >= 1
@@ -229,7 +227,7 @@ class TestSigma2:
             y, stack, betas = random_instance(rng)
             b = expanded_of(stack)
             before = elbo_terms(y, b, betas, stack.noise_var)
-            after = elbo_terms(y, b, betas, update_sigma2(y, b, betas))
+            after = elbo_terms(y, b, betas, solver._noise_var_at(y, b, betas))
             assert after >= before - 1e-10 * (1 + abs(before))
 
 
@@ -322,7 +320,7 @@ class TestBetaUpdate:
         # every evaluated point is checked by its dirichlet_entropy call
         # (the concentrations and the result), the gradient at that point
         # reads the checked arrays without checking them again, and every
-        # other array is checked once per entry-point call
+        # other array is checked once per call
         y, b, betas, sigma2, _ = quick_start_state
         entropy_calls = []
         checks = []
@@ -341,32 +339,20 @@ class TestBetaUpdate:
         monkeypatch.setattr(solver, "dirichlet_entropy", counted)
         for module in (model, simplex, solver):
             monkeypatch.setattr(module, "_prep_arg", recorded)
-        entries = {
-            "update_beta": lambda: update_beta(y, b, betas, sigma2, passes=5),
-            "update_sigma2": lambda: update_sigma2(y, b, betas),
+        update_beta(y, b, betas, sigma2, passes=5)
+        names = Counter(name for name, _, _ in checks)
+        assert names.pop("dirichlet_entropy", 0) == len(entropy_calls)
+        assert names.pop("dirichlet_entropy (overflow)", 0) == len(entropy_calls)
+        # the noise variance, G and c in the prologue; the concentrations
+        # are left to the entropy
+        assert names == {
+            "update_beta's noise variance": 1,
+            "update_beta's endmembers": 1,
+            "update_beta's data": 1,
         }
-        evaluations = {}
-        for entry, call in entries.items():
-            entropy_calls.clear()
-            checks.clear()
-            call()
-            evaluations[entry] = len(entropy_calls)
-            names = Counter(name for name, _, _ in checks)
-            assert names.pop("dirichlet_entropy", 0) == len(entropy_calls)
-            assert names.pop("dirichlet_entropy (overflow)", 0) == len(entropy_calls)
-            # the noise variance (not update_sigma2's), G and c in the
-            # shared prologue; update_sigma2 checks its concentrations, the
-            # others leave them to the entropy
-            want = {f"{entry}'s endmembers": 1, f"{entry}'s data": 1}
-            if entry == "update_sigma2":
-                want["update_sigma2's concentrations"] = 1
-            else:
-                want[f"{entry}'s noise variance"] = 1
-            assert names == want
-            assert not any("_beta_gradient" in chain for chain in checks)
+        assert not any("_beta_gradient" in chain for chain in checks)
         # the line search evaluates its start and at least one point per pass
-        assert evaluations["update_beta"] >= 1 + 5
-        assert evaluations["update_sigma2"] == 0
+        assert len(entropy_calls) >= 1 + 5
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.floats(-6.0, 0.0))
@@ -412,7 +398,7 @@ def block_problem(y, stack, betas, which):
     for mat in mats[which + 1:]:
         after = after @ mat
     pbar = sum(dirichlet_second_moment(col) for col in betas.T)
-    mean = dirichlet_mean(betas)
+    mean = DirichletParam(betas).mean
     r = after @ pbar @ after.T
     c = prefix.T @ y @ mean.T @ after.T
     return prefix.T @ prefix, r, c, prefix
@@ -473,9 +459,10 @@ def _raw_entry_calls(y, b, betas, sigma2):
 
 
 def entry_point_fit(y, stack, betas, iters):
-    """fit's loop built from the public raw-array entry points, each
-    forming its own statistics.  Returns (stack, betas, bounds, noise
-    variances); the stack keeps its initial noise variance."""
+    """fit's loop built from the public raw-array entry points and
+    init_all's noise-variance helper, each forming its own statistics.
+    Returns (stack, betas, bounds, noise variances); the stack keeps its
+    initial noise variance."""
     sigma2 = stack.noise_var
     bounds, noise = [], []
     for _ in range(iters):
@@ -483,7 +470,7 @@ def entry_point_fit(y, stack, betas, iters):
         betas = update_beta(y, b, betas, sigma2, FitConfig.beta_steps_per_outer)
         stack = update_factors(y, stack, betas)
         b = compose_expanded(stack)
-        sigma2 = update_sigma2(y, b, betas)
+        sigma2 = solver._noise_var_at(y, b, betas)
         bounds.append(elbo_terms(y, b, betas, sigma2))
         noise.append(sigma2)
     return stack, betas, bounds, noise
@@ -491,8 +478,8 @@ def entry_point_fit(y, stack, betas, iters):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRawEntryChecks:
-    """update_beta and update_sigma2 take raw arrays, so they check them, as
-    fit checks the statistics it forms: a bad input raises ValidationError
+    """update_beta takes raw arrays, so it checks them, as fit checks the
+    statistics it forms: a bad input raises ValidationError
     before any arithmetic turns it into a warning or a silent result.  The
     bound oracle elbo_terms runs the same prologue, so a test that hands it
     a bad point fails rather than reading a meaningless bound."""
@@ -522,14 +509,13 @@ class TestRawEntryChecks:
         with pytest.raises(ValidationError, match="noise variance"):
             call()
 
-    @pytest.mark.parametrize("entry", ["fit", "update_beta", "elbo_terms", "update_sigma2"])
+    @pytest.mark.parametrize("entry", ["fit", "update_beta", "elbo_terms"])
     def test_reject_overflowing_squared_norm(self, rng, entry):
         # finite data whose ||Y||^2 overflows, where it is formed
         y, stack, betas = random_instance(rng)
         y = y * 1e160
         b = expanded_of(stack)
         calls = _raw_entry_calls(y, b, betas, stack.noise_var)
-        calls["update_sigma2"] = lambda: update_sigma2(y, b, betas)
         calls["fit"] = lambda: fit(y, stack, betas, FitConfig(max_outer_iters=2))
         with pytest.raises(ValidationError, match="data: squared norm overflows"):
             calls[entry]()
@@ -547,7 +533,7 @@ class TestRawEntryChecks:
         with pytest.raises(ValidationError, match="fit's endmembers: non-finite"):
             fit(y, stack, betas, FitConfig(max_outer_iters=3, rel_elbo_tol=0.0))
 
-    @pytest.mark.parametrize("entry", ["update_beta", "elbo_terms", "update_sigma2"])
+    @pytest.mark.parametrize("entry", ["update_beta", "elbo_terms"])
     @pytest.mark.parametrize("where", ["y", "b"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_reject_non_finite_data(self, rng, entry, where, bad):
@@ -558,11 +544,10 @@ class TestRawEntryChecks:
         else:
             b[1, 0] = bad
         calls = _raw_entry_calls(y, b, betas, stack.noise_var)
-        calls["update_sigma2"] = lambda: update_sigma2(y, b, betas)
         with pytest.raises(ValidationError, match="data" if where == "y" else "endmembers"):
             calls[entry]()
 
-    @pytest.mark.parametrize("entry", ["update_beta", "elbo_terms", "update_sigma2"])
+    @pytest.mark.parametrize("entry", ["update_beta", "elbo_terms"])
     @pytest.mark.parametrize("column", [True, False])
     def test_reject_zero_concentrations(self, rng, entry, column):
         # a zero column would divide by its zero total in the residual
@@ -573,11 +558,10 @@ class TestRawEntryChecks:
         else:
             betas[0, 0] = 0.0
         calls = _raw_entry_calls(y, b, betas, stack.noise_var)
-        calls["update_sigma2"] = lambda: update_sigma2(y, b, betas)
         with pytest.raises(ValidationError, match="finite and positive"):
             calls[entry]()
 
-    @pytest.mark.parametrize("entry", ["update_beta", "elbo_terms", "update_sigma2"])
+    @pytest.mark.parametrize("entry", ["update_beta", "elbo_terms"])
     @pytest.mark.parametrize(
         "case", ["bands", "concentration_rows", "concentration_columns", "concentrations_1d"]
     )
@@ -594,7 +578,6 @@ class TestRawEntryChecks:
         else:
             betas = betas[:, 0]
         calls = _raw_entry_calls(y, b, betas, stack.noise_var)
-        calls["update_sigma2"] = lambda: update_sigma2(y, b, betas)
         shapes = y.shape if case == "bands" else betas.shape
         with pytest.raises(ValidationError, match=re.escape(str(shapes))):
             calls[entry]()
@@ -719,7 +702,7 @@ class TestUpdateFactor:
             else:
                 assert twice <= once + 1e-10 * abs(once)
             stack, before = new, after
-        stack = stack.replace(noise_var=update_sigma2(y, expanded_of(stack), betas))
+        stack = stack.replace(noise_var=solver._noise_var_at(y, expanded_of(stack), betas))
         assert_no_drop(before, bound(stack, betas))
 
     @pytest.mark.parametrize("which", [0, 1])
