@@ -37,7 +37,12 @@ def vca(pixels, k: int, seed: RngLike = 0) -> Tuple[np.ndarray, np.ndarray]:
     plus a constant coordinate: under the model y_n = B z_n + noise with
     z_n on the simplex, noiseless pixels lie in exactly that affine set.
     Pixels scaled by a per-pixel factor (y_n = s_n E z_n) leave it, so the
-    picks are not invariant to such a scale.
+    picks are not invariant to such a scale.  Each pick takes the pixel
+    farthest along a random direction projected off an orthonormal basis of
+    the picks so far (e_k before the first), which grows by one two-pass
+    Gram-Schmidt step per pick.  The indices are those of the
+    pseudo-inverse form w - A pinv(A) w; with exactly duplicated pixels
+    they may name another copy of the same spectrum.
 
     Each call makes its own decomposition of the data covariance, which
     serves the diversity check, the k = 1 pick and the subspace
@@ -95,14 +100,20 @@ def _vca_picks(frame, k: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.
     work = np.vstack([x, np.full((1, n), c)])
 
     indices = np.zeros(k, dtype=int)
-    a = np.zeros((k, k))
-    a[-1, 0] = 1.0
+    # orthonormal basis of the picks so far (e_k before the first), grown
+    # by one Gram-Schmidt step per pick, run twice so it stays orthogonal
+    q = np.zeros((k, k))
+    q[-1, 0] = 1.0
     for i in range(k):
         w = rng.standard_normal(k)
-        f = w - a @ (np.linalg.pinv(a) @ w)
+        span = q[:, : max(i, 1)]
+        f = w - span @ (span.T @ w)
         f /= np.linalg.norm(f)
         indices[i] = int(np.argmax(np.abs(f @ work)))
-        a[:, i] = work[:, indices[i]]
+        v = work[:, indices[i]]
+        for _ in range(2):
+            v = v - q[:, :i] @ (q[:, :i].T @ v)
+        q[:, i] = v / np.linalg.norm(v)
     return y[:, indices].copy(), indices
 
 

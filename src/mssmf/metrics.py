@@ -33,8 +33,8 @@ def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
     one for the same input); the reported value is that total divided by K
     times the squared Frobenius norm of the truth.  Both matrices must be
     finite and have at least one column; entries large enough to overflow
-    a squared distance fail the check on the cost matrix, and a truth whose
-    squared norm overflows is refused.
+    a difference or a squared distance fail the check on the cost matrix,
+    and a truth whose squared norm overflows is refused.
     """
     a = np.atleast_2d(_prep_arg(estimate, "aligned_mse's estimate", positive=False))
     b = np.atleast_2d(_prep_arg(truth, "aligned_mse's truth", positive=False))
@@ -43,8 +43,10 @@ def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
     k = a.shape[1]
     if k == 0:
         raise ValidationError(f"aligned_mse needs at least one column, got {a.shape}")
-    diff = a[:, :, None] - b[:, None, :]
-    cost = np.einsum("mij,mij->ij", diff, diff)
+    # an overflow makes the cost non-finite; the check names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = a[:, :, None] - b[:, None, :]
+        cost = np.einsum("mij,mij->ij", diff, diff)
     perm = linear_sum_assignment(_prep_arg(cost, "cost matrix", positive=False))[1]
     per_col = cost[np.arange(k), perm]
     with np.errstate(over="ignore"):

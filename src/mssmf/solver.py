@@ -289,7 +289,14 @@ def _beta_ascent_chunk(
     acceptance mask.  Only the pixels whose first step failed are
     gathered, by index, for the halving retries.  On the README
     quick-start scene, after 3, 10 or 30 fit iterations every first step
-    passes, so the retries gather nothing.
+    passes, so the retries gather nothing.  A retry round of one pixel
+    forms `g @ betas` as a matrix-vector product, whose bits differ from
+    that column of a multi-column product.  A gather of two or more columns
+    matches the whole array column for column, except where the whole
+    product rounds its last few columns in a tail kernel (with K = 30 on
+    one OpenBLAS thread: the last 4 at 500 pixels, none at 200 or 2 000).
+    So trying several halvings of the retried pixels in one call changes
+    the output bits.
 
     A search starts at the first step it could accept.  yss holds each
     pixel's ||y||^2.  No concentrations lift the per-pixel bound above

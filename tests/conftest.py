@@ -208,6 +208,28 @@ def assignment_bruteforce(cost):
     return np.asarray(best_perm), best_total
 
 
+def reference_vca_picks(frame, k, rng):
+    """VCA's pick indices in a frame from ``initialization._vca_frame``, by
+    the pseudo-inverse formulation of Nascimento & Bioucas-Dias: each pick
+    projects a random direction off the column space of the picks so far
+    (e_k before the first) as w - A pinv(A) w.  k is at least 2 and passes
+    the diversity check."""
+    y, centered, u, _ = frame
+    x = u[:, : k - 1].T @ centered
+    c = np.sqrt((x * x).sum(axis=0).max())
+    work = np.vstack([x, np.full((1, y.shape[1]), c)])
+    indices = np.zeros(k, dtype=int)
+    a = np.zeros((k, k))
+    a[-1, 0] = 1.0
+    for i in range(k):
+        w = rng.standard_normal(k)
+        f = w - a @ (np.linalg.pinv(a) @ w)
+        f /= np.linalg.norm(f)
+        indices[i] = int(np.argmax(np.abs(f @ work)))
+        a[:, i] = work[:, indices[i]]
+    return indices
+
+
 def squared_distances(estimate, truth):
     """cost[i, j] = ||estimate[:, i] - truth[:, j]||^2, column pair by
     column pair: the assignment cost aligned_mse minimizes."""

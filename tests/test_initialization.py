@@ -3,9 +3,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from conftest import simplex_lsq_bruteforce
+from conftest import reference_vca_picks, simplex_lsq_bruteforce
 from mssmf import (
     BETA_FLOOR,
     ValidationError,
@@ -54,6 +56,14 @@ def pure_pixel_scene(rng, m=50, k=5, n=500):
         col[j] = 1.0
         z[:, j * 3] = col
     return truth @ z, truth, z
+
+
+def picks_and_reference(y, k, seed):
+    """vca's pick indices on y and the pseudo-inverse formulation's, from
+    the same frame and the same generator."""
+    frame = initialization._vca_frame(y)
+    got = initialization._vca_picks(frame, k, np.random.default_rng(seed))[1]
+    return got, reference_vca_picks(frame, k, np.random.default_rng(seed))
 
 
 class TestVca:
@@ -148,6 +158,42 @@ class TestVca:
         y, _, _ = pure_pixel_scene(rng, m=30, k=6, n=200)
         vca(y, 6, seed=0)
         assert len(calls) == 1
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(2, 80), st.data())
+    def test_picks_match_reference_on_random_data(self, seed, m, n, data):
+        k = data.draw(st.integers(2, min(m, n)), label="k")
+        y = np.random.default_rng(seed).uniform(0.0, 1.0, (m, n))
+        np.testing.assert_array_equal(*picks_and_reference(y, k, seed))
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(2, 20), st.data())
+    def test_picks_match_reference_on_duplicated_pixels(self, seed, m, distinct, data):
+        # every distinct pixel appears at least once, most several times.
+        # A product rounds a column by its position in it, so copies of a
+        # pixel score a bit apart and roundoff in the direction can pick
+        # another copy: the spectra match, the index may name another copy
+        k = data.draw(st.integers(2, min(m, distinct)), label="k")
+        r = np.random.default_rng(seed)
+        cols = np.concatenate([np.arange(distinct), r.integers(0, distinct, 3 * distinct)])
+        y = r.uniform(0.0, 1.0, (m, distinct))[:, r.permutation(cols)]
+        got, want = picks_and_reference(y, k, seed)
+        np.testing.assert_array_equal(y[:, got], y[:, want])
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.data())
+    def test_picks_match_reference_on_noise_free_simplex_data(self, seed, vertices, data):
+        m = data.draw(st.integers(vertices, 60), label="bands")
+        k = data.draw(st.integers(2, vertices), label="k")
+        y, _, _ = pure_pixel_scene(np.random.default_rng(seed), m=m, k=vertices, n=40 * vertices)
+        np.testing.assert_array_equal(*picks_and_reference(y, k, seed))
+
+    def test_picks_match_reference_on_the_quick_start_scene(self, quick_start_pixels):
+        y = quick_start_pixels.data
+        # init_all's two runs at seed 9 (dims 6,18,30) and the README's vca call
+        basis_seed, expanded_seed, _ = np.random.SeedSequence(9).spawn(3)
+        for k, seed in ((6, basis_seed), (30, expanded_seed), (30, 9)):
+            np.testing.assert_array_equal(*picks_and_reference(y, k, seed))
 
 
 def unreduced_simplex_lsq(y, a):
@@ -397,8 +443,6 @@ class TestInitAll:
             init_all(y, (3, 12), seed=0)
 
     def test_one_decomposition_for_both_vca_runs(self, quick_start_pixels, monkeypatch):
-        # pinv calls numpy's svd through its own binding, so only the
-        # covariance's decomposition is counted
         shapes = []
         svd = initialization.np.linalg.svd
         monkeypatch.setattr(
@@ -406,7 +450,7 @@ class TestInitAll:
             lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw),
         )
         init_all(quick_start_pixels, layer_sizes=(6, 18, 30), seed=9)
-        assert shapes.count((198, 198)) == 1
+        assert shapes == [(198, 198)]
 
     @pytest.mark.parametrize("scene", ["quick_start", "pure_pixels"])
     def test_vca_runs_give_the_public_bits(self, quick_start_pixels, scene):

@@ -76,6 +76,9 @@ class TestAlignedMse:
         est = np.array([[1e160, -1e160], [0.0, 1.0]])
         with pytest.raises(ValidationError, match="cost matrix: non-finite"):
             aligned_mse(est, np.array([[-1e160, 1e160], [1.0, 0.0]]))
+        # near 1e308 the difference itself overflows
+        with pytest.raises(ValidationError, match="cost matrix: non-finite"):
+            aligned_mse([[1e308, 0.0]], [[-1e308, 1.0]])
         with pytest.raises(ValidationError, match="at least one column"):
             aligned_mse(np.ones((3, 0)), np.ones((3, 0)))
 
