@@ -21,7 +21,8 @@ passes, which start from it instead of evaluating that point again.  The
 passes carry each pixel's entropy with its accepted concentrations and the
 bound sums it, so a fit evaluates every point once.  The factor sweep
 reads the data only through Y M' and Pbar, also formed once per
-iteration.
+iteration.  The passes run per block of at most 1 024 pixels, and above
+one block on forked worker processes as well (see :func:`fit`).
 
 Inputs are checked once, where they enter.  The raw-array entry point
 :func:`update_beta` runs one prologue, :func:`_entry_terms`: the noise
@@ -33,10 +34,13 @@ divides by the totals; the gradient then reads the same arrays unchecked.
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Tuple
+from typing import ClassVar, Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import nnls
@@ -66,6 +70,8 @@ _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
 # relative bound change below which fit reports a decrease, not roundoff
 _BOUND_DROP_TOL = 1e-10
+# widest pixel block of fit's concentration passes
+_BLOCK_PIXELS = 1024
 
 
 @dataclass(frozen=True)
@@ -296,7 +302,9 @@ def _beta_ascent_chunk(
     product rounds its last few columns in a tail kernel (with K = 30 on
     one OpenBLAS thread: the last 4 at 500 pixels, none at 200 or 2 000).
     So trying several halvings of the retried pixels in one call changes
-    the output bits.
+    the output bits.  :func:`fit` calls this once per pixel block, so above
+    1 024 pixels its products and gathers round by the block's width, not
+    by that of all the pixels.
 
     A search starts at the first step it could accept.  yss holds each
     pixel's ||y||^2.  No concentrations lift the per-pixel bound above
@@ -351,6 +359,143 @@ def _beta_ascent_chunk(
     return cur, ent
 
 
+def _pixel_blocks(n: int) -> List[int]:
+    """Edges of the ceil(n / _BLOCK_PIXELS) contiguous pixel blocks of
+    near-equal width on which :func:`fit` runs its concentration passes."""
+    count = -(-n // _BLOCK_PIXELS)
+    return [i * n // count for i in range(count + 1)]
+
+
+def _block_groups(edges: List[int], count: int) -> List[Tuple[int, int, List[int]]]:
+    """The blocks split into count contiguous groups of near-equal block
+    count, each as (first pixel, end pixel, its block edges from 0)."""
+    blocks = len(edges) - 1
+    cuts = [i * blocks // count for i in range(count + 1)]
+    return [
+        (edges[a], edges[b], [e - edges[a] for e in edges[a : b + 1]])
+        for a, b in zip(cuts[:-1], cuts[1:])
+    ]
+
+
+def _joined(parts: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
+    """(concentrations, entropy) of consecutive pixel ranges, joined."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
+
+
+def _ascend_blocks(
+    edges: List[int], g: np.ndarray, sigma2: float, passes: int, columns: List[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_beta_ascent_chunk` on each block [edges[i], edges[i + 1]) of
+    one group's pixels, joined.  columns holds the pixel arrays (c, betas,
+    yss, then the start's bound, entropy and gradient pieces), pixels along
+    the last axis.  A block's output depends on its own columns alone, so
+    which process runs it and whether its columns are views or copies leave
+    its bits alone."""
+    parts = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        c, betas, yss, f0, ent, *pieces = (a[..., lo:hi] for a in columns)
+        parts.append(
+            _beta_ascent_chunk(c, g, betas, yss, sigma2, passes, (f0, ent, tuple(pieces)))
+        )
+    return _joined(parts)
+
+
+def _concentration_passes(conns, groups, c, g, betas, yss, sigma2, passes, start):
+    """One iteration's concentration passes over fit's pixel blocks.  The
+    worker at the end of each connection in conns takes one group after the
+    first and gets only that group's columns, plus g and sigma2; the main
+    process runs the first group meanwhile.  Returns every pixel's
+    (concentrations, entropy), or raises what a worker raised."""
+    f0, ent, pieces = start
+    columns = (c, betas, yss, f0, ent, *pieces)
+
+    def args(group):
+        lo, hi, edges = group
+        return edges, g, sigma2, passes, [a[..., lo:hi] for a in columns]
+
+    for conn, group in zip(conns, groups[1:]):
+        conn.send(args(group))
+    parts = [_ascend_blocks(*args(groups[0]))]
+    parts += [conn.recv() for conn in conns]
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    return _joined(parts)
+
+
+def _fork_workers(blocks: int) -> int:
+    """Worker processes a fit over `blocks` pixel blocks forks: one per
+    usable core beyond the first, at most one per block beyond the first.
+    None where it cannot fork them: one block, no ``os.sched_getaffinity``,
+    no ``fork`` start method, or a daemonic caller."""
+    if blocks < 2 or not hasattr(os, "sched_getaffinity"):
+        return 0
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon or (
+        "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return 0
+    return min(len(os.sched_getaffinity(0)), blocks) - 1
+
+
+@contextmanager
+def _worker_pool(workers: int) -> Iterator[List]:
+    """Fork `workers` processes that serve :func:`_ascend_blocks` tasks and
+    yield the main process's connection to each.  On exit, however the
+    block ends, the connections close and every worker is joined.
+
+    Fork, not spawn: a spawned worker imports numpy and scipy afresh, which
+    takes longer than a fit of the `wide` benchmark scene saves.  A forked
+    worker runs only numpy, scipy and its pipe, so it takes no lock that
+    another thread of the parent could hold at the fork."""
+    if not workers:
+        yield []
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    conns, procs = [], []
+    try:
+        for _ in range(workers):
+            mine, theirs = context.Pipe()
+            conns.append(mine)
+            procs.append(context.Process(target=_serve, args=(theirs, conns), daemon=True))
+            procs[-1].start()
+            theirs.close()
+        yield conns
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
+
+
+def _serve(conn, parent_ends: List) -> None:
+    """A fit's worker process: answer each task the parent sends with its
+    result or its exception until the parent closes its end or has gone.
+    The copies of the parent's ends are closed first, so its exit, clean or
+    not, ends the worker; Ctrl-C is left to the parent."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in parent_ends:
+        end.close()
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        try:
+            out = _ascend_blocks(*task)
+        except Exception as exc:
+            out = exc
+        try:
+            conn.send(out)
+        except OSError:
+            return
+
+
 def update_beta(
     y: np.ndarray,
     b: np.ndarray,
@@ -362,10 +507,11 @@ def update_beta(
     """Improve all per-pixel Dirichlet concentrations for a fixed model.
 
     Pixels are independent.  With workers > 1 the pixels are split into
-    contiguous column chunks run on a thread pool.  :func:`fit` runs the
-    ascent on all pixels at once: the pool has not paid off at any size
-    measured, and a chunk's `g @ betas` can round differently from the full
-    product's.  The argument remains only for the benchmark's two-worker
+    contiguous column chunks run on a thread pool.  The threads share the
+    GIL, which scipy.special's gammaln and psi hold for about 46% of the
+    passes, so their speed-up stays under about 2.2x however many cores
+    there are; :func:`fit` runs its pixel blocks in forked processes
+    instead.  The argument remains only for the benchmark's two-worker
     timing probe.
     """
     passes = _checked_count(passes, "passes", 0)
@@ -568,6 +714,17 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     sweep the residual that the noise update and the bound read, with the
     entropy the passes carried, forms the next start.  Each iteration's
     time covers all of its work, the first's that start evaluation too.
+
+    The concentration passes run on ceil(N / 1024) contiguous pixel blocks
+    of near-equal width, a split that depends on N alone.  The main process
+    runs the first group of blocks, and one process forked per further
+    usable core (``os.sched_getaffinity``) runs the next group; each worker
+    exchanges only its group's columns and results.  Everything else runs
+    in the main process on whole arrays.  The blocks run in-process, with
+    no process started, for N <= 1024, without ``os.sched_getaffinity`` or
+    the ``fork`` start method, and in a daemonic process.  A block's bits
+    do not depend on where it runs, so neither do fit's.  No worker
+    outlives the call, and a worker's exception is raised here.
     """
     if not isinstance(betas, DirichletParam):
         betas = DirichletParam(betas)
@@ -585,36 +742,40 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     ms_hist: List[float] = []
     stop_reason = "max_iters"
     prev = None
+    edges = _pixel_blocks(y.shape[1])
+    workers = _fork_workers(len(edges) - 1)
+    groups = _block_groups(edges, workers + 1)
     t0 = time.perf_counter()
-    start = _beta_point(c, g, betas, sigma2)
-    for _ in range(config.max_outer_iters):
-        betas, ent = _beta_ascent_chunk(
-            c, g, betas, yss, sigma2, config.beta_steps_per_outer, start
-        )
-        stack = update_factors(y, stack, betas)
-        c, g = _products(y, compose_expanded(stack), "fit")
-        # the concentration passes checked every point they accepted
-        resid, pieces = _expected_resid(c, g, betas)
-        rsum = yy + resid.sum()
-        sigma2 = _checked_noise_var(_noise_var(rsum, y.size))
-        cur = _bound(rsum, ent.sum(), sigma2, y.shape[0], *betas.shape)
-        start = _point_value(resid, ent, sigma2), ent, pieces
-        ms_hist.append((time.perf_counter() - t0) * 1e3)
-        elbo_hist.append(cur)
-        sigma2_hist.append(sigma2)
-        if not np.isfinite(cur):
-            stop_reason = "non_finite"
-            break
-        if prev is not None:
-            rel = (cur - prev) / (1.0 + abs(prev))
-            if rel < -_BOUND_DROP_TOL:
-                stop_reason = "bound_decreased"
+    with _worker_pool(workers) as conns:
+        start = _beta_point(c, g, betas, sigma2)
+        for _ in range(config.max_outer_iters):
+            betas, ent = _concentration_passes(
+                conns, groups, c, g, betas, yss, sigma2, config.beta_steps_per_outer, start
+            )
+            stack = update_factors(y, stack, betas)
+            c, g = _products(y, compose_expanded(stack), "fit")
+            # the concentration passes checked every point they accepted
+            resid, pieces = _expected_resid(c, g, betas)
+            rsum = yy + resid.sum()
+            sigma2 = _checked_noise_var(_noise_var(rsum, y.size))
+            cur = _bound(rsum, ent.sum(), sigma2, y.shape[0], *betas.shape)
+            start = _point_value(resid, ent, sigma2), ent, pieces
+            ms_hist.append((time.perf_counter() - t0) * 1e3)
+            elbo_hist.append(cur)
+            sigma2_hist.append(sigma2)
+            if not np.isfinite(cur):
+                stop_reason = "non_finite"
                 break
-            if rel < config.rel_elbo_tol:
-                stop_reason = "converged"
-                break
-        prev = cur
-        t0 = time.perf_counter()
+            if prev is not None:
+                rel = (cur - prev) / (1.0 + abs(prev))
+                if rel < -_BOUND_DROP_TOL:
+                    stop_reason = "bound_decreased"
+                    break
+                if rel < config.rel_elbo_tol:
+                    stop_reason = "converged"
+                    break
+            prev = cur
+            t0 = time.perf_counter()
     stack = stack.replace(noise_var=sigma2)
     trace = FitTrace(
         elbo=np.asarray(elbo_hist),

@@ -1,4 +1,9 @@
+import multiprocessing
+import os
 import re
+import select
+import signal
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -90,6 +95,72 @@ def retrying_state(case):
         pixels = gen_dataset(truth, n_pixels=200, snr_db=30.0, seed=8).pixels
         init = init_all(pixels, layer_sizes=(3, 5, 8, 12, 18, 30), seed=9)
     return pixels.data, init.stack, init.posterior.concentration
+
+
+def wide_instance():
+    """(y, stack, betas): a random 20-band mixture of 1 500 pixels, wider
+    than one of fit's pixel blocks, under dims 4,6."""
+    rng = np.random.default_rng(27)
+    stack = FactorStack(
+        basis=rng.uniform(0.05, 1.0, (20, 4)),
+        mixers=(sample_dirichlet(np.ones(4), 6, rng),),
+        noise_var=0.01,
+    )
+    z = sample_dirichlet(np.ones(6), 1500, rng)
+    y = compose_expanded(stack) @ z + rng.normal(0.0, 0.05, (20, 1500))
+    return y, stack, rng.uniform(0.3, 4.0, (6, 1500))
+
+
+WIDE_CONFIG = FitConfig(max_outer_iters=3, rel_elbo_tol=0.0)
+
+
+def fit_state(res):
+    """Every array a fit returns, for comparison bit for bit."""
+    return (
+        res.posterior.concentration, res.stack.basis, *res.stack.mixers,
+        res.trace.elbo, res.trace.sigma2,
+    )
+
+
+def assert_same_fit(got, want):
+    for a, b in zip(fit_state(got), fit_state(want), strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def usable_cores(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def wide_fit_in_daemon():
+    """Run in a daemonic pool worker: the wide fit's state and how many
+    workers fit would fork there for two blocks."""
+    return fit_state(fit(*wide_instance(), WIDE_CONFIG)), solver._fork_workers(2)
+
+
+# a fit whose main process, once it has forked a worker for the second block
+# and starts on its own block, prints the worker's pid and exits abruptly
+ORPHAN_SCRIPT = """
+import multiprocessing, os, sys
+import numpy as np
+from mssmf import FactorStack, fit, solver
+
+scene = np.load(sys.argv[1])
+stack = FactorStack(basis=scene["basis"], mixers=(scene["mixer"],), noise_var=0.01)
+os.sched_getaffinity = lambda pid: {0, 1}
+parent = os.getpid()
+chunk = solver._beta_ascent_chunk
+
+
+def vanish(*args):
+    if os.getpid() == parent:
+        print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+        os._exit(0)
+    return chunk(*args)
+
+
+solver._beta_ascent_chunk = vanish
+fit(scene["y"], stack, scene["betas"])
+"""
 
 
 @pytest.fixture(scope="module", params=[0, 3], ids=["init", "fit3"])
@@ -986,19 +1057,80 @@ class TestFit:
         assert res.stack.noise_var == res.trace.sigma2[-1]
 
     def test_results_ignore_thread_environment(self, monkeypatch):
-        # a worker pool would round a chunk's g @ betas differently from
-        # the full product
+        # nothing in the package reads MSSMF_THREADS; and a scene wider than
+        # one pixel block gets the same bits in-process (one usable core)
+        # and with a worker process per further core
         pixels, init = quick_start_init()
         cfg = FitConfig(max_outer_iters=3, rel_elbo_tol=0.0)
         monkeypatch.delenv("MSSMF_THREADS", raising=False)
         unset = fit(pixels, init.stack, init.posterior, cfg)
         monkeypatch.setenv("MSSMF_THREADS", "2")
-        two = fit(pixels, init.stack, init.posterior, cfg)
-        np.testing.assert_array_equal(unset.posterior.concentration, two.posterior.concentration)
-        np.testing.assert_array_equal(unset.stack.basis, two.stack.basis)
-        for got, want in zip(two.stack.mixers, unset.stack.mixers, strict=True):
+        assert_same_fit(fit(pixels, init.stack, init.posterior, cfg), unset)
+
+        pools = []
+        pool = solver._worker_pool
+        monkeypatch.setattr(solver, "_worker_pool", lambda n: pools.append(n) or pool(n))
+        runs = []
+        for cores in (1, 2, 3):
+            usable_cores(monkeypatch, cores)
+            runs.append(fit(*wide_instance(), WIDE_CONFIG))
+        assert pools == [0, 1, 1]
+        for res in runs[1:]:
+            assert_same_fit(res, runs[0])
+
+    def test_no_worker_outlives_fit(self, monkeypatch):
+        usable_cores(monkeypatch, 2)
+        fit(*wide_instance(), WIDE_CONFIG)
+        assert multiprocessing.active_children() == []
+
+        # a worker's failed check reaches the caller with its message
+        parent = os.getpid()
+        entropy = solver.dirichlet_entropy
+
+        def poisoned(beta):
+            if os.getpid() != parent:
+                beta = np.full_like(beta, np.nan)
+            return entropy(beta)
+
+        monkeypatch.setattr(solver, "dirichlet_entropy", poisoned)
+        with pytest.raises(ValidationError, match="must be finite"):
+            fit(*wide_instance(), WIDE_CONFIG)
+        assert multiprocessing.active_children() == []
+
+    def test_orphaned_worker_exits(self, tmp_path):
+        # the worker inherits the script's stdout, so the pipe reaches end of
+        # file only once the worker has exited as well
+        y, stack, betas = wide_instance()
+        scene = tmp_path / "scene.npz"
+        np.savez(scene, y=y, basis=stack.basis, mixer=stack.mixers[0], betas=betas)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_SCRIPT, str(scene)],
+            stdout=subprocess.PIPE, env=env, text=True,
+        )
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        assert proc.wait(timeout=120) == 0
+        assert len(pids) == 1
+        if not select.select([proc.stdout], [], [], 60)[0]:
+            os.kill(pids[0], signal.SIGKILL)
+            pytest.fail("the orphaned worker was still running 60 s after its parent exited")
+        assert proc.stdout.read() == ""
+        proc.stdout.close()
+
+    def test_in_process_fallbacks_keep_the_bits(self, monkeypatch):
+        usable_cores(monkeypatch, 2)
+        forked = fit(*wide_instance(), WIDE_CONFIG)
+        # a daemonic process may not fork: fit runs the blocks in-process
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            state, workers = pool.apply(wide_fit_in_daemon)
+        assert workers == 0
+        for got, want in zip(state, fit_state(forked), strict=True):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(unset.trace.elbo, two.trace.elbo)
+        # so it does where the usable cores cannot be read
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert solver._fork_workers(2) == 0
+        assert_same_fit(fit(*wide_instance(), WIDE_CONFIG), forked)
 
     def test_deterministic_given_inputs(self, rng):
         y, stack, betas = random_instance(rng)
