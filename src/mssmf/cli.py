@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 validation error.
 All commands are deterministic for a fixed seed and flag set.  Above 1 024
-pixels the fit forks one worker process per further usable core for its
-concentration passes; the outputs do not depend on how many there are.
-The fit starts no threads (BLAS may, as its own settings say).
+pixels the fit runs its concentration passes on one thread per usable
+core; the outputs do not depend on how many there are.  BLAS threads
+follow BLAS's own settings.
 """
 
 from __future__ import annotations

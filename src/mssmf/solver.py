@@ -22,7 +22,7 @@ passes carry each pixel's entropy with its accepted concentrations and the
 bound sums it, so a fit evaluates every point once.  The factor sweep
 reads the data only through Y M' and Pbar, also formed once per
 iteration.  The passes run per block of at most 1 024 pixels, and above
-one block on forked worker processes as well (see :func:`fit`).
+one block on a thread per usable core (see :func:`fit`).
 
 Inputs are checked once, where they enter.  The raw-array entry point
 :func:`update_beta` runs one prologue, :func:`_entry_terms`: the noise
@@ -35,12 +35,10 @@ divides by the totals; the gradient then reads the same arrays unchecked.
 from __future__ import annotations
 
 import os
-import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import nnls
@@ -366,134 +364,62 @@ def _pixel_blocks(n: int) -> List[int]:
     return [i * n // count for i in range(count + 1)]
 
 
-def _block_groups(edges: List[int], count: int) -> List[Tuple[int, int, List[int]]]:
-    """The blocks split into count contiguous groups of near-equal block
-    count, each as (first pixel, end pixel, its block edges from 0)."""
-    blocks = len(edges) - 1
-    cuts = [i * blocks // count for i in range(count + 1)]
-    return [
-        (edges[a], edges[b], [e - edges[a] for e in edges[a : b + 1]])
-        for a, b in zip(cuts[:-1], cuts[1:])
-    ]
-
-
-def _joined(parts: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
-    """(concentrations, entropy) of consecutive pixel ranges, joined."""
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the platform
+    reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _ascend_blocks(
-    edges: List[int], g: np.ndarray, sigma2: float, passes: int, columns: List[np.ndarray]
+    edges: List[int],
+    threads: int,
+    c: np.ndarray,
+    g: np.ndarray,
+    betas: np.ndarray,
+    yss: np.ndarray,
+    sigma2: float,
+    passes: int,
+    start: Optional[Tuple] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`_beta_ascent_chunk` on each block [edges[i], edges[i + 1]) of
-    one group's pixels, joined.  columns holds the pixel arrays (c, betas,
-    yss, then the start's bound, entropy and gradient pieces), pixels along
-    the last axis.  A block's output depends on its own columns alone, so
-    which process runs it and whether its columns are views or copies leave
-    its bits alone."""
-    parts = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        c, betas, yss, f0, ent, *pieces = (a[..., lo:hi] for a in columns)
-        parts.append(
-            _beta_ascent_chunk(c, g, betas, yss, sigma2, passes, (f0, ent, tuple(pieces)))
+    the pixels.  Returns every pixel's (concentrations, entropy).  The
+    blocks split into at most `threads` contiguous groups of near-equal
+    block count; the calling thread runs the first group and a pool opened
+    for the call one thread per further group.  A block reads and writes
+    only its own columns, so its bits do not depend on the thread that runs
+    it, and a block's exception is raised here.  The calling thread works
+    rather than waits: what a pool thread allocates stays in its own malloc
+    arena, resident on top of the caller's memory, so one pool thread fewer
+    keeps the peak resident size lower."""
+
+    def block(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        cols = None if start is None else (
+            start[0][lo:hi], start[1][lo:hi], tuple(p[..., lo:hi] for p in start[2])
         )
-    return _joined(parts)
+        return _beta_ascent_chunk(
+            c[:, lo:hi], g, betas[:, lo:hi], yss[lo:hi], sigma2, passes, cols
+        )
 
+    def run(group: List[Tuple[int, int]]) -> List[Tuple[np.ndarray, np.ndarray]]:
+        return [block(lo, hi) for lo, hi in group]
 
-def _concentration_passes(conns, groups, c, g, betas, yss, sigma2, passes, start):
-    """One iteration's concentration passes over fit's pixel blocks.  The
-    worker at the end of each connection in conns takes one group after the
-    first and gets only that group's columns, plus g and sigma2; the main
-    process runs the first group meanwhile.  Returns every pixel's
-    (concentrations, entropy), or raises what a worker raised."""
-    f0, ent, pieces = start
-    columns = (c, betas, yss, f0, ent, *pieces)
-
-    def args(group):
-        lo, hi, edges = group
-        return edges, g, sigma2, passes, [a[..., lo:hi] for a in columns]
-
-    for conn, group in zip(conns, groups[1:]):
-        conn.send(args(group))
-    parts = [_ascend_blocks(*args(groups[0]))]
-    parts += [conn.recv() for conn in conns]
-    for part in parts:
-        if isinstance(part, BaseException):
-            raise part
-    return _joined(parts)
-
-
-def _fork_workers(blocks: int) -> int:
-    """Worker processes a fit over `blocks` pixel blocks forks: one per
-    usable core beyond the first, at most one per block beyond the first.
-    None where it cannot fork them: one block, no ``os.sched_getaffinity``,
-    no ``fork`` start method, or a daemonic caller."""
-    if blocks < 2 or not hasattr(os, "sched_getaffinity"):
-        return 0
-    import multiprocessing
-
-    if multiprocessing.current_process().daemon or (
-        "fork" not in multiprocessing.get_all_start_methods()
-    ):
-        return 0
-    return min(len(os.sched_getaffinity(0)), blocks) - 1
-
-
-@contextmanager
-def _worker_pool(workers: int) -> Iterator[List]:
-    """Fork `workers` processes that serve :func:`_ascend_blocks` tasks and
-    yield the main process's connection to each.  On exit, however the
-    block ends, the connections close and every worker is joined.
-
-    Fork, not spawn: a spawned worker imports numpy and scipy afresh, which
-    takes longer than a fit of the `wide` benchmark scene saves.  A forked
-    worker runs only numpy, scipy and its pipe, so it takes no lock that
-    another thread of the parent could hold at the fork."""
-    if not workers:
-        yield []
-        return
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    conns, procs = [], []
-    try:
-        for _ in range(workers):
-            mine, theirs = context.Pipe()
-            conns.append(mine)
-            procs.append(context.Process(target=_serve, args=(theirs, conns), daemon=True))
-            procs[-1].start()
-            theirs.close()
-        yield conns
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.join()
-
-
-def _serve(conn, parent_ends: List) -> None:
-    """A fit's worker process: answer each task the parent sends with its
-    result or its exception until the parent closes its end or has gone.
-    The copies of the parent's ends are closed first, so its exit, clean or
-    not, ends the worker; Ctrl-C is left to the parent."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for end in parent_ends:
-        end.close()
-    while True:
-        try:
-            task = conn.recv()
-        except EOFError:
-            return
-        try:
-            out = _ascend_blocks(*task)
-        except Exception as exc:
-            out = exc
-        try:
-            conn.send(out)
-        except OSError:
-            return
+    blocks = list(zip(edges[:-1], edges[1:]))
+    count = min(threads, len(blocks))
+    cuts = [i * len(blocks) // count for i in range(count + 1)]
+    groups = [blocks[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    if count == 1:
+        parts = run(blocks)
+    else:
+        with ThreadPoolExecutor(max_workers=count - 1) as pool:
+            rest = pool.map(run, groups[1:])
+            parts = run(groups[0])
+            for group in rest:
+                parts += group
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
 
 
 def update_beta(
@@ -507,32 +433,18 @@ def update_beta(
     """Improve all per-pixel Dirichlet concentrations for a fixed model.
 
     Pixels are independent.  With workers > 1 the pixels are split into
-    contiguous column chunks run on a thread pool.  The threads share the
-    GIL, which scipy.special's gammaln and psi hold for about 46% of the
-    passes, so their speed-up stays under about 2.2x however many cores
-    there are; :func:`fit` runs its pixel blocks in forked processes
-    instead.  The argument remains only for the benchmark's two-worker
-    timing probe.
+    `workers` contiguous column chunks run on as many threads, as
+    :func:`fit` runs its pixel blocks.  The argument remains only for the
+    benchmark's two-worker timing probe; :func:`fit` picks its own threads.
     """
     passes = _checked_count(passes, "passes", 0)
     y, betas, c, g, sigma2 = _entry_terms(y, b, betas, sigma2, "update_beta")
     yss = _squared_norms(y, "update_beta")[0]
     n = betas.shape[1]
     if workers <= 1 or n < 2 * workers:
-        return _beta_ascent_chunk(c, g, betas, yss, sigma2, passes)[0]
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    chunks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    out = np.empty_like(betas)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        jobs = [
-            (lo, hi, pool.submit(
-                _beta_ascent_chunk, c[:, lo:hi], g, betas[:, lo:hi], yss[lo:hi], sigma2, passes
-            ))
-            for lo, hi in chunks
-        ]
-        for lo, hi, job in jobs:
-            out[:, lo:hi] = job.result()[0]
-    return out
+        workers = 1
+    edges = np.linspace(0, n, workers + 1).astype(int).tolist()
+    return _ascend_blocks(edges, workers, c, g, betas, yss, sigma2, passes)[0]
 
 
 def _reduced_factor(gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -716,15 +628,14 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     time covers all of its work, the first's that start evaluation too.
 
     The concentration passes run on ceil(N / 1024) contiguous pixel blocks
-    of near-equal width, a split that depends on N alone.  The main process
-    runs the first group of blocks, and one process forked per further
-    usable core (``os.sched_getaffinity``) runs the next group; each worker
-    exchanges only its group's columns and results.  Everything else runs
-    in the main process on whole arrays.  The blocks run in-process, with
-    no process started, for N <= 1024, without ``os.sched_getaffinity`` or
-    the ``fork`` start method, and in a daemonic process.  A block's bits
-    do not depend on where it runs, so neither do fit's.  No worker
-    outlives the call, and a worker's exception is raised here.
+    of near-equal width, a split that depends on N alone, in one group per
+    usable core (``os.sched_getaffinity``), at most one per block: the
+    calling thread runs the first group and a pool opened for each
+    iteration's passes the others (:func:`_ascend_blocks`).  Everything
+    else runs in the calling thread on whole arrays.  A block's bits do not
+    depend on the thread that runs it, so fit's do not depend on the core
+    count; N <= 1024 is one block and starts no thread.  No thread outlives
+    the passes, and a block's exception is raised here.
     """
     if not isinstance(betas, DirichletParam):
         betas = DirichletParam(betas)
@@ -743,39 +654,37 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     stop_reason = "max_iters"
     prev = None
     edges = _pixel_blocks(y.shape[1])
-    workers = _fork_workers(len(edges) - 1)
-    groups = _block_groups(edges, workers + 1)
+    threads = _usable_cores()
     t0 = time.perf_counter()
-    with _worker_pool(workers) as conns:
-        start = _beta_point(c, g, betas, sigma2)
-        for _ in range(config.max_outer_iters):
-            betas, ent = _concentration_passes(
-                conns, groups, c, g, betas, yss, sigma2, config.beta_steps_per_outer, start
-            )
-            stack = update_factors(y, stack, betas)
-            c, g = _products(y, compose_expanded(stack), "fit")
-            # the concentration passes checked every point they accepted
-            resid, pieces = _expected_resid(c, g, betas)
-            rsum = yy + resid.sum()
-            sigma2 = _checked_noise_var(_noise_var(rsum, y.size))
-            cur = _bound(rsum, ent.sum(), sigma2, y.shape[0], *betas.shape)
-            start = _point_value(resid, ent, sigma2), ent, pieces
-            ms_hist.append((time.perf_counter() - t0) * 1e3)
-            elbo_hist.append(cur)
-            sigma2_hist.append(sigma2)
-            if not np.isfinite(cur):
-                stop_reason = "non_finite"
+    start = _beta_point(c, g, betas, sigma2)
+    for _ in range(config.max_outer_iters):
+        betas, ent = _ascend_blocks(
+            edges, threads, c, g, betas, yss, sigma2, config.beta_steps_per_outer, start
+        )
+        stack = update_factors(y, stack, betas)
+        c, g = _products(y, compose_expanded(stack), "fit")
+        # the concentration passes checked every point they accepted
+        resid, pieces = _expected_resid(c, g, betas)
+        rsum = yy + resid.sum()
+        sigma2 = _checked_noise_var(_noise_var(rsum, y.size))
+        cur = _bound(rsum, ent.sum(), sigma2, y.shape[0], *betas.shape)
+        start = _point_value(resid, ent, sigma2), ent, pieces
+        ms_hist.append((time.perf_counter() - t0) * 1e3)
+        elbo_hist.append(cur)
+        sigma2_hist.append(sigma2)
+        if not np.isfinite(cur):
+            stop_reason = "non_finite"
+            break
+        if prev is not None:
+            rel = (cur - prev) / (1.0 + abs(prev))
+            if rel < -_BOUND_DROP_TOL:
+                stop_reason = "bound_decreased"
                 break
-            if prev is not None:
-                rel = (cur - prev) / (1.0 + abs(prev))
-                if rel < -_BOUND_DROP_TOL:
-                    stop_reason = "bound_decreased"
-                    break
-                if rel < config.rel_elbo_tol:
-                    stop_reason = "converged"
-                    break
-            prev = cur
-            t0 = time.perf_counter()
+            if rel < config.rel_elbo_tol:
+                stop_reason = "converged"
+                break
+        prev = cur
+        t0 = time.perf_counter()
     stack = stack.replace(noise_var=sigma2)
     trace = FitTrace(
         elbo=np.asarray(elbo_hist),

@@ -1,10 +1,7 @@
-import multiprocessing
 import os
 import re
-import select
-import signal
-import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 
@@ -97,18 +94,18 @@ def retrying_state(case):
     return pixels.data, init.stack, init.posterior.concentration
 
 
-def wide_instance():
-    """(y, stack, betas): a random 20-band mixture of 1 500 pixels, wider
-    than one of fit's pixel blocks, under dims 4,6."""
+def wide_instance(n=2100):
+    """(y, stack, betas): a random 20-band mixture of n pixels, by default
+    three of fit's pixel blocks, under dims 4,6."""
     rng = np.random.default_rng(27)
     stack = FactorStack(
         basis=rng.uniform(0.05, 1.0, (20, 4)),
         mixers=(sample_dirichlet(np.ones(4), 6, rng),),
         noise_var=0.01,
     )
-    z = sample_dirichlet(np.ones(6), 1500, rng)
-    y = compose_expanded(stack) @ z + rng.normal(0.0, 0.05, (20, 1500))
-    return y, stack, rng.uniform(0.3, 4.0, (6, 1500))
+    z = sample_dirichlet(np.ones(6), n, rng)
+    y = compose_expanded(stack) @ z + rng.normal(0.0, 0.05, (20, n))
+    return y, stack, rng.uniform(0.3, 4.0, (6, n))
 
 
 WIDE_CONFIG = FitConfig(max_outer_iters=3, rel_elbo_tol=0.0)
@@ -129,38 +126,6 @@ def assert_same_fit(got, want):
 
 def usable_cores(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def wide_fit_in_daemon():
-    """Run in a daemonic pool worker: the wide fit's state and how many
-    workers fit would fork there for two blocks."""
-    return fit_state(fit(*wide_instance(), WIDE_CONFIG)), solver._fork_workers(2)
-
-
-# a fit whose main process, once it has forked a worker for the second block
-# and starts on its own block, prints the worker's pid and exits abruptly
-ORPHAN_SCRIPT = """
-import multiprocessing, os, sys
-import numpy as np
-from mssmf import FactorStack, fit, solver
-
-scene = np.load(sys.argv[1])
-stack = FactorStack(basis=scene["basis"], mixers=(scene["mixer"],), noise_var=0.01)
-os.sched_getaffinity = lambda pid: {0, 1}
-parent = os.getpid()
-chunk = solver._beta_ascent_chunk
-
-
-def vanish(*args):
-    if os.getpid() == parent:
-        print(*(p.pid for p in multiprocessing.active_children()), flush=True)
-        os._exit(0)
-    return chunk(*args)
-
-
-solver._beta_ascent_chunk = vanish
-fit(scene["y"], stack, scene["betas"])
-"""
 
 
 @pytest.fixture(scope="module", params=[0, 3], ids=["init", "fit3"])
@@ -1058,8 +1023,8 @@ class TestFit:
 
     def test_results_ignore_thread_environment(self, monkeypatch):
         # nothing in the package reads MSSMF_THREADS; and a scene wider than
-        # one pixel block gets the same bits in-process (one usable core)
-        # and with a worker process per further core
+        # one pixel block gets the same bits in the calling thread (one usable
+        # core) and on a thread per further core
         pixels, init = quick_start_init()
         cfg = FitConfig(max_outer_iters=3, rel_elbo_tol=0.0)
         monkeypatch.delenv("MSSMF_THREADS", raising=False)
@@ -1068,69 +1033,72 @@ class TestFit:
         assert_same_fit(fit(pixels, init.stack, init.posterior, cfg), unset)
 
         pools = []
-        pool = solver._worker_pool
-        monkeypatch.setattr(solver, "_worker_pool", lambda n: pools.append(n) or pool(n))
-        runs = []
+        executor = solver.ThreadPoolExecutor
+        monkeypatch.setattr(
+            solver, "ThreadPoolExecutor",
+            lambda max_workers: pools.append(max_workers) or executor(max_workers),
+        )
+        runs, sizes = [], []
         for cores in (1, 2, 3):
             usable_cores(monkeypatch, cores)
             runs.append(fit(*wide_instance(), WIDE_CONFIG))
-        assert pools == [0, 1, 1]
+            sizes.append(pools[:])
+            pools.clear()
+        # one pool per iteration, of one thread per group of blocks beyond
+        # the calling thread's: 1 + 2 blocks on two cores, 1 + 1 + 1 on three
+        assert sizes == [[], [1] * 3, [2] * 3]
         for res in runs[1:]:
             assert_same_fit(res, runs[0])
 
-    def test_no_worker_outlives_fit(self, monkeypatch):
-        usable_cores(monkeypatch, 2)
-        fit(*wide_instance(), WIDE_CONFIG)
-        assert multiprocessing.active_children() == []
+    def test_threads_beyond_the_cores_keep_the_bits(self, monkeypatch):
+        # six blocks on six threads, more than the machine has cores, with
+        # the interpreter switching threads as often as it can: every block
+        # writes its own columns of the shared carried arrays, so a lost or
+        # misplaced write would change the bits
+        instance = wide_instance(6 * 1000)
+        usable_cores(monkeypatch, 1)
+        alone = fit(*instance, WIDE_CONFIG)
+        usable_cores(monkeypatch, 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert_same_fit(fit(*instance, WIDE_CONFIG), alone)
+        finally:
+            sys.setswitchinterval(interval)
 
-        # a worker's failed check reaches the caller with its message
-        parent = os.getpid()
+    def test_no_thread_outlives_fit(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("fit forked a process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        usable_cores(monkeypatch, 2)
+        before = threading.enumerate()
+        fit(*wide_instance(), WIDE_CONFIG)
+        assert threading.enumerate() == before
+
+        # a pool thread's failed check reaches the caller with its message
         entropy = solver.dirichlet_entropy
 
         def poisoned(beta):
-            if os.getpid() != parent:
+            if threading.current_thread() is not threading.main_thread():
                 beta = np.full_like(beta, np.nan)
             return entropy(beta)
 
         monkeypatch.setattr(solver, "dirichlet_entropy", poisoned)
         with pytest.raises(ValidationError, match="must be finite"):
             fit(*wide_instance(), WIDE_CONFIG)
-        assert multiprocessing.active_children() == []
+        assert threading.enumerate() == before
 
-    def test_orphaned_worker_exits(self, tmp_path):
-        # the worker inherits the script's stdout, so the pipe reaches end of
-        # file only once the worker has exited as well
-        y, stack, betas = wide_instance()
-        scene = tmp_path / "scene.npz"
-        np.savez(scene, y=y, basis=stack.basis, mixer=stack.mixers[0], betas=betas)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.Popen(
-            [sys.executable, "-c", ORPHAN_SCRIPT, str(scene)],
-            stdout=subprocess.PIPE, env=env, text=True,
-        )
-        pids = [int(pid) for pid in proc.stdout.readline().split()]
-        assert proc.wait(timeout=120) == 0
-        assert len(pids) == 1
-        if not select.select([proc.stdout], [], [], 60)[0]:
-            os.kill(pids[0], signal.SIGKILL)
-            pytest.fail("the orphaned worker was still running 60 s after its parent exited")
-        assert proc.stdout.read() == ""
-        proc.stdout.close()
-
-    def test_in_process_fallbacks_keep_the_bits(self, monkeypatch):
-        usable_cores(monkeypatch, 2)
-        forked = fit(*wide_instance(), WIDE_CONFIG)
-        # a daemonic process may not fork: fit runs the blocks in-process
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            state, workers = pool.apply(wide_fit_in_daemon)
-        assert workers == 0
-        for got, want in zip(state, fit_state(forked), strict=True):
-            np.testing.assert_array_equal(got, want)
-        # so it does where the usable cores cannot be read
+    def test_core_count_without_affinity(self, monkeypatch):
+        usable_cores(monkeypatch, 1)
+        alone = fit(*wide_instance(), WIDE_CONFIG)
+        # where the affinity set cannot be read, the machine's count serves
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert solver._fork_workers(2) == 0
-        assert_same_fit(fit(*wide_instance(), WIDE_CONFIG), forked)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert solver._usable_cores() == 2
+        assert_same_fit(fit(*wide_instance(), WIDE_CONFIG), alone)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert solver._usable_cores() == 1
 
     def test_deterministic_given_inputs(self, rng):
         y, stack, betas = random_instance(rng)
