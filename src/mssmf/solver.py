@@ -22,7 +22,8 @@ passes carry each pixel's entropy with its accepted concentrations and the
 bound sums it, so a fit evaluates every point once.  The factor sweep
 reads the data only through Y M' and Pbar, also formed once per
 iteration.  The passes run per block of at most 1 024 pixels, and above
-one block on a thread per usable core (see :func:`fit`).
+one block on a thread per usable core (see :func:`fit`);
+:func:`update_beta` runs the same blocks from the same start.
 
 Inputs are checked once, where they enter.  The raw-array entry point
 :func:`update_beta` runs one prologue, :func:`_entry_terms`: the noise
@@ -68,7 +69,7 @@ _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
 # relative bound change below which fit reports a decrease, not roundoff
 _BOUND_DROP_TOL = 1e-10
-# widest pixel block of fit's concentration passes
+# widest pixel block of the concentration passes
 _BLOCK_PIXELS = 1024
 
 
@@ -219,13 +220,14 @@ def _point_value(resid: np.ndarray, ent: np.ndarray, sigma2: float) -> np.ndarra
 
 def _beta_point(
     c: np.ndarray, g: np.ndarray, betas: np.ndarray, sigma2: float
-) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
-    """Evaluate one point: (per-pixel bound, entropy, the kernel's gradient
-    pieces) at betas.  The entropy comes first: it checks betas (finite and
+) -> Tuple[np.ndarray, ...]:
+    """Evaluate one point: the record (per-pixel bound, entropy, then the
+    kernel's gradient pieces total, denom, gb, tr_gp, cb) at betas, one
+    column per pixel.  The entropy comes first: it checks betas (finite and
     positive) before the residual divides by their totals."""
     ent = dirichlet_entropy(betas)
     resid, pieces = _expected_resid(c, g, betas)
-    return _point_value(resid, ent, sigma2), ent, pieces
+    return (_point_value(resid, ent, sigma2), ent, *pieces)
 
 
 def _beta_gradient(
@@ -233,12 +235,12 @@ def _beta_gradient(
     g: np.ndarray,
     betas: np.ndarray,
     sigma2: float,
-    pieces: Tuple[np.ndarray, ...],
+    point: Tuple[np.ndarray, ...],
 ) -> np.ndarray:
-    """d(per-pixel bound)/d(betas) from the pieces :func:`_beta_point`
+    """d(per-pixel bound)/d(betas) from the record :func:`_beta_point`
     returned at the same betas.  That call's entropy has checked betas and
     their totals, so trigamma runs without its input check."""
-    total, denom, gb, tr_gp, cb = pieces
+    total, denom, gb, tr_gp, cb = point[2:]
     k = betas.shape[0]
     d_resid = -2.0 * (c - cb / total) / total
     d_resid += (np.diag(g)[:, None] + 2.0 * gb - (2.0 * total + 1.0) * tr_gp) / denom
@@ -257,11 +259,11 @@ def _armijo_trial(
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
     """Try one clamped step per pixel from cur, whose bound is f0.  Returns
     which pixels pass the Armijo test, the candidates, and their
-    :func:`_beta_point` evaluation."""
+    :func:`_beta_point` record."""
     cand = np.maximum(cur + step * grad, BETA_FLOOR)
-    f, ent, pieces = _beta_point(c, g, cand, sigma2)
-    ok = f - f0 >= _ARMIJO_C1 * (grad * (cand - cur)).sum(axis=0)
-    return ok, cand, (f, ent, *pieces)
+    point = _beta_point(c, g, cand, sigma2)
+    ok = point[0] - f0 >= _ARMIJO_C1 * (grad * (cand - cur)).sum(axis=0)
+    return ok, cand, point
 
 
 def _beta_ascent_chunk(
@@ -271,20 +273,19 @@ def _beta_ascent_chunk(
     yss: np.ndarray,
     sigma2: float,
     passes: int,
-    start: Optional[Tuple] = None,
+    start: Tuple[np.ndarray, ...],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run `passes` clamped gradient-ascent steps on a block of pixels.
     Returns the concentrations and their per-pixel entropy.
 
     Each pass takes one Armijo-backtracked step per pixel; a pixel whose
     search fails keeps its current concentrations, so the per-pixel bound
-    never decreases.  start is the :func:`_beta_point` evaluation at betas,
-    (bound, entropy, gradient pieces), which :func:`fit` forms from the
-    residual its bound already computes; without it the chunk evaluates
-    betas itself.  After that every pixel carries the value, entropy and
-    pieces of the candidate its search last accepted, so the next pass
-    starts from them, the caller's bound reads the entropy, and no point is
-    evaluated twice.  The entropy of a gathered pixel has the bits a
+    never decreases.  start is the :func:`_beta_point` record at betas,
+    which :func:`fit` forms from the residual its bound already computes.
+    Its arrays are carried in place: every pixel holds the record of the
+    candidate its search last accepted, so the next pass starts from it,
+    the caller's bound reads the entropy, and no point is evaluated
+    twice.  The entropy of a gathered pixel has the bits a
     whole-array evaluation gives it (see :func:`dirichlet_entropy`), so the
     carried entropy is the entropy of the returned concentrations.
 
@@ -300,9 +301,9 @@ def _beta_ascent_chunk(
     product rounds its last few columns in a tail kernel (with K = 30 on
     one OpenBLAS thread: the last 4 at 500 pixels, none at 200 or 2 000).
     So trying several halvings of the retried pixels in one call changes
-    the output bits.  :func:`fit` calls this once per pixel block, so above
-    1 024 pixels its products and gathers round by the block's width, not
-    by that of all the pixels.
+    the output bits.  :func:`_ascend_blocks` calls this once per pixel
+    block, so above 1 024 pixels its products and gathers round by the
+    block's width, not by that of all the pixels.
 
     A search starts at the first step it could accept.  yss holds each
     pixel's ||y||^2.  No concentrations lift the per-pixel bound above
@@ -325,10 +326,9 @@ def _beta_ascent_chunk(
     cur = np.array(betas)
     ceil = yss / (2.0 * sigma2) - gammaln(cur.shape[0])
     last = 0.5 ** (_MAX_HALVINGS - 1)
-    f0, ent, pieces = _beta_point(c, g, cur, sigma2) if start is None else start
-    carried = (f0, ent, *pieces)
+    f0, ent = start[:2]
     for _ in range(passes):
-        grad = _beta_gradient(c, g, cur, sigma2, pieces)
+        grad = _beta_gradient(c, g, cur, sigma2, start)
         room = ceil - f0
         demand = _ARMIJO_C1 * (np.maximum(grad, 0.0) ** 2).sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -338,7 +338,7 @@ def _beta_ascent_chunk(
         step = 0.5 ** np.clip(skip, 0.0, _MAX_HALVINGS - 1)
         ok, cand, tried = _armijo_trial(c, g, cur, step, grad, f0, sigma2)
         np.copyto(cur, cand, where=ok)
-        for kept, new in zip(carried, tried):
+        for kept, new in zip(start, tried):
             np.copyto(kept, new, where=ok)
         todo = np.flatnonzero(~ok)
         while True:
@@ -351,17 +351,10 @@ def _beta_ascent_chunk(
             )
             hit = todo[ok]
             cur[:, hit] = cand[:, ok]
-            for kept, new in zip(carried, tried):
+            for kept, new in zip(start, tried):
                 kept[..., hit] = new[..., ok]
             todo = todo[~ok]
     return cur, ent
-
-
-def _pixel_blocks(n: int) -> List[int]:
-    """Edges of the ceil(n / _BLOCK_PIXELS) contiguous pixel blocks of
-    near-equal width on which :func:`fit` runs its concentration passes."""
-    count = -(-n // _BLOCK_PIXELS)
-    return [i * n // count for i in range(count + 1)]
 
 
 def _usable_cores() -> int:
@@ -373,7 +366,6 @@ def _usable_cores() -> int:
 
 
 def _ascend_blocks(
-    edges: List[int],
     threads: int,
     c: np.ndarray,
     g: np.ndarray,
@@ -381,31 +373,33 @@ def _ascend_blocks(
     yss: np.ndarray,
     sigma2: float,
     passes: int,
-    start: Optional[Tuple] = None,
+    start: Tuple[np.ndarray, ...],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_beta_ascent_chunk` on each block [edges[i], edges[i + 1]) of
-    the pixels.  Returns every pixel's (concentrations, entropy).  The
-    blocks split into at most `threads` contiguous groups of near-equal
-    block count; the calling thread runs the first group and a pool opened
-    for the call one thread per further group.  A block reads and writes
-    only its own columns, so its bits do not depend on the thread that runs
-    it, and a block's exception is raised here.  The calling thread works
+    """:func:`_beta_ascent_chunk` on ceil(N / _BLOCK_PIXELS) contiguous
+    pixel blocks of near-equal width (one when N is 0), a split that depends
+    on N alone, each from its columns of the :func:`_beta_point` record
+    start.  Returns every pixel's (concentrations, entropy).  The blocks
+    split into at most `threads` contiguous groups of near-equal block
+    count; the calling thread runs the first group and a pool opened for
+    the call one thread per further group.  A block reads and writes only
+    its own columns, so its bits do not depend on the thread that runs it,
+    and a block's exception is raised here.  The calling thread works
     rather than waits: what a pool thread allocates stays in its own malloc
     arena, resident on top of the caller's memory, so one pool thread fewer
     keeps the peak resident size lower."""
 
     def block(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        cols = None if start is None else (
-            start[0][lo:hi], start[1][lo:hi], tuple(p[..., lo:hi] for p in start[2])
-        )
         return _beta_ascent_chunk(
-            c[:, lo:hi], g, betas[:, lo:hi], yss[lo:hi], sigma2, passes, cols
+            c[:, lo:hi], g, betas[:, lo:hi], yss[lo:hi], sigma2, passes,
+            tuple(p[..., lo:hi] for p in start),
         )
 
     def run(group: List[Tuple[int, int]]) -> List[Tuple[np.ndarray, np.ndarray]]:
         return [block(lo, hi) for lo, hi in group]
 
-    blocks = list(zip(edges[:-1], edges[1:]))
+    n = betas.shape[1]
+    nblocks = max(-(-n // _BLOCK_PIXELS), 1)
+    blocks = [(i * n // nblocks, (i + 1) * n // nblocks) for i in range(nblocks)]
     count = min(threads, len(blocks))
     cuts = [i * len(blocks) // count for i in range(count + 1)]
     groups = [blocks[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
@@ -432,19 +426,17 @@ def update_beta(
 ) -> np.ndarray:
     """Improve all per-pixel Dirichlet concentrations for a fixed model.
 
-    Pixels are independent.  With workers > 1 the pixels are split into
-    `workers` contiguous column chunks run on as many threads, as
-    :func:`fit` runs its pixel blocks.  The argument remains only for the
+    Runs :func:`fit`'s pixel blocks from :func:`fit`'s start, the
+    :func:`_beta_point` record at betas, on at most `workers` threads; the
+    result does not depend on `workers`.  The argument remains only for the
     benchmark's two-worker timing probe; :func:`fit` picks its own threads.
     """
     passes = _checked_count(passes, "passes", 0)
+    workers = _checked_count(workers, "workers", 1)
     y, betas, c, g, sigma2 = _entry_terms(y, b, betas, sigma2, "update_beta")
     yss = _squared_norms(y, "update_beta")[0]
-    n = betas.shape[1]
-    if workers <= 1 or n < 2 * workers:
-        workers = 1
-    edges = np.linspace(0, n, workers + 1).astype(int).tolist()
-    return _ascend_blocks(edges, workers, c, g, betas, yss, sigma2, passes)[0]
+    start = _beta_point(c, g, betas, sigma2)
+    return _ascend_blocks(workers, c, g, betas, yss, sigma2, passes, start)[0]
 
 
 def _reduced_factor(gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -653,13 +645,12 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     ms_hist: List[float] = []
     stop_reason = "max_iters"
     prev = None
-    edges = _pixel_blocks(y.shape[1])
     threads = _usable_cores()
     t0 = time.perf_counter()
     start = _beta_point(c, g, betas, sigma2)
     for _ in range(config.max_outer_iters):
         betas, ent = _ascend_blocks(
-            edges, threads, c, g, betas, yss, sigma2, config.beta_steps_per_outer, start
+            threads, c, g, betas, yss, sigma2, config.beta_steps_per_outer, start
         )
         stack = update_factors(y, stack, betas)
         c, g = _products(y, compose_expanded(stack), "fit")
@@ -668,7 +659,7 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
         rsum = yy + resid.sum()
         sigma2 = _checked_noise_var(_noise_var(rsum, y.size))
         cur = _bound(rsum, ent.sum(), sigma2, y.shape[0], *betas.shape)
-        start = _point_value(resid, ent, sigma2), ent, pieces
+        start = (_point_value(resid, ent, sigma2), ent, *pieces)
         ms_hist.append((time.perf_counter() - t0) * 1e3)
         elbo_hist.append(cur)
         sigma2_hist.append(sigma2)

@@ -86,9 +86,9 @@ def test_01_gradients_match_finite_differences():
             ))
         b = expanded_of(stack)
         cb, g = b.T @ y, b.T @ b
-        pieces = solver._beta_point(cb, g, betas, s2)[2]
+        point = solver._beta_point(cb, g, betas, s2)
         worst = max(worst, rel(
-            solver._beta_gradient(cb, g, betas, s2, pieces) / n,
+            solver._beta_gradient(cb, g, betas, s2, point) / n,
             central_diff(lambda t: solver._beta_point(cb, g, t, s2)[0].sum() / n, betas),
         ))
     elapsed = time.perf_counter() - start

@@ -55,8 +55,9 @@ def reference_beta_ascent(c, g, betas, sigma2, passes):
     n = cur.shape[1]
     tried = 0
     for _ in range(passes):
-        f0, _, pieces = solver._beta_point(c, g, cur, sigma2)
-        grad = solver._beta_gradient(c, g, cur, sigma2, pieces)
+        point = solver._beta_point(c, g, cur, sigma2)
+        f0 = point[0]
+        grad = solver._beta_gradient(c, g, cur, sigma2, point)
         step = np.ones(n)
         todo = np.arange(n)
         for _ in range(solver._MAX_HALVINGS):
@@ -209,8 +210,8 @@ class TestGradients:
             y, stack, betas = random_instance(rng, max_dim=6)
             b = expanded_of(stack)
             c, g, sigma2, n = b.T @ y, b.T @ b, stack.noise_var, y.shape[1]
-            pieces = solver._beta_point(c, g, betas, sigma2)[2]
-            got = solver._beta_gradient(c, g, betas, sigma2, pieces) / n
+            point = solver._beta_point(c, g, betas, sigma2)
+            got = solver._beta_gradient(c, g, betas, sigma2, point) / n
             fd = central_diff(
                 lambda t: solver._beta_point(c, g, t, sigma2)[0].sum() / n, betas
             )
@@ -282,13 +283,25 @@ class TestBetaUpdate:
         new = update_beta(y, expanded_of(stack), betas, stack.noise_var, passes=5)
         assert np.all(new >= BETA_FLOOR)
 
-    def test_threaded_matches_serial_layout(self, rng):
-        y, stack, betas = random_instance(rng, max_dim=7)
+    def test_threaded_matches_serial_layout(self):
+        # workers caps the threads and nothing else: the pixel blocks and
+        # their start are fit's, so every count gives the same bits, on the
+        # README quick-start state (one block) and on 2 100 px (three)
+        for y, stack, betas in (retrying_state("quick_start"), wide_instance()):
+            b = expanded_of(stack)
+            runs = [
+                update_beta(y, b, betas, stack.noise_var, passes=10, workers=workers)
+                for workers in (1, 2, 3)
+            ]
+            for got in runs[1:]:
+                np.testing.assert_array_equal(got, runs[0])
+
+    def test_no_pixels(self, rng):
+        # zero pixels are one empty block, as the parent's single chunk was
+        y, stack, betas = random_instance(rng)
         b = expanded_of(stack)
-        serial = update_beta(y, b, betas, stack.noise_var, passes=2, workers=1)
-        threaded = update_beta(y, b, betas, stack.noise_var, passes=2, workers=3)
-        # chunking changes nothing: pixels are independent columns
-        np.testing.assert_array_equal(serial, threaded)
+        got = update_beta(y[:, :0], b, betas[:, :0], stack.noise_var, passes=3, workers=2)
+        assert got.shape == (betas.shape[0], 0)
 
     def test_improves_toward_posterior(self, rng):
         # with lots of passes the update should help substantially from a
@@ -624,6 +637,12 @@ class TestRawEntryChecks:
         with pytest.raises(ValidationError, match="passes"):
             update_beta(y, expanded_of(stack), betas, stack.noise_var, passes)
 
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, 2.0, "2", None])
+    def test_update_beta_rejects_bad_worker_counts(self, rng, workers):
+        y, stack, betas = random_instance(rng)
+        with pytest.raises(ValidationError, match="workers"):
+            update_beta(y, expanded_of(stack), betas, stack.noise_var, 2, workers=workers)
+
     def test_tiny_noise_variance_is_accepted(self, rng):
         # no floor: finite differences probe the bound at sigma2 +- h
         y, stack, betas = random_instance(rng)
@@ -895,14 +914,17 @@ class TestFit:
         with pytest.raises(ValidationError, match="not finite"):
             fit(y, stack, betas, FitConfig(max_outer_iters=5, rel_elbo_tol=0.0))
 
-    @pytest.mark.parametrize("case", ["quick_start", "depth5"])
+    @pytest.mark.parametrize("case", ["quick_start", "depth5", "wide"])
     def test_matches_entry_point_loop(self, rng, case):
-        # fit's own statistics give the bits the public entry points give
+        # fit's own statistics give the bits the public entry points give,
+        # also above one pixel block (wide: 2 100 px, three blocks)
         if case == "quick_start":
             pixels, init = quick_start_init()
             y, stack, betas = pixels.data, init.stack, init.posterior.concentration
-        else:
+        elif case == "depth5":
             y, stack, betas = random_instance(rng, max_dim=10, depth=5)
+        else:
+            y, stack, betas = wide_instance()
         res = fit(y, stack, betas, FitConfig(max_outer_iters=5, rel_elbo_tol=0.0))
         want, want_betas, bounds, noise = entry_point_fit(y, stack, betas, 5)
         np.testing.assert_array_equal(res.trace.elbo, bounds)
