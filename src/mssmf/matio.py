@@ -13,6 +13,7 @@ are binary 8-bit PGM.
 from __future__ import annotations
 
 import json
+import os
 from typing import Tuple
 
 import numpy as np
@@ -53,7 +54,8 @@ def write_raw64(path, mat) -> None:
     a = _as_matrix(mat)
     rows, cols = a.shape
     with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        # the array's own buffer, not a bytes copy of it
+        fh.write(np.ascontiguousarray(a, dtype="<f8").data)
     sidecar = {"rows": int(rows), "cols": int(cols)}
     _write_text(str(path) + ".json", json.dumps(sidecar, sort_keys=True, separators=(", ", ": ")))
 
@@ -72,13 +74,15 @@ def read_raw64(path) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise ValidationError(f"{sidecar_path}: non-positive dimensions")
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) != 8 * rows * cols:
-        raise ValidationError(
-            f"{path}: expected exactly {8 * rows * cols} bytes for "
-            f"{rows}x{cols}, found {len(blob)}"
-        )
-    return np.frombuffer(blob, dtype="<f8").reshape(rows, cols).astype(np.float64)
+        size = os.fstat(fh.fileno()).st_size
+        if size != 8 * rows * cols:
+            raise ValidationError(
+                f"{path}: expected exactly {8 * rows * cols} bytes for "
+                f"{rows}x{cols}, found {size}"
+            )
+        # straight into the one array the caller gets; no bytes blob
+        out = np.fromfile(fh, dtype="<f8", count=rows * cols)
+    return out.reshape(rows, cols).astype(np.float64, copy=False)
 
 
 def load_matrix(path) -> np.ndarray:

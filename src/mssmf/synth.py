@@ -136,7 +136,12 @@ def gen_dataset(
     seed: RngLike = 0,
 ) -> SynthBundle:
     """Mix ground-truth endmembers with Dirichlet(1) abundances and add
-    white Gaussian noise at the requested SNR (inf means noiseless)."""
+    white Gaussian noise at the requested SNR (inf means noiseless).
+
+    At most two bands x pixels arrays are alive at once: the noise is
+    drawn into its own array, the clean mixture is added into it in place
+    (the same bits as clean + noise, since addition commutes), and the
+    mixture is released before :class:`PixelMatrix` takes its copy."""
     a = np.atleast_2d(_prep_arg(endmembers, "gen_dataset's endmembers", positive=False))
     n_pixels = _checked_count(n_pixels, "n_pixels", 1)
     snr_db = _scalar(snr_db, "snr_db")
@@ -155,5 +160,7 @@ def gen_dataset(
         y = clean
     else:
         sigma2 = float(np.sum(clean * clean) / (10.0 ** (snr_db / 10.0) * m * n_pixels))
-        y = clean + rng.normal(0.0, np.sqrt(sigma2), size=clean.shape)
+        y = rng.normal(0.0, np.sqrt(sigma2), size=clean.shape)
+        y += clean
+    del clean
     return SynthBundle(pixels=PixelMatrix(y), abundances=z, sigma2=sigma2)

@@ -1,12 +1,17 @@
 """Shared helpers: tiny random model instances and brute-force oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
-from mssmf import FactorStack, solver
+from mssmf import (
+    FactorStack, FitConfig, assemble_ground_truth, builtin_bases, fit, gen_dataset, init_all,
+    solver,
+)
+from mssmf.model import _as_rng
 from mssmf.simplex import _concentrations, dirichlet_entropy, sample_dirichlet
 
 
@@ -234,3 +239,48 @@ def squared_distances(estimate, truth):
     """cost[i, j] = ||estimate[:, i] - truth[:, j]||^2, column pair by
     column pair: the assignment cost aligned_mse minimizes."""
     return np.array([[np.sum((e - t) ** 2) for t in truth.T] for e in estimate.T])
+
+
+def reference_gen_dataset(endmembers, n_pixels, snr_db, seed):
+    """(pixels, abundances, sigma2) of gen_dataset formed the direct way:
+    the same draws in the same order, with the noisy pixels as the one
+    expression clean + noise."""
+    a = np.asarray(endmembers, dtype=np.float64)
+    m = a.shape[0]
+    rng = _as_rng(seed)
+    z = sample_dirichlet(np.ones(a.shape[1]), n_pixels, rng)
+    clean = a @ z
+    if np.isinf(snr_db):
+        return clean, z, 0.0
+    sigma2 = float(np.sum(clean * clean) / (10.0 ** (snr_db / 10.0) * m * n_pixels))
+    return clean + rng.normal(0.0, np.sqrt(sigma2), size=clean.shape), z, sigma2
+
+
+def traced_peak_arrays(call, shape):
+    """The most memory call() holds at once beyond what was allocated
+    before it, in float64 arrays of the given shape.  tracemalloc's peak:
+    numpy reports its array buffers to it, and it counts every thread."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (8.0 * np.prod(shape))
+    finally:
+        tracemalloc.stop()
+
+
+def memory_guard_calls():
+    """The calls the working-set guards trace, on the benchmark's `wide`
+    scene shape (198 bands x 2 000 pixels at 20 dB, dims 6,18,30):
+    (bands x pixels shape, {name: zero-argument call}).  gen_dataset makes
+    the scene, init_all starts from it and fit runs 3 iterations from
+    that start; run fit on one usable core, since each further block
+    thread holds its block's temporaries at the same time."""
+    truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
+    pixels = gen_dataset(truth, 2000, 20.0, seed=8).pixels
+    init = init_all(pixels, (6, 18, 30), seed=9)
+    config = FitConfig(max_outer_iters=3, rel_elbo_tol=0.0)
+    return pixels.data.shape, {
+        "gen_dataset": lambda: gen_dataset(truth, 2000, 20.0, seed=8),
+        "init_all": lambda: init_all(pixels, (6, 18, 30), seed=9),
+        "fit": lambda: fit(pixels, init.stack, init.posterior, config),
+    }

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak_arrays
 from mssmf import ValidationError
 from mssmf.matio import (
     load_matrix,
@@ -80,12 +81,52 @@ class TestRaw64:
         sidecar = json.loads((tmp_path / "m.raw64.json").read_text())
         assert sidecar == {"rows": 3, "cols": 5}
 
+    @pytest.mark.parametrize("layout", ["fortran", "float32", "big_endian", "strided"])
+    def test_any_layout_writes_little_endian_row_major(self, tmp_path, rng, layout):
+        mat = rng.normal(size=(6, 8))
+        arg = {
+            "fortran": np.asfortranarray(mat),
+            "float32": mat.astype(np.float32),
+            "big_endian": mat.astype(">f8"),
+            "strided": np.repeat(mat, 2, axis=1)[:, ::2],
+        }[layout]
+        path = tmp_path / "m.raw64"
+        write_raw64(path, arg)
+        assert path.read_bytes() == np.asarray(arg, dtype="<f8").tobytes(order="C")
+
+    def test_reads_into_one_native_array(self, tmp_path, rng):
+        mat = rng.normal(size=(200, 500))
+        path = tmp_path / "m.raw64"
+        write_raw64(path, mat)
+        got = read_raw64(path)
+        assert got.dtype == np.float64 and got.dtype.isnative
+        assert got.flags.c_contiguous and got.flags.writeable
+        # the payload goes straight into the returned array, and the write
+        # sends the array's own buffer: no second copy either way
+        assert traced_peak_arrays(lambda: read_raw64(path), mat.shape) < 1.1
+        assert traced_peak_arrays(lambda: write_raw64(path, mat), mat.shape) < 0.1
+
     def test_truncated_payload_rejected(self, tmp_path, rng):
         mat = rng.normal(size=(4, 4))
         path = tmp_path / "m.raw64"
         write_raw64(path, mat)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValidationError, match="expected exactly"):
+            read_raw64(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        path = tmp_path / "m.raw64"
+        write_raw64(path, rng.normal(size=(4, 4)))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValidationError, match="expected exactly 128 bytes for 4x4, found 136$"):
+            read_raw64(path)
+
+    def test_sidecar_checked_before_payload(self, tmp_path, rng):
+        path = tmp_path / "m.raw64"
+        write_raw64(path, rng.normal(size=(2, 2)))
+        path.write_bytes(b"")
+        (tmp_path / "m.raw64.json").write_text('{"rows": 0, "cols": 2}')
+        with pytest.raises(ValidationError, match="non-positive dimensions"):
             read_raw64(path)
 
     def test_bad_sidecar_rejected(self, tmp_path, rng):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_gen_dataset
 from mssmf import (
     ValidationError,
     assemble_ground_truth,
@@ -163,6 +164,20 @@ class TestGenDataset:
         bundle = gen_dataset(truth, 250, 25.0, seed=7)
         assert np.all(bundle.abundances >= 0)
         np.testing.assert_allclose(bundle.abundances.sum(axis=0), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "bands,n_pixels,snr_db,seed",
+        [(198, 500, 20.0, 8), (30, 1, 5.0, 0), (80, 333, 40.0, 2**40), (12, 64, np.inf, 5)],
+    )
+    def test_matches_clean_plus_noise_reference(self, bands, n_pixels, snr_db, seed):
+        # the noise is drawn into its own array and the mixture added into
+        # it; the bits are those of clean + noise
+        truth, _ = assemble_ground_truth(builtin_bases(bands), seed=seed)
+        bundle = gen_dataset(truth, n_pixels, snr_db, seed=seed)
+        y, z, sigma2 = reference_gen_dataset(truth, n_pixels, snr_db, seed)
+        np.testing.assert_array_equal(bundle.pixels.data, y)
+        np.testing.assert_array_equal(bundle.abundances, z)
+        assert bundle.sigma2 == sigma2
 
     def test_deterministic(self):
         truth, _ = assemble_ground_truth(builtin_bases(30), seed=8)
