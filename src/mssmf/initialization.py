@@ -19,6 +19,7 @@ from .model import (
     ValidationError,
     _as_rng,
     _checked_count,
+    _matrix,
     _prep_arg,
     _suffix_products,
     as_pixel_matrix,
@@ -128,13 +129,11 @@ def scls(pixels, endmembers: np.ndarray) -> np.ndarray:
     both reductions).  Raises the NNLS engine's RuntimeError if it hits its
     iteration cap.
     """
-    b = _prep_arg(endmembers, "scls's endmembers", positive=False)
-    y = as_pixel_matrix(pixels).data
     # scipy's nnls aborts the interpreter on a matrix with no columns
-    if b.ndim != 2 or b.shape[0] != y.shape[0] or b.shape[1] < 1:
-        raise ValidationError(
-            f"endmember matrix {b.shape} must be 2-D, {y.shape[0]} bands by at least one column"
-        )
+    b = _matrix(endmembers, "scls's endmembers")
+    y = as_pixel_matrix(pixels).data
+    if b.shape[0] != y.shape[0]:
+        raise ValidationError(f"scls's endmembers: {b.shape[0]} bands, the data has {y.shape[0]}")
     return _simplex_lsq(y, b)
 
 

@@ -60,13 +60,21 @@ def write_raw64(path, mat) -> None:
     _write_text(str(path) + ".json", json.dumps(sidecar, sort_keys=True, separators=(", ", ": ")))
 
 
+def _read_json(path, what: str):
+    """The JSON document in a UTF-8 file; ValidationError naming the file
+    if it is not UTF-8, not JSON, or nested deeper than the parser's
+    recursion limit."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"{path}: malformed {what}: {exc}") from None
+
+
 def read_raw64(path) -> np.ndarray:
     sidecar_path = str(path) + ".json"
-    with open(sidecar_path) as fh:
-        try:
-            sidecar = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{sidecar_path}: malformed sidecar: {exc}") from None
+    sidecar = _read_json(sidecar_path, "sidecar")
     dims = [sidecar.get(key) for key in ("rows", "cols")] if isinstance(sidecar, dict) else [None]
     if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
         raise ValidationError(f"{sidecar_path}: sidecar must hold integer rows and cols")
@@ -115,11 +123,7 @@ def write_manifest(path, doc: dict) -> None:
 
 
 def read_manifest(path) -> dict:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: malformed manifest: {exc}") from None
+    doc = _read_json(path, "manifest")
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: manifest must be a JSON object")
     return doc

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import ValidationError, _prep_arg
+from .model import ValidationError, _matrix, _prep_arg
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,11 @@ def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
     a difference or a squared distance fail the check on the cost matrix,
     and a truth whose squared norm overflows is refused.
     """
-    a = np.atleast_2d(_prep_arg(estimate, "aligned_mse's estimate", positive=False))
-    b = np.atleast_2d(_prep_arg(truth, "aligned_mse's truth", positive=False))
+    a = _matrix(estimate, "aligned_mse's estimate")
+    b = _matrix(truth, "aligned_mse's truth")
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: estimate {a.shape} vs truth {b.shape}")
     k = a.shape[1]
-    if k == 0:
-        raise ValidationError(f"aligned_mse needs at least one column, got {a.shape}")
     # an overflow makes the cost non-finite; the check names it
     with np.errstate(over="ignore", invalid="ignore"):
         diff = a[:, :, None] - b[:, None, :]
@@ -60,5 +58,4 @@ def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
 
 def singular_spectrum(mat: np.ndarray) -> np.ndarray:
     """All singular values of a matrix, descending."""
-    a = np.atleast_2d(_prep_arg(mat, "singular_spectrum", positive=False))
-    return np.linalg.svd(a, compute_uv=False)
+    return np.linalg.svd(_matrix(mat, "singular_spectrum's input"), compute_uv=False)

@@ -25,13 +25,6 @@ class ValidationError(ValueError):
     feasibility, layer-size ordering)."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Own a read-only float64 copy of `a`."""
-    out = np.array(a, dtype=np.float64, order="C")
-    out.setflags(write=False)
-    return out
-
-
 def _prep_arg(x, name: str, positive: bool = True) -> np.ndarray:
     """x as a float64 array, if every entry is finite and (by default)
     positive; ValidationError naming the fault otherwise.  The package's
@@ -49,18 +42,30 @@ def _prep_arg(x, name: str, positive: bool = True) -> np.ndarray:
     return z
 
 
-def _check_column_simplex(mat: np.ndarray, what: str) -> None:
-    # NaN passes both tests below, so rule out non-finite entries first
-    _prep_arg(mat, what, positive=False)
-    if np.any(mat < 0):
-        raise ValidationError(f"{what}: negative entries")
-    sums = mat.sum(axis=0)
-    bad = np.abs(sums - 1.0) > COLUMN_SUM_TOL
-    if np.any(bad):
-        j = int(np.argmax(bad))
+def _matrix(x, name: str) -> np.ndarray:
+    """x as a float64 array, if it is 2-D with at least one row and one
+    column and every entry is finite; ValidationError naming the argument
+    and its shape otherwise.  The package's one matrix check: a 1-D array
+    is not read as a row.  A float64 input is not copied, so its memory
+    layout, and with it the bits of a product with it, stays as it is."""
+    try:
+        z = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name}: not an array of numbers") from None
+    if z.ndim != 2 or 0 in z.shape:
         raise ValidationError(
-            f"{what}: column {j} sums to {sums[j]:.12g}, not 1 within {COLUMN_SUM_TOL:g}"
+            f"{name}: must be 2-D with at least one row and at least one column,"
+            f" got shape {z.shape}"
         )
+    return _prep_arg(z, name, positive=False)
+
+
+def _frozen(x, name: str) -> np.ndarray:
+    """:func:`_matrix` of x as a read-only float64 C-ordered copy, the one
+    a frozen dataclass owns."""
+    out = np.array(_matrix(x, name), order="C")
+    out.setflags(write=False)
+    return out
 
 
 def _checked_count(value, what: str, least: int) -> int:
@@ -122,11 +127,7 @@ class PixelMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        data = _frozen(np.atleast_2d(self.data))
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValidationError("pixel matrix must be 2-D with at least one band and one pixel")
-        _prep_arg(data, "pixel matrix", positive=False)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _frozen(self.data, "pixel matrix"))
 
     @property
     def bands(self) -> int:
@@ -141,7 +142,7 @@ def as_pixel_matrix(y) -> PixelMatrix:
     """Coerce an array-like (or pass through a PixelMatrix) to PixelMatrix."""
     if isinstance(y, PixelMatrix):
         return y
-    return PixelMatrix(np.asarray(y, dtype=np.float64))
+    return PixelMatrix(y)
 
 
 def validate_dims(bands: int, layers: Sequence[int], pixels: int) -> Tuple[int, ...]:
@@ -190,22 +191,29 @@ class FactorStack:
     noise_var: float = 1.0
 
     def __post_init__(self):
-        basis = _frozen(np.atleast_2d(self.basis))
-        _prep_arg(basis, "core basis", positive=False)
+        basis = _frozen(self.basis, "core basis")
         if np.any(basis < 0):
             raise ValidationError("core basis has negative entries")
-        mixers = tuple(_frozen(np.atleast_2d(s)) for s in self.mixers)
+        mixers = tuple(
+            _frozen(s, f"mixing layer {l}") for l, s in enumerate(self.mixers, start=1)
+        )
         cols = basis.shape[1]
         for l, s in enumerate(mixers, start=1):
             if s.shape[0] != cols:
                 raise ValidationError(
                     f"mixing layer {l}: expected {cols} rows, got {s.shape[0]}"
                 )
-            _check_column_simplex(s, f"mixing layer {l}")
+            if np.any(s < 0):
+                raise ValidationError(f"mixing layer {l}: negative entries")
+            sums = s.sum(axis=0)
+            bad = np.abs(sums - 1.0) > COLUMN_SUM_TOL
+            if np.any(bad):
+                j = int(np.argmax(bad))
+                raise ValidationError(
+                    f"mixing layer {l}: column {j} sums to {sums[j]:.12g},"
+                    f" not 1 within {COLUMN_SUM_TOL:g}"
+                )
             cols = s.shape[1]
-        # an empty layer fails a column-sum check above or leaves cols at 0
-        if cols < 1:
-            raise ValidationError("every layer of a factor stack needs at least one column")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "mixers", mixers)
         object.__setattr__(self, "noise_var", _checked_noise_var(self.noise_var))

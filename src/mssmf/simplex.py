@@ -127,14 +127,7 @@ class DirichletParam:
     concentration: np.ndarray
 
     def __post_init__(self):
-        conc = _frozen(self.concentration)
-        if conc.ndim != 2:
-            raise ValidationError(
-                f"Dirichlet concentration must be a K x N matrix, got shape {conc.shape}"
-            )
-        _prep_arg(conc, "Dirichlet concentration", positive=False)
-        if conc.shape[0] < 1:
-            raise ValidationError("Dirichlet concentration needs at least one row")
+        conc = _frozen(self.concentration, "Dirichlet concentration")
         if np.any(conc < BETA_FLOOR):
             raise ValidationError(
                 f"Dirichlet concentration below floor {BETA_FLOOR:g}"

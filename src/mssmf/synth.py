@@ -15,7 +15,8 @@ from typing import Tuple
 import numpy as np
 
 from .model import (
-    PixelMatrix, RngLike, ValidationError, _as_rng, _checked_count, _prep_arg, _scalar,
+    PixelMatrix, RngLike, ValidationError, _as_rng, _checked_count, _matrix, _prep_arg,
+    _scalar,
 )
 from .simplex import sample_dirichlet
 
@@ -107,11 +108,7 @@ def assemble_ground_truth(
     where labels[j] is the base index variant j came from.  The counts are
     integers; :func:`gen_variants` checks each base and the field settings.
     """
-    b = np.atleast_2d(np.asarray(bases, dtype=np.float64))
-    if 0 in b.shape:
-        raise ValidationError(
-            f"assemble_ground_truth needs at least one band and one base spectrum, got {b.shape}"
-        )
+    b = _matrix(bases, "assemble_ground_truth's base spectrum matrix")
     variants_per_base = _checked_count(variants_per_base, "variants_per_base", 1)
     pick = _checked_count(pick, "pick", 1)
     if pick > variants_per_base:
@@ -142,15 +139,11 @@ def gen_dataset(
     drawn into its own array, the clean mixture is added into it in place
     (the same bits as clean + noise, since addition commutes), and the
     mixture is released before :class:`PixelMatrix` takes its copy."""
-    a = np.atleast_2d(_prep_arg(endmembers, "gen_dataset's endmembers", positive=False))
+    a = _matrix(endmembers, "gen_dataset's endmembers")
     n_pixels = _checked_count(n_pixels, "n_pixels", 1)
     snr_db = _scalar(snr_db, "snr_db")
     if np.isnan(snr_db) or snr_db == -np.inf:
         raise ValidationError(f"snr_db must be finite or +inf, got {snr_db!r}")
-    if 0 in a.shape:
-        raise ValidationError(
-            f"gen_dataset needs at least one band and one endmember, got {a.shape}"
-        )
     rng = _as_rng(seed)
     m, k = a.shape
     z = sample_dirichlet(np.ones(k), n_pixels, rng)

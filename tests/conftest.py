@@ -1,7 +1,9 @@
 """Shared helpers: tiny random model instances and brute-force oracles."""
 
 import itertools
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,11 @@ from mssmf import (
 )
 from mssmf.model import _as_rng
 from mssmf.simplex import _concentrations, dirichlet_entropy, sample_dirichlet
+
+
+# JSON files the package's reader must refuse with a ValidationError: bytes
+# that are not UTF-8, and nesting deeper than the parser's recursion limit
+UNREADABLE_JSON = {"not_utf8": b"\xff{}", "too_deep": b"[" * 100_000}
 
 
 @pytest.fixture
@@ -273,14 +280,22 @@ def memory_guard_calls():
     scene shape (198 bands x 2 000 pixels at 20 dB, dims 6,18,30):
     (bands x pixels shape, {name: zero-argument call}).  gen_dataset makes
     the scene, init_all starts from it and fit runs 3 iterations from
-    that start; run fit on one usable core, since each further block
-    thread holds its block's temporaries at the same time."""
+    that start.  Run "fit" on one usable core, since each further block
+    thread holds its block's temporaries at the same time; "fit on two
+    threads" patches the usable cores to two itself, so the scene's two
+    pixel blocks run on two threads wherever it is called."""
     truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
     pixels = gen_dataset(truth, 2000, 20.0, seed=8).pixels
     init = init_all(pixels, (6, 18, 30), seed=9)
     config = FitConfig(max_outer_iters=3, rel_elbo_tol=0.0)
+
+    def fit_two_threads():
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+            return fit(pixels, init.stack, init.posterior, config)
+
     return pixels.data.shape, {
         "gen_dataset": lambda: gen_dataset(truth, 2000, 20.0, seed=8),
         "init_all": lambda: init_all(pixels, (6, 18, 30), seed=9),
         "fit": lambda: fit(pixels, init.stack, init.posterior, config),
+        "fit on two threads": fit_two_threads,
     }

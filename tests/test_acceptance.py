@@ -345,3 +345,30 @@ def test_10_determinism_and_file_contracts(tmp_path):
         f"synth byte-identical={synth_same}, unmix byte-identical={unmix_same}, "
         f"raw64 bit-exact={raw_ok}, pgm round-trip={pgm_ok}",
     )
+
+
+def test_11_layers_beat_flat_fit_and_pure_pixels():
+    # the paper's postulate: a multilayer factorization recovers the
+    # endmember variants better than the flat (30,) model and than picking
+    # 30 observed pixels.  The margins were fixed before any run; no
+    # ranking of the bound is asserted (it prefers the flat model)
+    start = time.perf_counter()
+    truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
+    config = FitConfig(max_outer_iters=100, rel_elbo_tol=0.0)
+    mse = {"picks": [], (30,): [], (6, 18, 30): []}
+    for scene in (8, 1008, 2008, 3008, 4008, 5008):
+        pixels = gen_dataset(truth, 500, 20.0, seed=scene).pixels
+        mse["picks"].append(aligned_mse(vca(pixels, 30, seed=scene + 1)[0], truth).mse)
+        for dims in ((30,), (6, 18, 30)):
+            init = init_all(pixels, dims, seed=scene + 1)
+            result = fit(pixels, init.stack, init.posterior, config)
+            mse[dims].append(aligned_mse(compose_expanded(result.stack), truth).mse)
+    picks, flat, deep = (float(np.mean(mse[key])) for key in ("picks", (30,), (6, 18, 30)))
+    elapsed = time.perf_counter() - start
+    verdict(
+        "criterion 11 layers beat flat fit and pure pixels",
+        deep <= 0.75 * picks and deep <= 0.5 * flat,
+        f"mean aligned MSE over 6 scenes: (6,18,30) {deep:.3e}, VCA picks {picks:.3e} "
+        f"(ratio {deep / picks:.2f} <= 0.75), (30,) {flat:.3e} "
+        f"(ratio {deep / flat:.2f} <= 0.5), {elapsed:.0f} s",
+    )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import UNREADABLE_JSON
 from mssmf.cli import main
 from mssmf.matio import (
     load_matrix,
@@ -326,6 +327,17 @@ class TestEvalCommand:
         assert "bad.json" in capsys.readouterr().err
         assert not agg.exists()
 
+    @pytest.mark.parametrize("fault", sorted(UNREADABLE_JSON))
+    def test_batch_skips_unreadable_json(self, tmp_path, fault):
+        # like any other malformed JSON file under the directory
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "good.json").write_text(json.dumps({"kind": "eval", "snr_db": 10, "mse": 0.5}))
+        (runs / "bad.json").write_bytes(UNREADABLE_JSON[fault])
+        agg = tmp_path / "agg.json"
+        assert run("eval", "--runs-dir", str(runs), "--out", str(agg)) == 0
+        assert [g["runs"] for g in read_manifest(agg)["groups"]] == [1]
+
     def test_batch_with_no_manifests_exits_three(self, tmp_path):
         (tmp_path / "empty").mkdir()
         code = run(
@@ -418,6 +430,14 @@ class TestSvdCommand:
         out = tmp_path / "s.csv"
         assert run("svd", "--input", str(tmp_path / "eye.raw64"), "--out", str(out)) == 0
         np.testing.assert_allclose(read_csv_matrix(out), np.ones((5, 1)), atol=1e-12)
+
+    @pytest.mark.parametrize("fault", sorted(UNREADABLE_JSON))
+    def test_unreadable_sidecar_exits_three(self, tmp_path, capsys, fault):
+        path = tmp_path / "m.raw64"
+        write_raw64(path, np.eye(3))
+        (tmp_path / "m.raw64.json").write_bytes(UNREADABLE_JSON[fault])
+        assert run("svd", "--input", str(path), "--out", str(tmp_path / "s.csv")) == 3
+        assert "m.raw64.json" in capsys.readouterr().err
 
     def test_row_count_is_min_dim(self, tmp_path, rng):
         write_raw64(tmp_path / "m.raw64", rng.normal(size=(9, 4)))

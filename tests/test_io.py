@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak_arrays
+from conftest import UNREADABLE_JSON, traced_peak_arrays
 from mssmf import ValidationError
 from mssmf.matio import (
     load_matrix,
@@ -154,6 +154,14 @@ class TestRaw64:
         with pytest.raises(ValidationError, match="sidecar"):
             read_raw64(path)
 
+    @pytest.mark.parametrize("fault", sorted(UNREADABLE_JSON))
+    def test_unreadable_sidecar_rejected(self, tmp_path, fault):
+        path = tmp_path / "m.raw64"
+        write_raw64(path, np.ones((2, 2)))
+        (tmp_path / "m.raw64.json").write_bytes(UNREADABLE_JSON[fault])
+        with pytest.raises(ValidationError, match="m.raw64.json: malformed sidecar"):
+            read_raw64(path)
+
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             read_raw64(tmp_path / "absent.raw64")
@@ -209,6 +217,13 @@ class TestManifest:
             read_manifest(path)
         path.write_text("[1,2]")
         with pytest.raises(ValidationError, match="object"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("fault", sorted(UNREADABLE_JSON))
+    def test_unreadable_rejected(self, tmp_path, fault):
+        path = tmp_path / "bad.json"
+        path.write_bytes(UNREADABLE_JSON[fault])
+        with pytest.raises(ValidationError, match="bad.json: malformed manifest"):
             read_manifest(path)
 
 

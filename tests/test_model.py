@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,16 +8,22 @@ from hypothesis import strategies as st
 from mssmf import (
     DirichletParam,
     FactorStack,
+    FitConfig,
     PixelMatrix,
     ValidationError,
     aligned_mse,
     assemble_ground_truth,
     compose_expanded,
     dirichlet_entropy,
+    fit,
     gen_dataset,
     gen_variants,
+    init_all,
+    scls,
+    singular_spectrum,
     update_beta,
     validate_dims,
+    vca,
 )
 from mssmf.simplex import sample_dirichlet
 
@@ -104,6 +112,71 @@ class TestModelDims:
         layers = validate_dims(np.int64(198), [np.int32(6), 18, np.int64(30)], 500)
         assert layers == (6, 18, 30)
         assert all(type(k) is int for k in layers)
+
+
+def _matrix_arguments():
+    """{id: (a valid matrix, the name the check gives it, call(matrix))}
+    for every matrix argument of the public surface; each call is valid
+    with the valid matrix."""
+    r = np.random.default_rng(3)
+    y = r.uniform(0.1, 1.0, (6, 8))
+    basis = r.uniform(0.1, 1.0, (6, 2))
+    mixer = sample_dirichlet(np.ones(2), 3, r)
+    stack = FactorStack(basis, (mixer,), 0.1)
+    betas = np.ones((3, 8))
+    ends = r.uniform(0.1, 1.0, (6, 3))
+    return {
+        "pixels": (y, "pixel matrix", PixelMatrix),
+        "stack_basis": (basis, "core basis", FactorStack),
+        "stack_mixer": (mixer, "mixing layer 1", lambda m: FactorStack(basis, (m,))),
+        "concentrations": (betas, "Dirichlet concentration", DirichletParam),
+        "scls_endmembers": (ends, "scls's endmembers", lambda m: scls(y, m)),
+        "scls_pixels": (y, "pixel matrix", lambda m: scls(m, ends)),
+        "ground_truth": (
+            basis, "assemble_ground_truth's base spectrum matrix",
+            lambda m: assemble_ground_truth(m, 4, pick=2),
+        ),
+        "dataset": (ends, "gen_dataset's endmembers", lambda m: gen_dataset(m, 5, 20.0)),
+        "aligned_estimate": (ends, "aligned_mse's estimate", lambda m: aligned_mse(m, ends)),
+        "aligned_truth": (ends, "aligned_mse's truth", lambda m: aligned_mse(ends, m)),
+        "spectrum": (ends, "singular_spectrum's input", singular_spectrum),
+        "vca": (y, "pixel matrix", lambda m: vca(m, 2, seed=0)),
+        "init_all": (y, "pixel matrix", lambda m: init_all(m, (2, 3), seed=0)),
+        "fit": (
+            y, "pixel matrix",
+            lambda m: fit(m, stack, betas, FitConfig(max_outer_iters=1, rel_elbo_tol=0.0)),
+        ),
+    }
+
+
+def _with_nan(m):
+    out = np.array(m)
+    out[0, 0] = np.nan
+    return out
+
+
+_NOT_A_MATRIX = {
+    "1d": lambda m: m[0],
+    "3d": lambda m: m[:, :, None],
+    "no_rows": lambda m: m[:0],
+    "no_columns": lambda m: m[:, :0],
+    "nan": _with_nan,
+    "ragged": lambda m: [list(m[0]), list(m[1, :-1])],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fault", sorted(_NOT_A_MATRIX))
+@pytest.mark.parametrize("arg", sorted(_matrix_arguments()))
+def test_every_matrix_argument_is_one_checked_matrix(arg, fault):
+    # one rule for every matrix argument: an array of numbers, 2-D, at
+    # least one row and one column, every entry finite; a 1-D array is not
+    # read as a row.  Each fault is a ValidationError that names the
+    # argument, never a result or an error from inside numpy
+    good, name, call = _matrix_arguments()[arg]
+    call(good)
+    with pytest.raises(ValidationError, match=re.escape(name)):
+        call(_NOT_A_MATRIX[fault](good))
 
 
 class TestFactorStack:

@@ -126,7 +126,7 @@ class TestDirichlet:
     def test_param_must_be_a_matrix(self, conc):
         # not a (1, 1) array, K = 1 with N pixels, or a 3-D array kept as it is
         shape = re.escape(str(np.shape(conc)))
-        with pytest.raises(ValidationError, match=f"K x N matrix, got shape {shape}"):
+        with pytest.raises(ValidationError, match=f"Dirichlet concentration: .*got shape {shape}"):
             DirichletParam(conc)
 
     def test_second_moment_row_sums_give_mean(self, rng):
