@@ -18,13 +18,13 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import ValidationError
+from .model import ValidationError, _floats
 
 
-def _as_matrix(mat) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(mat, dtype=np.float64))
+def _as_matrix(mat, name: str) -> np.ndarray:
+    a = np.atleast_2d(_floats(mat, name))
     if a.ndim != 2:
-        raise ValidationError(f"expected a matrix, got ndim {a.ndim}")
+        raise ValidationError(f"{name}: expected a matrix, got ndim {a.ndim}")
     return a
 
 
@@ -36,8 +36,8 @@ def _write_text(path, text: str) -> None:
 
 
 def write_csv_matrix(path, mat) -> None:
-    rows = (",".join(repr(float(v)) for v in row) for row in _as_matrix(mat))
-    _write_text(path, "\n".join(rows))
+    a = _as_matrix(mat, "write_csv_matrix's matrix")
+    _write_text(path, "\n".join(",".join(repr(float(v)) for v in row) for row in a))
 
 
 def read_csv_matrix(path) -> np.ndarray:
@@ -51,7 +51,7 @@ def read_csv_matrix(path) -> np.ndarray:
 
 
 def write_raw64(path, mat) -> None:
-    a = _as_matrix(mat)
+    a = _as_matrix(mat, "write_raw64's matrix")
     rows, cols = a.shape
     with open(path, "wb") as fh:
         # the array's own buffer, not a bytes copy of it
@@ -164,5 +164,5 @@ def read_pgm(path) -> Tuple[int, int, np.ndarray]:
 
 def quantize_unit(values: np.ndarray) -> np.ndarray:
     """Map values in [0, 1]-ish to uint8 by round(255 v), clamped."""
-    v = np.asarray(values, dtype=np.float64)
+    v = _floats(values, "quantize_unit's values")
     return np.clip(np.rint(255.0 * v), 0, 255).astype(np.uint8)

@@ -25,13 +25,23 @@ class ValidationError(ValueError):
     feasibility, layer-size ordering)."""
 
 
+def _floats(x, name: str) -> np.ndarray:
+    """x as a float64 array, not copied if it is one; ValidationError
+    naming the argument if it is not an array of numbers (a ragged list, a
+    string).  The package's one conversion of caller input."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name}: not an array of numbers") from None
+
+
 def _prep_arg(x, name: str, positive: bool = True) -> np.ndarray:
-    """x as a float64 array, if every entry is finite and (by default)
+    """:func:`_floats` of x, if every entry is finite and (by default)
     positive; ValidationError naming the fault otherwise.  The package's
     one finite test: two reductions, no temporaries.  min and max propagate
     NaN, so a NaN fails like an infinity; a zero (also -0.0) is not
     positive."""
-    z = np.asarray(x, dtype=np.float64)
+    z = _floats(x, name)
     what = "finite and positive" if positive else "finite"
     if z.size:
         low, high = z.min(), z.max()
@@ -43,21 +53,18 @@ def _prep_arg(x, name: str, positive: bool = True) -> np.ndarray:
 
 
 def _matrix(x, name: str) -> np.ndarray:
-    """x as a float64 array, if it is 2-D with at least one row and one
-    column and every entry is finite; ValidationError naming the argument
-    and its shape otherwise.  The package's one matrix check: a 1-D array
-    is not read as a row.  A float64 input is not copied, so its memory
-    layout, and with it the bits of a product with it, stays as it is."""
-    try:
-        z = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name}: not an array of numbers") from None
+    """:func:`_prep_arg` of x (finite), if it is 2-D with at least one row
+    and one column; ValidationError naming the argument and its shape
+    otherwise.  The package's one matrix check: a 1-D array is not read as
+    a row.  A float64 input is not copied, so its memory layout, and with
+    it the bits of a product with it, stays as it is."""
+    z = _prep_arg(x, name, positive=False)
     if z.ndim != 2 or 0 in z.shape:
         raise ValidationError(
             f"{name}: must be 2-D with at least one row and at least one column,"
             f" got shape {z.shape}"
         )
-    return _prep_arg(z, name, positive=False)
+    return z
 
 
 def _frozen(x, name: str) -> np.ndarray:
@@ -94,11 +101,8 @@ def _as_rng(seed: RngLike) -> np.random.Generator:
 
 def _scalar(value, name: str) -> float:
     """value as a Python float if it is one number; ValidationError otherwise."""
-    try:
-        z = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        z = None
-    if z is None or z.ndim:
+    z = _floats(value, name)
+    if z.ndim:
         raise ValidationError(f"{name} must be one number, got {value!r}")
     return float(z)
 

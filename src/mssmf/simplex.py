@@ -141,12 +141,15 @@ class DirichletParam:
 
 
 def _concentrations(beta, name: str) -> np.ndarray:
-    """beta as a float64 array of finite, positive concentrations with at
-    least one category (row); ValidationError naming the fault otherwise."""
-    b = np.asarray(beta, dtype=np.float64)
-    if b.shape[:1] == (0,):
-        raise ValidationError(f"{name} needs at least one category")
-    return _prep_arg(b, name)
+    """beta as a float64 vector or K x N matrix of finite, positive
+    concentrations with at least one category (row); ValidationError
+    naming the fault otherwise."""
+    b = _prep_arg(beta, name)
+    if not 1 <= b.ndim <= 2 or b.shape[0] == 0:
+        raise ValidationError(
+            f"{name}: must be 1-D or K x N with at least one category, got shape {b.shape}"
+        )
+    return b
 
 
 def _row_order_sums(x: np.ndarray) -> np.ndarray:

@@ -25,12 +25,12 @@ iteration.  The passes run per block of at most 1 024 pixels, and above
 one block on a thread per usable core (see :func:`fit`);
 :func:`update_beta` runs the same blocks from the same start.
 
-Inputs are checked once, where they enter.  The raw-array entry point
-:func:`update_beta` runs one prologue, :func:`_entry_terms`: the noise
-variance (one finite, positive number), the shapes, then c and G (finite),
-before other arithmetic.  In the line search each evaluated point is
-checked by its ``dirichlet_entropy`` call, which runs before the residual
-divides by the totals; the gradient then reads the same arrays unchecked.
+Inputs follow four rules: one conversion (``model._floats``), one finite
+test (``model._prep_arg``), one matrix rule (``model._matrix``) and one
+data prologue, :func:`_data_terms` (shapes, checked c and G, ||Y||^2),
+which :func:`fit`, :func:`update_beta` and ``init_all`` each run once.  In
+the line search each point is checked by its ``dirichlet_entropy`` call
+before the residual divides by the totals; the gradient reads them unchecked.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .model import (
     ValidationError,
     _checked_count,
     _checked_noise_var,
+    _floats,
     _prep_arg,
     _scalar,
     _suffix_products,
@@ -141,35 +142,6 @@ def _bound(rsum, ent, sigma2: float, m: int, k: int, n: int) -> float:
     return float((const - rsum / (2.0 * sigma2) + ent) / n)
 
 
-def _check_shapes(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> None:
-    """ValidationError naming the shapes unless Y (bands x N) and B
-    (bands x K, K >= 1) are 2-D with equal bands and the concentrations are
-    K x N."""
-    if y.ndim != 2 or b.ndim != 2 or b.shape[0] != y.shape[0] or b.shape[1] < 1:
-        raise ValidationError(
-            f"endmembers {b.shape} and data {y.shape} must be 2-D with equal bands"
-            " and at least one endmember"
-        )
-    if betas.shape != (b.shape[1], y.shape[1]):
-        raise ValidationError(
-            f"concentrations {betas.shape} do not match (K, N) = {(b.shape[1], y.shape[1])}"
-        )
-
-
-def _entry_terms(y, b, betas, sigma2, name: str) -> Tuple[np.ndarray, ...]:
-    """The raw-array entry point's prologue: (Y, betas, c, G, sigma2), the
-    arrays as float64 and sigma2 as a Python float.  Checks, in this order,
-    the noise variance (one finite, positive number), the shapes, and c and
-    G.  The concentrations are left to the caller."""
-    sigma2 = _scalar(sigma2, f"{name}'s noise variance")
-    _prep_arg(sigma2, f"{name}'s noise variance")
-    y = np.asarray(y, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
-    _check_shapes(y, b, betas)
-    return (y, betas, *_products(y, b, name), sigma2)
-
-
 def _products(y: np.ndarray, b: np.ndarray, name: str) -> Tuple[np.ndarray, np.ndarray]:
     """(c, G) = (B'Y, B'B), checked finite.  A NaN or an infinity in B
     makes diag(G) non-finite, and one in pixel n of Y then makes column n
@@ -183,14 +155,31 @@ def _products(y: np.ndarray, b: np.ndarray, name: str) -> Tuple[np.ndarray, np.n
     return c, g
 
 
-def _squared_norms(y: np.ndarray, name: str) -> Tuple[np.ndarray, float]:
-    """Each pixel's ||y_n||^2 and ||Y||^2 of a finite Y, which must not overflow."""
+def _data_terms(
+    y: np.ndarray, b: np.ndarray, betas: np.ndarray, name: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The solver's one data prologue, on float64 arrays: (c, G, each
+    pixel's ||y_n||^2, ||Y||^2).  ValidationError naming the shapes unless
+    Y (bands x N) and B (bands x K, K >= 1) are 2-D with equal bands and
+    the concentrations are K x N; then c and G are formed and checked by
+    :func:`_products`, and ||Y||^2, which finite data can overflow, is
+    checked too."""
+    if y.ndim != 2 or b.ndim != 2 or b.shape[0] != y.shape[0] or b.shape[1] < 1:
+        raise ValidationError(
+            f"endmembers {b.shape} and data {y.shape} must be 2-D with equal bands"
+            " and at least one endmember"
+        )
+    if betas.shape != (b.shape[1], y.shape[1]):
+        raise ValidationError(
+            f"concentrations {betas.shape} do not match (K, N) = {(b.shape[1], y.shape[1])}"
+        )
+    c, g = _products(y, b, name)
     with np.errstate(over="ignore"):
         sq = y * y
     yy = np.sum(sq)
     if not yy < np.inf:
         raise ValidationError(f"{name}'s data: squared norm overflows")
-    return sq.sum(axis=0), yy
+    return c, g, sq.sum(axis=0), yy
 
 
 def _expected_resid(
@@ -433,8 +422,12 @@ def update_beta(
     """
     passes = _checked_count(passes, "passes", 0)
     workers = _checked_count(workers, "workers", 1)
-    y, betas, c, g, sigma2 = _entry_terms(y, b, betas, sigma2, "update_beta")
-    yss = _squared_norms(y, "update_beta")[0]
+    sigma2 = _scalar(sigma2, "update_beta's noise variance")
+    _prep_arg(sigma2, "update_beta's noise variance")
+    y = _floats(y, "update_beta's data")
+    b = _floats(b, "update_beta's endmembers")
+    betas = _floats(betas, "update_beta's concentrations")
+    c, g, yss, _ = _data_terms(y, b, betas, "update_beta")
     start = _beta_point(c, g, betas, sigma2)
     return _ascend_blocks(workers, c, g, betas, yss, sigma2, passes, start)[0]
 
@@ -577,8 +570,8 @@ def update_factors(y: np.ndarray, stack: FactorStack, betas: np.ndarray) -> Fact
     value, so the bound never drops.  The sweep returns one new, validated
     stack.
     """
-    y = np.asarray(y, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
+    y = _floats(y, "update_factors' data")
+    betas = _floats(betas, "update_factors' concentrations")
     ym, pbar = _factor_statistics(y, betas)
     mats = [stack.basis, *stack.mixers]
     tail = _suffix_products(mats)
@@ -592,11 +585,9 @@ def update_factors(y: np.ndarray, stack: FactorStack, betas: np.ndarray) -> Fact
 def _noise_var_at(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> float:
     """The closed-form noise variance (:func:`_noise_var`) at (B, betas),
     from ||Y||^2 plus the summed per-pixel :func:`_expected_resid`, as
-    :func:`fit`'s noise update forms it.  The caller (``init_all``) builds
-    the shapes and floors the concentrations at ``BETA_FLOOR``; only (c, G)
-    and ||Y||^2, which finite data can overflow, are checked."""
-    c, g = _products(y, b, "init_all")
-    yy = _squared_norms(y, "init_all")[1]
+    :func:`fit`'s noise update forms it, through :func:`_data_terms`.  The
+    caller (``init_all``) floors the concentrations at ``BETA_FLOOR``."""
+    c, g, _, yy = _data_terms(y, b, betas, "init_all")
     return _noise_var(yy + _expected_resid(c, g, betas)[0].sum(), y.size)
 
 
@@ -634,9 +625,7 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     y = as_pixel_matrix(pixels).data
     b = compose_expanded(stack)
     betas = betas.concentration
-    _check_shapes(y, b, betas)
-    c, g = _products(y, b, "fit")
-    yss, yy = _squared_norms(y, "fit")
+    c, g, yss, yy = _data_terms(y, b, betas, "fit")
     # the factor sweep does not read the noise variance, so the loop carries
     # it as a float and the stack takes it once, after the loop
     sigma2 = stack.noise_var

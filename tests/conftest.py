@@ -13,7 +13,7 @@ from mssmf import (
     FactorStack, FitConfig, assemble_ground_truth, builtin_bases, fit, gen_dataset, init_all,
     solver,
 )
-from mssmf.model import _as_rng
+from mssmf.model import _as_rng, _floats, _prep_arg, _scalar
 from mssmf.simplex import _concentrations, dirichlet_entropy, sample_dirichlet
 
 
@@ -55,13 +55,16 @@ def expanded_of(stack):
 
 def elbo_terms(y, b, betas, sigma2):
     """The bound per pixel as fit traces it, from the kernels fit runs: the
-    raw-array prologue (the noise variance, the shapes, then c = B'Y and
-    G = B'B), ||Y||^2, the summed expected residual and entropy, and the
-    bound formula.  The noise variance need only be finite and positive,
-    with no floor, and the factors need not be feasible, so probes may
-    evaluate sigma2 +- h or step off the simplex."""
-    y, betas, c, g, sigma2 = solver._entry_terms(y, b, betas, sigma2, "elbo_terms")
-    yy = solver._squared_norms(y, "elbo_terms")[1]
+    noise variance checked as update_beta checks it, the arrays converted,
+    the data prologue (the shapes, c = B'Y and G = B'B, ||Y||^2), the summed
+    expected residual and entropy, and the bound formula.  The noise
+    variance need only be finite and positive, with no floor, and the
+    factors need not be feasible, so probes may evaluate sigma2 +- h or
+    step off the simplex."""
+    sigma2 = _scalar(sigma2, "elbo_terms' noise variance")
+    _prep_arg(sigma2, "elbo_terms' noise variance")
+    y, b, betas = (_floats(x, "elbo_terms' arrays") for x in (y, b, betas))
+    c, g, _, yy = solver._data_terms(y, b, betas, "elbo_terms")
     # the entropy checks the concentrations before the residual divides by
     # their totals
     ent = dirichlet_entropy(betas).sum()

@@ -22,9 +22,11 @@ from mssmf import (
     scls,
     singular_spectrum,
     update_beta,
+    update_factors,
     validate_dims,
     vca,
 )
+from mssmf.matio import write_csv_matrix, write_raw64
 from mssmf.simplex import sample_dirichlet
 
 from conftest import elbo_terms, expanded_of, random_instance
@@ -177,6 +179,53 @@ def test_every_matrix_argument_is_one_checked_matrix(arg, fault):
     call(good)
     with pytest.raises(ValidationError, match=re.escape(name)):
         call(_NOT_A_MATRIX[fault](good))
+
+
+def _array_arguments(tmp_path):
+    """{id: (a valid array, the name the check gives it, call(array))} for
+    every array argument of the public surface that is not a matrix
+    argument; each call is valid with the valid array."""
+    r = np.random.default_rng(5)
+    y = r.uniform(0.1, 1.0, (6, 8))
+    stack = FactorStack(r.uniform(0.1, 1.0, (6, 2)), (sample_dirichlet(np.ones(2), 3, r),), 0.1)
+    b, betas = compose_expanded(stack), np.ones((3, 8))
+    return {
+        "update_beta_data": (y, "update_beta's data", lambda x: update_beta(x, b, betas, 0.1, 1)),
+        "update_beta_endmembers": (
+            b, "update_beta's endmembers", lambda x: update_beta(y, x, betas, 0.1, 1),
+        ),
+        "update_beta_concentrations": (
+            betas, "update_beta's concentrations", lambda x: update_beta(y, b, x, 0.1, 1),
+        ),
+        "update_factors_data": (
+            y, "update_factors' data", lambda x: update_factors(x, stack, betas),
+        ),
+        "update_factors_concentrations": (
+            betas, "update_factors' concentrations", lambda x: update_factors(y, stack, x),
+        ),
+        "dirichlet_entropy": (betas, "dirichlet_entropy", dirichlet_entropy),
+        "sample_dirichlet": (np.ones(3), "sample_dirichlet", lambda x: sample_dirichlet(x, 2, 0)),
+        "gen_variants": (y[:, 0], "base spectrum", lambda x: gen_variants(x, 2)),
+        "write_raw64": (
+            y, "write_raw64's matrix", lambda x: write_raw64(tmp_path / "m.raw64", x),
+        ),
+        "write_csv_matrix": (
+            y, "write_csv_matrix's matrix", lambda x: write_csv_matrix(tmp_path / "m.csv", x),
+        ),
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [[[1.0, 2.0], [3.0]], "abc"], ids=["ragged", "text"])
+@pytest.mark.parametrize("arg", sorted(_array_arguments(None)))
+def test_every_array_argument_is_one_checked_conversion(arg, bad, tmp_path):
+    # the arguments outside the matrix rule go through the same one
+    # conversion: what is not an array of numbers is a ValidationError
+    # that names the argument, never an error from inside numpy
+    good, name, call = _array_arguments(tmp_path)[arg]
+    call(good)
+    with pytest.raises(ValidationError, match=re.escape(name)):
+        call(bad)
 
 
 class TestFactorStack:

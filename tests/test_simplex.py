@@ -149,6 +149,13 @@ class TestDirichlet:
             ref = stats.dirichlet.entropy(alpha)
             assert ours == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
+    @pytest.mark.parametrize("conc", [2.0, np.ones((2, 3, 4))], ids=["0d", "3d"])
+    def test_entropy_takes_a_vector_or_a_matrix(self, conc):
+        # 1-D or K x N; a 3-D array is not read as a stack of matrices
+        shape = re.escape(str(np.shape(conc)))
+        with pytest.raises(ValidationError, match=f"dirichlet_entropy: .*got shape {shape}"):
+            dirichlet_entropy(conc)
+
     def test_entropy_batched_matches_loop(self, rng):
         conc = rng.uniform(0.2, 6.0, (5, 8))
         batched = dirichlet_entropy(conc)

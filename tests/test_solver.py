@@ -935,9 +935,9 @@ class TestFit:
             np.testing.assert_array_equal(got, mixer)
 
     def test_forms_statistics_once_per_iteration(self, rng, monkeypatch):
-        # no raw-array entry point: the squared norms once per fit, (c, G)
-        # before the loop and after each sweep, and one residual per
-        # iteration besides the concentration passes'.  The passes'
+        # no raw-array entry point: the data prologue, so the squared norms,
+        # once per fit, (c, G) in it and after each sweep, and one residual
+        # per iteration besides the concentration passes'.  The passes'
         # starting point is evaluated once, before the loop; after that
         # every evaluation is a candidate a search tries
         y, stack, betas = random_instance(rng)
@@ -955,9 +955,9 @@ class TestFit:
 
             return wrapper
 
-        monkeypatch.setattr(solver, "_entry_terms", refused)
+        monkeypatch.setattr(solver, "update_beta", refused)
         for name in (
-            "_products", "_squared_norms", "_expected_resid", "_beta_point",
+            "_data_terms", "_products", "_expected_resid", "_beta_point",
             "_armijo_trial", "dirichlet_entropy",
         ):
             monkeypatch.setattr(solver, name, counted(name))
@@ -969,7 +969,8 @@ class TestFit:
         assert calls.pop(("_expected_resid", "_beta_point")) == 1 + trials
         assert calls.pop(("dirichlet_entropy", "_beta_point")) == 1 + trials
         assert calls == {
-            ("_products", "fit"): 5, ("_squared_norms", "fit"): 1,
+            ("_data_terms", "fit"): 1, ("_products", "_data_terms"): 1,
+            ("_products", "fit"): 4,
             ("_expected_resid", "fit"): 4, ("_beta_point", "fit"): 1,
         }
 
