@@ -21,7 +21,6 @@ from .solver import (
     FitTrace,
     fit,
     update_beta,
-    update_factors,
 )
 from .synth import (
     SynthBundle,
@@ -59,7 +58,6 @@ __all__ = [
     "scls",
     "singular_spectrum",
     "update_beta",
-    "update_factors",
     "validate_dims",
     "vca",
 ]

@@ -7,25 +7,20 @@ path + ".json" holding {"rows": R, "cols": C} as JSON integers.
 Manifests are strict JSON with sorted keys and a fixed layout so
 identical content gives identical bytes; a non-finite float is stored
 as the string "inf", "-inf" or "nan", which float() reads back.  Images
-are binary 8-bit PGM.
+are binary 8-bit PGM.  Before opening a file the matrix writers refuse
+what the readers refuse, all but 2-D and nonempty; NaN and inf are written.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 from typing import Tuple
 
 import numpy as np
 
-from .model import ValidationError, _floats
-
-
-def _as_matrix(mat, name: str) -> np.ndarray:
-    a = np.atleast_2d(_floats(mat, name))
-    if a.ndim != 2:
-        raise ValidationError(f"{name}: expected a matrix, got ndim {a.ndim}")
-    return a
+from .model import ValidationError, _floats, _matrix_shape
 
 
 def _write_text(path, text: str) -> None:
@@ -36,13 +31,15 @@ def _write_text(path, text: str) -> None:
 
 
 def write_csv_matrix(path, mat) -> None:
-    a = _as_matrix(mat, "write_csv_matrix's matrix")
+    a = _matrix_shape(mat, "write_csv_matrix's matrix")
     _write_text(path, "\n".join(",".join(repr(float(v)) for v in row) for row in a))
 
 
 def read_csv_matrix(path) -> np.ndarray:
     try:
-        out = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            out = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise ValidationError(f"{path}: malformed CSV matrix: {exc}") from None
     if out.size == 0:
@@ -51,7 +48,7 @@ def read_csv_matrix(path) -> np.ndarray:
 
 
 def write_raw64(path, mat) -> None:
-    a = _as_matrix(mat, "write_raw64's matrix")
+    a = _matrix_shape(mat, "write_raw64's matrix")
     rows, cols = a.shape
     with open(path, "wb") as fh:
         # the array's own buffer, not a bytes copy of it

@@ -52,19 +52,23 @@ def _prep_arg(x, name: str, positive: bool = True) -> np.ndarray:
     return z
 
 
-def _matrix(x, name: str) -> np.ndarray:
-    """:func:`_prep_arg` of x (finite), if it is 2-D with at least one row
-    and one column; ValidationError naming the argument and its shape
-    otherwise.  The package's one matrix check: a 1-D array is not read as
-    a row.  A float64 input is not copied, so its memory layout, and with
-    it the bits of a product with it, stays as it is."""
-    z = _prep_arg(x, name, positive=False)
+def _matrix_shape(x, name: str) -> np.ndarray:
+    """:func:`_floats` of x, if it is 2-D with at least one row and one
+    column; ValidationError naming the argument and its shape otherwise.
+    The package's one matrix shape rule: a 1-D array is not read as a row."""
+    z = _floats(x, name)
     if z.ndim != 2 or 0 in z.shape:
         raise ValidationError(
             f"{name}: must be 2-D with at least one row and at least one column,"
             f" got shape {z.shape}"
         )
     return z
+
+
+def _matrix(x, name: str) -> np.ndarray:
+    """:func:`_matrix_shape` of :func:`_prep_arg` of x (finite), the one matrix
+    check; a float64 x is not copied, so a product with it keeps its bits."""
+    return _matrix_shape(_prep_arg(x, name, positive=False), name)
 
 
 def _frozen(x, name: str) -> np.ndarray:

@@ -195,9 +195,11 @@ def sample_dirichlet(alpha: np.ndarray, n: int, rng: RngLike) -> np.ndarray:
     """Draw n Dirichlet(alpha) vectors as the columns of a (K, n) matrix;
     n is an integer (Python or numpy), at least 0, and rng a Generator or
     such an integer seed."""
-    a = _concentrations(alpha, "sample_dirichlet")
-    if a.ndim != 1:
-        raise ValidationError("alpha must be a 1-D vector")
+    a = _prep_arg(alpha, "sample_dirichlet")
+    if a.ndim != 1 or not a.size:
+        raise ValidationError(
+            f"sample_dirichlet: must be 1-D with at least one category, got shape {a.shape}"
+        )
     n = _checked_count(n, "sample count n", 0)
     rng = _as_rng(rng)
     g = rng.standard_gamma(a[:, None], size=(a.size, n))

@@ -20,7 +20,7 @@ feeds the noise formula :func:`_noise_var`, the bound formula
 passes, which start from it instead of evaluating that point again.  The
 passes carry each pixel's entropy with its accepted concentrations and the
 bound sums it, so a fit evaluates every point once.  The factor sweep
-reads the data only through Y M' and Pbar, also formed once per
+takes only the statistics Y M' and Pbar, which fit forms once per
 iteration.  The passes run per block of at most 1 024 pixels, and above
 one block on a thread per usable core (see :func:`fit`);
 :func:`update_beta` runs the same blocks from the same start.
@@ -86,7 +86,7 @@ class FitConfig:
     Every outer iteration makes beta_steps_per_outer concentration ascent
     passes, a constant rather than a setting.  The factor blocks take no
     budget: the basis is solved exactly and each mixer makes one exact
-    column sweep per iteration (see :func:`update_factors`).
+    column sweep per iteration (see :func:`_update_factors`).
     """
 
     beta_steps_per_outer: ClassVar[int] = 10
@@ -477,7 +477,7 @@ def _quadratic_part(x: np.ndarray, u: Optional[np.ndarray], r: np.ndarray) -> np
 def _nnls_rows(r: np.ndarray, c: np.ndarray, old: np.ndarray) -> np.ndarray:
     """Solve min a'Ra - 2 c_i'a over a >= 0 for every row c_i of c,
     warm-started from the support P of each row of old (the certificate
-    argument is in :func:`update_factors`).  Row i's system is R_PP on P
+    argument is in :func:`_update_factors`).  Row i's system is R_PP on P
     and the identity off it, so one batched call solves every row.
     """
     low, low_pinv = _reduced_factor(r)
@@ -501,7 +501,7 @@ def _factor_block(
     """Minimize the block quadratic tr(X'UXR) - 2<X, C> from old: the
     basis (u None) over X >= 0, a mixer by one sweep over its simplex
     columns.  Returns the new factor, or old itself (the same object) if
-    roundoff made the objective rise.  See :func:`update_factors`."""
+    roundoff made the objective rise.  See :func:`_update_factors`."""
     used = np.flatnonzero(np.diag(r) > 0.0)
     new = np.array(old)
     if u is None:
@@ -523,15 +523,16 @@ def _factor_block(
     return new
 
 
-def update_factors(y: np.ndarray, stack: FactorStack, betas: np.ndarray) -> FactorStack:
+def _update_factors(stack: FactorStack, ym: np.ndarray, pbar: np.ndarray) -> FactorStack:
     """One exact sweep over the core basis and then each mixing layer, for
     fixed concentrations.
 
-    The blocks see the data only through the statistics Y M' and Pbar (M
-    the posterior means, Pbar the summed Dirichlet second moment), which
-    the sweep computes once.  With P the product of the factors before a
-    block and W the product of those after it, the block's part of the
-    bound is, up to scale, minus one quadratic in its factor X:
+    The sweep reads the data and concentrations only as the statistics
+    ym = Y M' and pbar = Pbar (M the posterior means, Pbar the summed
+    Dirichlet second moment), which :func:`fit` forms once per iteration.
+    With P the product of the factors before a block and W the product of
+    those after it, the block's part of the bound is, up to scale, minus
+    one quadratic in its factor X:
 
         tr(X' U X R) - 2 <X, C>,   U = P'P,  R = W Pbar W',  C = P' Y M' W'
 
@@ -570,9 +571,6 @@ def update_factors(y: np.ndarray, stack: FactorStack, betas: np.ndarray) -> Fact
     value, so the bound never drops.  The sweep returns one new, validated
     stack.
     """
-    y = _floats(y, "update_factors' data")
-    betas = _floats(betas, "update_factors' concentrations")
-    ym, pbar = _factor_statistics(y, betas)
     mats = [stack.basis, *stack.mixers]
     tail = _suffix_products(mats)
     prefix = None
@@ -641,7 +639,7 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
         betas, ent = _ascend_blocks(
             threads, c, g, betas, yss, sigma2, config.beta_steps_per_outer, start
         )
-        stack = update_factors(y, stack, betas)
+        stack = _update_factors(stack, *_factor_statistics(y, betas))
         c, g = _products(y, compose_expanded(stack), "fit")
         # the concentration passes checked every point they accepted
         resid, pieces = _expected_resid(c, g, betas)

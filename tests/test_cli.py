@@ -1,5 +1,7 @@
 import json
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -438,6 +440,19 @@ class TestSvdCommand:
         (tmp_path / "m.raw64.json").write_bytes(UNREADABLE_JSON[fault])
         assert run("svd", "--input", str(path), "--out", str(tmp_path / "s.csv")) == 3
         assert "m.raw64.json" in capsys.readouterr().err
+
+    def test_empty_csv_is_one_error_line(self, tmp_path):
+        # in a child, so that the command's whole stderr is seen: exit 3
+        # and the one error line, no warning from inside numpy before it
+        (tmp_path / "empty.csv").write_text("")
+        child = subprocess.run(
+            [sys.executable, "-m", "mssmf.cli", "svd", "--input", str(tmp_path / "empty.csv"),
+             "--out", str(tmp_path / "s.csv")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 3
+        assert child.stderr.splitlines() == [f"error: {tmp_path / 'empty.csv'}: empty CSV matrix"]
+        assert not (tmp_path / "s.csv").exists()
 
     def test_row_count_is_min_dim(self, tmp_path, rng):
         write_raw64(tmp_path / "m.raw64", rng.normal(size=(9, 4)))

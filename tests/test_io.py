@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +47,51 @@ class TestCsv:
         path.write_text("1.0,oops\n")
         with pytest.raises(ValidationError, match="malformed"):
             read_csv_matrix(path)
+
+    @pytest.mark.parametrize(
+        "text", ["", "\n\n", "# no data\n"], ids=["empty", "blank", "comment"]
+    )
+    def test_no_data_is_only_a_validation_error(self, tmp_path, text):
+        # the refusal alone: numpy's "input contained no data" warning does
+        # not come first
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="empty CSV matrix"):
+                read_csv_matrix(path)
+
+
+_WRITERS = {"csv": write_csv_matrix, "raw64": write_raw64}
+_NOT_READABLE = {
+    "no_rows": np.zeros((0, 3)),
+    "no_columns": np.zeros((3, 0)),
+    "1d": np.ones(3),
+    "0d": np.float64(2.0),
+    "3d": np.ones((2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("mat", sorted(_NOT_READABLE))
+@pytest.mark.parametrize("suffix", sorted(_WRITERS))
+def test_writers_refuse_what_readers_refuse(tmp_path, suffix, mat):
+    # what the readers would refuse (an empty matrix) or read back as
+    # another shape (a 1-D or 0-d array as one row) is refused before a
+    # file is opened, so no file is left behind
+    arg = _NOT_READABLE[mat]
+    shape = re.escape(str(arg.shape))
+    with pytest.raises(ValidationError, match=f"matrix: .*got shape {shape}"):
+        _WRITERS[suffix](tmp_path / f"m.{suffix}", arg)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("suffix", sorted(_WRITERS))
+def test_writers_keep_non_finite_entries(tmp_path, suffix):
+    # trace.csv holds a NaN bound after a non-finite stop
+    mat = np.array([[1.0, np.nan], [np.inf, -np.inf]])
+    path = tmp_path / f"m.{suffix}"
+    _WRITERS[suffix](path, mat)
+    np.testing.assert_array_equal(load_matrix(path), mat)
 
 
 class TestRaw64:

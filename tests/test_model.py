@@ -22,7 +22,6 @@ from mssmf import (
     scls,
     singular_spectrum,
     update_beta,
-    update_factors,
     validate_dims,
     vca,
 )
@@ -196,12 +195,6 @@ def _array_arguments(tmp_path):
         ),
         "update_beta_concentrations": (
             betas, "update_beta's concentrations", lambda x: update_beta(y, b, x, 0.1, 1),
-        ),
-        "update_factors_data": (
-            y, "update_factors' data", lambda x: update_factors(x, stack, betas),
-        ),
-        "update_factors_concentrations": (
-            betas, "update_factors' concentrations", lambda x: update_factors(y, stack, x),
         ),
         "dirichlet_entropy": (betas, "dirichlet_entropy", dirichlet_entropy),
         "sample_dirichlet": (np.ones(3), "sample_dirichlet", lambda x: sample_dirichlet(x, 2, 0)),

@@ -169,6 +169,14 @@ class TestDirichlet:
         np.testing.assert_allclose(z.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(z.mean(axis=1), alpha / alpha.sum(), atol=3e-3)
 
+    @pytest.mark.parametrize("alpha", [np.ones((3, 2)), 2.0], ids=["2d", "0d"])
+    def test_sampling_takes_a_vector(self, rng, alpha):
+        # one shape rule that names the function and the shape: a K x N
+        # matrix of concentrations is not one alpha
+        shape = re.escape(str(np.shape(alpha)))
+        with pytest.raises(ValidationError, match=f"sample_dirichlet.*got shape {shape}"):
+            sample_dirichlet(alpha, 2, rng)
+
     def test_sampling_rejects_bad_alpha(self, rng):
         for bad in (0.0, np.nan, np.inf):
             with pytest.raises(ValidationError):

@@ -23,7 +23,6 @@ from mssmf import (
     gen_dataset,
     init_all,
     update_beta,
-    update_factors,
 )
 from mssmf import model, simplex, solver
 from mssmf.model import NOISE_VAR_FLOOR
@@ -508,16 +507,16 @@ def _raw_entry_calls(y, b, betas, sigma2):
 
 
 def entry_point_fit(y, stack, betas, iters):
-    """fit's loop built from the public raw-array entry points and
-    init_all's noise-variance helper, each forming its own statistics.
-    Returns (stack, betas, bounds, noise variances); the stack keeps its
-    initial noise variance."""
+    """fit's loop built from the raw-array entry point update_beta, the
+    factor sweep on statistics formed here and init_all's noise-variance
+    helper, each forming its own statistics.  Returns (stack, betas,
+    bounds, noise variances); the stack keeps its initial noise variance."""
     sigma2 = stack.noise_var
     bounds, noise = [], []
     for _ in range(iters):
         b = compose_expanded(stack)
         betas = update_beta(y, b, betas, sigma2, FitConfig.beta_steps_per_outer)
-        stack = update_factors(y, stack, betas)
+        stack = solver._update_factors(stack, *solver._factor_statistics(y, betas))
         b = compose_expanded(stack)
         sigma2 = solver._noise_var_at(y, b, betas)
         bounds.append(elbo_terms(y, b, betas, sigma2))
@@ -578,7 +577,7 @@ class TestRawEntryChecks:
         if when == "start":
             stack = huge
         else:
-            monkeypatch.setattr(solver, "update_factors", lambda *args: huge)
+            monkeypatch.setattr(solver, "_update_factors", lambda *args: huge)
         with pytest.raises(ValidationError, match="fit's endmembers: non-finite"):
             fit(y, stack, betas, FitConfig(max_outer_iters=3, rel_elbo_tol=0.0))
 
@@ -776,7 +775,7 @@ class TestUpdateFactor:
     @pytest.mark.parametrize("depth", [1, 2, 4])
     def test_sweep_matches_blocks_applied_in_order(self, rng, depth):
         y, stack, betas = random_instance(rng, depth=depth)
-        got = update_factors(y, stack, betas)
+        got = solver._update_factors(stack, *solver._factor_statistics(y, betas))
         mats = [stack.basis, *stack.mixers]
         for which in range(len(stack.mixers) + 1):
             # statistics, prefix and suffix products recomputed for every
@@ -916,7 +915,7 @@ class TestFit:
 
     @pytest.mark.parametrize("case", ["quick_start", "depth5", "wide"])
     def test_matches_entry_point_loop(self, rng, case):
-        # fit's own statistics give the bits the public entry points give,
+        # fit's own statistics give the bits the entry points give,
         # also above one pixel block (wide: 2 100 px, three blocks)
         if case == "quick_start":
             pixels, init = quick_start_init()
@@ -936,8 +935,9 @@ class TestFit:
 
     def test_forms_statistics_once_per_iteration(self, rng, monkeypatch):
         # no raw-array entry point: the data prologue, so the squared norms,
-        # once per fit, (c, G) in it and after each sweep, and one residual
-        # per iteration besides the concentration passes'.  The passes'
+        # once per fit, (c, G) in it and after each sweep, one residual per
+        # iteration besides the concentration passes', and the factor
+        # statistics once per iteration, by fit itself: the sweep takes them.  The passes'
         # starting point is evaluated once, before the loop; after that
         # every evaluation is a candidate a search tries
         y, stack, betas = random_instance(rng)
@@ -958,7 +958,7 @@ class TestFit:
         monkeypatch.setattr(solver, "update_beta", refused)
         for name in (
             "_data_terms", "_products", "_expected_resid", "_beta_point",
-            "_armijo_trial", "dirichlet_entropy",
+            "_armijo_trial", "dirichlet_entropy", "_factor_statistics",
         ):
             monkeypatch.setattr(solver, name, counted(name))
         res = fit(y, stack, betas, FitConfig(max_outer_iters=4, rel_elbo_tol=0.0))
@@ -972,6 +972,7 @@ class TestFit:
             ("_data_terms", "fit"): 1, ("_products", "_data_terms"): 1,
             ("_products", "fit"): 4,
             ("_expected_resid", "fit"): 4, ("_beta_point", "fit"): 1,
+            ("_factor_statistics", "fit"): 4,
         }
 
     @pytest.mark.parametrize("case", ["quick_start", "deep"])
