@@ -5,7 +5,7 @@ Dirichlet for every pixel.  Coordinate ascent on the evidence lower bound
 alternates three steps per outer iteration: the Dirichlet concentrations
 (projected gradient ascent with a per-pixel Armijo line search,
 :func:`_beta_ascent_chunk`), one exact sweep over the factors
-(:func:`update_factors`), and the noise variance (closed form).  Every
+(:func:`_update_factors`), and the noise variance (closed form).  Every
 block is accepted only if the bound does not decrease, so the traced
 objective is non-decreasing by construction.
 
@@ -18,11 +18,11 @@ read it, so every one of them sees the same number.  :func:`fit` forms
 feeds the noise formula :func:`_noise_var`, the bound formula
 :func:`_bound`, each defined once, and the next iteration's concentration
 passes, which start from it instead of evaluating that point again.  The
-passes carry each pixel's entropy with its accepted concentrations and the
-bound sums it, so a fit evaluates every point once.  The factor sweep
-takes only the statistics Y M' and Pbar, which fit forms once per
-iteration.  The passes run per block of at most 1 024 pixels, and above
-one block on a thread per usable core (see :func:`fit`);
+passes update fit's concentrations and their record, entropy included, in
+place, and the bound sums that entropy, so a fit evaluates every point
+once.  The factor sweep takes only the statistics Y M' and Pbar, which fit
+forms once per iteration.  The passes run per block of at most 1 024
+pixels, and above one block on a thread per usable core (see :func:`fit`);
 :func:`update_beta` runs the same blocks from the same start.
 
 Inputs follow four rules: one conversion (``model._floats``), one finite
@@ -263,20 +263,20 @@ def _beta_ascent_chunk(
     sigma2: float,
     passes: int,
     start: Tuple[np.ndarray, ...],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Run `passes` clamped gradient-ascent steps on a block of pixels.
-    Returns the concentrations and their per-pixel entropy.
+) -> None:
+    """Run `passes` clamped gradient-ascent steps on a block of pixels,
+    updating betas and start in place.
 
     Each pass takes one Armijo-backtracked step per pixel; a pixel whose
     search fails keeps its current concentrations, so the per-pixel bound
     never decreases.  start is the :func:`_beta_point` record at betas,
     which :func:`fit` forms from the residual its bound already computes.
-    Its arrays are carried in place: every pixel holds the record of the
-    candidate its search last accepted, so the next pass starts from it,
-    the caller's bound reads the entropy, and no point is evaluated
-    twice.  The entropy of a gathered pixel has the bits a
-    whole-array evaluation gives it (see :func:`dirichlet_entropy`), so the
-    carried entropy is the entropy of the returned concentrations.
+    Both are the caller's arrays, written in place: every pixel holds the
+    candidate its search last accepted and that candidate's record, so the
+    next pass starts from it, the caller's bound reads the entropy, and no
+    point is evaluated twice.  The entropy of a gathered pixel has the bits
+    a whole-array evaluation gives it (see :func:`dirichlet_entropy`), so
+    the record's entropy is the entropy of the concentrations.
 
     A pass tries its first step for every pixel on the whole arrays and
     copies the accepted candidates and their evaluations in place under the
@@ -312,12 +312,11 @@ def _beta_ascent_chunk(
     at BETA_FLOOR and the gradient is near 1e12, the first pass skips 46
     halvings for every pixel of the README quick-start scene at 2 000 px.
     """
-    cur = np.array(betas)
-    ceil = yss / (2.0 * sigma2) - gammaln(cur.shape[0])
+    ceil = yss / (2.0 * sigma2) - gammaln(betas.shape[0])
     last = 0.5 ** (_MAX_HALVINGS - 1)
-    f0, ent = start[:2]
+    f0 = start[0]
     for _ in range(passes):
-        grad = _beta_gradient(c, g, cur, sigma2, start)
+        grad = _beta_gradient(c, g, betas, sigma2, start)
         room = ceil - f0
         demand = _ARMIJO_C1 * (np.maximum(grad, 0.0) ** 2).sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -325,8 +324,8 @@ def _beta_ascent_chunk(
         # headroom <= 0 or non-finite leaves no finite skip: start at step 1
         skip[~np.isfinite(skip)] = 0.0
         step = 0.5 ** np.clip(skip, 0.0, _MAX_HALVINGS - 1)
-        ok, cand, tried = _armijo_trial(c, g, cur, step, grad, f0, sigma2)
-        np.copyto(cur, cand, where=ok)
+        ok, cand, tried = _armijo_trial(c, g, betas, step, grad, f0, sigma2)
+        np.copyto(betas, cand, where=ok)
         for kept, new in zip(start, tried):
             np.copyto(kept, new, where=ok)
         todo = np.flatnonzero(~ok)
@@ -336,14 +335,13 @@ def _beta_ascent_chunk(
             if not todo.size:
                 break
             ok, cand, tried = _armijo_trial(
-                c[:, todo], g, cur[:, todo], step[todo], grad[:, todo], f0[todo], sigma2
+                c[:, todo], g, betas[:, todo], step[todo], grad[:, todo], f0[todo], sigma2
             )
             hit = todo[ok]
-            cur[:, hit] = cand[:, ok]
+            betas[:, hit] = cand[:, ok]
             for kept, new in zip(start, tried):
                 kept[..., hit] = new[..., ok]
             todo = todo[~ok]
-    return cur, ent
 
 
 def _usable_cores() -> int:
@@ -363,28 +361,26 @@ def _ascend_blocks(
     sigma2: float,
     passes: int,
     start: Tuple[np.ndarray, ...],
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> None:
     """:func:`_beta_ascent_chunk` on ceil(N / _BLOCK_PIXELS) contiguous
     pixel blocks of near-equal width (one when N is 0), a split that depends
-    on N alone, each from its columns of the :func:`_beta_point` record
-    start.  Returns every pixel's (concentrations, entropy).  The blocks
-    split into at most `threads` contiguous groups of near-equal block
-    count; the calling thread runs the first group and a pool opened for
-    the call one thread per further group.  A block reads and writes only
-    its own columns, so its bits do not depend on the thread that runs it,
-    and a block's exception is raised here.  The calling thread works
-    rather than waits: what a pool thread allocates stays in its own malloc
-    arena, resident on top of the caller's memory, so one pool thread fewer
-    keeps the peak resident size lower."""
+    on N alone, each on its columns of betas and of the :func:`_beta_point`
+    record start, which it updates in place.  The blocks split into at most
+    `threads` contiguous groups of near-equal block count; the calling
+    thread runs the first group and a pool opened for the call one thread
+    per further group.  A block reads and writes only its own columns, so
+    its bits do not depend on the thread that runs it, and a block's
+    exception is raised here.  The calling thread works rather than waits:
+    what a pool thread allocates stays in its own malloc arena, resident on
+    top of the caller's memory, so one pool thread fewer keeps the peak
+    resident size lower."""
 
-    def block(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        return _beta_ascent_chunk(
-            c[:, lo:hi], g, betas[:, lo:hi], yss[lo:hi], sigma2, passes,
-            tuple(p[..., lo:hi] for p in start),
-        )
-
-    def run(group: List[Tuple[int, int]]) -> List[Tuple[np.ndarray, np.ndarray]]:
-        return [block(lo, hi) for lo, hi in group]
+    def run(group: List[Tuple[int, int]]) -> None:
+        for lo, hi in group:
+            _beta_ascent_chunk(
+                c[:, lo:hi], g, betas[:, lo:hi], yss[lo:hi], sigma2, passes,
+                tuple(p[..., lo:hi] for p in start),
+            )
 
     n = betas.shape[1]
     nblocks = max(-(-n // _BLOCK_PIXELS), 1)
@@ -393,16 +389,13 @@ def _ascend_blocks(
     cuts = [i * len(blocks) // count for i in range(count + 1)]
     groups = [blocks[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
     if count == 1:
-        parts = run(blocks)
-    else:
-        with ThreadPoolExecutor(max_workers=count - 1) as pool:
-            rest = pool.map(run, groups[1:])
-            parts = run(groups[0])
-            for group in rest:
-                parts += group
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
+        run(blocks)
+        return
+    with ThreadPoolExecutor(max_workers=count - 1) as pool:
+        rest = pool.map(run, groups[1:])
+        run(groups[0])
+        # consuming the results raises a pool block's exception here
+        list(rest)
 
 
 def update_beta(
@@ -416,9 +409,10 @@ def update_beta(
     """Improve all per-pixel Dirichlet concentrations for a fixed model.
 
     Runs :func:`fit`'s pixel blocks from :func:`fit`'s start, the
-    :func:`_beta_point` record at betas, on at most `workers` threads; the
-    result does not depend on `workers`.  The argument remains only for the
-    benchmark's two-worker timing probe; :func:`fit` picks its own threads.
+    :func:`_beta_point` record at betas, on a copy of betas, which it
+    returns, on at most `workers` threads; the result does not depend on
+    `workers`.  The argument remains only for the benchmark's two-worker
+    timing probe; :func:`fit` picks its own threads.
     """
     passes = _checked_count(passes, "passes", 0)
     workers = _checked_count(workers, "workers", 1)
@@ -428,8 +422,11 @@ def update_beta(
     b = _floats(b, "update_beta's endmembers")
     betas = _floats(betas, "update_beta's concentrations")
     c, g, yss, _ = _data_terms(y, b, betas, "update_beta")
+    # _floats hands back the caller's own float64 array
+    betas = np.array(betas)
     start = _beta_point(c, g, betas, sigma2)
-    return _ascend_blocks(workers, c, g, betas, yss, sigma2, passes, start)[0]
+    _ascend_blocks(workers, c, g, betas, yss, sigma2, passes, start)
+    return betas
 
 
 def _reduced_factor(gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -603,10 +600,13 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     is evaluated after the four blocks and is non-decreasing.  The (c, G)
     formed after the factor sweep serve the noise update, the bound and the
     next iteration's concentration passes: the noise update leaves B as it
-    is.  The passes' start is evaluated once, before the loop; after each
-    sweep the residual that the noise update and the bound read, with the
-    entropy the passes carried, forms the next start.  Each iteration's
-    time covers all of its work, the first's that start evaluation too.
+    is.  fit holds one state, a writable copy of the starting concentrations
+    and their :func:`_beta_point` record, which the passes update in place.
+    The record is evaluated once, before the loop; after each sweep the
+    residual that the noise update and the bound read, with the record's
+    entropy, forms the next one.  The concentrations are frozen once, into
+    the returned DirichletParam.  Each iteration's time covers all of its
+    work, the first's that start evaluation too.
 
     The concentration passes run on ceil(N / 1024) contiguous pixel blocks
     of near-equal width, a split that depends on N alone, in one group per
@@ -621,9 +621,8 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     if not isinstance(betas, DirichletParam):
         betas = DirichletParam(betas)
     y = as_pixel_matrix(pixels).data
-    b = compose_expanded(stack)
-    betas = betas.concentration
-    c, g, yss, yy = _data_terms(y, b, betas, "fit")
+    betas = np.array(betas.concentration)
+    c, g, yss, yy = _data_terms(y, compose_expanded(stack), betas, "fit")
     # the factor sweep does not read the noise variance, so the loop carries
     # it as a float and the stack takes it once, after the loop
     sigma2 = stack.noise_var
@@ -636,9 +635,8 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     t0 = time.perf_counter()
     start = _beta_point(c, g, betas, sigma2)
     for _ in range(config.max_outer_iters):
-        betas, ent = _ascend_blocks(
-            threads, c, g, betas, yss, sigma2, config.beta_steps_per_outer, start
-        )
+        _ascend_blocks(threads, c, g, betas, yss, sigma2, config.beta_steps_per_outer, start)
+        ent = start[1]
         stack = _update_factors(stack, *_factor_statistics(y, betas))
         c, g = _products(y, compose_expanded(stack), "fit")
         # the concentration passes checked every point they accepted

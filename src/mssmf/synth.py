@@ -135,10 +135,11 @@ def gen_dataset(
     """Mix ground-truth endmembers with Dirichlet(1) abundances and add
     white Gaussian noise at the requested SNR (inf means noiseless).
 
-    At most two bands x pixels arrays are alive at once: the noise is
-    drawn into its own array, the clean mixture is added into it in place
-    (the same bits as clean + noise, since addition commutes), and the
-    mixture is released before :class:`PixelMatrix` takes its copy."""
+    The mixture reads the endmembers in F order, so their layout does not
+    change the pixels.  At most two bands x pixels arrays are alive at once:
+    the noise is drawn into its own array, the clean mixture is added into
+    it in place (the same bits as clean + noise, since addition commutes),
+    and the mixture is released before :class:`PixelMatrix` takes its copy."""
     a = _matrix(endmembers, "gen_dataset's endmembers")
     n_pixels = _checked_count(n_pixels, "n_pixels", 1)
     snr_db = _scalar(snr_db, "snr_db")
@@ -147,7 +148,7 @@ def gen_dataset(
     rng = _as_rng(seed)
     m, k = a.shape
     z = sample_dirichlet(np.ones(k), n_pixels, rng)
-    clean = a @ z
+    clean = np.asfortranarray(a) @ z
     if np.isinf(snr_db):
         sigma2 = 0.0
         y = clean

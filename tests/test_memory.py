@@ -10,10 +10,10 @@ from conftest import memory_guard_calls, traced_peak_arrays
 
 # gen_dataset holds the noisy pixels and PixelMatrix's copy of them (2.15
 # measured); init_all and fit hold less than two whole arrays (1.43, and
-# 1.61 on one core); fit's two block threads hold their temporaries at
-# the same time, by as much as their timing overlaps (2.25 to 2.56 over 40
+# 1.44 on one core); fit's two block threads hold their temporaries at
+# the same time, by as much as their timing overlaps (2.16 to 2.39 over 80
 # runs, in steps of one 30 x 1 000 block array)
-MAX_ARRAYS = {"gen_dataset": 2.5, "init_all": 2.0, "fit": 2.0, "fit on two threads": 2.75}
+MAX_ARRAYS = {"gen_dataset": 2.5, "init_all": 2.0, "fit": 1.55, "fit on two threads": 2.5}
 
 
 @pytest.mark.parametrize("name", sorted(MAX_ARRAYS))

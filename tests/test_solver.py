@@ -295,6 +295,19 @@ class TestBetaUpdate:
             for got in runs[1:]:
                 np.testing.assert_array_equal(got, runs[0])
 
+    def test_leaves_the_callers_concentrations_alone(self):
+        # the blocks write one copy of betas: a caller's writable float64
+        # array, which the entry's conversion hands back as it is, keeps its
+        # values, on one pixel block and on three run by two threads
+        for y, stack, betas in (retrying_state("quick_start"), wide_instance()):
+            betas = np.array(betas)
+            before = betas.copy()
+            got = update_beta(
+                y, expanded_of(stack), betas, stack.noise_var, passes=10, workers=2
+            )
+            np.testing.assert_array_equal(betas, before)
+            assert not np.array_equal(got, before)
+
     def test_no_pixels(self, rng):
         # zero pixels are one empty block, as the parent's single chunk was
         y, stack, betas = random_instance(rng)

@@ -138,6 +138,14 @@ def test_numeric_text_snr_reads_as_its_number():
     np.testing.assert_array_equal(text.pixels.data, number.pixels.data)
 
 
+# (bands, n_pixels, snr_db, seed); at 30 bands x 1 or x 500 px a C-ordered
+# operand rounds the mixture differently from an F-ordered one
+GEN_CASES = [
+    (198, 500, 20.0, 8), (30, 1, 5.0, 0), (80, 333, 40.0, 2**40), (12, 64, np.inf, 5),
+    (30, 500, 20.0, 3),
+]
+
+
 class TestGenDataset:
     def test_noiseless_is_exact(self):
         truth, _ = assemble_ground_truth(builtin_bases(80), seed=3)
@@ -166,14 +174,18 @@ class TestGenDataset:
         np.testing.assert_allclose(bundle.abundances.sum(axis=0), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "bands,n_pixels,snr_db,seed",
-        [(198, 500, 20.0, 8), (30, 1, 5.0, 0), (80, 333, 40.0, 2**40), (12, 64, np.inf, 5)],
+        "bands,n_pixels,snr_db,seed,order",
+        # an F case is named by its shape alone, a C case ends in -C
+        [pytest.param(*case, "F", id="-".join(map(str, case))) for case in GEN_CASES]
+        + [(*case, "C") for case in GEN_CASES],
     )
-    def test_matches_clean_plus_noise_reference(self, bands, n_pixels, snr_db, seed):
+    def test_matches_clean_plus_noise_reference(self, bands, n_pixels, snr_db, seed, order):
         # the noise is drawn into its own array and the mixture added into
-        # it; the bits are those of clean + noise
+        # it; the bits are those of clean + noise, with the mixture formed
+        # from the F-ordered truth whatever the layout of the endmembers
+        # passed in (a C-ordered operand runs another BLAS kernel)
         truth, _ = assemble_ground_truth(builtin_bases(bands), seed=seed)
-        bundle = gen_dataset(truth, n_pixels, snr_db, seed=seed)
+        bundle = gen_dataset(np.asarray(truth, order=order), n_pixels, snr_db, seed=seed)
         y, z, sigma2 = reference_gen_dataset(truth, n_pixels, snr_db, seed)
         np.testing.assert_array_equal(bundle.pixels.data, y)
         np.testing.assert_array_equal(bundle.abundances, z)
