@@ -17,13 +17,13 @@ read it, so every one of them sees the same number.  :func:`fit` forms
 ||Y||^2 once per fit and (c, G) once per iteration; one residual evaluation
 feeds the noise formula :func:`_noise_var`, the bound formula
 :func:`_bound`, each defined once, and the next iteration's concentration
-passes, which start from it instead of evaluating that point again.  The
-passes update fit's concentrations and their record, entropy included, in
-place, and the bound sums that entropy, so a fit evaluates every point
-once.  The factor sweep takes only the statistics Y M' and Pbar, which fit
-forms once per iteration.  The passes run per block of at most 1 024
-pixels, and above one block on a thread per usable core (see :func:`fit`);
-:func:`update_beta` runs the same blocks from the same start.
+passes, which start from it instead of evaluating that point again.  fit
+carries one state, a tuple of the concentrations and their record; the
+passes update it in place and the bound sums its entropy, so a fit
+evaluates every point once.  The factor sweep takes only the statistics
+Y M' and Pbar, which fit forms once per iteration.  The passes run per
+block of at most 1 024 pixels, and above one block on a thread per usable
+core (see :func:`fit`); :func:`update_beta` runs the same blocks.
 
 Inputs follow four rules: one conversion (``model._floats``), one finite
 test (``model._prep_arg``), one matrix rule (``model._matrix``) and one
@@ -245,33 +245,33 @@ def _armijo_trial(
     grad: np.ndarray,
     f0: np.ndarray,
     sigma2: float,
-) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
     """Try one clamped step per pixel from cur, whose bound is f0.  Returns
-    which pixels pass the Armijo test, the candidates, and their
-    :func:`_beta_point` record."""
+    which pixels pass the Armijo test and the state tried: the candidates
+    and their :func:`_beta_point` record."""
     cand = np.maximum(cur + step * grad, BETA_FLOOR)
     point = _beta_point(c, g, cand, sigma2)
     ok = point[0] - f0 >= _ARMIJO_C1 * (grad * (cand - cur)).sum(axis=0)
-    return ok, cand, point
+    return ok, (cand, *point)
 
 
 def _beta_ascent_chunk(
     c: np.ndarray,
     g: np.ndarray,
-    betas: np.ndarray,
     yss: np.ndarray,
     sigma2: float,
     passes: int,
-    start: Tuple[np.ndarray, ...],
+    state: Tuple[np.ndarray, ...],
 ) -> None:
     """Run `passes` clamped gradient-ascent steps on a block of pixels,
-    updating betas and start in place.
+    updating state in place.
 
-    Each pass takes one Armijo-backtracked step per pixel; a pixel whose
-    search fails keeps its current concentrations, so the per-pixel bound
-    never decreases.  start is the :func:`_beta_point` record at betas,
-    which :func:`fit` forms from the residual its bound already computes.
-    Both are the caller's arrays, written in place: every pixel holds the
+    state is the concentrations followed by their :func:`_beta_point`
+    record, (betas, value, ent, total, denom, gb, tr_gp, cb), which
+    :func:`fit` forms from the residual its bound already computes.  Each
+    pass takes one Armijo-backtracked step per pixel; a pixel whose search
+    fails keeps its current state, so the per-pixel bound never decreases.
+    The arrays are the caller's, written in place: every pixel holds the
     candidate its search last accepted and that candidate's record, so the
     next pass starts from it, the caller's bound reads the entropy, and no
     point is evaluated twice.  The entropy of a gathered pixel has the bits
@@ -279,11 +279,10 @@ def _beta_ascent_chunk(
     the record's entropy is the entropy of the concentrations.
 
     A pass tries its first step for every pixel on the whole arrays and
-    copies the accepted candidates and their evaluations in place under the
-    acceptance mask.  Only the pixels whose first step failed are
-    gathered, by index, for the halving retries.  On the README
-    quick-start scene, after 3, 10 or 30 fit iterations every first step
-    passes, so the retries gather nothing.  A retry round of one pixel
+    copies the state tried into state under the acceptance mask.  Only the
+    pixels whose first step failed are gathered, by index, for the halving
+    retries.  On the README quick-start scene, after 3, 10 or 30 fit
+    iterations every first step passes, so the retries gather nothing.  A retry round of one pixel
     forms `g @ betas` as a matrix-vector product, whose bits differ from
     that column of a multi-column product.  A gather of two or more columns
     matches the whole array column for column, except where the whole
@@ -312,11 +311,11 @@ def _beta_ascent_chunk(
     at BETA_FLOOR and the gradient is near 1e12, the first pass skips 46
     halvings for every pixel of the README quick-start scene at 2 000 px.
     """
+    betas, f0 = state[:2]
     ceil = yss / (2.0 * sigma2) - gammaln(betas.shape[0])
     last = 0.5 ** (_MAX_HALVINGS - 1)
-    f0 = start[0]
     for _ in range(passes):
-        grad = _beta_gradient(c, g, betas, sigma2, start)
+        grad = _beta_gradient(c, g, betas, sigma2, state[1:])
         room = ceil - f0
         demand = _ARMIJO_C1 * (np.maximum(grad, 0.0) ** 2).sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -324,9 +323,8 @@ def _beta_ascent_chunk(
         # headroom <= 0 or non-finite leaves no finite skip: start at step 1
         skip[~np.isfinite(skip)] = 0.0
         step = 0.5 ** np.clip(skip, 0.0, _MAX_HALVINGS - 1)
-        ok, cand, tried = _armijo_trial(c, g, betas, step, grad, f0, sigma2)
-        np.copyto(betas, cand, where=ok)
-        for kept, new in zip(start, tried):
+        ok, tried = _armijo_trial(c, g, betas, step, grad, f0, sigma2)
+        for kept, new in zip(state, tried):
             np.copyto(kept, new, where=ok)
         todo = np.flatnonzero(~ok)
         while True:
@@ -334,12 +332,11 @@ def _beta_ascent_chunk(
             todo = todo[step[todo] >= last]
             if not todo.size:
                 break
-            ok, cand, tried = _armijo_trial(
+            ok, tried = _armijo_trial(
                 c[:, todo], g, betas[:, todo], step[todo], grad[:, todo], f0[todo], sigma2
             )
             hit = todo[ok]
-            betas[:, hit] = cand[:, ok]
-            for kept, new in zip(start, tried):
+            for kept, new in zip(state, tried):
                 kept[..., hit] = new[..., ok]
             todo = todo[~ok]
 
@@ -356,33 +353,31 @@ def _ascend_blocks(
     threads: int,
     c: np.ndarray,
     g: np.ndarray,
-    betas: np.ndarray,
     yss: np.ndarray,
     sigma2: float,
     passes: int,
-    start: Tuple[np.ndarray, ...],
+    state: Tuple[np.ndarray, ...],
 ) -> None:
     """:func:`_beta_ascent_chunk` on ceil(N / _BLOCK_PIXELS) contiguous
     pixel blocks of near-equal width (one when N is 0), a split that depends
-    on N alone, each on its columns of betas and of the :func:`_beta_point`
-    record start, which it updates in place.  The blocks split into at most
-    `threads` contiguous groups of near-equal block count; the calling
-    thread runs the first group and a pool opened for the call one thread
-    per further group.  A block reads and writes only its own columns, so
-    its bits do not depend on the thread that runs it, and a block's
-    exception is raised here.  The calling thread works rather than waits:
-    what a pool thread allocates stays in its own malloc arena, resident on
-    top of the caller's memory, so one pool thread fewer keeps the peak
-    resident size lower."""
+    on N alone, each on its columns of every array of state, which it
+    updates in place.  The blocks split into at most `threads` contiguous
+    groups of near-equal block count; the calling thread runs the first
+    group and a pool opened for the call one thread per further group.  A
+    block reads and writes only its own columns, so its bits do not depend
+    on the thread that runs it, and a block's exception is raised here.
+    The calling thread works rather than waits: what a pool thread
+    allocates stays in its own malloc arena, resident on top of the
+    caller's memory, so one pool thread fewer keeps the peak resident size
+    lower."""
 
     def run(group: List[Tuple[int, int]]) -> None:
         for lo, hi in group:
             _beta_ascent_chunk(
-                c[:, lo:hi], g, betas[:, lo:hi], yss[lo:hi], sigma2, passes,
-                tuple(p[..., lo:hi] for p in start),
+                c[:, lo:hi], g, yss[lo:hi], sigma2, passes, tuple(p[..., lo:hi] for p in state)
             )
 
-    n = betas.shape[1]
+    n = state[0].shape[1]
     nblocks = max(-(-n // _BLOCK_PIXELS), 1)
     blocks = [(i * n // nblocks, (i + 1) * n // nblocks) for i in range(nblocks)]
     count = min(threads, len(blocks))
@@ -408,9 +403,9 @@ def update_beta(
 ) -> np.ndarray:
     """Improve all per-pixel Dirichlet concentrations for a fixed model.
 
-    Runs :func:`fit`'s pixel blocks from :func:`fit`'s start, the
-    :func:`_beta_point` record at betas, on a copy of betas, which it
-    returns, on at most `workers` threads; the result does not depend on
+    Runs :func:`fit`'s pixel blocks on :func:`fit`'s state, a copy of betas
+    and its :func:`_beta_point` record, and returns the copy; the blocks run
+    on at most `workers` threads, and the result does not depend on
     `workers`.  The argument remains only for the benchmark's two-worker
     timing probe; :func:`fit` picks its own threads.
     """
@@ -424,8 +419,7 @@ def update_beta(
     c, g, yss, _ = _data_terms(y, b, betas, "update_beta")
     # _floats hands back the caller's own float64 array
     betas = np.array(betas)
-    start = _beta_point(c, g, betas, sigma2)
-    _ascend_blocks(workers, c, g, betas, yss, sigma2, passes, start)
+    _ascend_blocks(workers, c, g, yss, sigma2, passes, (betas, *_beta_point(c, g, betas, sigma2)))
     return betas
 
 
@@ -600,13 +594,13 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     is evaluated after the four blocks and is non-decreasing.  The (c, G)
     formed after the factor sweep serve the noise update, the bound and the
     next iteration's concentration passes: the noise update leaves B as it
-    is.  fit holds one state, a writable copy of the starting concentrations
-    and their :func:`_beta_point` record, which the passes update in place.
-    The record is evaluated once, before the loop; after each sweep the
-    residual that the noise update and the bound read, with the record's
-    entropy, forms the next one.  The concentrations are frozen once, into
-    the returned DirichletParam.  Each iteration's time covers all of its
-    work, the first's that start evaluation too.
+    is.  fit holds one state, one tuple of a writable copy of the starting
+    concentrations and their :func:`_beta_point` record, which the passes
+    update in place.  The record is evaluated once, before the loop; after
+    each sweep the residual that the noise update and the bound read, with
+    the state's entropy, forms the next record.  The concentrations are
+    frozen once, into the returned DirichletParam.  Each iteration's time
+    covers all of its work, the first's that start evaluation too.
 
     The concentration passes run on ceil(N / 1024) contiguous pixel blocks
     of near-equal width, a split that depends on N alone, in one group per
@@ -633,10 +627,10 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
     prev = None
     threads = _usable_cores()
     t0 = time.perf_counter()
-    start = _beta_point(c, g, betas, sigma2)
+    state = (betas, *_beta_point(c, g, betas, sigma2))
     for _ in range(config.max_outer_iters):
-        _ascend_blocks(threads, c, g, betas, yss, sigma2, config.beta_steps_per_outer, start)
-        ent = start[1]
+        _ascend_blocks(threads, c, g, yss, sigma2, config.beta_steps_per_outer, state)
+        ent = state[2]
         stack = _update_factors(stack, *_factor_statistics(y, betas))
         c, g = _products(y, compose_expanded(stack), "fit")
         # the concentration passes checked every point they accepted
@@ -644,7 +638,7 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
         rsum = yy + resid.sum()
         sigma2 = _checked_noise_var(_noise_var(rsum, y.size))
         cur = _bound(rsum, ent.sum(), sigma2, y.shape[0], *betas.shape)
-        start = (_point_value(resid, ent, sigma2), ent, *pieces)
+        state = (betas, _point_value(resid, ent, sigma2), ent, *pieces)
         ms_hist.append((time.perf_counter() - t0) * 1e3)
         elbo_hist.append(cur)
         sigma2_hist.append(sigma2)

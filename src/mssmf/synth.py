@@ -135,6 +135,11 @@ def gen_dataset(
     """Mix ground-truth endmembers with Dirichlet(1) abundances and add
     white Gaussian noise at the requested SNR (inf means noiseless).
 
+    An SNR whose noise scale 10^(snr_db / 10) overflows, above about
+    3 083 dB, is noiseless too.  A noise variance that is not finite (an
+    SNR below about -3 083 dB, or a signal power that overflows) raises
+    ValidationError naming snr_db.
+
     The mixture reads the endmembers in F order, so their layout does not
     change the pixels.  At most two bands x pixels arrays are alive at once:
     the noise is drawn into its own array, the clean mixture is added into
@@ -149,11 +154,19 @@ def gen_dataset(
     m, k = a.shape
     z = sample_dirichlet(np.ones(k), n_pixels, rng)
     clean = np.asfortranarray(a) @ z
-    if np.isinf(snr_db):
+    try:
+        scale = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        scale = np.inf
+    if scale == np.inf:
         sigma2 = 0.0
         y = clean
     else:
-        sigma2 = float(np.sum(clean * clean) / (10.0 ** (snr_db / 10.0) * m * n_pixels))
+        # an underflowed scale or an overflowed power is caught below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            sigma2 = float(np.sum(clean * clean) / (scale * m * n_pixels))
+        if not np.isfinite(sigma2):
+            raise ValidationError(f"noise variance at snr_db={snr_db!r} is not finite")
         y = rng.normal(0.0, np.sqrt(sigma2), size=clean.shape)
         y += clean
     del clean

@@ -89,6 +89,27 @@ class TestSynthCommand:
         code = run(*synth_args(tmp_path / "s"), "--gamma", "1.5")
         assert code == 3
 
+    def test_extreme_snr_is_noiseless_or_one_error_line(self, tmp_path):
+        # in a child, so that the command's whole stderr is seen: an SNR
+        # whose noise scale overflows is noiseless, one whose noise variance
+        # is not finite exits 3 with the one error line, and neither warns
+        def synth(snr):
+            return subprocess.run(
+                [sys.executable, "-m", "mssmf.cli", *synth_args(tmp_path / snr, snr=snr)],
+                capture_output=True, text=True, timeout=120,
+            )
+
+        child = synth("-4000")
+        assert child.returncode == 3
+        assert child.stderr.splitlines() == [
+            "error: noise variance at snr_db=-4000.0 is not finite"
+        ]
+        assert not (tmp_path / "-4000").exists()
+        child = synth("1e308")
+        assert child.returncode == 0
+        assert child.stderr == ""
+        assert read_manifest(tmp_path / "1e308" / "manifest.json")["sigma2"] == 0.0
+
     def test_negative_seed_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(*synth_args(tmp_path / "s", seed=-1))

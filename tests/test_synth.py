@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,11 @@ _NAN_BASE = np.array([np.nan, 1.0, 1.0])
         (lambda: gen_dataset(builtin_bases(20), 10, [20.0, 30.0]), "snr_db"),
         (lambda: gen_dataset(builtin_bases(20), 10.0, 20.0), "n_pixels"),
         (lambda: gen_dataset(np.full((20, 3), np.inf), 10, 20.0), "endmembers"),
+        # a noise scale that underflows to zero, or a signal power that
+        # overflows, leaves a noise variance that is not finite
+        (lambda: gen_dataset(builtin_bases(20), 10, -4000.0), "snr_db"),
+        (lambda: gen_dataset(builtin_bases(20), 10, -1e308), "snr_db"),
+        (lambda: gen_dataset(1e160 * builtin_bases(20), 10, 20.0), "snr_db"),
         (lambda: gen_variants(_BASE, 2, seed=True), "seed must be"),
         (lambda: assemble_ground_truth(builtin_bases(20), 4, pick=2, seed=-1), "seed must be"),
         (lambda: gen_dataset(builtin_bases(20), 10, 20.0, seed=1.5), "seed must be"),
@@ -119,13 +126,14 @@ _NAN_BASE = np.array([np.nan, 1.0, 1.0])
     ids=[
         "nan_base", "nan_bases", "float_count", "bool_count", "float_knots", "text_gamma",
         "float_pick", "float_pool", "float_bands", "text_snr", "array_snr",
-        "float_pixels", "inf_endmembers", "bool_seed", "negative_seed", "float_seed",
+        "float_pixels", "inf_endmembers", "minus_4000_db", "minus_1e308_db",
+        "overflowing_power", "bool_seed", "negative_seed", "float_seed",
         "text_seed",
     ],
 )
 def test_bad_synth_inputs_raise_validation_error(call, fragment):
     # every input goes through the package's checks: no NaN output, no
-    # TypeError from numpy
+    # TypeError or warning from numpy
     with pytest.raises(ValidationError, match=fragment):
         call()
 
@@ -190,6 +198,18 @@ class TestGenDataset:
         np.testing.assert_array_equal(bundle.pixels.data, y)
         np.testing.assert_array_equal(bundle.abundances, z)
         assert bundle.sigma2 == sigma2
+
+    @pytest.mark.parametrize("snr_db", [1e308, 4000.0])
+    def test_overflowing_noise_scale_is_noiseless(self, snr_db):
+        # 10^(snr_db / 10) overflows a float: the scene of snr_db = inf,
+        # without a warning or an OverflowError
+        truth = builtin_bases(20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bundle = gen_dataset(truth, 10, snr_db, seed=3)
+        assert bundle.sigma2 == 0.0
+        exact = gen_dataset(truth, 10, np.inf, seed=3)
+        np.testing.assert_array_equal(bundle.pixels.data, exact.pixels.data)
 
     def test_deterministic(self):
         truth, _ = assemble_ground_truth(builtin_bases(30), seed=8)
