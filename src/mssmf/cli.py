@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     up.add_argument("--dims", type=_dims_value, required=True,
                     help="layer sizes, e.g. 6,18,30")
     up.add_argument("--iters", type=int, default=FitConfig.max_outer_iters)
-    up.add_argument("--tol", type=float, default=0.0,
+    up.add_argument("--tol", type=float, default=FitConfig.rel_elbo_tol,
                     help="relative bound-improvement stop; 0 runs all iterations")
     up.add_argument("--seed", type=_seed_value, default=0)
     up.add_argument("--out", required=True, help="output directory")
@@ -298,7 +298,7 @@ def _cmd_svd(args, argv) -> int:
 
 def _cmd_render(args, argv) -> int:
     ab = load_matrix(args.abundances)
-    _prep_arg(ab, f"{args.abundances}: abundances", positive=False)
+    _prep_arg(ab, f"{args.abundances}: abundances", None)
     k, n = ab.shape
     if args.width < 1 or args.height < 1:
         raise ValidationError("width and height must be positive")

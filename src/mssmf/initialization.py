@@ -78,7 +78,7 @@ def _vca_frame(y: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         centered = y - y.mean(axis=1, keepdims=True)
         cov = (centered @ centered.T) / n
-    u, lam, _ = np.linalg.svd(_prep_arg(cov, "vca's data covariance", positive=False))
+    u, lam, _ = np.linalg.svd(_prep_arg(cov, "vca's data covariance", None))
     return y, centered, u, lam
 
 
@@ -134,7 +134,7 @@ def scls(pixels, endmembers: np.ndarray) -> np.ndarray:
     y = as_pixel_matrix(pixels).data
     if b.shape[0] != y.shape[0]:
         raise ValidationError(f"scls's endmembers: {b.shape[0]} bands, the data has {y.shape[0]}")
-    return _simplex_lsq(y, b)
+    return _simplex_lsq(y, b, "scls")
 
 
 @dataclass(frozen=True)

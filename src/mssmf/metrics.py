@@ -45,7 +45,7 @@ def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
     with np.errstate(over="ignore", invalid="ignore"):
         diff = a[:, :, None] - b[:, None, :]
         cost = np.einsum("mij,mij->ij", diff, diff)
-    perm = linear_sum_assignment(_prep_arg(cost, "cost matrix", positive=False))[1]
+    perm = linear_sum_assignment(_prep_arg(cost, "cost matrix", None))[1]
     per_col = cost[np.arange(k), perm]
     with np.errstate(over="ignore"):
         denom = k * float(np.sum(b * b))
@@ -57,5 +57,6 @@ def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
 
 
 def singular_spectrum(mat: np.ndarray) -> np.ndarray:
-    """All singular values of a matrix, descending."""
-    return np.linalg.svd(_matrix(mat, "singular_spectrum's input"), compute_uv=False)
+    """All singular values of a matrix, descending, checked finite."""
+    svals = np.linalg.svd(_matrix(mat, "singular_spectrum's input"), compute_uv=False)
+    return _prep_arg(svals, "singular_spectrum's singular values (overflow)", None)

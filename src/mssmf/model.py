@@ -35,20 +35,23 @@ def _floats(x, name: str) -> np.ndarray:
         raise ValidationError(f"{name}: not an array of numbers") from None
 
 
-def _prep_arg(x, name: str, positive: bool = True) -> np.ndarray:
-    """:func:`_floats` of x, if every entry is finite and (by default)
-    positive; ValidationError naming the fault otherwise.  The package's
-    one finite test: two reductions, no temporaries.  min and max propagate
-    NaN, so a NaN fails like an infinity; a zero (also -0.0) is not
-    positive."""
+def _prep_arg(x, name: str, least=5e-324) -> np.ndarray:
+    """:func:`_floats` of x, if every entry is finite and at least least: None
+    (no bound), 0.0 (nonnegative; -0.0 passes), a floor, or by default the
+    least positive float64 (positive); ValidationError naming the argument,
+    the fault and the bound otherwise.  The package's one range test: two
+    reductions, no temporaries.  min and max propagate NaN, so a NaN fails
+    like an infinity."""
     z = _floats(x, name)
-    what = "finite and positive" if positive else "finite"
     if z.size:
         low, high = z.min(), z.max()
         if not (-np.inf < low and high < np.inf):
-            raise ValidationError(f"{name}: non-finite values, must be {what}")
-        if positive and not low > 0.0:
-            raise ValidationError(f"{name}: non-positive values, must be {what}")
+            raise ValidationError(f"{name}: non-finite values, must be finite")
+        if least is not None and not low >= least:
+            want = {0.0: "nonnegative", 5e-324: "positive"}.get(least, f"at least {least:g}")
+            fault = {0.0: "negative values", 5e-324: "non-positive values"}.get(
+                least, f"values below floor {least:g}")
+            raise ValidationError(f"{name}: {fault}, must be finite and {want}")
     return z
 
 
@@ -65,16 +68,16 @@ def _matrix_shape(x, name: str) -> np.ndarray:
     return z
 
 
-def _matrix(x, name: str) -> np.ndarray:
-    """:func:`_matrix_shape` of :func:`_prep_arg` of x (finite), the one matrix
-    check; a float64 x is not copied, so a product with it keeps its bits."""
-    return _matrix_shape(_prep_arg(x, name, positive=False), name)
+def _matrix(x, name: str, least=None) -> np.ndarray:
+    """:func:`_matrix_shape` of :func:`_prep_arg` of x (at least least), the
+    one matrix check; a float64 x is not copied, so a product keeps its bits."""
+    return _matrix_shape(_prep_arg(x, name, least), name)
 
 
-def _frozen(x, name: str) -> np.ndarray:
+def _frozen(x, name: str, least=None) -> np.ndarray:
     """:func:`_matrix` of x as a read-only float64 C-ordered copy, the one
     a frozen dataclass owns."""
-    out = np.array(_matrix(x, name), order="C")
+    out = np.array(_matrix(x, name, least), order="C")
     out.setflags(write=False)
     return out
 
@@ -111,15 +114,13 @@ def _scalar(value, name: str) -> float:
     return float(z)
 
 
-def _checked_noise_var(value) -> float:
-    """value as a float, if it is a finite noise variance of at least
-    ``NOISE_VAR_FLOOR``; ValidationError otherwise."""
-    var = _scalar(value, "noise variance")
+def _checked_noise_var(value, name: str = "noise variance") -> float:
+    """value as a float, if it is one finite number of at least
+    ``NOISE_VAR_FLOOR``; ValidationError naming it otherwise."""
+    var = _scalar(value, name)
     if not np.isfinite(var):
-        raise ValidationError(f"noise variance {value!r} is not finite")
-    if not (var >= NOISE_VAR_FLOOR):
-        raise ValidationError(f"noise variance {value!r} below floor {NOISE_VAR_FLOOR:g}")
-    return var
+        raise ValidationError(f"{name} {value!r} is not finite")
+    return float(_prep_arg(var, name, NOISE_VAR_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -199,11 +200,9 @@ class FactorStack:
     noise_var: float = 1.0
 
     def __post_init__(self):
-        basis = _frozen(self.basis, "core basis")
-        if np.any(basis < 0):
-            raise ValidationError("core basis has negative entries")
+        basis = _frozen(self.basis, "core basis", 0.0)
         mixers = tuple(
-            _frozen(s, f"mixing layer {l}") for l, s in enumerate(self.mixers, start=1)
+            _frozen(s, f"mixing layer {l}", 0.0) for l, s in enumerate(self.mixers, start=1)
         )
         cols = basis.shape[1]
         for l, s in enumerate(mixers, start=1):
@@ -211,8 +210,6 @@ class FactorStack:
                 raise ValidationError(
                     f"mixing layer {l}: expected {cols} rows, got {s.shape[0]}"
                 )
-            if np.any(s < 0):
-                raise ValidationError(f"mixing layer {l}: negative entries")
             sums = s.sum(axis=0)
             bad = np.abs(sums - 1.0) > COLUMN_SUM_TOL
             if np.any(bad):

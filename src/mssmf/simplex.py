@@ -8,10 +8,10 @@ then applies the asymptotic series, near machine accuracy across the
 domain of interest (see tests for the mpmath comparison).
 
 Every public function checks each array argument once, with the package's
-one finite test, ``model._prep_arg``.  :func:`dirichlet_entropy` checks its
-concentrations and its result; the solver's gradient calls
-:func:`_trigamma`, which checks nothing, on arrays the same line-search
-pass has already checked.
+one range test, ``model._prep_arg``.  :func:`dirichlet_entropy` checks its
+result too, :func:`_simplex_lsq` its QR-reduced system; the solver's
+gradient calls :func:`_trigamma`, which checks nothing, on arrays the same
+line-search pass has already checked.
 
 Both kernels give each column a result that depends on that column alone,
 whatever the array's width and memory layout, so the solver can evaluate a
@@ -72,7 +72,7 @@ def _trigamma(z: np.ndarray) -> np.ndarray:
     return out.reshape(z.shape)
 
 
-def _simplex_lsq(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _simplex_lsq(y: np.ndarray, b: np.ndarray, name: str = "fit's mixer sweep") -> np.ndarray:
     """Simplex-constrained least squares, one exact solve per column of y.
 
     Column j of the result minimizes ||y_j - B s||^2 over the unit simplex.
@@ -96,12 +96,18 @@ def _simplex_lsq(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     minimizers are those of (a, R), whose NNLS has k + 1 rows.  (In the
     homogenized form rho adds rho^2 (1'u)^2, which rescales u and leaves
     s = u / 1'u as it is, so no rho row is needed.)  Raises the NNLS
-    engine's RuntimeError if it hits its iteration cap.
+    engine's RuntimeError if it hits its iteration cap, and ValidationError
+    naming the caller, name, if the reduced system overflows or a solve
+    returns u = 0 (its sum-to-one row lost against rows near 1e35).
     """
     (m, k), n = b.shape, y.shape[1]
     if m > k:
         q, b = np.linalg.qr(b)
-        y = q.T @ y
+        # an overflow makes the reduced system non-finite; the check names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = q.T @ y
+        _prep_arg(b, f"{name}'s reduced endmembers", None)
+        _prep_arg(y, f"{name}'s reduced data", None)
         m = k
     lhs = np.ones((m + 1, k))
     rhs = np.zeros(m + 1)
@@ -110,6 +116,8 @@ def _simplex_lsq(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j in range(n):
         np.subtract(y[:, j, None], b, out=lhs[:m])
         u, _ = nnls(lhs, rhs)
+        if not u.any():
+            raise ValidationError(f"{name}: column {j} of the data is beyond the NNLS range")
         out[:, j] = u / u.sum()
     return out
 
@@ -127,11 +135,7 @@ class DirichletParam:
     concentration: np.ndarray
 
     def __post_init__(self):
-        conc = _frozen(self.concentration, "Dirichlet concentration")
-        if np.any(conc < BETA_FLOOR):
-            raise ValidationError(
-                f"Dirichlet concentration below floor {BETA_FLOOR:g}"
-            )
+        conc = _frozen(self.concentration, "Dirichlet concentration", BETA_FLOOR)
         object.__setattr__(self, "concentration", conc)
 
     @property
@@ -187,7 +191,7 @@ def dirichlet_entropy(beta: np.ndarray) -> np.ndarray:
             + (t - k) * special.psi(t)
             - _row_order_sums((b - 1.0) * special.psi(b))
         )
-    _prep_arg(h, "dirichlet_entropy (overflow)", positive=False)
+    _prep_arg(h, "dirichlet_entropy (overflow)", None)
     return float(h[0]) if squeeze else h
 
 

@@ -25,10 +25,11 @@ Y M' and Pbar, which fit forms once per iteration.  The passes run per
 block of at most 1 024 pixels, and above one block on a thread per usable
 core (see :func:`fit`); :func:`update_beta` runs the same blocks.
 
-Inputs follow four rules: one conversion (``model._floats``), one finite
+Inputs follow four rules: one conversion (``model._floats``), one range
 test (``model._prep_arg``), one matrix rule (``model._matrix``) and one
 data prologue, :func:`_data_terms` (shapes, checked c and G, ||Y||^2),
-which :func:`fit`, :func:`update_beta` and ``init_all`` each run once.  In
+which :func:`fit`, :func:`update_beta` and ``init_all`` each run once; a
+noise variance is checked by ``model._checked_noise_var``.  In
 the line search each point is checked by its ``dirichlet_entropy`` call
 before the residual divides by the totals; the gradient reads them unchecked.
 """
@@ -79,8 +80,8 @@ class FitConfig:
     """Knobs for the outer coordinate-ascent loop.
 
     rel_elbo_tol stops the loop once the relative bound improvement
-    (F_t - F_{t-1}) / (1 + |F_{t-1}|) falls strictly below it, so a
-    tolerance of zero runs max_outer_iters iterations unless the bound
+    (F_t - F_{t-1}) / (1 + |F_{t-1}|) falls strictly below it, so the
+    default of zero runs max_outer_iters iterations unless the bound
     drops.
 
     Every outer iteration makes beta_steps_per_outer concentration ascent
@@ -91,7 +92,7 @@ class FitConfig:
 
     beta_steps_per_outer: ClassVar[int] = 10
     max_outer_iters: int = 100
-    rel_elbo_tol: float = 1e-7
+    rel_elbo_tol: float = 0.0
 
     def __post_init__(self):
         iters = _checked_count(self.max_outer_iters, "max_outer_iters", 1)
@@ -150,8 +151,8 @@ def _products(y: np.ndarray, b: np.ndarray, name: str) -> Tuple[np.ndarray, np.n
     with np.errstate(over="ignore", invalid="ignore"):
         c = b.T @ y
         g = b.T @ b
-    _prep_arg(g, f"{name}'s endmembers", positive=False)
-    _prep_arg(c, f"{name}'s data", positive=False)
+    _prep_arg(g, f"{name}'s endmembers", None)
+    _prep_arg(c, f"{name}'s data", None)
     return c, g
 
 
@@ -407,12 +408,12 @@ def update_beta(
     and its :func:`_beta_point` record, and returns the copy; the blocks run
     on at most `workers` threads, and the result does not depend on
     `workers`.  The argument remains only for the benchmark's two-worker
-    timing probe; :func:`fit` picks its own threads.
+    timing probe; :func:`fit` picks its own threads.  sigma2 is checked as
+    a FactorStack's noise variance is (finite, at least NOISE_VAR_FLOOR).
     """
     passes = _checked_count(passes, "passes", 0)
     workers = _checked_count(workers, "workers", 1)
-    sigma2 = _scalar(sigma2, "update_beta's noise variance")
-    _prep_arg(sigma2, "update_beta's noise variance")
+    sigma2 = _checked_noise_var(sigma2, "update_beta's noise variance")
     y = _floats(y, "update_beta's data")
     b = _floats(b, "update_beta's endmembers")
     betas = _floats(betas, "update_beta's concentrations")

@@ -72,11 +72,9 @@ def gen_variants(
     satisfies |v_i - base_i| <= gamma * base_i, and nonnegativity is
     preserved.  The base must be finite; count and knots are integers.
     """
-    a = _prep_arg(base, "base spectrum", positive=False)
+    a = _prep_arg(base, "base spectrum", 0.0)
     if a.ndim != 1 or a.size < 1:
         raise ValidationError(f"base spectrum must be 1-D with at least one band, got {a.shape}")
-    if np.any(a < 0):
-        raise ValidationError("base spectrum must be nonnegative")
     gamma = _scalar(gamma, "gamma")
     if not 0.0 <= gamma < 1.0:
         raise ValidationError(f"gamma must be in [0, 1), got {gamma!r}")

@@ -55,12 +55,12 @@ def expanded_of(stack):
 
 def elbo_terms(y, b, betas, sigma2):
     """The bound per pixel as fit traces it, from the kernels fit runs: the
-    noise variance checked as update_beta checks it, the arrays converted,
+    noise variance checked finite and positive, the arrays converted,
     the data prologue (the shapes, c = B'Y and G = B'B, ||Y||^2), the summed
-    expected residual and entropy, and the bound formula.  The noise
-    variance need only be finite and positive, with no floor, and the
-    factors need not be feasible, so probes may evaluate sigma2 +- h or
-    step off the simplex."""
+    expected residual and entropy, and the bound formula.  Unlike
+    update_beta's, the noise variance has no floor, and the factors need
+    not be feasible, so probes may evaluate sigma2 +- h or step off the
+    simplex."""
     sigma2 = _scalar(sigma2, "elbo_terms' noise variance")
     _prep_arg(sigma2, "elbo_terms' noise variance")
     y, b, betas = (_floats(x, "elbo_terms' arrays") for x in (y, b, betas))

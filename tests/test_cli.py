@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import UNREADABLE_JSON
-from mssmf.cli import main
+from mssmf import FitConfig
+from mssmf.cli import build_parser, main
 from mssmf.matio import (
     load_matrix,
     read_csv_matrix,
@@ -123,6 +124,12 @@ class TestSynthCommand:
 
 
 class TestUnmixCommand:
+    def test_stop_rule_default_is_the_fit_default(self):
+        # one default: zero runs every iteration unless the bound drops
+        args = build_parser().parse_args(["unmix", "--input", "y", "--dims", "2,3", "--out", "o"])
+        assert FitConfig().rel_elbo_tol == 0.0
+        assert args.tol == FitConfig().rel_elbo_tol
+
     @pytest.fixture
     def scene(self, tmp_path):
         out = tmp_path / "scene"
@@ -474,6 +481,14 @@ class TestSvdCommand:
         assert child.returncode == 3
         assert child.stderr.splitlines() == [f"error: {tmp_path / 'empty.csv'}: empty CSV matrix"]
         assert not (tmp_path / "s.csv").exists()
+
+    def test_overflowing_values_exit_three(self, tmp_path, capsys):
+        # the singular values overflow at finite entries: no inf in the CSV
+        write_raw64(tmp_path / "m.raw64", np.full((4, 3), 1e308))
+        out = tmp_path / "s.csv"
+        assert run("svd", "--input", str(tmp_path / "m.raw64"), "--out", str(out)) == 3
+        assert "singular values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_row_count_is_min_dim(self, tmp_path, rng):
         write_raw64(tmp_path / "m.raw64", rng.normal(size=(9, 4)))

@@ -10,10 +10,13 @@ from scipy.optimize import nnls
 from conftest import reference_vca_picks, simplex_lsq_bruteforce
 from mssmf import (
     BETA_FLOOR,
+    FactorStack,
+    FitConfig,
     ValidationError,
     aligned_mse,
     assemble_ground_truth,
     builtin_bases,
+    fit,
     gen_dataset,
     init_all,
     scls,
@@ -385,6 +388,35 @@ class TestScls:
         a[0, 1] = np.inf
         with pytest.raises(ValidationError, match="non-finite"):
             scls(rng.uniform(0, 1, (8, 4)), a)
+
+    # finite inputs at extreme scale leave the NNLS engine's range; each
+    # is a ValidationError naming the caller, never scipy's error or a warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_reduction_raises(self):
+        # the endmembers' QR overflows, so the reduced system is not finite
+        rng = np.random.default_rng(0)
+        a = rng.uniform(0.1, 1, (8, 3))
+        with pytest.raises(ValidationError, match="scls's reduced endmembers: non-finite"):
+            scls(rng.uniform(0, 1, (8, 5)), a * 1e308)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_nnls_solution_raises(self):
+        # pixels near 1e308: the sum-to-one row falls below the engine's
+        # tolerance and its solution is zero, which has no simplex point
+        rng = np.random.default_rng(0)
+        a = rng.uniform(0.1, 1, (8, 3))
+        with pytest.raises(ValidationError, match="scls: column 0 of the data"):
+            scls(rng.uniform(0, 1, (8, 5)) * 1e308, a)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fit_mixer_sweep_zero_solution_raises(self):
+        # data near 1e50: a mixer column's NNLS solution is zero in fit
+        rng = np.random.default_rng(0)
+        a = rng.uniform(0.1, 1, (8, 3))
+        y = rng.uniform(0, 1, (8, 6))
+        stack = FactorStack(a, (np.eye(3),), 0.1)
+        with pytest.raises(ValidationError, match="fit's mixer sweep: column"):
+            fit(y * 1e50, stack, np.ones((3, 6)), FitConfig(max_outer_iters=2, rel_elbo_tol=0.0))
 
 
 class TestInitAll:

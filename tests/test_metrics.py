@@ -163,3 +163,9 @@ class TestSingularSpectrum:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
             singular_spectrum(np.array([[1.0, np.nan]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_overflowing_values(self):
+        # a finite matrix whose largest singular value overflows
+        with pytest.raises(ValidationError, match="singular_spectrum's singular values"):
+            singular_spectrum(np.full((4, 3), 1e308))

@@ -26,7 +26,8 @@ from mssmf import (
     vca,
 )
 from mssmf.matio import write_csv_matrix, write_raw64
-from mssmf.simplex import sample_dirichlet
+from mssmf.model import NOISE_VAR_FLOOR
+from mssmf.simplex import BETA_FLOOR, sample_dirichlet
 
 from conftest import elbo_terms, expanded_of, random_instance
 
@@ -219,6 +220,55 @@ def test_every_array_argument_is_one_checked_conversion(arg, bad, tmp_path):
     call(good)
     with pytest.raises(ValidationError, match=re.escape(name)):
         call(bad)
+
+
+def _bounded_arguments():
+    """name -> (least value, words of the fault below it, call(value)):
+    every bound the range test enforces, each probed through one entry."""
+    y, stack, betas = random_instance(np.random.default_rng(3))
+    b = expanded_of(stack)
+
+    def mixer(v):
+        return FactorStack(np.ones((3, 2)), (np.array([[1.0, 0.5], [v, 0.5]]),))
+
+    return {
+        "core basis": (0.0, "negative values", lambda v: FactorStack(np.array([[1.0, v]]))),
+        "mixing layer 1": (0.0, "negative values", mixer),
+        "base spectrum": (0.0, "negative values", lambda v: gen_variants(np.array([1.0, v]), 2)),
+        "Dirichlet concentration": (
+            BETA_FLOOR, "values below floor 1e-06", lambda v: DirichletParam(np.full((2, 2), v)),
+        ),
+        "noise variance": (
+            NOISE_VAR_FLOOR, "values below floor 1e-12",
+            lambda v: FactorStack(np.ones((2, 2)), noise_var=v),
+        ),
+        "update_beta's noise variance": (
+            NOISE_VAR_FLOOR, "values below floor 1e-12", lambda v: update_beta(y, b, betas, v, 1),
+        ),
+        "sample_dirichlet": (
+            5e-324, "non-positive values", lambda v: sample_dirichlet(np.array([1.0, v]), 2, 0),
+        ),
+        "dirichlet_entropy": (
+            5e-324, "non-positive values", lambda v: dirichlet_entropy(np.array([1.0, v])),
+        ),
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("arg", sorted(_bounded_arguments()))
+def test_range_test_boundary(arg):
+    # one float below each bound is refused with the argument and the bound
+    # named; the bound itself is accepted, and so is -0.0 where it is 0
+    least, fault, call = _bounded_arguments()[arg]
+    with pytest.raises(ValidationError, match=re.escape(f"{arg}: {fault}")):
+        call(np.nextafter(least, -np.inf))
+    if arg == "dirichlet_entropy":
+        # at 5e-324 psi overflows, which the result check refuses
+        with pytest.raises(ValidationError, match=re.escape("dirichlet_entropy (overflow)")):
+            call(least)
+        return
+    for value in [least, -0.0] if least == 0.0 else [least]:
+        call(value)
 
 
 class TestFactorStack:
