@@ -18,8 +18,8 @@ case "$1" in
     mkdir -p "$dir"
     cd "$dir"
     "$@" synth --bases builtin --pixels 500 --snr-db 20 --seed 7 --out scene/
-    "$@" unmix --input scene/data.raw64 --dims 6,18,30 --iters 100 --tol 0 \
-      --seed 9 --out run/
+    "$@" unmix --input scene/data.raw64 --dims 6,18,30 --iters 100 --seed 9 \
+      --out run/
     "$@" eval --est run/expanded.raw64 --truth scene/endmembers_true.raw64 \
       --snr-db 20 --out run/eval.json
     "$@" eval --runs-dir run --out agg.json

@@ -111,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     up.add_argument("--dims", type=_dims_value, required=True,
                     help="layer sizes, e.g. 6,18,30")
     up.add_argument("--iters", type=int, default=FitConfig.max_outer_iters)
-    up.add_argument("--tol", type=float, default=FitConfig.rel_elbo_tol,
-                    help="relative bound-improvement stop; 0 runs all iterations")
     up.add_argument("--seed", type=_seed_value, default=0)
     up.add_argument("--out", required=True, help="output directory")
 
@@ -200,7 +198,7 @@ def _cmd_synth(args, argv) -> int:
 def _cmd_unmix(args, argv) -> int:
     px = as_pixel_matrix(load_matrix(args.input))
     start = init_all(px, args.dims, seed=args.seed)
-    config = FitConfig(max_outer_iters=args.iters, rel_elbo_tol=args.tol)
+    config = FitConfig(max_outer_iters=args.iters)
     result = fit(px, start.stack, start.posterior, config)
     stack, trace = result.stack, result.trace
     iters_run = len(trace)
@@ -220,7 +218,7 @@ def _cmd_unmix(args, argv) -> int:
         seed=args.seed,
         input=args.input,
         dims={"bands": px.bands, "layers": list(args.dims), "pixels": px.pixels},
-        config={"iters": args.iters, "tol": args.tol},
+        config={"iters": args.iters},
         trace={"elbo": trace.elbo.tolist(), "sigma2": trace.sigma2.tolist()},
         iterations_run=iters_run,
         stop_reason=trace.stop_reason,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from typing import Tuple
 
 import numpy as np
 
@@ -139,24 +138,6 @@ def write_pgm(path, width: int, height: int, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(v.tobytes())
-
-
-def read_pgm(path) -> Tuple[int, int, np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    parts = blob.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"255":
-        raise ValidationError(f"{path}: not a plain P5/255 PGM")
-    try:
-        width, height = (int(tok) for tok in parts[1].split(b" "))
-    except ValueError:
-        raise ValidationError(f"{path}: malformed PGM size line") from None
-    raster = parts[3]
-    if len(raster) != width * height:
-        raise ValidationError(
-            f"{path}: raster holds {len(raster)} bytes, expected {width * height}"
-        )
-    return width, height, np.frombuffer(raster, dtype=np.uint8).copy()
 
 
 def quantize_unit(values: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from mssmf.matio import (
     quantize_unit,
     read_csv_matrix,
     read_manifest,
-    read_pgm,
     read_raw64,
     write_csv_matrix,
     write_manifest,
@@ -281,13 +280,11 @@ class TestPgm:
         blob = path.read_bytes()
         assert blob == b"P5\n3 2\n255\n" + bytes(range(6))
 
-    def test_round_trip(self, tmp_path, rng):
+    def test_raster_bytes_follow_the_header(self, tmp_path, rng):
         vals = rng.integers(0, 256, size=40, dtype=np.uint8)
         path = tmp_path / "img.pgm"
         write_pgm(path, 8, 5, vals)
-        w, h, got = read_pgm(path)
-        assert (w, h) == (8, 5)
-        np.testing.assert_array_equal(got, vals)
+        assert path.read_bytes() == b"P5\n8 5\n255\n" + vals.tobytes()
 
     def test_size_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
