@@ -234,10 +234,12 @@ class FactorStack:
 
 def _suffix_products(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
     """The chain product and all its suffixes: tail[i] = mats[i] @ ... @
-    mats[-1], multiplied right to left, with tail[len(mats)] an identity."""
+    mats[-1], multiplied right to left, with tail[len(mats)] an identity.
+    A product that overflows holds infinities; its reader checks it."""
     tail = [np.eye(mats[-1].shape[1])]
-    for m in reversed(mats):
-        tail.append(m @ tail[-1])
+    with np.errstate(over="ignore"):
+        for m in reversed(mats):
+            tail.append(m @ tail[-1])
     tail.reverse()
     return tail
 
@@ -248,6 +250,9 @@ def compose_expanded(stack: FactorStack) -> np.ndarray:
     Returns the expanded endmember matrix, bands x K_P, as a new float64
     array; with no mixing layers it equals the core basis.  Each output
     column is a convex combination of basis columns, so nonnegativity and
-    per-column sums of the basis are preserved.
+    per-column sums of the basis are preserved.  A mixer column may sum to
+    1 + ``COLUMN_SUM_TOL``, so a basis near the float64 maximum can
+    overflow: ValidationError then.
     """
-    return _suffix_products([stack.basis, *stack.mixers])[0]
+    tail = _suffix_products([stack.basis, *stack.mixers])
+    return _prep_arg(tail[0], "compose_expanded (overflow)", None)

@@ -9,7 +9,7 @@ domain of interest (see tests for the mpmath comparison).
 
 Every public function checks each array argument once, with the package's
 one range test, ``model._prep_arg``.  :func:`dirichlet_entropy` checks its
-result too, :func:`_simplex_lsq` its QR-reduced system; the solver's
+result too, :func:`_simplex_lsq` its (QR-reduced) system; the solver's
 gradient calls :func:`_trigamma`, which checks nothing, on arrays the same
 line-search pass has already checked.
 
@@ -97,18 +97,21 @@ def _simplex_lsq(y: np.ndarray, b: np.ndarray, name: str = "fit's mixer sweep") 
     homogenized form rho adds rho^2 (1'u)^2, which rescales u and leaves
     s = u / 1'u as it is, so no rho row is needed.)  Raises the NNLS
     engine's RuntimeError if it hits its iteration cap, and ValidationError
-    naming the caller, name, if the reduced system overflows or a solve
+    naming the caller, name, if the (reduced) system overflows or a solve
     returns u = 0 (its sum-to-one row lost against rows near 1e35).
     """
     (m, k), n = b.shape, y.shape[1]
     if m > k:
         q, b = np.linalg.qr(b)
-        # an overflow makes the reduced system non-finite; the check names it
+        # an overflow makes the reduced system non-finite; the checks name it
         with np.errstate(over="ignore", invalid="ignore"):
             y = q.T @ y
         _prep_arg(b, f"{name}'s reduced endmembers", None)
-        _prep_arg(y, f"{name}'s reduced data", None)
         m = k
+    # on both branches: |y_i - b_il| <= max|y| + max|B|, so no entry of
+    # y 1' - B overflows when that Python float sum is finite
+    span = float(np.abs(y).max(initial=0.0)) + float(np.abs(b).max(initial=0.0))
+    _prep_arg(span, f"{name}'s system y 1' - B", None)
     lhs = np.ones((m + 1, k))
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0

@@ -98,9 +98,7 @@ class FitConfig:
         iters = _checked_count(self.max_outer_iters, "max_outer_iters", 1)
         object.__setattr__(self, "max_outer_iters", iters)
         tol = _scalar(self.rel_elbo_tol, "rel_elbo_tol")
-        if not tol >= 0:
-            raise ValidationError(f"rel_elbo_tol must be >= 0, got {self.rel_elbo_tol!r}")
-        object.__setattr__(self, "rel_elbo_tol", tol)
+        object.__setattr__(self, "rel_elbo_tol", float(_prep_arg(tol, "rel_elbo_tol", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -548,10 +546,9 @@ def _update_factors(stack: FactorStack, ym: np.ndarray, pbar: np.ndarray) -> Fac
     and the only one when R is positive definite, the one case in which the
     solve is tried.  A row whose certificate fails goes to NNLS,
     ||L a - pinv(L') c_i||^2 with R = L'L, so every row still gets its exact
-    optimum.  Most rows keep their support from one iteration to the next:
-    in a 100-iteration fit of the README quick-start scene, 1 157 of the
-    19 800 row solves fall back, 156 of them in the first iteration and
-    about 5 per iteration after the tenth.
+    optimum.  Most rows keep their support from one iteration to the next,
+    so most row solves skip NNLS; how many fall back depends on the scene
+    and, through roundoff, on BLAS's thread count.
 
     A mixer makes one sweep over its columns, each solved exactly with the
     others fixed: column j minimizes r_jj ||P s||^2 - 2 s'd_j over the

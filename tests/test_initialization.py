@@ -400,6 +400,21 @@ class TestScls:
             scls(rng.uniform(0, 1, (8, 5)), a * 1e308)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "y, endmembers",
+        [
+            # as many endmembers as bands: no QR, and y - b_l overflows
+            (np.full((3, 2), 1e308), -np.full((3, 3), 1e308)),
+            # one endmember in 3 bands: the QR is finite, Q'y - R is not
+            (np.array([[1e308], [0.0], [0.0]]), -np.array([[1e308], [0.0], [0.0]])),
+        ],
+        ids=["unreduced", "reduced"],
+    )
+    def test_overflowing_system_raises(self, y, endmembers):
+        with pytest.raises(ValidationError, match="scls's system y 1' - B: non-finite"):
+            scls(y, endmembers)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_nnls_solution_raises(self):
         # pixels near 1e308: the sum-to-one row falls below the engine's
         # tolerance and its solution is zero, which has no simplex point

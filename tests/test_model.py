@@ -348,6 +348,15 @@ class TestCompose:
             _, stack, _ = random_instance(rng, depth=2)
             assert np.all(compose_expanded(stack) >= 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_chain_raises(self):
+        # a mixer column may sum to 1 + 5e-10, inside COLUMN_SUM_TOL, which
+        # carries a basis at the float64 maximum past it
+        big = np.full((2, 1), np.finfo(np.float64).max)
+        stack = FactorStack(big, (np.array([[1.0 + 5e-10]]),))
+        with pytest.raises(ValidationError, match="compose_expanded .overflow.: non-finite"):
+            compose_expanded(stack)
+
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 2**32 - 1))
     def test_column_sums_carry_through_the_chain(self, seed):

@@ -1194,6 +1194,7 @@ class TestFitConfig:
             {"rel_elbo_tol": "abc"},
             {"rel_elbo_tol": None},
             {"rel_elbo_tol": [1e-3, 1e-3]},
+            {"rel_elbo_tol": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
