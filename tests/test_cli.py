@@ -123,7 +123,7 @@ class TestSynthCommand:
 
 
 class TestUnmixCommand:
-    def test_stop_rule_default_is_the_fit_default(self, capsys):
+    def test_stop_rule_default_is_the_fit_default(self):
         # unmix has no stop-rule option: it runs the fit's default, zero,
         # which runs every iteration unless the bound drops
         argv = ["unmix", "--input", "y", "--dims", "2,3", "--out", "o"]
