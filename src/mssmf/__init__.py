@@ -14,36 +14,28 @@ from .simplex import (
     dirichlet_entropy,
     sample_dirichlet,
 )
-from .initialization import InitResult, init_all, scls, vca
+from .initialization import init_all, scls, vca
 from .solver import (
     FitConfig,
-    FitResult,
-    FitTrace,
     fit,
     update_beta,
 )
 from .synth import (
-    SynthBundle,
     assemble_ground_truth,
     builtin_bases,
     gen_dataset,
     gen_variants,
 )
-from .metrics import AlignmentResult, aligned_mse, singular_spectrum
+from .metrics import aligned_mse, singular_spectrum
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentResult",
     "BETA_FLOOR",
     "DirichletParam",
     "FactorStack",
     "FitConfig",
-    "FitResult",
-    "FitTrace",
-    "InitResult",
     "PixelMatrix",
-    "SynthBundle",
     "ValidationError",
     "aligned_mse",
     "assemble_ground_truth",

@@ -32,7 +32,7 @@ from .matio import (
 from .metrics import aligned_mse, singular_spectrum
 from .model import ValidationError, _prep_arg, as_pixel_matrix, compose_expanded
 from .solver import FitConfig, fit
-from .synth import DEFAULT_GAMMA, DEFAULT_KNOTS, assemble_ground_truth, builtin_bases, gen_dataset
+from .synth import DEFAULT_GAMMA, assemble_ground_truth, builtin_bases, gen_dataset
 
 
 def _as_float(value, kinds=(int, float)):
@@ -97,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="variants kept per base in the ground truth")
     sp.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
                     help="variability amplitude in [0, 1)")
-    sp.add_argument("--knots", type=int, default=DEFAULT_KNOTS,
-                    help="knot count of the smooth multiplicative field")
     sp.add_argument("--pixels", type=int, required=True)
     sp.add_argument("--snr-db", type=_snr_value, required=True,
                     help="target SNR in dB; 'inf' for noiseless")
@@ -174,7 +172,6 @@ def _cmd_synth(args, argv) -> int:
         variants_per_base=args.variants,
         pick=args.pick,
         gamma=args.gamma,
-        knots=args.knots,
         seed=rng,
     )
     bundle = gen_dataset(truth, args.pixels, args.snr_db, seed=rng)
@@ -190,7 +187,7 @@ def _cmd_synth(args, argv) -> int:
         snr_db=args.snr_db,
         sigma2=bundle.sigma2,
         dims={"bands": truth.shape[0], "expanded": truth.shape[1], "pixels": args.pixels},
-        config={k: getattr(args, k) for k in ("bases", "variants", "pick", "gamma", "knots")},
+        config={k: getattr(args, k) for k in ("bases", "variants", "pick", "gamma")},
     )
     return 0
 

@@ -50,11 +50,9 @@ def _trigamma(z: np.ndarray) -> np.ndarray:
     then summed with the asymptotic series.  The shift has no masks and no
     data-dependent exit, so an entry's result depends on that entry alone:
     a chunk of columns gets the same bits as the whole array.  Kept in-repo
-    because it runs on every concentration pass: on the 30x2000 array of
-    init_all's concentrations for the wide benchmark scene (half at the
-    floor) it takes 1.4 ms, against 4.2 ms for a masked shift that stops
-    once an entry reaches 6 and about 19 ms for scipy's polygamma(1, .) or
-    zeta(2, .) (Intel Xeon VM, numpy 2.4, scipy 1.17).
+    because it runs on every concentration pass, where it is faster than a
+    masked shift that stops once an entry reaches 6 and than scipy's
+    polygamma(1, .) or zeta(2, .) (timings in CHANGES.md).
     """
     w = np.array(z, ndmin=1)
     acc = np.zeros_like(w)

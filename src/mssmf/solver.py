@@ -280,17 +280,15 @@ def _beta_ascent_chunk(
     A pass tries its first step for every pixel on the whole arrays and
     copies the state tried into state under the acceptance mask.  Only the
     pixels whose first step failed are gathered, by index, for the halving
-    retries.  On the README quick-start scene, after 3, 10 or 30 fit
-    iterations every first step passes, so the retries gather nothing.  A retry round of one pixel
-    forms `g @ betas` as a matrix-vector product, whose bits differ from
-    that column of a multi-column product.  A gather of two or more columns
-    matches the whole array column for column, except where the whole
-    product rounds its last few columns in a tail kernel (with K = 30 on
-    one OpenBLAS thread: the last 4 at 500 pixels, none at 200 or 2 000).
-    So trying several halvings of the retried pixels in one call changes
-    the output bits.  :func:`_ascend_blocks` calls this once per pixel
-    block, so above 1 024 pixels its products and gathers round by the
-    block's width, not by that of all the pixels.
+    retries.  A retry round of one pixel forms `g @ betas` as a
+    matrix-vector product, whose bits differ from that column of a
+    multi-column product.  A gather of two or more columns matches the
+    whole array column for column, except where the whole product rounds
+    its last few columns in a tail kernel.  So trying several halvings of
+    the retried pixels in one call changes the output bits.
+    :func:`_ascend_blocks` calls this once per pixel block, so above 1 024
+    pixels its products and gathers round by the block's width, not by
+    that of all the pixels.
 
     A search starts at the first step it could accept.  yss holds each
     pixel's ||y||^2.  No concentrations lift the per-pixel bound above
@@ -306,9 +304,8 @@ def _beta_ascent_chunk(
     last is 2^-(_MAX_HALVINGS - 1) as without the skip, and a pixel with
     non-positive or non-finite headroom starts at step 1.  Every skipped
     step is one the search would reject, so it accepts the same steps.
-    From init_all's state, where about half the concentrations sit
-    at BETA_FLOOR and the gradient is near 1e12, the first pass skips 46
-    halvings for every pixel of the README quick-start scene at 2 000 px.
+    From init_all's state, where many concentrations sit at BETA_FLOOR and
+    the gradient is huge, the first pass skips most of the halvings.
     """
     betas, f0 = state[:2]
     ceil = yss / (2.0 * sigma2) - gammaln(betas.shape[0])

@@ -29,6 +29,14 @@ def test_export_list_is_sorted_and_unique():
     assert mssmf.__all__ == sorted(set(mssmf.__all__))
 
 
+def test_every_exported_name_is_named_by_a_caller():
+    # a caller reads the README or the benchmark; a name neither of them
+    # mentions is surface that callers reach through attributes alone
+    text = README.read_text() + "".join(p.read_text() for p in BENCH_SOURCES)
+    unnamed = [name for name in mssmf.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert unnamed == []
+
+
 def test_public_attributes_are_exactly_the_export_list():
     public = {
         name
