@@ -96,7 +96,6 @@ def assemble_ground_truth(
     variants_per_base: int = 200,
     pick: int = 10,
     gamma: float = DEFAULT_GAMMA,
-    knots: int = DEFAULT_KNOTS,
     seed: RngLike = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Ground-truth expanded endmembers from a small collection of bases.
@@ -117,7 +116,7 @@ def assemble_ground_truth(
     groups = []
     labels = []
     for idx in range(b.shape[1]):
-        pool = gen_variants(b[:, idx], variants_per_base, gamma, knots, rng)
+        pool = gen_variants(b[:, idx], variants_per_base, gamma, seed=rng)
         chosen = rng.choice(variants_per_base, size=pick, replace=False)
         groups.append(pool[:, chosen])
         labels.extend([idx] * pick)

@@ -121,6 +121,19 @@ class TestSynthCommand:
             run("synth", "--pixels", "10")  # missing required --snr-db/--out
         assert exc.value.code == 2
 
+    def test_knot_count_is_the_default(self, tmp_path):
+        # synth has no knot option: every scene uses gen_variants' default,
+        # and the manifest's config records only the options synth takes
+        argv = synth_args(tmp_path / "s")
+        assert not hasattr(build_parser().parse_args(argv), "knots")
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--knots", "3")
+        assert exc.value.code == 2
+        assert not (tmp_path / "s").exists()
+        assert run(*argv) == 0
+        config = read_manifest(tmp_path / "s" / "manifest.json")["config"]
+        assert sorted(config) == ["bases", "gamma", "pick", "variants"]
+
 
 class TestUnmixCommand:
     def test_stop_rule_default_is_the_fit_default(self):

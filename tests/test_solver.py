@@ -260,6 +260,7 @@ class TestSigma2:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="ROADMAP item 4: the expected residual cancels on exactly fitted data,"
         " so the bound drops at roundoff",
     )
