@@ -33,27 +33,18 @@ def vca(pixels, k: int, seed: RngLike = 0) -> Tuple[np.ndarray, np.ndarray]:
     """Vertex component analysis: pick k pixels that span the data simplex.
 
     Returns (endmembers, indices) where endmembers = Y[:, indices], so the
-    extracted columns are actual observed spectra.  The picks are made in
-    one frame, the (k - 1)-dimensional affine subspace of the centered data
-    plus a constant coordinate: under the model y_n = B z_n + noise with
-    z_n on the simplex, noiseless pixels lie in exactly that affine set.
-    Pixels scaled by a per-pixel factor (y_n = s_n E z_n) leave it, so the
-    picks are not invariant to such a scale.  Each pick takes the pixel
-    farthest along a random direction projected off an orthonormal basis of
-    the picks so far (e_k before the first), which grows by one two-pass
-    Gram-Schmidt step per pick.  The indices are those of the
-    pseudo-inverse form w - A pinv(A) w; with exactly duplicated pixels
-    they may name another copy of the same spectrum.
+    extracted columns are actual observed spectra.  The picks are made in the
+    affine frame (D27) of one decomposition of the data covariance, each by
+    projecting a random direction off the picks so far (D28); the indices are
+    those of the pseudo-inverse form, and with exactly duplicated pixels they
+    may name another copy of the same spectrum.  The frame assumes the
+    simplex model, so the picks are not invariant to a per-pixel scale.
 
-    Each call makes its own decomposition of the data covariance, which
-    serves the diversity check, the k = 1 pick and the subspace
-    (``init_all`` makes one for both of its runs).  k is an integer (Python
-    or numpy); seed is a Generator or such an integer of at least 0.  Both
-    are checked before any arithmetic.
+    Each call makes its own decomposition (``init_all`` makes one for both of
+    its runs).  k is an integer (Python or numpy); seed is a Generator or
+    such an integer of at least 0.  Both are checked before any arithmetic.
     Raises ValidationError when the covariance is not finite (finite data
-    whose squared norm overflows) and when lam[k-2] <= lam[0] * bands * eps
-    (the factor grams' rank rule): the decomposition cannot resolve a
-    direction below it.
+    whose squared norm overflows) and when it fails the rank rule of (D27).
     """
     y = as_pixel_matrix(pixels).data
     k = _endmember_count(k, y)
@@ -72,7 +63,7 @@ def _endmember_count(k, y: np.ndarray) -> int:
 
 def _vca_frame(y: np.ndarray):
     """(y, centered data, left singular vectors, singular values) of the
-    data covariance: everything VCA's picks read, for any k."""
+    data covariance: the frame (D27) that VCA's picks read, for any k."""
     n = y.shape[1]
     # an overflow makes the covariance non-finite; the check names it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -83,7 +74,7 @@ def _vca_frame(y: np.ndarray):
 
 
 def _vca_picks(frame, k: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """VCA's k picks in a frame from ``_vca_frame``; k is a checked count."""
+    """VCA's k picks (D28) in a frame from ``_vca_frame``; k is a checked count."""
     y, centered, u, lam = frame
     m, n = y.shape
     if k == 1:
@@ -121,13 +112,11 @@ def _vca_picks(frame, k: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.
 def scls(pixels, endmembers: np.ndarray) -> np.ndarray:
     """Simplex-constrained least squares, one exact solve per pixel.
 
-    Minimizes ||y - B s||^2 with s on the unit simplex for every column y
-    of the input, each as one nonnegative least-squares solve.  With more
-    bands than endmembers, one thin QR B = Q R per call puts every solve in
-    the endmember space: ||y - B s||^2 = ||Q'y - R s||^2 + ||y - Q Q'y||^2,
-    and the last term does not depend on s (see ``simplex._simplex_lsq`` for
-    both reductions).  Raises the NNLS engine's RuntimeError if it hits its
-    iteration cap.
+    Minimizes ||y - B s||^2 with s on the unit simplex for every column y of
+    the input, each as one nonnegative least-squares solve (D24).  With more
+    bands than endmembers, one thin QR of B per call puts every solve in the
+    endmember space (D25).  Raises the NNLS engine's RuntimeError if it hits
+    its iteration cap.
     """
     # scipy's nnls aborts the interpreter on a matrix with no columns
     b = _matrix(endmembers, "scls's endmembers")
@@ -151,12 +140,11 @@ def init_all(pixels, layer_sizes, seed: int = 0) -> InitResult:
     The core basis is a VCA run at the first layer size; the per-pixel
     concentrations are the simplex least-squares abundances against a
     second VCA run at the expanded size (floored away from zero).  Both
-    runs pick in one decomposition of the data covariance, in its affine
-    frame, the geometry of the model's noiseless pixels; each gives the
-    bits a direct ``vca`` call with its generator gives.  Mixing
-    layers start at independent uniform-Dirichlet columns; the noise
-    variance starts at its closed-form update for that state.  Layer sizes
-    and the seed (at least 0) are integers (Python or numpy).
+    runs pick in one decomposition of the data covariance (D27); each gives
+    the bits a direct ``vca`` call with its generator gives.  Mixing layers
+    start at independent uniform-Dirichlet columns; the noise variance
+    starts at its closed form (D15) for that state.  Layer sizes and the
+    seed (at least 0) are integers (Python or numpy).
     """
     px = as_pixel_matrix(pixels)
     y = px.data

@@ -27,14 +27,12 @@ class AlignmentResult:
 def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
     """Normalized squared endmember error after optimal column matching.
 
-    Columns of the estimate are matched one-to-one to truth columns by
-    minimum total squared distance, one call of scipy's
-    linear_sum_assignment (on tied costs, one optimal matching, the same
-    one for the same input); the reported value is that total divided by K
-    times the squared Frobenius norm of the truth.  Both matrices must be
-    finite and have at least one column; entries large enough to overflow
-    a difference or a squared distance fail the check on the cost matrix,
-    and a truth whose squared norm overflows is refused.
+    The aligned MSE (D30): one call of scipy's linear_sum_assignment matches
+    the columns (on tied costs, one optimal matching, the same one for the
+    same input).  Both matrices must be finite and have at least one column;
+    entries large enough to overflow a difference or a squared distance fail
+    the check on the cost matrix, and a truth whose squared norm overflows
+    is refused.
     """
     a = _matrix(estimate, "aligned_mse's estimate")
     b = _matrix(truth, "aligned_mse's truth")

@@ -245,7 +245,7 @@ def _suffix_products(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
 
 
 def compose_expanded(stack: FactorStack) -> np.ndarray:
-    """Multiply the core basis through the mixing chain.
+    """Multiply the core basis through the mixing chain (D1).
 
     Returns the expanded endmember matrix, bands x K_P, as a new float64
     array; with no mixing layers it equals the core basis.  Each output

@@ -1,21 +1,17 @@
 """Simplex geometry and Dirichlet math.
 
 Everything the variational solver needs that is not plain linear algebra:
-simplex-constrained least squares, trigamma, and Dirichlet moments,
-entropy, and sampling.  The entropy calls scipy.special's gammaln and psi;
-trigamma shifts every argument up by 6 with the standard recurrence and
-then applies the asymptotic series, near machine accuracy across the
-domain of interest (see tests for the mpmath comparison).
+simplex-constrained least squares (D24), trigamma (D8, D9), and Dirichlet
+moments (D4), entropy (D7) and sampling.
 
 Every public function checks each array argument once, with the package's
 one range test, ``model._prep_arg``.  :func:`dirichlet_entropy` checks its
 result too, :func:`_simplex_lsq` its (QR-reduced) system; the solver's
 gradient calls :func:`_trigamma`, which checks nothing, on arrays the same
-line-search pass has already checked.
-
-Both kernels give each column a result that depends on that column alone,
-whatever the array's width and memory layout, so the solver can evaluate a
-gathered subset of pixels and keep the values as the whole array's.
+line-search pass has already checked.  Both kernels give each column a
+result that depends on that column alone, whatever the array's width and
+memory layout, so the solver can evaluate a gathered subset of pixels and
+keep the values as the whole array's.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from .model import RngLike, ValidationError, _as_rng, _checked_count, _frozen, _
 
 BETA_FLOOR = 1e-6
 
-# trigamma: 1/z + 1/(2z^2) + sum_n B_{2n} / z^{2n+1}
+# B_2 ... B_14, the coefficients of the trigamma series (D9)
 _TG_COEF = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -43,16 +39,14 @@ _TG_COEF = (
 
 
 def _trigamma(z: np.ndarray) -> np.ndarray:
-    """Second derivative of log-gamma of a float64 array that is already
-    known to be finite and positive (no check); same shape out.
+    """Trigamma of a float64 array that is already known to be finite and
+    positive (no check); same shape out.
 
-    Every entry is shifted up by six with psi1(z) = psi1(z + 1) + 1/z^2 and
-    then summed with the asymptotic series.  The shift has no masks and no
-    data-dependent exit, so an entry's result depends on that entry alone:
-    a chunk of columns gets the same bits as the whole array.  Kept in-repo
-    because it runs on every concentration pass, where it is faster than a
-    masked shift that stops once an entry reaches 6 and than scipy's
-    polygamma(1, .) or zeta(2, .) (timings in CHANGES.md).
+    Every entry is shifted up by six with the recurrence (D8), with no mask
+    and no data-dependent exit, and then summed by the series (D9), so an
+    entry's result depends on that entry alone.  Kept in-repo because it runs
+    on every concentration pass, where it is faster than a masked shift and
+    than scipy's polygamma(1, .) or zeta(2, .) (timings in CHANGES.md).
     """
     w = np.array(z, ndmin=1)
     acc = np.zeros_like(w)
@@ -73,30 +67,13 @@ def _trigamma(z: np.ndarray) -> np.ndarray:
 def _simplex_lsq(y: np.ndarray, b: np.ndarray, name: str = "fit's mixer sweep") -> np.ndarray:
     """Simplex-constrained least squares, one exact solve per column of y.
 
-    Column j of the result minimizes ||y_j - B s||^2 over the unit simplex.
-    On the simplex 1's = 1, so ||y - B s||^2 = ||(y 1' - B) s||^2; each
-    column is one nonnegative least-squares solve (Lawson & Hanson's active
-    set)
-
-        min_{u >= 0} ||[y 1' - B; 1'] u - e_{m+1}||^2,   s = u / 1'u.
-
-    This is exact: writing u = lam s, the objective is lam^2 q + (lam - 1)^2
-    with q = ||(y 1' - B) s||^2, whose minimum over lam, q / (1 + q), rises
-    with q, and u = 0 scores 1, so the optimal u is never zero.
-
-    When B (m x k) has more rows than columns, the solves run in the
-    k-dimensional space of its columns (Bro & De Jong 1997).  With one thin
-    QR B = Q R and a = Q'y, for every s
-
-        ||y - B s||^2 = ||a - R s||^2 + rho^2,   rho^2 = ||y||^2 - ||a||^2,
-
-    because y - Q a is orthogonal to Q.  rho does not depend on s, so the
-    minimizers are those of (a, R), whose NNLS has k + 1 rows.  (In the
-    homogenized form rho adds rho^2 (1'u)^2, which rescales u and leaves
-    s = u / 1'u as it is, so no rho row is needed.)  Raises the NNLS
-    engine's RuntimeError if it hits its iteration cap, and ValidationError
-    naming the caller, name, if the (reduced) system overflows or a solve
-    returns u = 0 (its sum-to-one row lost against rows near 1e35).
+    Column j of the result minimizes ||y_j - B s||^2 over the unit simplex,
+    by one NNLS solve of the homogenized system (D24).  When B (m x k) has
+    more rows than columns, the solves run on one thin QR of B, in the
+    k-dimensional space of its columns (D25).  Raises the NNLS engine's
+    RuntimeError if it hits its iteration cap, and ValidationError naming
+    the caller, name, if the (reduced) system overflows or a solve returns
+    u = 0 (its sum-to-one row lost against rows near 1e35).
     """
     (m, k), n = b.shape, y.shape[1]
     if m > k:
@@ -141,7 +118,7 @@ class DirichletParam:
 
     @property
     def mean(self) -> np.ndarray:
-        """Posterior-mean abundances: each column divided by its total."""
+        """Posterior-mean abundances (D4): each column divided by its total."""
         return self.concentration / self.concentration.sum(axis=0)
 
 
@@ -168,17 +145,14 @@ def _row_order_sums(x: np.ndarray) -> np.ndarray:
 
 
 def dirichlet_entropy(beta: np.ndarray) -> np.ndarray:
-    """Differential entropy of Dirichlet(beta).
+    """Differential entropy (D7) of Dirichlet(beta).
 
     1-D input gives a scalar; a (K, N) matrix gives one entropy per column.
     The concentrations are checked once, and so is the result: a total or
     a log-gamma can overflow at finite concentrations (three entries of
-    1e307 do), and any overflow ends in a non-finite result.
-
-    A column's entropy depends on that column alone: every sum over the
-    categories adds them in row order (see :func:`_row_order_sums`), so a
-    1-D vector, a single column or a gathered subset of columns gets the
-    bits the whole matrix gives those columns.
+    1e307 do).  A column's entropy depends on that column alone (see
+    :func:`_row_order_sums`), so a 1-D vector, a single column or a gathered
+    subset of columns gets the bits the whole matrix gives those columns.
     """
     b = _concentrations(beta, "dirichlet_entropy")
     squeeze = b.ndim == 1

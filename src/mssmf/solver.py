@@ -1,37 +1,25 @@
 """Variational maximum-likelihood fitting of the multilayer factorization.
 
-The per-pixel abundance posterior is approximated by an independent
-Dirichlet for every pixel.  Coordinate ascent on the evidence lower bound
-alternates three steps per outer iteration: the Dirichlet concentrations
-(projected gradient ascent with a per-pixel Armijo line search,
-:func:`_beta_ascent_chunk`), one exact sweep over the factors
-(:func:`_update_factors`), and the noise variance (closed form).  Every
-block is accepted only if the bound does not decrease, so the traced
-objective is non-decreasing by construction.
+Coordinate ascent on the evidence lower bound (D2), with an independent
+Dirichlet posterior per pixel.  Each outer iteration runs the
+concentration passes (:func:`_beta_ascent_chunk`, (D12)), one exact sweep
+over the factors (:func:`_update_factors`, (D17)) and the closed-form
+noise variance (D15).  DERIVATION.md holds the equations; the docstrings
+here give each function's contract and cite them by number.
 
-The bound's only data term is each pixel's expected squared reconstruction
-error E||y_n - B z_n||^2 under its Dirichlet.  One kernel,
-:func:`_expected_resid`, forms it (less ||y_n||^2) from c = B'Y and
-G = B'B; the concentration line search, the noise update and the bound all
-read it, so every one of them sees the same number.  :func:`fit` forms
-||Y||^2 once per fit and (c, G) once per iteration; one residual evaluation
-feeds the noise formula :func:`_noise_var`, the bound formula
-:func:`_bound`, each defined once, and the next iteration's concentration
-passes, which start from it instead of evaluating that point again.  fit
-carries one state, a tuple of the concentrations and their record; the
-passes update it in place and the bound sums its entropy, so a fit
-evaluates every point once.  The factor sweep takes only the statistics
-Y M' and Pbar, which fit forms once per iteration.  The passes run per
-block of at most 1 024 pixels, and above one block on a thread per usable
-core (see :func:`fit`); :func:`update_beta` runs the same blocks.
+:func:`_expected_resid` is the one kernel for the data term (D5): the
+passes, the noise update and the bound all read it.  :func:`fit` forms
+||Y||^2 once per fit and (c, G) = (B'Y, B'B) once per iteration, and it
+carries one state, the concentrations and their :func:`_beta_point`
+record, which the passes update in place, so a fit evaluates every point
+once.  The passes run per block of at most 1 024 pixels, on a thread per
+usable core above one block (:func:`_ascend_blocks`).
 
-Inputs follow four rules: one conversion (``model._floats``), one range
-test (``model._prep_arg``), one matrix rule (``model._matrix``) and one
-data prologue, :func:`_data_terms` (shapes, checked c and G, ||Y||^2),
-which :func:`fit`, :func:`update_beta` and ``init_all`` each run once; a
-noise variance is checked by ``model._checked_noise_var``.  In
+Inputs are checked where they enter: :func:`_data_terms` is the one data
+prologue, which :func:`fit`, :func:`update_beta` and ``init_all`` each run
+once, and a noise variance goes through ``model._checked_noise_var``.  In
 the line search each point is checked by its ``dirichlet_entropy`` call
-before the residual divides by the totals; the gradient reads them unchecked.
+before the residual divides by its totals.
 """
 
 from __future__ import annotations
@@ -79,15 +67,11 @@ _BLOCK_PIXELS = 1024
 class FitConfig:
     """Knobs for the outer coordinate-ascent loop.
 
-    rel_elbo_tol stops the loop once the relative bound improvement
-    (F_t - F_{t-1}) / (1 + |F_{t-1}|) falls strictly below it, so the
-    default of zero runs max_outer_iters iterations unless the bound
-    drops.
-
-    Every outer iteration makes beta_steps_per_outer concentration ascent
+    rel_elbo_tol is the stop rule's tolerance (D29), finite and at least 0;
+    the default of zero runs max_outer_iters iterations unless the bound
+    drops.  Every outer iteration makes beta_steps_per_outer concentration
     passes, a constant rather than a setting.  The factor blocks take no
-    budget: the basis is solved exactly and each mixer makes one exact
-    column sweep per iteration (see :func:`_update_factors`).
+    budget: each is solved exactly (see :func:`_update_factors`).
     """
 
     beta_steps_per_outer: ClassVar[int] = 10
@@ -104,10 +88,8 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitTrace:
     """Per-iteration record of the fit: bound value, noise variance, wall
-    time in milliseconds, and why the loop stopped: "max_iters",
-    "converged" (improvement below rel_elbo_tol), "bound_decreased"
-    (relative change below -1e-10, beyond roundoff) or "non_finite" (the
-    bound of the last iteration is NaN or infinite)."""
+    time in milliseconds, and why the loop stopped (D29): "max_iters",
+    "converged", "bound_decreased" or "non_finite"."""
 
     elbo: np.ndarray
     sigma2: np.ndarray
@@ -135,8 +117,8 @@ class FitResult:
 
 
 def _bound(rsum, ent, sigma2: float, m: int, k: int, n: int) -> float:
-    """The bound per pixel from the summed expected squared error rsum and
-    the summed entropy ent, for n pixels, m bands and k endmembers."""
+    """The bound (D2) per pixel, from the summed expected squared error
+    rsum and the summed entropy ent, for n pixels, m bands and k endmembers."""
     const = n * (-0.5 * m * np.log(2.0 * np.pi * sigma2) + gammaln(k))
     return float((const - rsum / (2.0 * sigma2) + ent) / n)
 
@@ -184,13 +166,13 @@ def _data_terms(
 def _expected_resid(
     c: np.ndarray, g: np.ndarray, betas: np.ndarray
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-    """Per-pixel E||y_n - B z_n||^2 - ||y_n||^2 for z_n ~ Dirichlet(betas),
-    from c = B^T Y and g = B^T B: tr(G E[z z^T]) - 2 c . betas / total.
+    """Per-pixel r_n = E||y_n - B z_n||^2 - ||y_n||^2 for
+    z_n ~ Dirichlet(betas), from c = B'Y and g = B'B, in the form (D5), not
+    the stable form (D6); the only code that forms it.
 
-    The only code that forms the expected residual.  Also returns the
-    pieces :func:`_beta_gradient` reuses at the same point: (total, denom,
-    g @ betas, tr(G E[z z^T]), c . betas), one column per pixel, with
-    total = sum(betas) and denom = total * (total + 1).
+    Also returns the pieces :func:`_beta_gradient` reuses at the same point,
+    one column per pixel: (total, denom, g @ betas, tr(G E[z z']), c . betas),
+    with denom = total * (total + 1).
     """
     total = betas.sum(axis=0)
     denom = total * (total + 1.0)
@@ -201,7 +183,7 @@ def _expected_resid(
 
 
 def _point_value(resid: np.ndarray, ent: np.ndarray, sigma2: float) -> np.ndarray:
-    """Per-pixel bound, up to beta-independent constants, from the
+    """Per-pixel value f_n (D3), up to beta-independent constants, from the
     :func:`_expected_resid` term and the entropy at one point."""
     return -resid / (2.0 * sigma2) + ent
 
@@ -225,7 +207,7 @@ def _beta_gradient(
     sigma2: float,
     point: Tuple[np.ndarray, ...],
 ) -> np.ndarray:
-    """d(per-pixel bound)/d(betas) from the record :func:`_beta_point`
+    """d f_n / d betas, (D10) and (D11), from the record :func:`_beta_point`
     returned at the same betas.  That call's entropy has checked betas and
     their totals, so trigamma runs without its input check."""
     total, denom, gb, tr_gp, cb = point[2:]
@@ -245,9 +227,9 @@ def _armijo_trial(
     f0: np.ndarray,
     sigma2: float,
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-    """Try one clamped step per pixel from cur, whose bound is f0.  Returns
-    which pixels pass the Armijo test and the state tried: the candidates
-    and their :func:`_beta_point` record."""
+    """Try one clamped step (D12) per pixel from cur, whose value is f0.
+    Returns which pixels pass the Armijo test and the state tried: the
+    candidates and their :func:`_beta_point` record."""
     cand = np.maximum(cur + step * grad, BETA_FLOOR)
     point = _beta_point(c, g, cand, sigma2)
     ok = point[0] - f0 >= _ARMIJO_C1 * (grad * (cand - cur)).sum(axis=0)
@@ -262,50 +244,26 @@ def _beta_ascent_chunk(
     passes: int,
     state: Tuple[np.ndarray, ...],
 ) -> None:
-    """Run `passes` clamped gradient-ascent steps on a block of pixels,
-    updating state in place.
+    """Run `passes` Armijo passes (D12) on a block of pixels, updating state
+    in place.
 
-    state is the concentrations followed by their :func:`_beta_point`
-    record, (betas, value, ent, total, denom, gb, tr_gp, cb), which
-    :func:`fit` forms from the residual its bound already computes.  Each
-    pass takes one Armijo-backtracked step per pixel; a pixel whose search
-    fails keeps its current state, so the per-pixel bound never decreases.
-    The arrays are the caller's, written in place: every pixel holds the
-    candidate its search last accepted and that candidate's record, so the
-    next pass starts from it, the caller's bound reads the entropy, and no
-    point is evaluated twice.  The entropy of a gathered pixel has the bits
-    a whole-array evaluation gives it (see :func:`dirichlet_entropy`), so
-    the record's entropy is the entropy of the concentrations.
+    state is the concentrations followed by their :func:`_beta_point` record,
+    (betas, value, ent, total, denom, gb, tr_gp, cb), the caller's arrays.
+    After each pass every pixel holds the candidate its search last accepted
+    and that candidate's record, so the next pass starts from it, no point is
+    evaluated twice and no pixel's value drops.  yss holds each pixel's
+    ||y||^2, for the headroom ceiling (D13): each search starts at the first
+    step it could accept (D14), so it accepts what a search from step 1
+    accepts.
 
     A pass tries its first step for every pixel on the whole arrays and
-    copies the state tried into state under the acceptance mask.  Only the
-    pixels whose first step failed are gathered, by index, for the halving
-    retries.  A retry round of one pixel forms `g @ betas` as a
-    matrix-vector product, whose bits differ from that column of a
-    multi-column product.  A gather of two or more columns matches the
-    whole array column for column, except where the whole product rounds
-    its last few columns in a tail kernel.  So trying several halvings of
-    the retried pixels in one call changes the output bits.
-    :func:`_ascend_blocks` calls this once per pixel block, so above 1 024
-    pixels its products and gathers round by the block's width, not by
-    that of all the pixels.
-
-    A search starts at the first step it could accept.  yss holds each
-    pixel's ||y||^2.  No concentrations lift the per-pixel bound above
-    ceil = yss / (2 sigma2) - log Gamma(K): its residual part is
-    -(E||y - B z||^2 - yss) / (2 sigma2) <= yss / (2 sigma2), and a
-    Dirichlet's entropy is at most -log Gamma(K), reached at beta = 1.  At
-    step s the Armijo demand is at least c1 * s * sum_k max(g_k, 0)^2:
-    coordinates with g_k > 0 move by s * g_k and are never clamped, and
-    clamped ones add g_k * move_k >= 0.  A step whose demand exceeds the
-    headroom ceil - f0 is rejected whatever the bound there, so the search
-    skips it.  The first step tried is the largest power of two whose
-    demand is at most twice the headroom (a 2x margin for roundoff), the
-    last is 2^-(_MAX_HALVINGS - 1) as without the skip, and a pixel with
-    non-positive or non-finite headroom starts at step 1.  Every skipped
-    step is one the search would reject, so it accepts the same steps.
-    From init_all's state, where many concentrations sit at BETA_FLOOR and
-    the gradient is huge, the first pass skips most of the halvings.
+    copies the state tried in under the acceptance mask.  Only the pixels
+    that step fails for are gathered, by index, for the halving retries.  A
+    gathered entropy has the whole array's bits (D7), but a one-column retry
+    forms `g @ betas` as a matrix-vector product, which rounds differently,
+    so trying several halvings in one call would change the output bits.
+    Above 1 024 pixels :func:`_ascend_blocks` calls this per pixel block, so
+    the products round by the block's width.
     """
     betas, f0 = state[:2]
     ceil = yss / (2.0 * sigma2) - gammaln(betas.shape[0])
@@ -420,14 +378,8 @@ def update_beta(
 
 
 def _reduced_factor(gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Factor a symmetric PSD matrix as gram = L'L with L of full row rank.
-
-    Returns (L, pinv(L')), both r x k, keeping the eigenvalues above
-    roundoff (k * eps times the largest).  An eigen-decomposition rather
-    than Cholesky, because these grams can be singular: a mixer's
-    U = P'P has rank at most K_1 however wide the layer.  pinv(L') gram = L,
-    which the mixer sweep uses.
-    """
+    """(L, pinv(L')) of a symmetric PSD gram = L'L, both r x k with L of full
+    row rank, by the eigenvalue cut of (D22); gram may be singular."""
     lam, vec = np.linalg.eigh(gram)
     keep = lam > lam[-1] * gram.shape[0] * np.finfo(np.float64).eps
     root = np.sqrt(lam[keep])
@@ -435,8 +387,7 @@ def _reduced_factor(gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _factor_statistics(y: np.ndarray, betas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The E-step statistics the factor blocks read: (Y M', Pbar), with M
-    the posterior means and Pbar = sum_n E[z_n z_n^T]."""
+    """The E-step statistics (D16) the factor blocks read: (Y M', Pbar)."""
     total = betas.sum(axis=0)
     weighted = betas / (total * (total + 1.0))
     pbar = np.diag(weighted.sum(axis=1)) + betas @ weighted.T
@@ -446,10 +397,9 @@ def _factor_statistics(y: np.ndarray, betas: np.ndarray) -> Tuple[np.ndarray, np
 def _block_terms(
     prefix: Optional[np.ndarray], w: np.ndarray, ym: np.ndarray, pbar: np.ndarray
 ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
-    """(U, R, C) of the block quadratic tr(X'UXR) - 2<X, C> for the factor
-    between the products prefix (P) and w (W), from the statistics
-    ym = Y M' and pbar = Pbar.  prefix is None for the basis, whose U is the
-    identity; U is then returned as None."""
+    """(U, R, C) of the block quadratic (D17) for the factor between the
+    products prefix (P) and w (W), from ym = Y M' and pbar = Pbar.  prefix is
+    None for the basis, whose U is the identity; U is then returned as None."""
     r = w @ pbar @ w.T
     if prefix is None:
         return None, r, ym @ w.T
@@ -462,11 +412,10 @@ def _quadratic_part(x: np.ndarray, u: Optional[np.ndarray], r: np.ndarray) -> np
 
 
 def _nnls_rows(r: np.ndarray, c: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """Solve min a'Ra - 2 c_i'a over a >= 0 for every row c_i of c,
-    warm-started from the support P of each row of old (the certificate
-    argument is in :func:`_update_factors`).  Row i's system is R_PP on P
-    and the identity off it, so one batched call solves every row.
-    """
+    """The minimizer of a'Ra - 2 c_i'a over a >= 0 for every row c_i of c.
+    One batched solve puts each row on the support of its row of old; a row
+    keeps that point where its KKT certificate (D21) holds, and the rest go
+    to NNLS on the reduced factor (D22)."""
     low, low_pinv = _reduced_factor(r)
     new = np.zeros_like(c)
     ok = np.zeros(c.shape[0], dtype=bool)
@@ -485,10 +434,11 @@ def _nnls_rows(r: np.ndarray, c: np.ndarray, old: np.ndarray) -> np.ndarray:
 def _factor_block(
     old: np.ndarray, u: Optional[np.ndarray], r: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
-    """Minimize the block quadratic tr(X'UXR) - 2<X, C> from old: the
-    basis (u None) over X >= 0, a mixer by one sweep over its simplex
-    columns.  Returns the new factor, or old itself (the same object) if
-    roundoff made the objective rise.  See :func:`_update_factors`."""
+    """Minimize the block quadratic (D17) from old: the basis (u None) row by
+    row over X >= 0 (:func:`_nnls_rows`), a mixer by one sweep over its
+    simplex columns at their targets t_j (D23).  A column with r_jj = 0 keeps
+    its value (D19).  Returns the new factor, or old itself (the same object)
+    if roundoff made the objective rise (D20)."""
     used = np.flatnonzero(np.diag(r) > 0.0)
     new = np.array(old)
     if u is None:
@@ -514,48 +464,15 @@ def _update_factors(stack: FactorStack, ym: np.ndarray, pbar: np.ndarray) -> Fac
     """One exact sweep over the core basis and then each mixing layer, for
     fixed concentrations.
 
-    The sweep reads the data and concentrations only as the statistics
-    ym = Y M' and pbar = Pbar (M the posterior means, Pbar the summed
-    Dirichlet second moment), which :func:`fit` forms once per iteration.
-    With P the product of the factors before a block and W the product of
-    those after it, the block's part of the bound is, up to scale, minus
-    one quadratic in its factor X:
-
-        tr(X' U X R) - 2 <X, C>,   U = P'P,  R = W Pbar W',  C = P' Y M' W'
-
-    For the basis P, and so U, is the identity.  :func:`_block_terms` forms
-    (U, R, C) and :func:`_factor_block` minimizes the quadratic.  The sweep
-    forms every W once, from the incoming factors, and carries P from block
-    to block: when a block is solved, the factors after it are still the
-    incoming ones and those before it are already new.
-
-    A basis column or mixer column j with r_jj = 0 (a component no later
-    layer uses) does not enter the objective and is left as it is; for the
-    basis this also removes the only directions a >= 0 along which the
-    objective is flat, which would let an NNLS solve drift without bound on
-    roundoff.
-
-    With U = I the basis rows are independent: row i solves the convex QP
-    min a'Ra - 2 c_i'a over a >= 0.  Each row is warm-started from its
-    previous support P: one batched call solves R_PP a_P = c_P for every
-    row.  A row keeps that point only if its KKT certificate holds, a_P > 0
-    and (R a - c)_j >= 0 off P; a KKT point of a convex QP is its minimum,
-    and the only one when R is positive definite, the one case in which the
-    solve is tried.  A row whose certificate fails goes to NNLS,
-    ||L a - pinv(L') c_i||^2 with R = L'L, so every row still gets its exact
-    optimum.  Most rows keep their support from one iteration to the next,
-    so most row solves skip NNLS; how many fall back depends on the scene
-    and, through roundoff, on BLAS's thread count.
-
-    A mixer makes one sweep over its columns, each solved exactly with the
-    others fixed: column j minimizes r_jj ||P s||^2 - 2 s'd_j over the
-    simplex, d_j = c_j - U(S r_j - s_j r_jj).  With U = L'L that is
-    r_jj ||L s - t_j||^2 plus a constant, where
-    t_j = pinv(L') d_j / r_jj = (pinv(L') c_j - L S r_j) / r_jj + L s_j, a
-    simplex least-squares problem.  Every solve lowers its block's
-    objective; if roundoff makes one rise anyway, the block keeps its old
-    value, so the bound never drops.  The sweep returns one new, validated
-    stack.
+    The sweep reads the data and the concentrations only as the statistics
+    ym = Y M' and pbar = Pbar (D16), which :func:`fit` forms once per
+    iteration.  :func:`_factor_block` minimizes each block's quadratic (D17);
+    the sweep forms every W once, from the incoming factors, and carries P
+    from block to block (D18).  No block keeps a value that raises its
+    objective (D20), so the bound never drops.  Most basis rows keep their
+    support from one iteration to the next and skip NNLS; how many fall back
+    depends on the scene and, through roundoff, on BLAS's thread count.
+    Returns one new, validated stack.
     """
     mats = [stack.basis, *stack.mixers]
     tail = _suffix_products(mats)
@@ -567,16 +484,16 @@ def _update_factors(stack: FactorStack, ym: np.ndarray, pbar: np.ndarray) -> Fac
 
 
 def _noise_var_at(y: np.ndarray, b: np.ndarray, betas: np.ndarray) -> float:
-    """The closed-form noise variance (:func:`_noise_var`) at (B, betas),
-    from ||Y||^2 plus the summed per-pixel :func:`_expected_resid`, as
-    :func:`fit`'s noise update forms it, through :func:`_data_terms`.  The
-    caller (``init_all``) floors the concentrations at ``BETA_FLOOR``."""
+    """The closed-form noise variance (D15) at (B, betas), from ||Y||^2 plus
+    the summed :func:`_expected_resid`, as :func:`fit`'s noise update forms
+    it, through :func:`_data_terms`.  The caller (``init_all``) floors the
+    concentrations at ``BETA_FLOOR``."""
     c, g, _, yy = _data_terms(y, b, betas, "init_all")
     return _noise_var(yy + _expected_resid(c, g, betas)[0].sum(), y.size)
 
 
 def _noise_var(rsum, size: int) -> float:
-    """The mean expected squared error, rsum over the size of Y, floored at
+    """The noise variance (D15): rsum over the size of Y, floored at
     ``NOISE_VAR_FLOOR``, the least noise variance a FactorStack accepts."""
     return max(float(rsum) / size, NOISE_VAR_FLOOR)
 
@@ -586,26 +503,23 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
 
     Per outer iteration the update order is: concentrations, core basis,
     each mixing layer in order, then the noise variance.  The traced bound
-    is evaluated after the four blocks and is non-decreasing.  The (c, G)
-    formed after the factor sweep serve the noise update, the bound and the
-    next iteration's concentration passes: the noise update leaves B as it
-    is.  fit holds one state, one tuple of a writable copy of the starting
-    concentrations and their :func:`_beta_point` record, which the passes
-    update in place.  The record is evaluated once, before the loop; after
-    each sweep the residual that the noise update and the bound read, with
-    the state's entropy, forms the next record.  The concentrations are
-    frozen once, into the returned DirichletParam.  Each iteration's time
-    covers all of its work, the first's that start evaluation too.
+    (D2) is evaluated after the four blocks, is non-decreasing, and ends the
+    loop by the stop rule (D29).  The (c, G) formed after the factor sweep
+    serve the noise update, the bound and the next iteration's passes.  fit
+    holds one state, a writable copy of the starting concentrations and
+    their :func:`_beta_point` record: the record is evaluated once, before
+    the loop, and then formed from the residual the bound reads.  The
+    concentrations are frozen once, into the returned DirichletParam.  Each
+    iteration's time covers all of its work, the first's that start
+    evaluation too.
 
-    The concentration passes run on ceil(N / 1024) contiguous pixel blocks
-    of near-equal width, a split that depends on N alone, in one group per
-    usable core (``os.sched_getaffinity``), at most one per block: the
-    calling thread runs the first group and a pool opened for each
-    iteration's passes the others (:func:`_ascend_blocks`).  Everything
-    else runs in the calling thread on whole arrays.  A block's bits do not
-    depend on the thread that runs it, so fit's do not depend on the core
-    count; N <= 1024 is one block and starts no thread.  No thread outlives
-    the passes, and a block's exception is raised here.
+    The passes run on ceil(N / 1024) contiguous pixel blocks of near-equal
+    width, a split that depends on N alone, in one group per usable core
+    (``os.sched_getaffinity``), at most one per block (:func:`_ascend_blocks`).
+    Everything else runs in the calling thread on whole arrays.  A block's
+    bits do not depend on the thread that runs it, so fit's do not depend on
+    the core count; N <= 1024 is one block and starts no thread.  No thread
+    outlives the passes, and a block's exception is raised here.
     """
     if not isinstance(betas, DirichletParam):
         betas = DirichletParam(betas)
@@ -645,7 +559,7 @@ def fit(pixels, stack: FactorStack, betas, config: FitConfig = FitConfig()) -> F
             if rel < -_BOUND_DROP_TOL:
                 stop_reason = "bound_decreased"
                 break
-            if rel < config.rel_elbo_tol:
+            if config.rel_elbo_tol > 0.0 and rel < config.rel_elbo_tol:
                 stop_reason = "converged"
                 break
         prev = cur

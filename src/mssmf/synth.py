@@ -21,7 +21,7 @@ from .model import (
 from .simplex import sample_dirichlet
 
 DEFAULT_GAMMA = 0.25
-DEFAULT_KNOTS = 10
+_KNOTS = 10
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,16 @@ def gen_variants(
     base: np.ndarray,
     count: int,
     gamma: float = DEFAULT_GAMMA,
-    knots: int = DEFAULT_KNOTS,
+    *,
     seed: RngLike = 0,
 ) -> np.ndarray:
     """Multiplicative smooth variants of one base spectrum.
 
     Every variant is base * field, where the field interpolates linearly
-    between `knots` equally spaced values drawn uniformly from
+    between ``_KNOTS`` (10) equally spaced values drawn uniformly from
     [1 - gamma, 1 + gamma].  Consequently each band i of each variant v
     satisfies |v_i - base_i| <= gamma * base_i, and nonnegativity is
-    preserved.  The base must be finite; count and knots are integers.
+    preserved.  The base must be finite; count is an integer.
     """
     a = _prep_arg(base, "base spectrum", 0.0)
     if a.ndim != 1 or a.size < 1:
@@ -78,15 +78,14 @@ def gen_variants(
     gamma = _scalar(gamma, "gamma")
     if not 0.0 <= gamma < 1.0:
         raise ValidationError(f"gamma must be in [0, 1), got {gamma!r}")
-    knots = _checked_count(knots, "knots", 2)
     count = _checked_count(count, "count", 1)
     rng = _as_rng(seed)
     m = a.size
     grid = np.arange(m, dtype=np.float64)
-    knot_x = np.linspace(0.0, m - 1.0, knots)
+    knot_x = np.linspace(0.0, m - 1.0, _KNOTS)
     out = np.empty((m, count))
     for j in range(count):
-        knot_vals = rng.uniform(1.0 - gamma, 1.0 + gamma, size=knots)
+        knot_vals = rng.uniform(1.0 - gamma, 1.0 + gamma, size=_KNOTS)
         out[:, j] = a * np.interp(grid, knot_x, knot_vals)
     return out
 
@@ -103,7 +102,7 @@ def assemble_ground_truth(
     For each base column, generates a pool of variants and picks `pick`
     of them uniformly without replacement.  Returns (endmembers, labels)
     where labels[j] is the base index variant j came from.  The counts are
-    integers; :func:`gen_variants` checks each base and the field settings.
+    integers; :func:`gen_variants` checks each base and gamma.
     """
     b = _matrix(bases, "assemble_ground_truth's base spectrum matrix")
     variants_per_base = _checked_count(variants_per_base, "variants_per_base", 1)

@@ -46,10 +46,10 @@ def verdict(tag, ok, detail):
 
 
 def test_01_gradients_match_finite_differences():
-    # the kernels fit runs: the concentration gradient against central
-    # differences of the summed per-pixel bound, and each factor block's
-    # quadratic q(X) = tr(X'UXR) - 2<X, C> against the bound, which is
-    # exactly -q / (2 sigma2 N) plus a constant in that factor
+    # the kernels fit runs: the concentration gradient, (D10) and (D11),
+    # against central differences of the summed per-pixel bound, and each
+    # factor block's quadratic (D17) against the bound, which is exactly
+    # -q / (2 sigma2 N) plus a constant in that factor
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     probe = np.random.default_rng(1010)
@@ -100,7 +100,7 @@ def test_01_gradients_match_finite_differences():
 
 
 def test_02_bound_matches_monte_carlo():
-    # the bound fit reports, at the state a one-iteration fit returns
+    # the bound (D2) fit reports, at the state a one-iteration fit returns
     rng = np.random.default_rng(202)
     worst_z = 0.0
     for _ in range(5):
@@ -144,7 +144,7 @@ def _sigma2_derivative(y, b, betas, s2):
 
 
 def test_04_noise_variance_update_is_stationary():
-    # init_all's noise variance, the closed form fit's noise update also
+    # init_all's noise variance, the closed form (D15) fit's noise update also
     # runs: on random instances, and at the README quick-start init_all
     # state, where sigma2 is ~1e-4 and the bound's two sigma2 terms are ~1e2
     # nats/pixel each, so the scale-free sigma2 dF/d(sigma2) is checked
@@ -175,8 +175,9 @@ def test_04_noise_variance_update_is_stationary():
 
 
 def test_05_projection_matches_active_set_oracle():
-    # the simplex least squares behind scls and the mixer sweeps (the id
-    # dates from when criterion 05 tested the simplex projection); A and
+    # the simplex least squares, (D24) after the reduction (D25), behind
+    # scls and the mixer sweeps (the id dates from when criterion 05 tested
+    # the simplex projection); A and
     # y = A z + noise scale together, so optimal supports of every size occur
     rng = np.random.default_rng(505)
     worst = 0.0
@@ -198,8 +199,8 @@ def test_05_projection_matches_active_set_oracle():
 
 
 def test_06_assignment_matches_exhaustive_search():
-    # aligned_mse's permutation and MSE against every permutation of the
-    # squared-distance cost
+    # aligned_mse's permutation and MSE (D30) against every permutation of
+    # the squared-distance cost
     rng = np.random.default_rng(606)
     bad = 0
     for _ in range(200):

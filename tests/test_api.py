@@ -16,8 +16,10 @@ import mssmf
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+DERIVATION = ROOT / "DERIVATION.md"
 SOURCES = sorted((ROOT / "src" / "mssmf").glob("*.py"))
 BENCH_SOURCES = sorted((ROOT / "perfbench").glob("*.py"))
+TEST_SOURCES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -232,3 +234,23 @@ def test_benchmark_contracts_beyond_the_scan(rng):
     want = basis @ mixer
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# equations of DERIVATION.md that no test cites, by number; a test that
+# checks one removes it from this set, which may shrink and never grow
+UNTESTED_EQUATIONS = {6}
+
+
+def _cited(paths):
+    """The equation numbers that the files at paths cite as (Dn)."""
+    return {int(n) for p in paths for n in re.findall(r"\(D(\d+)\)", p.read_text())}
+
+
+def test_every_equation_is_cited_by_a_test_and_every_citation_exists():
+    # DERIVATION.md defines each equation once, as a bold (Dn) at the start
+    # of a line, numbered from 1 without a gap
+    defined = [int(n) for n in re.findall(r"^\*\*\(D(\d+)\)", DERIVATION.read_text(), re.M)]
+    assert defined == list(range(1, len(defined) + 1))
+    cited = _cited(SOURCES + TEST_SOURCES + [README])
+    assert sorted(cited - set(defined)) == []
+    assert set(defined) - _cited(TEST_SOURCES) == UNTESTED_EQUATIONS

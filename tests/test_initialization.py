@@ -33,9 +33,8 @@ FW_GAP_BOUND = 1e-13
 
 
 def frank_wolfe_gap(y, a, s):
-    """Per column, q's - min_j q_j with q = A'(A s - y), the gradient of
-    ||y - A s||^2 / 2.  The objective is convex, so this bounds its excess
-    over the minimum on the unit simplex; it is 0 exactly at a minimizer."""
+    """Per column, the Frank-Wolfe gap (D26) of ||y - A s||^2 / 2, which
+    bounds its excess over the minimum on the unit simplex."""
     q = a.T @ (a @ s - y)
     return (q * s).sum(axis=0) - q.min(axis=0)
 
@@ -81,6 +80,7 @@ class TestVca:
         np.testing.assert_array_equal(est, y[:, idx])
 
     def test_k_equals_one_picks_largest_projection(self, rng):
+        # the k = 1 pick of (D27)
         y, _, _ = pure_pixel_scene(rng, m=12, k=3, n=60)
         est, idx = vca(y, 1, seed=0)
         centered = y - y.mean(axis=1, keepdims=True)
@@ -102,7 +102,8 @@ class TestVca:
 
     @pytest.mark.parametrize("offset", [1e-9, 1e-6])
     def test_diversity_rule_is_the_covariance_rank(self, rng, offset):
-        # mixtures of three vertices, the third `offset` off the line through
+        # the rank rule of (D27) on mixtures of three vertices, the third
+        # `offset` off the line through
         # the other two: the covariance's second eigenvalue is about offset^2
         # relative, below bands * eps at 1e-9 and resolved at 1e-6
         a, b = rng.uniform(0.1, 1.0, (2, 10))
@@ -165,6 +166,7 @@ class TestVca:
     @settings(deadline=None, derandomize=True, max_examples=150)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(2, 80), st.data())
     def test_picks_match_reference_on_random_data(self, seed, m, n, data):
+        # the picks against the pseudo-inverse form (D28)
         k = data.draw(st.integers(2, min(m, n)), label="k")
         y = np.random.default_rng(seed).uniform(0.0, 1.0, (m, n))
         np.testing.assert_array_equal(*picks_and_reference(y, k, seed))
@@ -172,7 +174,8 @@ class TestVca:
     @settings(deadline=None, derandomize=True, max_examples=100)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(2, 20), st.data())
     def test_picks_match_reference_on_duplicated_pixels(self, seed, m, distinct, data):
-        # every distinct pixel appears at least once, most several times.
+        # (D28) on duplicated pixels: every distinct pixel appears at least
+        # once, most several times.
         # A product rounds a column by its position in it, so copies of a
         # pixel score a bit apart and roundoff in the direction can pick
         # another copy: the spectra match, the index may name another copy
@@ -186,6 +189,7 @@ class TestVca:
     @settings(deadline=None, derandomize=True, max_examples=100)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.data())
     def test_picks_match_reference_on_noise_free_simplex_data(self, seed, vertices, data):
+        # (D28) on data in the affine set of the frame (D27)
         m = data.draw(st.integers(vertices, 60), label="bands")
         k = data.draw(st.integers(2, vertices), label="k")
         y, _, _ = pure_pixel_scene(np.random.default_rng(seed), m=m, k=vertices, n=40 * vertices)
@@ -193,7 +197,8 @@ class TestVca:
 
     def test_picks_match_reference_on_the_quick_start_scene(self, quick_start_pixels):
         y = quick_start_pixels.data
-        # init_all's two runs at seed 9 (dims 6,18,30) and the README's vca call
+        # (D28) for init_all's two runs at seed 9 (dims 6,18,30) and the
+        # README's vca call
         basis_seed, expanded_seed, _ = np.random.SeedSequence(9).spawn(3)
         for k, seed in ((6, basis_seed), (30, expanded_seed), (30, 9)):
             np.testing.assert_array_equal(*picks_and_reference(y, k, seed))
@@ -247,6 +252,7 @@ class TestScls:
         np.testing.assert_allclose(s, s_star, atol=1e-6)
 
     def test_kkt_residual_small(self, rng):
+        # the Frank-Wolfe gap (D26) certifies each solution
         for _ in range(10):
             a = rng.uniform(0.0, 1.0, (15, 5))
             y = rng.uniform(0.0, 1.0, 15)
@@ -256,7 +262,8 @@ class TestScls:
             assert frank_wolfe_gap(y, a, toward_far_vertex(s, 1e-8)) > FW_GAP_BOUND
 
     def test_stationary_at_desk_scale(self):
-        # README quick-start scene against 30 VCA endmembers: the Gram
+        # the Frank-Wolfe gap (D26) on the README quick-start scene against
+        # 30 VCA endmembers: the Gram
         # condition number is in the thousands, where a first-order
         # method stalls short of the optimum
         truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
@@ -272,6 +279,7 @@ class TestScls:
         "case", ["generic", "duplicate_column", "near_duplicate_column", "wide"]
     )
     def test_matches_support_enumeration_oracle(self, rng, case):
+        # the homogenized NNLS (D24) against support enumeration
         for _ in range(25):
             if case == "wide":
                 # more endmembers than bands
@@ -298,8 +306,8 @@ class TestScls:
         "case", ["vca", "duplicated", "rank_deficient", "fewer_bands"]
     )
     def test_reduction_matches_unreduced_solve(self, quick_start_endmembers, case):
-        # the solves run on one QR of the endmembers; every pixel's residual
-        # must be the one an NNLS over all bands reaches
+        # the solves run on one QR of the endmembers (D25); every pixel's
+        # residual must be the one an NNLS over all bands reaches
         y, a = quick_start_endmembers
         if case == "duplicated":
             a = np.hstack([a, a[:, :5]])
@@ -319,6 +327,7 @@ class TestScls:
         assert np.all(np.abs(got - want) <= 1e-12 * want + floor)
 
     def test_pixel_solves_have_endmember_count_rows(self, quick_start_endmembers, monkeypatch):
+        # (D25): k + 1 rows per solve after the reduction
         y, a = quick_start_endmembers
         shapes = set()
 

@@ -28,6 +28,7 @@ class TestAlignedMse:
         assert res.mse == 5.0 / (2 * 100.0)
 
     def test_matches_bruteforce(self, rng):
+        # the aligned MSE (D30) against exhaustive permutation search
         for _ in range(60):
             k = int(rng.integers(2, 7))
             truth = rng.uniform(0.0, 1.0, (int(rng.integers(2, 9)), k))
@@ -62,6 +63,7 @@ class TestAlignedMse:
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
     def test_dominates_every_permutation(self, seed, k):
+        # (D30) is a minimum over the permutations
         r = np.random.default_rng(seed)
         est, truth = r.uniform(0, 1, (2, 5, k))
         res = aligned_mse(est, truth)
@@ -100,6 +102,7 @@ class TestAlignedMse:
         assert aligned_mse(a[:, ::-1], a).mse == 0.0
 
     def test_matches_direct_formula_with_bruteforce_permutation(self, rng):
+        # (D30) written out term by term
         for _ in range(10):
             a = rng.uniform(0, 1, (6, 4))
             est = a + rng.normal(0, 0.05, a.shape)

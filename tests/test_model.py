@@ -338,6 +338,7 @@ class TestCompose:
         assert got.flags.writeable and not np.shares_memory(got, stack.basis)
 
     def test_matches_plain_product(self, rng):
+        # B = A S_1 ... S_L of the model (D1)
         for _ in range(10):
             _, stack, _ = random_instance(rng, depth=3)
             got = compose_expanded(stack)

@@ -58,17 +58,20 @@ class TestSpecialFunctions:
     oracle."""
 
     def test_log_gamma_against_mpmath(self):
+        # the log-gammas of the entropy (D7)
         _check_against_mpmath(sp.gammaln, mpmath.loggamma)
 
     def test_digamma_against_mpmath(self):
+        # the digammas of the entropy (D7)
         _check_against_mpmath(sp.psi, lambda z: mpmath.psi(0, z))
 
     def test_trigamma_against_mpmath(self):
+        # the shift (D8) and the series (D9)
         _check_against_mpmath(simplex._trigamma, lambda z: mpmath.psi(1, z))
 
     def test_trigamma_relative_error_against_mpmath(self):
-        # relative only: trigamma reaches 1e12 at the concentration floor,
-        # where ABS_TOL would accept any error
+        # (D8) and (D9), relative only: trigamma reaches 1e12 at the
+        # concentration floor, where ABS_TOL would accept any error
         xs = _mp_grid()
         want = np.array([float(mpmath.psi(1, mpmath.mpf(float(x)))) for x in xs])
         rel = np.abs(simplex._trigamma(xs) - want) / want
@@ -76,7 +79,7 @@ class TestSpecialFunctions:
 
     def test_trigamma_entry_depends_on_that_entry_alone(self, rng):
         # the concentration update evaluates column chunks of one array, so
-        # an entry's result must not depend on its neighbours
+        # an entry's result must not depend on its neighbours (D8)
         x = 10.0 ** rng.uniform(-6, 6, (7, 40))
         x[:, ::3] = BETA_FLOOR
         got = simplex._trigamma(x)
@@ -93,6 +96,7 @@ class TestSpecialFunctions:
             assert f(x).shape == (3, 4)
 
     def test_recurrence_identities(self, rng):
+        # trigamma's recurrence (D8), and log-gamma's and digamma's
         x = rng.uniform(0.01, 20.0, 200)
         np.testing.assert_allclose(
             sp.gammaln(x + 1.0) - sp.gammaln(x), np.log(x), rtol=1e-11, atol=1e-11
@@ -117,6 +121,7 @@ class TestDirichlet:
         np.testing.assert_allclose(p.mean.sum(axis=0), np.ones(6), atol=1e-12)
 
     def test_mean_formula(self, rng):
+        # E[z] of (D4)
         b = rng.uniform(0.2, 5.0, 6)
         np.testing.assert_allclose(MOMENTS["dirichlet_mean"](b), b / b.sum(), rtol=1e-14)
 
@@ -130,18 +135,20 @@ class TestDirichlet:
             DirichletParam(conc)
 
     def test_second_moment_row_sums_give_mean(self, rng):
-        # P @ 1 = m is an identity of the Dirichlet second moment
+        # P @ 1 = m is an identity of the Dirichlet second moment (D4)
         b = rng.uniform(0.2, 5.0, 5)
         p = dirichlet_second_moment(b)
         np.testing.assert_allclose(p @ np.ones(5), MOMENTS["dirichlet_mean"](b), rtol=1e-12)
 
     def test_second_moment_monte_carlo(self, rng):
+        # E[z z'] of (D4) against Monte Carlo draws
         b = np.array([0.8, 2.5, 1.2, 3.0])
         draws = sample_dirichlet(b, 400_000, rng)
         emp = draws @ draws.T / draws.shape[1]
         np.testing.assert_allclose(dirichlet_second_moment(b), emp, atol=2e-3)
 
     def test_entropy_matches_scipy(self, rng):
+        # (D7) against scipy.stats
         for _ in range(40):
             k = int(rng.integers(2, 7))
             alpha = rng.uniform(0.05, 15.0, k)
@@ -163,6 +170,7 @@ class TestDirichlet:
             assert batched[j] == pytest.approx(dirichlet_entropy(conc[:, j]), rel=1e-12)
 
     def test_sampling_moments(self, rng):
+        # the sampler's draws against the mean of (D4)
         alpha = np.array([1.0, 3.0, 0.5])
         z = sample_dirichlet(alpha, 200_000, rng)
         assert np.all(z >= 0)
@@ -183,7 +191,7 @@ class TestDirichlet:
                 sample_dirichlet(np.array([1.0, bad]), 5, rng)
 
     def test_entropy_uses_gammaln_pieces_correctly(self, rng):
-        # independent recomputation from scipy special functions
+        # (D7), recomputed from scipy special functions
         b = rng.uniform(0.3, 4.0, 6)
         t = b.sum()
         ref = (
@@ -234,7 +242,7 @@ class TestChecks:
     @pytest.mark.parametrize("k", [6, 18, 30])
     def test_entropy_of_a_column_depends_on_it_alone(self, rng, k):
         # the solver keeps the entropy of gathered pixels as the whole
-        # array's; b[:, idx] is not C-ordered, and numpy sums a lone
+        # array's (D7); b[:, idx] is not C-ordered, and numpy sums a lone
         # contiguous column pairwise
         x = _grid_matrix(rng, k, 600)
         whole = dirichlet_entropy(x)

@@ -148,6 +148,8 @@ def quick_start_state(request):
 
 class TestElbo:
     def test_matches_monte_carlo(self, rng):
+        # the bound (D2) of the model (D1), with the residual (D5) and the
+        # entropy (D7) in closed form, against draws from the posteriors
         for _ in range(3):
             y, stack, betas = random_instance(rng, max_dim=5)
             b = expanded_of(stack)
@@ -180,6 +182,7 @@ def factor_gradients(y, stack, betas):
 
 class TestGradients:
     def test_factor_gradients_match_finite_differences(self, rng):
+        # each block's quadratic (D17) gives the bound's factor gradient
         for _ in range(6):
             y, stack, betas = random_instance(rng, max_dim=6, depth=2)
             sigma2 = stack.noise_var
@@ -203,8 +206,9 @@ class TestGradients:
             assert np.abs(g_mixer - fd_mix).max() < 1e-6 * (1 + np.abs(fd_mix).max())
 
     def test_beta_gradient_matches_finite_differences(self, rng):
-        # the concentration kernels the line search runs, summed over pixels
-        # and averaged as the bound is
+        # the concentration gradient, (D10) and (D11), of the per-pixel
+        # value (D3) the line search runs, summed over pixels and averaged
+        # as the bound is
         for _ in range(6):
             y, stack, betas = random_instance(rng, max_dim=6)
             b = expanded_of(stack)
@@ -217,6 +221,7 @@ class TestGradients:
             assert np.abs(got - fd).max() < 1e-6 * (1 + np.abs(fd).max())
 
     def test_deep_stack_gradients(self, rng):
+        # (D17) for the second of three mixers
         y, stack, betas = random_instance(rng, max_dim=5, depth=3)
         grads = factor_gradients(y, stack, betas)
         assert [x.shape for x in grads] == [stack.basis.shape, *(s.shape for s in stack.mixers)]
@@ -232,6 +237,7 @@ class TestGradients:
 
 class TestSigma2:
     def test_closed_form_is_stationary(self, rng):
+        # the noise variance (D15) is a stationary point of the bound
         for _ in range(5):
             y, stack, betas = random_instance(rng)
             b = expanded_of(stack)
@@ -244,8 +250,8 @@ class TestSigma2:
 
     def test_floor_applies(self):
         # exact data and near-certain concentrations: the expected residual
-        # is below the floor FactorStack enforces, so the update clamps to
-        # it and fit can keep going from there
+        # is below the floor FactorStack enforces, so the update (D15) clamps
+        # to it and fit can keep going from there
         r = np.random.default_rng(0)
         basis = r.uniform(0.1, 1.0, (8, 2))
         mixer = sample_dirichlet(np.ones(2), 4, r)
@@ -265,8 +271,9 @@ class TestSigma2:
         " so the bound drops at roundoff",
     )
     def test_exact_data_fits_to_the_last_iteration(self):
-        # test_floor_applies' scene, started above the floor: the fit stops
-        # with "bound_decreased" at iteration 10, at sigma2 about 1e-8
+        # test_floor_applies' scene, started above the floor: the residual
+        # (D5) cancels, and the fit stops with "bound_decreased" at
+        # iteration 10, at sigma2 about 1e-8
         r = np.random.default_rng(0)
         basis = r.uniform(0.1, 1.0, (8, 2))
         mixer = sample_dirichlet(np.ones(2), 4, r)
@@ -277,6 +284,7 @@ class TestSigma2:
         assert res.trace.stop_reason == "max_iters"
 
     def test_never_decreases_the_bound(self, rng):
+        # (D15) maximizes the bound over the noise variance
         for _ in range(5):
             y, stack, betas = random_instance(rng)
             b = expanded_of(stack)
@@ -287,6 +295,7 @@ class TestSigma2:
 
 class TestBetaUpdate:
     def test_never_decreases_the_bound(self, rng):
+        # an Armijo step (D12) never lowers a pixel's value
         for _ in range(5):
             y, stack, betas = random_instance(rng)
             b = expanded_of(stack)
@@ -347,6 +356,7 @@ class TestBetaUpdate:
         assert after > before + 0.1
 
     def test_carried_values_match_reference_loop(self, quick_start_state):
+        # the line search (D12) against a reference that evaluates afresh
         y, b, betas, sigma2, _ = quick_start_state
         c, g = b.T @ y, b.T @ b
         want, _ = reference_beta_ascent(c, g, betas, sigma2, 5)
@@ -360,7 +370,8 @@ class TestBetaUpdate:
         assert np.all(np.diff(values, axis=0) >= 0)
 
     def test_every_pass_keeps_each_pixel_bound(self, rng):
-        # on these instances later passes reject steps; a pass that kept a
+        # (D12) keeps each pixel's value (D3) pass by pass.  On these
+        # instances later passes reject steps; a pass that kept a
         # stale value for a pixel whose step it accepted would let the next
         # one accept a step that lowers that pixel's bound
         for _ in range(20):
@@ -436,9 +447,10 @@ class TestBetaUpdate:
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.floats(-6.0, 0.0))
     def test_skip_premises_hold(self, seed, log_sigma2):
-        # the search skips a step whose Armijo demand exceeds the headroom
-        # below yss / (2 sigma2) - log Gamma(K); check that ceiling and that
-        # the skip accepts what the unskipped search accepts
+        # the search skips a step whose Armijo demand (D14) exceeds the
+        # headroom below the ceiling (D13), yss / (2 sigma2) - log Gamma(K),
+        # the entropy's maximum (D7); check that ceiling and that the skip
+        # accepts what the unskipped search accepts
         rng = np.random.default_rng(seed)
         y, stack, _ = random_instance(rng, sigma2=10.0**log_sigma2)
         b = expanded_of(stack)
@@ -682,6 +694,8 @@ class TestRawEntryChecks:
 class TestUpdateFactor:
     @pytest.mark.parametrize("case", sorted(EXACT_CASES))
     def test_block_terms_match_definitions(self, rng, case):
+        # (U, R, C) of (D17) from the statistics (D16), against the
+        # definitions with the second-moment oracle
         layers, zero_rows = EXACT_CASES[case]
         y, stack, betas = structured_instance(rng, layers, zero_rows)
         mats = [stack.basis, *stack.mixers]
@@ -699,6 +713,8 @@ class TestUpdateFactor:
 
     @pytest.mark.parametrize("case", sorted(EXACT_CASES))
     def test_basis_matches_support_enumeration_oracle(self, rng, case):
+        # every basis row's QP (D21), on the certified and the reduced NNLS
+        # (D22) path, against support enumeration
         layers, zero_rows = EXACT_CASES[case]
         for _ in range(10):
             y, stack, betas = structured_instance(rng, layers, zero_rows)
@@ -713,6 +729,8 @@ class TestUpdateFactor:
 
     @pytest.mark.parametrize("case", sorted(EXACT_CASES))
     def test_mixer_sweep_solves_its_last_column(self, rng, case):
+        # the column target t_j (D23) and its simplex least squares (D24),
+        # against support enumeration
         layers, zero_rows = EXACT_CASES[case]
         for _ in range(10):
             y, stack, betas = structured_instance(rng, layers, zero_rows)
@@ -738,6 +756,7 @@ class TestUpdateFactor:
     )
     def test_column_outside_the_objective_is_left_alone(self, rng, case, which, col):
         # no later layer uses component `col` of block `which`, so r_jj = 0
+        # and the column keeps its value (D19)
         layers, zero_rows = EXACT_CASES[case]
         y, stack, betas = structured_instance(rng, layers, zero_rows)
         _, r, _, _ = block_problem(y, stack, betas, which)
@@ -751,8 +770,8 @@ class TestUpdateFactor:
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     def test_blocks_keep_stack_feasible_and_bound_monotone(self, seed, depth):
-        # every block of an outer iteration, in fit's order: concentrations,
-        # basis, each mixer, noise variance
+        # every block of an outer iteration, in fit's order: concentrations
+        # (D12), basis and each mixer (D17, D20), noise variance (D15)
         rng = np.random.default_rng(seed)
         y, stack, betas = random_instance(rng, max_dim=6, depth=depth)
 
@@ -792,7 +811,8 @@ class TestUpdateFactor:
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_keeps_old_block_when_objective_rises(self, rng, monkeypatch, which):
-        # a solver that returns a worse point: the block must stay as it was
+        # a solver that returns a worse point: the block must stay as it was,
+        # by the keep-old guard (D20)
         y, stack, betas = random_instance(rng, depth=2)
         if which == 0:
             monkeypatch.setattr(solver, "_nnls_rows", lambda r, c, old: np.full(c.shape, 1e3))
@@ -811,7 +831,7 @@ class TestUpdateFactor:
         for which in range(len(stack.mixers) + 1):
             # statistics, prefix and suffix products recomputed for every
             # block: the sweep's carried prefix and one set of suffix
-            # products must give the same bits
+            # products (D18) must give the same bits
             mats[which] = block_update(mats, which, y, betas)
         assert isinstance(got, FactorStack)
         assert got.noise_var == stack.noise_var
@@ -821,7 +841,7 @@ class TestUpdateFactor:
 
     def test_basis_rows_at_desk_scale(self, quick_start_state, monkeypatch):
         # every band row against its own NNLS solve; the batched solve must
-        # certify some rows and send others to the fallback
+        # certify some rows (D21) and send others to the fallback (D22)
         y, _, betas, _, stack = quick_start_state
         _, r, c, _ = block_problem(y, stack, betas, 0)
         exact = solver.nnls
@@ -843,10 +863,9 @@ class TestUpdateFactor:
         assert 0 < len(fallback) < got.shape[0]
 
 
-class TestApg:
-    """The per-block solver on fixed depth-2 and depth-3 stacks.  The class
-    keeps the name it had when the blocks were solved by accelerated
-    projected gradient (APG)."""
+class TestBlockQuadratic:
+    """The per-block solver of the block quadratic (D17) on fixed depth-2
+    and depth-3 stacks."""
 
     def test_factor_update_never_increases_residual_objective(self, rng):
         for which in (0, 1):
@@ -876,19 +895,35 @@ class TestFit:
         assert np.all(np.diff(f) >= -1e-8 * (1.0 + np.abs(f[:-1])))
 
     def test_zero_tolerance_runs_all_iterations(self, rng):
+        # the stop rule (D29) at its default tolerance
         y, stack, betas = random_instance(rng)
         res = fit(y, stack, betas, FitConfig(max_outer_iters=7, rel_elbo_tol=0.0))
         assert len(res.trace) == 7
         assert res.trace.stop_reason == "max_iters"
 
     def test_loose_tolerance_stops_early(self, rng):
+        # (D29) with a tolerance above 0
         y, stack, betas = random_instance(rng)
         res = fit(y, stack, betas, FitConfig(max_outer_iters=50, rel_elbo_tol=1e-2))
         assert res.trace.stop_reason == "converged"
         assert len(res.trace) < 50
 
+    def test_zero_tolerance_does_not_stop_on_roundoff(self):
+        # (D29) at the default tolerance of 0: a relative change in
+        # [-1e-10, 0) is roundoff, and the fit goes on.  Exact data started
+        # near-certain, test_floor_applies' scene from another seed: the
+        # bound's first roundoff dip (-1.09e-12) comes at iteration 4
+        r = np.random.default_rng(28)
+        basis = r.uniform(0.1, 1.0, (8, 2))
+        mixer = sample_dirichlet(np.ones(2), 4, r)
+        z = sample_dirichlet(np.ones(4), 40, r)
+        stack = FactorStack(basis, (mixer,), 1e-6)
+        betas = np.maximum(z * 1e6, BETA_FLOOR)
+        res = fit(basis @ mixer @ z, stack, betas, FitConfig(max_outer_iters=100))
+        assert res.trace.stop_reason != "converged"
+
     def test_bound_drop_stops_with_its_own_reason(self, rng, monkeypatch):
-        # a noise variance 100x off its closed form lowers the bound
+        # a noise variance 100x off its closed form lowers the bound (D29)
         y, stack, betas = random_instance(rng)
         exact = solver._noise_var
         calls = []
@@ -904,6 +939,7 @@ class TestFit:
         assert res.trace.elbo[1] < res.trace.elbo[0]
 
     def test_non_finite_bound_stops_with_its_own_reason(self, rng, monkeypatch):
+        # the stop rule (D29) on a NaN bound
         y, stack, betas = random_instance(rng)
         exact = solver._bound
         calls = []
@@ -1031,8 +1067,8 @@ class TestFit:
 
     @pytest.mark.parametrize("case", ["quick_start", "deep"])
     def test_bound_matches_a_fresh_evaluation(self, case):
-        # the traced bound sums the entropy the passes carried, gathered
-        # retries included; it must have the bits of the bound evaluated
+        # the traced bound (D2) sums the entropy the passes carried, gathered
+        # retries included (D7); it must have the bits of the bound evaluated
         # again from the returned state.  On the deep scene, an entropy
         # that summed a gathered column pairwise is one ulp off at 15
         y, stack, betas = retrying_state(case)

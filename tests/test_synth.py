@@ -37,11 +37,11 @@ class TestGenVariants:
             np.testing.assert_allclose(v[:, j], base, rtol=1e-15)
 
     @settings(deadline=None, max_examples=30)
-    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.9), st.integers(2, 12))
-    def test_per_band_bound_holds(self, seed, gamma, knots):
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.9))
+    def test_per_band_bound_holds(self, seed, gamma):
         r = np.random.default_rng(seed)
         base = r.uniform(0.0, 1.0, 40)
-        v = gen_variants(base, 5, gamma=gamma, knots=knots, seed=seed)
+        v = gen_variants(base, 5, gamma=gamma, seed=seed)
         bound = gamma * base[:, None] * (1 + 1e-12) + 1e-15
         assert np.all(np.abs(v - base[:, None]) <= bound)
         assert np.all(v >= 0)
@@ -56,8 +56,12 @@ class TestGenVariants:
         base = rng.uniform(0.1, 1.0, 20)
         with pytest.raises(ValidationError):
             gen_variants(base, 3, gamma=1.0)
-        with pytest.raises(ValidationError):
-            gen_variants(base, 3, knots=1)
+        # the knot count is a module constant, not an argument, and the seed
+        # is keyword-only, so an old positional knot count is refused too
+        with pytest.raises(TypeError):
+            gen_variants(base, 3, knots=3)
+        with pytest.raises(TypeError):
+            gen_variants(base, 3, 0.25, 3)
         with pytest.raises(ValidationError):
             gen_variants(-base, 3)
         with pytest.raises(ValidationError):
@@ -104,7 +108,6 @@ _NAN_BASE = np.array([np.nan, 1.0, 1.0])
         (lambda: assemble_ground_truth(_NAN_BASE[:, None], 4, pick=2), "base spectrum"),
         (lambda: gen_variants(_BASE, 2.0), "count"),
         (lambda: gen_variants(_BASE, True), "count"),
-        (lambda: gen_variants(_BASE, 2, knots=3.0), "knots"),
         (lambda: gen_variants(_BASE, 2, gamma="wide"), "gamma"),
         (lambda: assemble_ground_truth(builtin_bases(20), 4, pick=2.0), "pick"),
         (lambda: assemble_ground_truth(builtin_bases(20), 4.0, pick=2), "variants_per_base"),
@@ -124,7 +127,7 @@ _NAN_BASE = np.array([np.nan, 1.0, 1.0])
         (lambda: gen_dataset(builtin_bases(20), 10, 20.0, seed="3"), "seed must be"),
     ],
     ids=[
-        "nan_base", "nan_bases", "float_count", "bool_count", "float_knots", "text_gamma",
+        "nan_base", "nan_bases", "float_count", "bool_count", "text_gamma",
         "float_pick", "float_pool", "float_bands", "text_snr", "array_snr",
         "float_pixels", "inf_endmembers", "minus_4000_db", "minus_1e308_db",
         "overflowing_power", "bool_seed", "negative_seed", "float_seed",
