@@ -1,6 +1,8 @@
 """Multilayer simplex-structured matrix factorization for hyperspectral
 unmixing under endmember variability, fitted by variational inference."""
 
+import importlib
+
 from .model import (
     FactorStack,
     PixelMatrix,
@@ -13,12 +15,6 @@ from .simplex import (
     DirichletParam,
     dirichlet_entropy,
     sample_dirichlet,
-)
-from .initialization import init_all, scls, vca
-from .solver import (
-    FitConfig,
-    fit,
-    update_beta,
 )
 from .synth import (
     assemble_ground_truth,
@@ -53,3 +49,28 @@ __all__ = [
     "validate_dims",
     "vca",
 ]
+
+# the engine imports scipy, so it loads on the first read of one of its
+# names (PEP 562): building, scoring and plotting scenes never loads scipy
+_ENGINE = {
+    "FitConfig": "solver",
+    "fit": "solver",
+    "init_all": "initialization",
+    "scls": "initialization",
+    "update_beta": "solver",
+    "vca": "initialization",
+}
+
+
+def __getattr__(name):
+    """Import the engine and bind all six of its names here; a later read
+    is then a plain attribute lookup."""
+    if name not in _ENGINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for key, module in _ENGINE.items():
+        globals()[key] = getattr(importlib.import_module(f"{__name__}.{module}"), key)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .initialization import init_all
 from .matio import (
     load_matrix,
     quantize_unit,
@@ -31,7 +30,6 @@ from .matio import (
 )
 from .metrics import aligned_mse, singular_spectrum
 from .model import ValidationError, _prep_arg, as_pixel_matrix, compose_expanded
-from .solver import FitConfig, fit
 from .synth import DEFAULT_GAMMA, assemble_ground_truth, builtin_bases, gen_dataset
 
 
@@ -108,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     up.add_argument("--input", required=True, help="pixel matrix (bands x pixels)")
     up.add_argument("--dims", type=_dims_value, required=True,
                     help="layer sizes, e.g. 6,18,30")
-    up.add_argument("--iters", type=int, default=FitConfig.max_outer_iters)
+    up.add_argument("--iters", type=int, default=None)
     up.add_argument("--seed", type=_seed_value, default=0)
     up.add_argument("--out", required=True, help="output directory")
 
@@ -193,9 +191,14 @@ def _cmd_synth(args, argv) -> int:
 
 
 def _cmd_unmix(args, argv) -> int:
+    # the engine, and with it scipy, loads for this command alone
+    from .initialization import init_all
+    from .solver import FitConfig, fit
+
+    # no --iters means FitConfig's default; either is checked before any I/O
+    config = FitConfig() if args.iters is None else FitConfig(max_outer_iters=args.iters)
     px = as_pixel_matrix(load_matrix(args.input))
     start = init_all(px, args.dims, seed=args.seed)
-    config = FitConfig(max_outer_iters=args.iters)
     result = fit(px, start.stack, start.posterior, config)
     stack, trace = result.stack, result.trace
     iters_run = len(trace)
@@ -215,7 +218,7 @@ def _cmd_unmix(args, argv) -> int:
         seed=args.seed,
         input=args.input,
         dims={"bands": px.bands, "layers": list(args.dims), "pixels": px.pixels},
-        config={"iters": args.iters},
+        config={"iters": config.max_outer_iters},
         trace={"elbo": trace.elbo.tolist(), "sigma2": trace.sigma2.tolist()},
         iterations_run=iters_run,
         stop_reason=trace.stop_reason,

@@ -1,12 +1,14 @@
 """Evaluation helpers: permutation-aligned endmember error and
-singular-value spectra."""
+singular-value spectra.
+
+Only :func:`aligned_mse` needs scipy, and it imports it where it runs, so
+``mssmf svd`` never loads scipy."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import ValidationError, _matrix, _prep_arg
 
@@ -34,6 +36,8 @@ def aligned_mse(estimate: np.ndarray, truth: np.ndarray) -> AlignmentResult:
     the check on the cost matrix, and a truth whose squared norm overflows
     is refused.
     """
+    from scipy.optimize import linear_sum_assignment
+
     a = _matrix(estimate, "aligned_mse's estimate")
     b = _matrix(truth, "aligned_mse's truth")
     if a.shape != b.shape:

@@ -12,6 +12,10 @@ line-search pass has already checked.  Both kernels give each column a
 result that depends on that column alone, whatever the array's width and
 memory layout, so the solver can evaluate a gathered subset of pixels and
 keep the values as the whole array's.
+
+The two functions that call scipy import it where they run: ``synth``
+samples from this module, and a process that only builds scenes never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.optimize import nnls
 
 from .model import RngLike, ValidationError, _as_rng, _checked_count, _frozen, _prep_arg
 
@@ -75,6 +77,8 @@ def _simplex_lsq(y: np.ndarray, b: np.ndarray, name: str = "fit's mixer sweep") 
     the caller, name, if the (reduced) system overflows or a solve returns
     u = 0 (its sum-to-one row lost against rows near 1e35).
     """
+    from scipy.optimize import nnls
+
     (m, k), n = b.shape, y.shape[1]
     if m > k:
         q, b = np.linalg.qr(b)
@@ -154,6 +158,8 @@ def dirichlet_entropy(beta: np.ndarray) -> np.ndarray:
     :func:`_row_order_sums`), so a 1-D vector, a single column or a gathered
     subset of columns gets the bits the whole matrix gives those columns.
     """
+    from scipy import special
+
     b = _concentrations(beta, "dirichlet_entropy")
     squeeze = b.ndim == 1
     b = np.ascontiguousarray(b[:, None] if squeeze else b)

@@ -4,8 +4,11 @@ and the calls the benchmark in perfbench/ makes into the package."""
 import ast
 import importlib
 import inspect
+import os
 import re
 import runpy
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -46,6 +49,47 @@ def test_public_attributes_are_exactly_the_export_list():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert public == set(mssmf.__all__)
+
+
+# run in a child interpreter: build a scene, take its spectrum, and run
+# the CLI's synth, svd and render into the directory argv[1]; none of it may
+# load scipy.  Reading an engine name then loads it whole, so that the first
+# init_all or fit pays no import
+_NUMPY_ONLY_CHILD = """
+import sys
+from pathlib import Path
+
+import mssmf, mssmf.cli
+
+out = Path(sys.argv[1])
+truth, _ = mssmf.assemble_ground_truth(mssmf.builtin_bases(40), variants_per_base=12, seed=1)
+bundle = mssmf.gen_dataset(truth, 20, 25.0, seed=2)
+mssmf.singular_spectrum(bundle.pixels.data)
+for argv in (
+    ["synth", "--bands", "40", "--variants", "12", "--pixels", "20", "--snr-db", "25",
+     "--out", str(out / "scene")],
+    ["svd", "--input", str(out / "scene" / "data.raw64"), "--out", str(out / "sv.csv")],
+    ["render", "--abundances", str(out / "scene" / "abundances_true.raw64"),
+     "--width", "5", "--height", "4", "--out", str(out / "maps")],
+):
+    assert mssmf.cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert loaded == [], f"{len(loaded)} scipy modules: {loaded[:5]}"
+assert set(mssmf.__all__) <= set(dir(mssmf))
+from mssmf import init_all, fit
+assert {"scipy.special", "scipy.optimize"} <= set(sys.modules)
+"""
+
+
+def test_scenes_scores_and_plots_never_load_scipy(tmp_path):
+    src = str(Path(mssmf.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY_CHILD, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert child.returncode == 0, child.stderr
 
 
 def _quick_start() -> str:

@@ -248,6 +248,28 @@ class TestUnmixCommand:
         )
         assert code == 1
 
+    def test_bad_iteration_count_exits_three_before_reading(self, tmp_path, capsys):
+        # the count is checked before the input is read, so a missing input
+        # does not hide it, and nothing is written
+        out = tmp_path / "X"
+        code = run(
+            "unmix", "--input", str(tmp_path / "missing.raw64"), "--dims", "6,18,30",
+            "--iters", "0", "--out", str(out),
+        )
+        assert code == 3
+        assert "max_outer_iters" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_iteration_count_is_the_fits(self, scene, tmp_path):
+        out = tmp_path / "run"
+        code = run(
+            "unmix", "--input", str(scene / "data.raw64"), "--dims", "3,6", "--out", str(out),
+        )
+        assert code == 0
+        assert FitConfig().max_outer_iters == 100
+        assert read_manifest(out / "manifest.json")["config"] == {"iters": 100}
+        assert read_csv_matrix(out / "trace.csv").shape[0] == 100
+
     def test_deterministic_reruns(self, scene, tmp_path):
         args = [
             "unmix", "--input", str(scene / "data.raw64"), "--dims", "3,6",
