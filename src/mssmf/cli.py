@@ -86,11 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=_cmd_synth)
     sp.add_argument("--bases", default="builtin",
                     help="'builtin' or path to a CSV of base spectra (bands x bases)")
-    sp.add_argument("--bands", type=int, default=_default(builtin_bases, "bands"),
-                    help="band count for the builtin bases")
-    sp.add_argument("--variants", type=int,
-                    default=_default(assemble_ground_truth, "variants_per_base"),
-                    help="variant pool size per base")
+    sp.add_argument("--bands", type=int, default=None,
+                    help="band count of the builtin bases (default "
+                         f"{_default(builtin_bases, 'bands')}); not with a CSV")
     sp.add_argument("--pick", type=int, default=_default(assemble_ground_truth, "pick"),
                     help="variants kept per base in the ground truth")
     sp.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
@@ -161,17 +159,14 @@ def _write_run(out, outputs, kind: str, argv, **fields) -> None:
 
 def _cmd_synth(args, argv) -> int:
     if args.bases == "builtin":
-        bases = builtin_bases(args.bands)
+        bases = builtin_bases() if args.bands is None else builtin_bases(args.bands)
+    elif args.bands is not None:
+        print("error: synth --bands applies to the builtin bases only", file=sys.stderr)
+        return 2
     else:
         bases = read_csv_matrix(args.bases)
     rng = np.random.default_rng(args.seed)
-    truth, labels = assemble_ground_truth(
-        bases,
-        variants_per_base=args.variants,
-        pick=args.pick,
-        gamma=args.gamma,
-        seed=rng,
-    )
+    truth, labels = assemble_ground_truth(bases, pick=args.pick, gamma=args.gamma, seed=rng)
     bundle = gen_dataset(truth, args.pixels, args.snr_db, seed=rng)
     outputs = {
         "data": ("data.raw64", bundle.pixels.data),
@@ -185,7 +180,7 @@ def _cmd_synth(args, argv) -> int:
         snr_db=args.snr_db,
         sigma2=bundle.sigma2,
         dims={"bands": truth.shape[0], "expanded": truth.shape[1], "pixels": args.pixels},
-        config={k: getattr(args, k) for k in ("bases", "variants", "pick", "gamma")},
+        config={k: getattr(args, k) for k in ("bases", "pick", "gamma")},
     )
     return 0
 

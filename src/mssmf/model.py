@@ -117,10 +117,7 @@ def _scalar(value, name: str) -> float:
 def _checked_noise_var(value, name: str = "noise variance") -> float:
     """value as a float, if it is one finite number of at least
     ``NOISE_VAR_FLOOR``; ValidationError naming it otherwise."""
-    var = _scalar(value, name)
-    if not np.isfinite(var):
-        raise ValidationError(f"{name} {value!r} is not finite")
-    return float(_prep_arg(var, name, NOISE_VAR_FLOOR))
+    return float(_prep_arg(_scalar(value, name), name, NOISE_VAR_FLOOR))
 
 
 @dataclass(frozen=True)

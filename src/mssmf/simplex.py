@@ -126,18 +126,6 @@ class DirichletParam:
         return self.concentration / self.concentration.sum(axis=0)
 
 
-def _concentrations(beta, name: str) -> np.ndarray:
-    """beta as a float64 vector or K x N matrix of finite, positive
-    concentrations with at least one category (row); ValidationError
-    naming the fault otherwise."""
-    b = _prep_arg(beta, name)
-    if not 1 <= b.ndim <= 2 or b.shape[0] == 0:
-        raise ValidationError(
-            f"{name}: must be 1-D or K x N with at least one category, got shape {b.shape}"
-        )
-    return b
-
-
 def _row_order_sums(x: np.ndarray) -> np.ndarray:
     """Column sums of a C-ordered (K, N) array, adding the rows in order.
 
@@ -149,20 +137,23 @@ def _row_order_sums(x: np.ndarray) -> np.ndarray:
 
 
 def dirichlet_entropy(beta: np.ndarray) -> np.ndarray:
-    """Differential entropy (D7) of Dirichlet(beta).
+    """Differential entropy (D7) of Dirichlet(beta), one per column of the
+    (K, N) matrix beta: finite, positive, K at least 1 and any N, 0 too.
 
-    1-D input gives a scalar; a (K, N) matrix gives one entropy per column.
     The concentrations are checked once, and so is the result: a total or
     a log-gamma can overflow at finite concentrations (three entries of
     1e307 do).  A column's entropy depends on that column alone (see
-    :func:`_row_order_sums`), so a 1-D vector, a single column or a gathered
-    subset of columns gets the bits the whole matrix gives those columns.
+    :func:`_row_order_sums`), so a single column or a gathered subset of
+    columns gets the bits the whole matrix gives those columns.
     """
     from scipy import special
 
-    b = _concentrations(beta, "dirichlet_entropy")
-    squeeze = b.ndim == 1
-    b = np.ascontiguousarray(b[:, None] if squeeze else b)
+    b = _prep_arg(beta, "dirichlet_entropy")
+    if b.ndim != 2 or b.shape[0] == 0:
+        raise ValidationError(
+            f"dirichlet_entropy: must be K x N with at least one category, got shape {b.shape}"
+        )
+    b = np.ascontiguousarray(b)
     k = b.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         t = _row_order_sums(b)
@@ -173,7 +164,7 @@ def dirichlet_entropy(beta: np.ndarray) -> np.ndarray:
             - _row_order_sums((b - 1.0) * special.psi(b))
         )
     _prep_arg(h, "dirichlet_entropy (overflow)", None)
-    return float(h[0]) if squeeze else h
+    return h
 
 
 def sample_dirichlet(alpha: np.ndarray, n: int, rng: RngLike) -> np.ndarray:

@@ -22,6 +22,7 @@ from .simplex import sample_dirichlet
 
 DEFAULT_GAMMA = 0.25
 _KNOTS = 10
+_POOL = 200
 
 
 @dataclass(frozen=True)
@@ -92,31 +93,28 @@ def gen_variants(
 
 def assemble_ground_truth(
     bases: np.ndarray,
-    variants_per_base: int = 200,
     pick: int = 10,
     gamma: float = DEFAULT_GAMMA,
     seed: RngLike = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Ground-truth expanded endmembers from a small collection of bases.
 
-    For each base column, generates a pool of variants and picks `pick`
-    of them uniformly without replacement.  Returns (endmembers, labels)
-    where labels[j] is the base index variant j came from.  The counts are
-    integers; :func:`gen_variants` checks each base and gamma.
+    For each base column, generates a pool of ``_POOL`` (200) variants and
+    picks `pick` of them uniformly without replacement.  Returns
+    (endmembers, labels) where labels[j] is the base index variant j came
+    from.  pick is an integer; :func:`gen_variants` checks each base and
+    gamma.
     """
     b = _matrix(bases, "assemble_ground_truth's base spectrum matrix")
-    variants_per_base = _checked_count(variants_per_base, "variants_per_base", 1)
     pick = _checked_count(pick, "pick", 1)
-    if pick > variants_per_base:
-        raise ValidationError(
-            f"cannot pick {pick} from a pool of {variants_per_base} variants"
-        )
+    if pick > _POOL:
+        raise ValidationError(f"cannot pick {pick} from a pool of {_POOL} variants")
     rng = _as_rng(seed)
     groups = []
     labels = []
     for idx in range(b.shape[1]):
-        pool = gen_variants(b[:, idx], variants_per_base, gamma, seed=rng)
-        chosen = rng.choice(variants_per_base, size=pick, replace=False)
+        pool = gen_variants(b[:, idx], _POOL, gamma, seed=rng)
+        chosen = rng.choice(_POOL, size=pick, replace=False)
         groups.append(pool[:, chosen])
         labels.extend([idx] * pick)
     return np.hstack(groups), np.asarray(labels, dtype=int)

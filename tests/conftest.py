@@ -14,7 +14,7 @@ from mssmf import (
     solver,
 )
 from mssmf.model import _as_rng, _floats, _prep_arg, _scalar
-from mssmf.simplex import _concentrations, dirichlet_entropy, sample_dirichlet
+from mssmf.simplex import dirichlet_entropy, sample_dirichlet
 
 
 # JSON files the package's reader must refuse with a ValidationError: bytes
@@ -86,9 +86,9 @@ def block_terms(mats, which, y, betas):
 
 def dirichlet_second_moment(beta):
     """Second-moment matrix E[z z^T] of a Dirichlet(beta), beta 1-D: the
-    oracle for one pixel's term of Pbar.  Checks beta (finite and
-    positive, at least one category) as dirichlet_entropy does."""
-    b = _concentrations(beta, "dirichlet_second_moment")
+    oracle for one pixel's term of Pbar.  Checks beta finite and positive
+    by the package's range test."""
+    b = _prep_arg(beta, "dirichlet_second_moment")
     t = b.sum()
     return (np.diag(b) + np.outer(b, b)) / (t * (t + 1.0))
 

@@ -17,15 +17,15 @@ from mssmf import (
     compose_expanded,
     fit,
     gen_dataset,
-    gen_variants,
     init_all,
-    scls,
     vca,
 )
 from mssmf import solver
 from mssmf.cli import main as cli_main
+from mssmf.initialization import scls
 from mssmf.matio import read_csv_matrix, read_raw64, write_pgm, write_raw64
 from mssmf.simplex import sample_dirichlet
+from mssmf.synth import gen_variants
 
 from conftest import (
     assignment_bruteforce,
@@ -120,7 +120,7 @@ def test_02_bound_matches_monte_carlo():
 
 def test_03_desk_scale_fit_is_monotone():
     start = time.perf_counter()
-    truth, _ = assemble_ground_truth(builtin_bases(198), 200, 10, seed=33)
+    truth, _ = assemble_ground_truth(builtin_bases(198), pick=10, seed=33)
     bundle = gen_dataset(truth, 500, 20.0, seed=34)
     init = init_all(bundle.pixels, (6, 18, 30), seed=35)
     config = FitConfig(max_outer_iters=100, rel_elbo_tol=0.0)
@@ -256,7 +256,7 @@ def test_08_mse_improves_with_snr():
         vals = []
         for run in range(runs):
             seed = 8000 + 1000 * run
-            truth, _ = assemble_ground_truth(builtin_bases(198), 200, 10, seed=seed)
+            truth, _ = assemble_ground_truth(builtin_bases(198), pick=10, seed=seed)
             bundle = gen_dataset(truth, 500, snr, seed=seed + 1)
             init = init_all(bundle.pixels, (6, 18, 30), seed=seed + 2)
             result = fit(bundle.pixels, init.stack, init.posterior, config)
@@ -298,8 +298,8 @@ def test_09_variant_stack_is_numerically_low_rank(tmp_path):
 def test_10_determinism_and_file_contracts(tmp_path):
     scene = tmp_path / "scene"
     synth_args = [
-        "synth", "--bases", "builtin", "--bands", "64", "--variants", "30",
-        "--pick", "5", "--pixels", "120", "--snr-db", "20", "--seed", "11",
+        "synth", "--bases", "builtin", "--bands", "64", "--pick", "5",
+        "--pixels", "120", "--snr-db", "20", "--seed", "11",
         "--out", str(scene),
     ]
     assert cli_main(synth_args) == 0

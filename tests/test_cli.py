@@ -29,7 +29,7 @@ def run(*argv):
 def synth_args(out, pixels=60, snr="25", seed=5, bands=40):
     return [
         "synth", "--bases", "builtin", "--bands", str(bands),
-        "--variants", "12", "--pick", "4", "--pixels", str(pixels),
+        "--pick", "4", "--pixels", str(pixels),
         "--snr-db", snr, "--seed", str(seed), "--out", str(out),
     ]
 
@@ -71,7 +71,7 @@ class TestSynthCommand:
         write_csv_matrix(tmp_path / "bases.csv", bases)
         out = tmp_path / "scene"
         code = run(
-            "synth", "--bases", str(tmp_path / "bases.csv"), "--variants", "6",
+            "synth", "--bases", str(tmp_path / "bases.csv"),
             "--pick", "2", "--pixels", "30", "--snr-db", "30",
             "--seed", "1", "--out", str(out),
         )
@@ -132,7 +132,27 @@ class TestSynthCommand:
         assert not (tmp_path / "s").exists()
         assert run(*argv) == 0
         config = read_manifest(tmp_path / "s" / "manifest.json")["config"]
-        assert sorted(config) == ["bases", "gamma", "pick", "variants"]
+        assert sorted(config) == ["bases", "gamma", "pick"]
+
+    def test_pool_size_is_not_an_option(self, tmp_path):
+        # the variant pool is a constant of assemble_ground_truth
+        argv = synth_args(tmp_path / "s")
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--variants", "12")
+        assert exc.value.code == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_bands_with_csv_bases_is_a_usage_error(self, tmp_path, rng, capsys):
+        # a CSV's band count is its row count, so --bands would be ignored
+        write_csv_matrix(tmp_path / "bases.csv", rng.uniform(0.1, 0.9, (25, 3)))
+        out = tmp_path / "scene"
+        code = run(
+            "synth", "--bases", str(tmp_path / "bases.csv"), "--bands", "64",
+            "--pixels", "30", "--snr-db", "30", "--out", str(out),
+        )
+        assert code == 2
+        assert "--bands" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUnmixCommand:
@@ -168,7 +188,7 @@ class TestUnmixCommand:
         ab = load_matrix(out / "abundances.raw64")
         np.testing.assert_allclose(ab.sum(axis=0), 1.0, atol=1e-9)
         man = read_manifest(out / "manifest.json")
-        assert man["stop_reason"] in ("max_iters", "converged")
+        assert man["stop_reason"] == "max_iters"
         assert len(man["trace"]["elbo"]) == 5
         assert man["config"] == {"iters": 5}
 
@@ -440,7 +460,7 @@ class TestRoundTrip:
             scene, fitted = root / "scene", root / "run"
             rounds = []
             for _ in range(2):
-                assert run(*synth_args(scene, pixels, snr, seed, bands), "--variants", "6", "--pick", "2") == 0
+                assert run(*synth_args(scene, pixels, snr, seed, bands), "--pick", "2") == 0
                 assert run(
                     "unmix", "--input", str(scene / "data.raw64"), "--dims", "2,6",
                     "--iters", "3", "--seed", str(seed), "--out", str(fitted),

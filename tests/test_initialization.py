@@ -10,7 +10,6 @@ from scipy.optimize import nnls
 
 from conftest import reference_vca_picks, simplex_lsq_bruteforce
 from mssmf import (
-    BETA_FLOOR,
     FactorStack,
     FitConfig,
     ValidationError,
@@ -20,11 +19,11 @@ from mssmf import (
     fit,
     gen_dataset,
     init_all,
-    scls,
     vca,
 )
 from mssmf import initialization
-from mssmf.simplex import sample_dirichlet
+from mssmf.initialization import scls
+from mssmf.simplex import BETA_FLOOR, sample_dirichlet
 
 
 # ||y - A s||^2 / 2 at an scls solution is within this of its minimum over
@@ -354,9 +353,9 @@ class TestScls:
         # scipy's nnls aborts the interpreter on a matrix with no columns,
         # so the call runs in a child: a regression fails this test alone
         code = (
-            "import numpy as np, mssmf\n"
+            "import numpy as np, mssmf.initialization\n"
             "try:\n"
-            "    mssmf.scls(np.ones((30, 1)), np.ones((30, 0)))\n"
+            "    mssmf.initialization.scls(np.ones((30, 1)), np.ones((30, 0)))\n"
             "except mssmf.ValidationError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n"

@@ -9,25 +9,22 @@ from mssmf import (
     DirichletParam,
     FactorStack,
     FitConfig,
-    PixelMatrix,
     ValidationError,
     aligned_mse,
     assemble_ground_truth,
     compose_expanded,
-    dirichlet_entropy,
     fit,
     gen_dataset,
-    gen_variants,
     init_all,
-    scls,
     singular_spectrum,
     update_beta,
-    validate_dims,
     vca,
 )
+from mssmf.initialization import scls
 from mssmf.matio import write_csv_matrix, write_raw64
-from mssmf.model import NOISE_VAR_FLOOR
-from mssmf.simplex import BETA_FLOOR, sample_dirichlet
+from mssmf.model import NOISE_VAR_FLOOR, PixelMatrix, validate_dims
+from mssmf.simplex import BETA_FLOOR, dirichlet_entropy, sample_dirichlet
+from mssmf.synth import gen_variants
 
 from conftest import elbo_terms, expanded_of, random_instance
 
@@ -87,13 +84,13 @@ class TestModelDims:
             lambda: DirichletParam(np.ones((0, 4))),
             lambda: elbo_terms(np.ones((5, 4)), np.ones((5, 0)), np.ones((0, 4)), 0.1),
             lambda: update_beta(np.ones((5, 4)), np.ones((5, 0)), np.ones((0, 4)), 0.1, 1),
-            lambda: assemble_ground_truth(np.ones((5, 0)), 4, pick=2),
+            lambda: assemble_ground_truth(np.ones((5, 0)), pick=2),
             lambda: gen_dataset(np.ones((5, 0)), 4, 20.0),
             lambda: aligned_mse(np.ones((3, 0)), np.ones((3, 0))),
             lambda: sample_dirichlet(np.ones(0), 3, np.random.default_rng(0)),
             lambda: dirichlet_entropy(np.ones((0, 3))),
             lambda: gen_variants(np.ones(0), 2),
-            lambda: assemble_ground_truth(np.ones((0, 3)), 4, pick=2),
+            lambda: assemble_ground_truth(np.ones((0, 3)), pick=2),
             lambda: gen_dataset(np.ones((0, 3)), 5, 20.0),
         ],
         ids=[
@@ -136,7 +133,7 @@ def _matrix_arguments():
         "scls_pixels": (y, "pixel matrix", lambda m: scls(m, ends)),
         "ground_truth": (
             basis, "assemble_ground_truth's base spectrum matrix",
-            lambda m: assemble_ground_truth(m, 4, pick=2),
+            lambda m: assemble_ground_truth(m, pick=2),
         ),
         "dataset": (ends, "gen_dataset's endmembers", lambda m: gen_dataset(m, 5, 20.0)),
         "aligned_estimate": (ends, "aligned_mse's estimate", lambda m: aligned_mse(m, ends)),
@@ -249,7 +246,7 @@ def _bounded_arguments():
             5e-324, "non-positive values", lambda v: sample_dirichlet(np.array([1.0, v]), 2, 0),
         ),
         "dirichlet_entropy": (
-            5e-324, "non-positive values", lambda v: dirichlet_entropy(np.array([1.0, v])),
+            5e-324, "non-positive values", lambda v: dirichlet_entropy(np.array([[1.0], [v]])),
         ),
     }
 

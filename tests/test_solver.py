@@ -458,7 +458,7 @@ class TestBetaUpdate:
         sigma2 = stack.noise_var
         c, g = b.T @ y, b.T @ b
         ceil = (y * y).sum(axis=0) / (2.0 * sigma2) - gammaln(k)
-        assert dirichlet_entropy(np.ones(k)) == pytest.approx(-gammaln(k), abs=1e-12)
+        assert dirichlet_entropy(np.ones((k, 1)))[0] == pytest.approx(-gammaln(k), abs=1e-12)
         levels = rng.choice([BETA_FLOOR, 1.0, 1e3], size=(k, n), p=[0.6, 0.2, 0.2])
         start = levels * rng.uniform(1.0, 3.0, (k, n))
         got = update_beta(y, b, start, sigma2, passes=5, workers=1)
@@ -977,7 +977,7 @@ class TestFit:
     def test_infinite_noise_update_raises(self, rng, monkeypatch):
         y, stack, betas = random_instance(rng)
         monkeypatch.setattr(solver, "_noise_var", lambda *args: np.inf)
-        with pytest.raises(ValidationError, match="not finite"):
+        with pytest.raises(ValidationError, match="noise variance: non-finite"):
             fit(y, stack, betas, FitConfig(max_outer_iters=5, rel_elbo_tol=0.0))
 
     @pytest.mark.parametrize("case", ["quick_start", "depth5", "wide"])

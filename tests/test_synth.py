@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_gen_dataset
-from mssmf import (
-    ValidationError,
-    assemble_ground_truth,
-    builtin_bases,
-    gen_dataset,
-    gen_variants,
-)
+from mssmf import ValidationError, assemble_ground_truth, builtin_bases, gen_dataset
+from mssmf.synth import gen_variants
 
 
 class TestBuiltinBases:
@@ -81,14 +76,17 @@ class TestAssembleGroundTruth:
         assert np.all(counts == 7)
 
     def test_pick_all_keeps_every_variant(self):
-        truth, _ = assemble_ground_truth(
-            builtin_bases(40), variants_per_base=5, pick=5, seed=2
-        )
-        assert truth.shape[1] == 15
+        truth, _ = assemble_ground_truth(builtin_bases(40), pick=200, seed=2)
+        assert truth.shape[1] == 600
 
     def test_pick_larger_than_pool_fails(self):
-        with pytest.raises(ValidationError, match="pick"):
-            assemble_ground_truth(builtin_bases(40), variants_per_base=5, pick=6)
+        with pytest.raises(ValidationError, match="pick 201 from a pool of 200"):
+            assemble_ground_truth(builtin_bases(40), pick=201)
+
+    def test_pool_size_is_not_an_argument(self):
+        # the pool is a module constant; the old second positional is pick
+        with pytest.raises(TypeError):
+            assemble_ground_truth(builtin_bases(40), variants_per_base=5)
 
     def test_deterministic(self):
         t1, l1 = assemble_ground_truth(builtin_bases(64), seed=5)
@@ -105,12 +103,11 @@ _NAN_BASE = np.array([np.nan, 1.0, 1.0])
     "call,fragment",
     [
         (lambda: gen_variants(_NAN_BASE, 2), "base spectrum"),
-        (lambda: assemble_ground_truth(_NAN_BASE[:, None], 4, pick=2), "base spectrum"),
+        (lambda: assemble_ground_truth(_NAN_BASE[:, None], pick=2), "base spectrum"),
         (lambda: gen_variants(_BASE, 2.0), "count"),
         (lambda: gen_variants(_BASE, True), "count"),
         (lambda: gen_variants(_BASE, 2, gamma="wide"), "gamma"),
-        (lambda: assemble_ground_truth(builtin_bases(20), 4, pick=2.0), "pick"),
-        (lambda: assemble_ground_truth(builtin_bases(20), 4.0, pick=2), "variants_per_base"),
+        (lambda: assemble_ground_truth(builtin_bases(20), pick=2.0), "pick"),
         (lambda: builtin_bases(20.0), "band count"),
         (lambda: gen_dataset(builtin_bases(20), 10, "twenty"), "snr_db"),
         (lambda: gen_dataset(builtin_bases(20), 10, [20.0, 30.0]), "snr_db"),
@@ -122,13 +119,13 @@ _NAN_BASE = np.array([np.nan, 1.0, 1.0])
         (lambda: gen_dataset(builtin_bases(20), 10, -1e308), "snr_db"),
         (lambda: gen_dataset(1e160 * builtin_bases(20), 10, 20.0), "snr_db"),
         (lambda: gen_variants(_BASE, 2, seed=True), "seed must be"),
-        (lambda: assemble_ground_truth(builtin_bases(20), 4, pick=2, seed=-1), "seed must be"),
+        (lambda: assemble_ground_truth(builtin_bases(20), pick=2, seed=-1), "seed must be"),
         (lambda: gen_dataset(builtin_bases(20), 10, 20.0, seed=1.5), "seed must be"),
         (lambda: gen_dataset(builtin_bases(20), 10, 20.0, seed="3"), "seed must be"),
     ],
     ids=[
         "nan_base", "nan_bases", "float_count", "bool_count", "text_gamma",
-        "float_pick", "float_pool", "float_bands", "text_snr", "array_snr",
+        "float_pick", "float_bands", "text_snr", "array_snr",
         "float_pixels", "inf_endmembers", "minus_4000_db", "minus_1e308_db",
         "overflowing_power", "bool_seed", "negative_seed", "float_seed",
         "text_seed",
