@@ -110,13 +110,17 @@ def _vca_picks(frame, k: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.
 
 
 def scls(pixels, endmembers: np.ndarray) -> np.ndarray:
-    """Simplex-constrained least squares, one exact solve per pixel.
+    """Simplex-constrained least squares, an exact minimizer per pixel.
 
     Minimizes ||y - B s||^2 with s on the unit simplex for every column y of
-    the input, each as one nonnegative least-squares solve (D24).  With more
-    bands than endmembers, one thin QR of B per call puts every solve in the
-    endmember space (D25).  Raises the NNLS engine's RuntimeError if it hits
-    its iteration cap.
+    the input.  With more bands than endmembers, one thin QR of B per call
+    puts every solve in the endmember space (D25).  The certified rounds
+    (D31) solve most pixels of a many-pixel call together.  Each pixel
+    they do not certify gets one nonnegative least-squares solve (D24),
+    and so does every pixel of a one-pixel call, of endmembers whose Gram
+    is not positive definite, or of inputs large enough that the Gram
+    products could overflow.  Raises the NNLS engine's RuntimeError if it
+    hits its iteration cap.
     """
     # scipy's nnls aborts the interpreter on a matrix with no columns
     b = _matrix(endmembers, "scls's endmembers")

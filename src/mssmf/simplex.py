@@ -1,17 +1,20 @@
 """Simplex geometry and Dirichlet math.
 
 Everything the variational solver needs that is not plain linear algebra:
-simplex-constrained least squares (D24), trigamma (D8, D9), and Dirichlet
-moments (D4), entropy (D7) and sampling.
+simplex-constrained least squares (D24) and its certified rounds over many
+pixels (D31), trigamma (D8, D9), and Dirichlet moments (D4), entropy (D7)
+and sampling; also the pixel-block split and the reduced factor (D22),
+which the solver uses too.
 
 Every public function checks each array argument once, with the package's
 one range test, ``model._prep_arg``.  :func:`dirichlet_entropy` checks its
-result too, :func:`_simplex_lsq` its (QR-reduced) system; the solver's
-gradient calls :func:`_trigamma`, which checks nothing, on arrays the same
-line-search pass has already checked.  Both kernels give each column a
-result that depends on that column alone, whatever the array's width and
-memory layout, so the solver can evaluate a gathered subset of pixels and
-keep the values as the whole array's.
+result too, :func:`_simplex_lsq` its (QR-reduced) system and
+:func:`_column_solver` each column's; the solver's gradient calls
+:func:`_trigamma`, which checks nothing, on arrays the same line-search
+pass has already checked.  The entropy and trigamma kernels give each
+column a result that depends on that column alone, whatever the array's
+width and memory layout, so the solver can evaluate a gathered subset of
+pixels and keep the values as the whole array's.
 
 The two functions that call scipy import it where they run: ``synth``
 samples from this module, and a process that only builds scenes never
@@ -20,13 +23,17 @@ loads scipy.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from .model import RngLike, ValidationError, _as_rng, _checked_count, _frozen, _prep_arg
 
 BETA_FLOOR = 1e-6
+# widest pixel block of the concentration passes and of scls's rounds
+_BLOCK_PIXELS = 1024
 
 # B_2 ... B_14, the coefficients of the trigamma series (D9)
 _TG_COEF = (
@@ -66,19 +73,122 @@ def _trigamma(z: np.ndarray) -> np.ndarray:
     return out.reshape(z.shape)
 
 
-def _simplex_lsq(y: np.ndarray, b: np.ndarray, name: str = "fit's mixer sweep") -> np.ndarray:
-    """Simplex-constrained least squares, one exact solve per column of y.
+def _pixel_blocks(n: int) -> List[Tuple[int, int]]:
+    """ceil(n / _BLOCK_PIXELS) contiguous (lo, hi) pixel blocks of near-equal
+    width (one when n is 0), a split that depends on n alone."""
+    count = max(-(-n // _BLOCK_PIXELS), 1)
+    return [(i * n // count, (i + 1) * n // count) for i in range(count)]
 
-    Column j of the result minimizes ||y_j - B s||^2 over the unit simplex,
-    by one NNLS solve of the homogenized system (D24).  When B (m x k) has
-    more rows than columns, the solves run on one thin QR of B, in the
-    k-dimensional space of its columns (D25).  Raises the NNLS engine's
-    RuntimeError if it hits its iteration cap, and ValidationError naming
-    the caller, name, if the (reduced) system overflows or a solve returns
-    u = 0 (its sum-to-one row lost against rows near 1e35).
-    """
+
+def _reduced_factor(gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(L, pinv(L')) of a symmetric PSD gram = L'L, both r x k with L of full
+    row rank, by the eigenvalue cut of (D22); gram may be singular."""
+    lam, vec = np.linalg.eigh(gram)
+    keep = lam > lam[-1] * gram.shape[0] * np.finfo(np.float64).eps
+    root = np.sqrt(lam[keep])
+    return root[:, None] * vec[:, keep].T, vec[:, keep].T / root[:, None]
+
+
+def _column_solver(
+    b: np.ndarray, name: str, whose: str
+) -> Callable[[np.ndarray, int], np.ndarray]:
+    """The one-column solve (D24) against B (m x k, used as given): a
+    function of (y, j), an m-vector and its column index, that returns y's
+    simplex least-squares point.  The buffers are allocated once, so a
+    sweep pays for them once.  Each call checks y's system y 1' - B for
+    overflow and refuses an NNLS solution of zero, naming column j of
+    whose; both errors name the caller, name.  Raises the NNLS engine's
+    RuntimeError if it hits its iteration cap."""
     from scipy.optimize import nnls
 
+    m, k = b.shape
+    lhs = np.ones((m + 1, k))
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    system = f"{name}'s system y 1' - B"
+    b_max = float(np.abs(b).max(initial=0.0))
+
+    def solve(y: np.ndarray, j: int) -> np.ndarray:
+        # |y_i - b_il| <= max|y| + max|B|, so no entry of y 1' - B
+        # overflows when that Python float sum is finite
+        _prep_arg(float(np.abs(y).max(initial=0.0)) + b_max, system, None)
+        np.subtract(y[:, None], b, out=lhs[:m])
+        u, _ = nnls(lhs, rhs)
+        if not u.any():
+            raise ValidationError(f"{name}: column {j} of {whose} is beyond the NNLS range")
+        return u / u.sum()
+
+    return solve
+
+
+def _certified_rounds(g: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The certified rounds (D31) for min ||a - R s||^2 over the simplex,
+    one problem per column of c = R'a, with G = R'R positive definite by
+    the cut of (D22) and G and c finite.  Returns rounds, the round that
+    certified each column, and writes each certified column's exact
+    minimizer to that column of out (k x n); where rounds is -1, no round
+    certified the column, and its column of out is left as it was."""
+    k, n = c.shape
+    border = np.ones((k + 1, k + 1))
+    border[:k, :k] = g
+    border[k, k] = 0.0
+    # one row per column of c: its right-hand side [c' 1] and its free set,
+    # which always holds the last entry, the multiplier
+    rhs = np.ones((n, k + 1))
+    rhs[:, :k] = c.T
+    free = np.ones((n, k + 1), dtype=bool)
+    rounds = np.full(n, -1)
+    cols = np.arange(n)
+    # every row's count of wrong entries in the last two rounds
+    before = np.full((2, n), k + 1)
+    x = np.linalg.solve(border, rhs.T).T
+    for t in itertools.count():
+        # roundoff can overflow a far-off solution; its row fails below
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = x @ border
+            lam -= rhs
+        wrong = np.where(free, ~(x > 0.0), ~(lam >= 0.0))[:, :k]
+        count = wrong.sum(axis=1)
+        finite = np.isfinite(lam).all(axis=1)
+        ok = finite & (count == 0)
+        sol = x[ok, :k]
+        out[:, cols[ok]] = (sol / sol.sum(axis=1, keepdims=True)).T
+        rounds[cols[ok]] = t
+        # the full exchange: wrong entries of the free set leave it, wrong
+        # bounds enter it; a row whose count has not fallen in two rounds,
+        # or whose free set would empty, leaves the rounds
+        free[:, :k] ^= wrong
+        go = finite & ~ok & (count < before[1]) & free[:, :k].any(axis=1)
+        if not go.any():
+            return rounds
+        before = np.stack([count, before[0]])[:, go]
+        cols, free, rhs = cols[go], free[go], rhs[go]
+        x = np.zeros(free.shape)
+        size = free.sum(axis=1)
+        for s in np.flatnonzero(np.bincount(size)):
+            # one stacked solve per free-set size, of the bordered systems
+            # on each row's free set
+            sel = np.flatnonzero(size == s)
+            idx = np.nonzero(free[sel])[1].reshape(sel.size, s)
+            systems = border[idx[:, :, None], idx[:, None, :]]
+            x[sel[:, None], idx] = np.linalg.solve(systems, rhs[sel[:, None], idx, None])[..., 0]
+
+
+def _simplex_lsq(y: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
+    """Simplex-constrained least squares, an exact minimizer per column of y.
+
+    Column j of the result minimizes ||y_j - B s||^2 over the unit simplex.
+    When B (m x k) has more rows than columns, everything runs on one thin
+    QR of B, in the k-dimensional space of its columns (D25).  With more
+    than one column, the certified rounds (D31) solve the columns they
+    certify, in blocks of at most ``_BLOCK_PIXELS``, when G = B'B is
+    positive definite (D22) and no product can overflow; every other
+    column gets one NNLS solve of the homogenized system (D24).  Raises
+    the NNLS engine's RuntimeError if it hits its iteration cap, and
+    ValidationError naming the caller, name, if the (reduced) system
+    overflows or a solve returns u = 0 (its sum-to-one row lost against
+    rows near 1e35).
+    """
     (m, k), n = b.shape, y.shape[1]
     if m > k:
         q, b = np.linalg.qr(b)
@@ -86,21 +196,23 @@ def _simplex_lsq(y: np.ndarray, b: np.ndarray, name: str = "fit's mixer sweep") 
         with np.errstate(over="ignore", invalid="ignore"):
             y = q.T @ y
         _prep_arg(b, f"{name}'s reduced endmembers", None)
-        m = k
     # on both branches: |y_i - b_il| <= max|y| + max|B|, so no entry of
     # y 1' - B overflows when that Python float sum is finite
     span = float(np.abs(y).max(initial=0.0)) + float(np.abs(b).max(initial=0.0))
     _prep_arg(span, f"{name}'s system y 1' - B", None)
-    lhs = np.ones((m + 1, k))
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
     out = np.empty((k, n))
-    for j in range(n):
-        np.subtract(y[:, j, None], b, out=lhs[:m])
-        u, _ = nnls(lhs, rhs)
-        if not u.any():
-            raise ValidationError(f"{name}: column {j} of the data is beyond the NNLS range")
-        out[:, j] = u / u.sum()
+    left = range(n)
+    # every entry of G and of c = B'y is at most k span^2 in size
+    if n > 1 and k * span * span < np.inf:
+        g = b.T @ b
+        if _reduced_factor(g)[0].shape[0] == k:
+            left = []
+            for lo, hi in _pixel_blocks(n):
+                rounds = _certified_rounds(g, b.T @ y[:, lo:hi], out[:, lo:hi])
+                left.extend(lo + np.flatnonzero(rounds < 0))
+    solve = _column_solver(b, name, "the data")
+    for j in left:
+        out[:, j] = solve(y[:, j], j)
     return out
 
 

@@ -50,7 +50,9 @@ from .model import (
 from .simplex import (
     BETA_FLOOR,
     DirichletParam,
-    _simplex_lsq,
+    _column_solver,
+    _pixel_blocks,
+    _reduced_factor,
     _trigamma,
     dirichlet_entropy,
 )
@@ -59,8 +61,6 @@ _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
 # relative bound change below which fit reports a decrease, not roundoff
 _BOUND_DROP_TOL = 1e-10
-# widest pixel block of the concentration passes
-_BLOCK_PIXELS = 1024
 
 
 @dataclass(frozen=True)
@@ -312,14 +312,14 @@ def _ascend_blocks(
     passes: int,
     state: Tuple[np.ndarray, ...],
 ) -> None:
-    """:func:`_beta_ascent_chunk` on ceil(N / _BLOCK_PIXELS) contiguous
-    pixel blocks of near-equal width (one when N is 0), a split that depends
-    on N alone, each on its columns of every array of state, which it
-    updates in place.  The blocks split into at most `threads` contiguous
-    groups of near-equal block count; the calling thread runs the first
-    group and a pool opened for the call one thread per further group.  A
-    block reads and writes only its own columns, so its bits do not depend
-    on the thread that runs it, and a block's exception is raised here.
+    """:func:`_beta_ascent_chunk` on the pixel blocks of
+    ``simplex._pixel_blocks``, each on its columns of every array of state,
+    which it updates in place.  The blocks split into at most `threads`
+    contiguous groups of near-equal block count; the calling thread runs the
+    first group and a pool opened for the call one thread per further
+    group.  A block reads and writes only its own columns, so its bits do
+    not depend on the thread that runs it, and a block's exception is
+    raised here.
     The calling thread works rather than waits: what a pool thread
     allocates stays in its own malloc arena, resident on top of the
     caller's memory, so one pool thread fewer keeps the peak resident size
@@ -331,9 +331,7 @@ def _ascend_blocks(
                 c[:, lo:hi], g, yss[lo:hi], sigma2, passes, tuple(p[..., lo:hi] for p in state)
             )
 
-    n = state[0].shape[1]
-    nblocks = max(-(-n // _BLOCK_PIXELS), 1)
-    blocks = [(i * n // nblocks, (i + 1) * n // nblocks) for i in range(nblocks)]
+    blocks = _pixel_blocks(state[0].shape[1])
     count = min(threads, len(blocks))
     cuts = [i * len(blocks) // count for i in range(count + 1)]
     groups = [blocks[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
@@ -375,15 +373,6 @@ def update_beta(
     betas = np.array(betas)
     _ascend_blocks(workers, c, g, yss, sigma2, passes, (betas, *_beta_point(c, g, betas, sigma2)))
     return betas
-
-
-def _reduced_factor(gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(L, pinv(L')) of a symmetric PSD gram = L'L, both r x k with L of full
-    row rank, by the eigenvalue cut of (D22); gram may be singular."""
-    lam, vec = np.linalg.eigh(gram)
-    keep = lam > lam[-1] * gram.shape[0] * np.finfo(np.float64).eps
-    root = np.sqrt(lam[keep])
-    return root[:, None] * vec[:, keep].T, vec[:, keep].T / root[:, None]
 
 
 def _factor_statistics(y: np.ndarray, betas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -432,13 +421,15 @@ def _nnls_rows(r: np.ndarray, c: np.ndarray, old: np.ndarray) -> np.ndarray:
 
 
 def _factor_block(
-    old: np.ndarray, u: Optional[np.ndarray], r: np.ndarray, c: np.ndarray
+    old: np.ndarray, u: Optional[np.ndarray], r: np.ndarray, c: np.ndarray, layer: int
 ) -> np.ndarray:
     """Minimize the block quadratic (D17) from old: the basis (u None) row by
     row over X >= 0 (:func:`_nnls_rows`), a mixer by one sweep over its
-    simplex columns at their targets t_j (D23).  A column with r_jj = 0 keeps
-    its value (D19).  Returns the new factor, or old itself (the same object)
-    if roundoff made the objective rise (D20)."""
+    simplex columns at their targets t_j (D23), one NNLS solve (D24) each.
+    layer is the factor's place in the stack (0 the basis); a mixer's
+    refusal names it.  A column with r_jj = 0 keeps its value (D19).
+    Returns the new factor, or old itself (the same object) if roundoff
+    made the objective rise (D20)."""
     used = np.flatnonzero(np.diag(r) > 0.0)
     new = np.array(old)
     if u is None:
@@ -447,9 +438,10 @@ def _factor_block(
         low, low_pinv = _reduced_factor(u)
         low_s = low @ new
         low_c = low_pinv @ c
+        solve = _column_solver(low, "fit's mixer sweep", f"the targets of mixing layer {layer}")
         for j in used:
             target = (low_c[:, j] - low_s @ r[:, j]) / r[j, j] + low_s[:, j]
-            new[:, j] = _simplex_lsq(target[:, None], low)[:, 0]
+            new[:, j] = solve(target, j)
             low_s[:, j] = low @ new[:, j]
 
     def objective(x):
@@ -478,7 +470,7 @@ def _update_factors(stack: FactorStack, ym: np.ndarray, pbar: np.ndarray) -> Fac
     tail = _suffix_products(mats)
     prefix = None
     for i, w in enumerate(tail[1:]):
-        mats[i] = _factor_block(mats[i], *_block_terms(prefix, w, ym, pbar))
+        mats[i] = _factor_block(mats[i], *_block_terms(prefix, w, ym, pbar), i)
         prefix = mats[i] if prefix is None else prefix @ mats[i]
     return stack.replace(basis=mats[0], mixers=mats[1:])
 

@@ -21,7 +21,7 @@ from mssmf import (
     init_all,
     vca,
 )
-from mssmf import initialization
+from mssmf import initialization, simplex, solver
 from mssmf.initialization import scls
 from mssmf.simplex import BETA_FLOOR, sample_dirichlet
 
@@ -217,6 +217,35 @@ def unreduced_simplex_lsq(y, a):
     return out
 
 
+def nnls_loop(y, a):
+    """scls as one NNLS per pixel (D24), on one QR of a (D25) when it has
+    more rows than columns: the loop that every pixel no certified round
+    (D31) solves goes to, written out with its buffers."""
+    m, k = a.shape
+    if m > k:
+        q, a = np.linalg.qr(a)
+        y = q.T @ y
+        m = k
+    lhs = np.ones((m + 1, k))
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    out = np.empty((k, y.shape[1]))
+    for j in range(y.shape[1]):
+        np.subtract(y[:, j, None], a, out=lhs[:m])
+        u, _ = nnls(lhs, rhs)
+        out[:, j] = u / u.sum()
+    return out
+
+
+def certify_none(g, c, out):
+    """A stand-in for simplex._certified_rounds that certifies no column."""
+    return np.full(c.shape[1], -1)
+
+
+def rounds_must_not_run(g, c, out):
+    raise AssertionError("the certified rounds ran")
+
+
 @pytest.fixture(scope="module")
 def quick_start_pixels():
     """README quick-start pixels: 198 bands, 500 px, 20 dB (init seed 9,
@@ -327,7 +356,8 @@ class TestScls:
         assert np.all(np.abs(got - want) <= 1e-12 * want + floor)
 
     def test_pixel_solves_have_endmember_count_rows(self, quick_start_endmembers, monkeypatch):
-        # (D25): k + 1 rows per solve after the reduction
+        # (D25): k + 1 rows per solve after the reduction, on the fallback
+        # path: the certified rounds (D31) certify no pixel here
         y, a = quick_start_endmembers
         shapes = set()
 
@@ -337,12 +367,75 @@ class TestScls:
 
         # the reduced solve imports nnls from scipy.optimize at each call
         monkeypatch.setattr(scipy.optimize, "nnls", recorded)
+        monkeypatch.setattr(simplex, "_certified_rounds", certify_none)
         scls(y[:, :5], a)
         assert shapes == {(31, 30)}
         # with fewer bands than endmembers every band stays
         shapes.clear()
         scls(y[::10, :5], a[::10])
         assert shapes == {(21, 30)}
+
+    @pytest.mark.parametrize(
+        "pixels, snr_db", [(500, 20.0), (2000, 20.0), (200, 30.0)], ids=["desk", "wide", "deep"]
+    )
+    def test_certified_rounds_match_nnls_at_workload_shapes(self, monkeypatch, pixels, snr_db):
+        # (D31) on the benchmark's scene shapes against 30 VCA endmembers:
+        # the rounds certify most pixels, every pixel's residual is the one
+        # the per-pixel NNLS reaches, and the Frank-Wolfe gap (D26)
+        # certifies every solution
+        truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
+        px = gen_dataset(truth, n_pixels=pixels, snr_db=snr_db, seed=8).pixels
+        a, _ = vca(px, 30, seed=9)
+        y = px.data
+        exact = simplex._certified_rounds
+        rounds = []
+
+        def recorded(g, c, out):
+            rounds.append(exact(g, c, out))
+            return rounds[-1]
+
+        monkeypatch.setattr(simplex, "_certified_rounds", recorded)
+        s = scls(y, a)
+        certified = np.concatenate(rounds) >= 0
+        assert certified.size == pixels and certified.mean() > 0.5
+        assert np.all(s >= 0.0)
+        np.testing.assert_allclose(s.sum(axis=0), 1.0, atol=1e-14)
+        got = ((y - a @ s) ** 2).sum(axis=0)
+        want = ((y - a @ nnls_loop(y, a)) ** 2).sum(axis=0)
+        # the VCA picks are pixels, whose residual is zero up to roundoff
+        floor = 1e-24 * (y * y).sum(axis=0)
+        assert np.all(np.abs(got - want) <= 1e-12 * want + floor)
+        assert frank_wolfe_gap(y, a, s).max() <= FW_GAP_BOUND
+
+    def test_uncertified_pixels_get_the_nnls_loop(self, quick_start_endmembers, monkeypatch):
+        # (D31): a pixel no round certifies gets the NNLS solve, bit for bit
+        y, a = quick_start_endmembers
+        monkeypatch.setattr(simplex, "_certified_rounds", certify_none)
+        np.testing.assert_array_equal(scls(y, a), nnls_loop(y, a))
+
+    @pytest.mark.parametrize("case", ["duplicated", "fewer_bands"])
+    def test_singular_gram_skips_the_rounds(self, quick_start_endmembers, monkeypatch, case):
+        # (D31) runs only on a positive definite Gram (D22): duplicate
+        # endmembers, or more endmembers than bands, give the NNLS loop
+        y, a = quick_start_endmembers
+        if case == "duplicated":
+            a = np.hstack([a, a[:, :5]])
+        else:
+            y, a = y[::10], a[::10]
+        monkeypatch.setattr(simplex, "_certified_rounds", rounds_must_not_run)
+        np.testing.assert_array_equal(scls(y, a), nnls_loop(y, a))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gram_overflow_skips_the_rounds(self, monkeypatch):
+        # (D31) runs only when k span^2 is finite: at 1e160 the pixels go to
+        # the NNLS loop, which solves them (pixels at the vertices) or names
+        # the fault (pixels near 1e308), with no warning
+        monkeypatch.setattr(simplex, "_certified_rounds", rounds_must_not_run)
+        rng = np.random.default_rng(0)
+        a = rng.uniform(0.1, 1, (8, 3))
+        np.testing.assert_allclose(scls(a * 1e160, a * 1e160), np.eye(3), atol=1e-12)
+        with pytest.raises(ValidationError, match="scls: column 0 of the data"):
+            scls(rng.uniform(0, 1, (8, 5)) * 1e308, a)
 
     def test_solves_when_uniform_start_is_in_gram_null_space(self):
         # B^T B = [[2, -2], [-2, 2]] annihilates the uniform start vector
@@ -442,6 +535,18 @@ class TestScls:
         stack = FactorStack(a, (np.eye(3),), 0.1)
         with pytest.raises(ValidationError, match="fit's mixer sweep: column"):
             fit(y * 1e50, stack, np.ones((3, 6)), FitConfig(max_outer_iters=2, rel_elbo_tol=0.0))
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mixer_sweep_refusal_names_layer_and_column(self):
+        # column 0's target is on the simplex; column 1's, near 1e200, has
+        # an NNLS solution of zero: the refusal names that column and layer
+        c = np.array([[0.2, 1e200], [0.3, 2e200], [0.5, 3e200]])
+        with pytest.raises(
+            ValidationError,
+            match="fit's mixer sweep: column 1 of the targets of mixing layer 2 is beyond",
+        ):
+            solver._factor_block(np.full((3, 2), 1.0 / 3.0), np.eye(3), np.eye(2), c, 2)
 
 
 class TestInitAll:

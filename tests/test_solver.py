@@ -502,7 +502,7 @@ def block_objective(problem, x):
 
 def block_update(mats, which, y, betas):
     """The per-block solver's update of factor `which` of mats."""
-    return solver._factor_block(mats[which], *block_terms(mats, which, y, betas))
+    return solver._factor_block(mats[which], *block_terms(mats, which, y, betas), which)
 
 
 def solve_block(y, stack, betas, which):
@@ -818,10 +818,26 @@ class TestUpdateFactor:
             monkeypatch.setattr(solver, "_nnls_rows", lambda r, c, old: np.full(c.shape, 1e3))
         else:
             monkeypatch.setattr(
-                solver, "_simplex_lsq", lambda t, b: np.eye(b.shape[1])[:, [0]]
+                solver, "_column_solver", lambda b, name, whose: lambda t, j: np.eye(b.shape[1])[0]
             )
         mats = [stack.basis, *stack.mixers]
         assert block_update(mats, which, y, betas) is mats[which]
+
+    def test_mixer_sweep_matches_per_column_solves_at_deep_scale(self):
+        # the sweep allocates one column solver per mixer; on the benchmark's
+        # deep scene (200 px, 30 dB, dims 3,5,8,12,18,30) after 5 iterations,
+        # it must give the bits of fresh per-column solves (D23, D24)
+        truth, _ = assemble_ground_truth(builtin_bases(198), seed=7)
+        pixels = gen_dataset(truth, n_pixels=200, snr_db=30.0, seed=8).pixels
+        init = init_all(pixels, (3, 5, 8, 12, 18, 30), seed=9)
+        config = FitConfig(max_outer_iters=5, rel_elbo_tol=0.0)
+        res = fit(pixels, init.stack, init.posterior, config)
+        stats = solver._factor_statistics(pixels.data, res.posterior.concentration)
+        got = solver._update_factors(res.stack, *stats)
+        want = reference_mixer_sweep(res.stack, *stats)
+        for new, ref in zip([got.basis, *got.mixers], want):
+            np.testing.assert_array_equal(new, ref)
+        assert not all(map(np.array_equal, got.mixers, res.stack.mixers))
 
     @pytest.mark.parametrize("depth", [1, 2, 4])
     def test_sweep_matches_blocks_applied_in_order(self, rng, depth):
@@ -861,6 +877,44 @@ class TestUpdateFactor:
                 float(want @ r @ want - 2.0 * ci @ want), rel=1e-10
             )
         assert 0 < len(fallback) < got.shape[0]
+
+
+def reference_mixer_sweep(stack, ym, pbar):
+    """_update_factors' sweep with each mixer column solved as one fresh
+    homogenized NNLS (D24) on new buffers, the way a per-column
+    _simplex_lsq call solved it: the column target t_j (D23), NNLS,
+    u / 1'u, and the keep-old guard (D20).  The basis block is the
+    solver's own."""
+    mats = [stack.basis, *stack.mixers]
+    tail = model._suffix_products(mats)
+    prefix = None
+    for i, w in enumerate(tail[1:]):
+        u, r, c = solver._block_terms(prefix, w, ym, pbar)
+        if u is None:
+            mats[i] = solver._factor_block(mats[i], u, r, c, i)
+        else:
+            old = mats[i]
+            new = np.array(old)
+            low, low_pinv = simplex._reduced_factor(u)
+            low_s = low @ new
+            low_c = low_pinv @ c
+            m, k = low.shape
+            for j in np.flatnonzero(np.diag(r) > 0.0):
+                target = (low_c[:, j] - low_s @ r[:, j]) / r[j, j] + low_s[:, j]
+                lhs = np.ones((m + 1, k))
+                rhs = np.zeros(m + 1)
+                rhs[m] = 1.0
+                np.subtract(target[:, None], low, out=lhs[:m])
+                sol, _ = solver.nnls(lhs, rhs)
+                new[:, j] = sol / sol.sum()
+                low_s[:, j] = low @ new[:, j]
+
+            def objective(x):
+                return np.sum(solver._quadratic_part(x, u, r) * x) - 2.0 * np.sum(x * c)
+
+            mats[i] = old if objective(new) > objective(old) else new
+        prefix = mats[i] if prefix is None else prefix @ mats[i]
+    return mats
 
 
 class TestBlockQuadratic:
@@ -961,8 +1015,8 @@ class TestFit:
         exact = solver._factor_block
         calls = []
 
-        def negative_basis(old, u, r, c):
-            new = exact(old, u, r, c)
+        def negative_basis(old, u, r, c, layer):
+            new = exact(old, u, r, c, layer)
             if u is None:
                 calls.append(None)
                 new = np.array(new)
