@@ -142,9 +142,9 @@ def _data_terms(
     """The solver's one data prologue, on float64 arrays: (c, G, each
     pixel's ||y_n||^2, ||Y||^2).  ValidationError naming the shapes unless
     Y (bands x N) and B (bands x K, K >= 1) are 2-D with equal bands and
-    the concentrations are K x N; then c and G are formed and checked by
-    :func:`_products`, and ||Y||^2, which finite data can overflow, is
-    checked too."""
+    the concentrations are K x N; then c and G are checked by
+    :func:`_products`, t (t + 1) of the largest total, the divisor of the
+    residual (D5), and ||Y||^2, which finite data can overflow, too."""
     if y.ndim != 2 or b.ndim != 2 or b.shape[0] != y.shape[0] or b.shape[1] < 1:
         raise ValidationError(
             f"endmembers {b.shape} and data {y.shape} must be 2-D with equal bands"
@@ -156,7 +156,9 @@ def _data_terms(
         )
     c, g = _products(y, b, name)
     with np.errstate(over="ignore"):
+        top = float(betas.sum(axis=0).max(initial=0.0))
         sq = y * y
+    _prep_arg(top * (top + 1.0), f"{name}'s concentration totals t (t + 1)", None)
     yy = np.sum(sq)
     if not yy < np.inf:
         raise ValidationError(f"{name}'s data: squared norm overflows")
@@ -172,13 +174,14 @@ def _expected_resid(
 
     Also returns the pieces :func:`_beta_gradient` reuses at the same point,
     one column per pixel: (total, denom, g @ betas, tr(G E[z z']), c . betas),
-    with denom = total * (total + 1).
+    with denom = total * (total + 1), inf without a warning past 1.3e154.
     """
-    total = betas.sum(axis=0)
-    denom = total * (total + 1.0)
-    gb = g @ betas
-    tr_gp = (np.diag(g) @ betas + (betas * gb).sum(axis=0)) / denom
-    cb = (c * betas).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = betas.sum(axis=0)
+        denom = total * (total + 1.0)
+        gb = g @ betas
+        tr_gp = (np.diag(g) @ betas + (betas * gb).sum(axis=0)) / denom
+        cb = (c * betas).sum(axis=0)
     return -2.0 * cb / total + tr_gp, (total, denom, gb, tr_gp, cb)
 
 
@@ -207,15 +210,17 @@ def _beta_gradient(
     sigma2: float,
     point: Tuple[np.ndarray, ...],
 ) -> np.ndarray:
-    """d f_n / d betas, (D10) and (D11), from the record :func:`_beta_point`
-    returned at the same betas.  That call's entropy has checked betas and
-    their totals, so trigamma runs without its input check."""
+    """d f_n / d betas by the per-pixel rows a, b, h of (D10)-(D11), from the
+    record :func:`_beta_point` returned at the same betas, whose entropy has
+    checked betas and their totals: trigamma runs without its input check."""
     total, denom, gb, tr_gp, cb = point[2:]
-    k = betas.shape[0]
-    d_resid = -2.0 * (c - cb / total) / total
-    d_resid += (np.diag(g)[:, None] + 2.0 * gb - (2.0 * total + 1.0) * tr_gp) / denom
-    d_ent = (total - k) * _trigamma(total) - (betas - 1.0) * _trigamma(betas)
-    return -d_resid / (2.0 * sigma2) + d_ent
+    a, b = 1.0 / (sigma2 * total), -1.0 / (sigma2 * denom)
+    h = (total - betas.shape[0]) * _trigamma(total) - a * cb / total
+    grad = (1.0 - betas) * _trigamma(betas)
+    grad += h - 0.5 * b * (2.0 * total + 1.0) * tr_gp
+    grad += c * a
+    grad += b * (gb + 0.5 * np.diag(g)[:, None])
+    return grad
 
 
 def _armijo_trial(
@@ -228,11 +233,12 @@ def _armijo_trial(
     sigma2: float,
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
     """Try one clamped step (D12) per pixel from cur, whose value is f0.
-    Returns which pixels pass the Armijo test and the state tried: the
-    candidates and their :func:`_beta_point` record."""
+    Returns which pixels pass the Armijo test (none whose t (t + 1) is inf)
+    and the state tried: the candidates and their :func:`_beta_point` record."""
     cand = np.maximum(cur + step * grad, BETA_FLOOR)
     point = _beta_point(c, g, cand, sigma2)
     ok = point[0] - f0 >= _ARMIJO_C1 * (grad * (cand - cur)).sum(axis=0)
+    ok &= point[3] < np.inf
     return ok, (cand, *point)
 
 

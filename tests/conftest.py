@@ -72,6 +72,20 @@ def elbo_terms(y, b, betas, sigma2):
     return solver._bound(rsum, ent, sigma2, y.shape[0], *betas.shape)
 
 
+def beta_gradient_reference(c, g, betas, sigma2):
+    """The concentration gradient -(D10) / (2 sigma2) + (D11) as the two
+    equations read, term by term, with scipy's trigamma: an oracle for the
+    per-pixel coefficient rows that solver._beta_gradient sums."""
+    t = betas.sum(axis=0)
+    denom = t * (t + 1.0)
+    gb = g @ betas
+    tau = (np.diag(g) @ betas + (betas * gb).sum(axis=0)) / denom
+    d_resid = -2.0 * (c - (c * betas).sum(axis=0) / t) / t
+    d_resid += (np.diag(g)[:, None] + 2.0 * gb - (2.0 * t + 1.0) * tau) / denom
+    d_ent = (t - betas.shape[0]) * sp.polygamma(1, t) - (betas - 1.0) * sp.polygamma(1, betas)
+    return -d_resid / (2.0 * sigma2) + d_ent
+
+
 def block_terms(mats, which, y, betas):
     """(U, R, C) of factor `which` of mats = [basis, *mixers] as the sweep
     forms them, with the statistics, the prefix and the suffix products

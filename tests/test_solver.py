@@ -33,6 +33,7 @@ from mssmf.simplex import (
 )
 
 from conftest import (
+    beta_gradient_reference,
     block_terms,
     central_diff,
     dirichlet_second_moment,
@@ -219,6 +220,24 @@ class TestGradients:
                 lambda t: solver._beta_point(c, g, t, sigma2)[0].sum() / n, betas
             )
             assert np.abs(got - fd).max() < 1e-6 * (1 + np.abs(fd).max())
+
+    @pytest.mark.parametrize("passes", [0, 10])
+    @pytest.mark.parametrize("case", ["quick_start", "deep"])
+    def test_beta_gradient_matches_unfolded_reference(self, case, passes):
+        # the per-pixel coefficient rows a, b, h of (D10)-(D11) against the
+        # two equations term by term, at init_all's state and after ten
+        # passes; the terms cancel, so the bound is relative to each
+        # column's largest entry (measured worst: 6.1e-16 at init, 1.2e-12
+        # after fifty passes on the deep scene)
+        y, stack, betas = retrying_state(case)
+        b = compose_expanded(stack)
+        c, g, sigma2 = b.T @ y, b.T @ b, stack.noise_var
+        if passes:
+            betas = update_beta(y, b, betas, sigma2, passes)
+        got = solver._beta_gradient(c, g, betas, sigma2, solver._beta_point(c, g, betas, sigma2))
+        want = beta_gradient_reference(c, g, betas, sigma2)
+        rel = np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)
+        assert rel.max() < 1e-11
 
     def test_deep_stack_gradients(self, rng):
         # (D17) for the second of three mixers
@@ -433,12 +452,14 @@ class TestBetaUpdate:
         names = Counter(name for name, _, _ in checks)
         assert names.pop("dirichlet_entropy", 0) == len(entropy_calls)
         assert names.pop("dirichlet_entropy (overflow)", 0) == len(entropy_calls)
-        # the noise variance, G and c in the prologue; the concentrations
-        # are left to the entropy
+        # the noise variance, G, c and t (t + 1) of the largest
+        # concentration total in the prologue; the concentrations are left
+        # to the entropy
         assert names == {
             "update_beta's noise variance": 1,
             "update_beta's endmembers": 1,
             "update_beta's data": 1,
+            "update_beta's concentration totals t (t + 1)": 1,
         }
         assert not any("_beta_gradient" in chain for chain in checks)
         # the line search evaluates its start and at least one point per pass
@@ -610,6 +631,42 @@ class TestRawEntryChecks:
         calls["fit"] = lambda: fit(y, stack, betas, FitConfig(max_outer_iters=2))
         with pytest.raises(ValidationError, match="data: squared norm overflows"):
             calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["fit", "update_beta", "elbo_terms"])
+    @pytest.mark.parametrize("scale", [1e160, 1e307])
+    def test_reject_overflowing_concentration_totals(self, rng, entry, scale):
+        # the residual (D5) divides by t (t + 1), which overflows past a
+        # total of about 1.3e154: such a start is refused where it enters,
+        # by name and with no warning, and so is a total that overflows
+        y, stack, betas = random_instance(rng)
+        betas = betas * scale
+        calls = _raw_entry_calls(y, expanded_of(stack), betas, stack.noise_var)
+        calls["fit"] = lambda: fit(y, stack, betas, FitConfig(max_outer_iters=2))
+        with pytest.raises(ValidationError, match=re.escape("concentration totals t (t + 1)")):
+            calls[entry]()
+
+    def test_accept_large_concentration_totals(self, rng):
+        # totals of 1e153 are in range: fit runs from them, with no warning
+        y, stack, betas = random_instance(rng)
+        betas = betas / betas.sum(axis=0) * 1e153
+        res = fit(y, stack, betas, FitConfig(max_outer_iters=2))
+        assert np.isfinite(res.trace.elbo).all()
+
+    def test_armijo_fails_where_the_total_overflows(self, rng):
+        # a candidate whose t (t + 1) overflows fails its Armijo test,
+        # quietly, even against a start value of -inf, which every finite
+        # candidate value passes; G is small, so at 2.5e153 per entry
+        # (total 2e154) the candidate's value and demand stay finite
+        b = rng.uniform(0.0, 1e-3, (6, 8))
+        y = rng.uniform(0.0, 1.0, (6, 5))
+        c, g = b.T @ y, b.T @ b
+        cur = np.ones(c.shape)
+        for size, passes in ((1e150, True), (2.5e153, False)):
+            ok, tried = solver._armijo_trial(
+                c, g, cur, np.ones(5), np.full(c.shape, size), np.full(5, -np.inf), 0.1
+            )
+            np.testing.assert_array_equal(ok, np.full(5, passes))
+            assert np.isfinite(tried[1]).all() and (tried[4] < np.inf).all() == passes
 
     @pytest.mark.parametrize("when", ["start", "sweep"])
     def test_fit_rejects_overflowing_endmembers(self, rng, monkeypatch, when):
