@@ -1,10 +1,10 @@
 """Simplex geometry and Dirichlet math.
 
 Everything the variational solver needs that is not plain linear algebra:
-simplex-constrained least squares (D24) and its certified rounds over many
-pixels (D31), trigamma (D8, D9), and Dirichlet moments (D4), entropy (D7)
-and sampling; also the pixel-block split and the reduced factor (D22),
-which the solver uses too.
+simplex-constrained least squares (D24), the certified rounds (D31) that it
+and the solver's basis rows share, trigamma (D8, D9), and Dirichlet moments
+(D4), entropy (D7) and sampling; also the pixel-block split and the reduced
+factor (D22), which the solver uses too.
 
 Every public function checks each array argument once, with the package's
 one range test, ``model._prep_arg``.  :func:`dirichlet_entropy` checks its
@@ -125,57 +125,56 @@ def _column_solver(
     return solve
 
 
-def _certified_rounds(g: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The certified rounds (D31) for min ||a - R s||^2 over the simplex,
-    one problem per column of c = R'a, with G = R'R positive definite by
-    the cut of (D22) and G and c finite.  Returns rounds, the round that
-    certified each column, and writes each certified column's exact
-    minimizer to that column of out (k x n); where rounds is -1, no round
-    certified the column, and its column of out is left as it was."""
-    k, n = c.shape
-    border = np.ones((k + 1, k + 1))
-    border[:k, :k] = g
-    border[k, k] = 0.0
-    # one row per column of c: its right-hand side [c' 1] and its free set,
-    # which always holds the last entry, the multiplier
-    rhs = np.ones((n, k + 1))
-    rhs[:, :k] = c.T
-    free = np.ones((n, k + 1), dtype=bool)
-    rounds = np.full(n, -1)
-    cols = np.arange(n)
+def _certified_rounds(
+    a: np.ndarray, rhs: np.ndarray, free: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The certified rounds (D31), one problem per row rhs_i of rhs (n x p):
+    x with A x - rhs_i = lam, lam = 0 on x's free set, and x >= 0, lam >= 0
+    and lam'x = 0 on the first k entries, the only signed ones.  A (p x p)
+    is G, positive definite by the cut of (D22), or G bordered by the
+    sum-to-one row, whose last entry is the free multiplier; A and rhs are
+    finite.  free (n x p) holds each row's starting free set, which is left
+    as it was.  Returns (x, rounds): each certified row's exact solution,
+    zero elsewhere, and the round that certified each row, -1 for none."""
+    n, p = rhs.shape
+    free, rows = np.array(free), np.arange(n)
+    out, rounds = np.zeros((n, p)), np.full(n, -1)
     # every row's count of wrong entries in the last two rounds
     before = np.full((2, n), k + 1)
-    x = np.linalg.solve(border, rhs.T).T
     for t in itertools.count():
+        if free.all():
+            # every row on the full free set: one shared system
+            x = np.linalg.solve(a, rhs.T).T
+        else:
+            # one stacked solve per free-set size, of the systems on each
+            # row's free set; rows with none are a size-0 group, at zero
+            x = np.zeros(free.shape)
+            size = free.sum(axis=1)
+            for s in np.flatnonzero(np.bincount(size)):
+                sel = np.flatnonzero(size == s)
+                idx = np.nonzero(free[sel])[1].reshape(sel.size, s)
+                lhs = a[idx[:, :, None], idx[:, None, :]]
+                x[sel[:, None], idx] = np.linalg.solve(lhs, rhs[sel[:, None], idx, None])[..., 0]
         # roundoff can overflow a far-off solution; its row fails below
         with np.errstate(over="ignore", invalid="ignore"):
-            lam = x @ border
+            lam = x @ a
             lam -= rhs
         wrong = np.where(free, ~(x > 0.0), ~(lam >= 0.0))[:, :k]
         count = wrong.sum(axis=1)
         finite = np.isfinite(lam).all(axis=1)
         ok = finite & (count == 0)
-        sol = x[ok, :k]
-        out[:, cols[ok]] = (sol / sol.sum(axis=1, keepdims=True)).T
-        rounds[cols[ok]] = t
+        out[rows[ok]] = x[ok]
+        rounds[rows[ok]] = t
         # the full exchange: wrong entries of the free set leave it, wrong
-        # bounds enter it; a row whose count has not fallen in two rounds,
-        # or whose free set would empty, leaves the rounds
+        # bounds enter it; a row whose count has not fallen in two rounds, or
+        # whose constrained free set would empty (a bordered system on none
+        # is 0 mu = 1), leaves the rounds
         free[:, :k] ^= wrong
         go = finite & ~ok & (count < before[1]) & free[:, :k].any(axis=1)
         if not go.any():
-            return rounds
+            return out, rounds
         before = np.stack([count, before[0]])[:, go]
-        cols, free, rhs = cols[go], free[go], rhs[go]
-        x = np.zeros(free.shape)
-        size = free.sum(axis=1)
-        for s in np.flatnonzero(np.bincount(size)):
-            # one stacked solve per free-set size, of the bordered systems
-            # on each row's free set
-            sel = np.flatnonzero(size == s)
-            idx = np.nonzero(free[sel])[1].reshape(sel.size, s)
-            systems = border[idx[:, :, None], idx[:, None, :]]
-            x[sel[:, None], idx] = np.linalg.solve(systems, rhs[sel[:, None], idx, None])[..., 0]
+        rows, free, rhs = rows[go], free[go], rhs[go]
 
 
 def _simplex_lsq(y: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
@@ -210,9 +209,14 @@ def _simplex_lsq(y: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
     if n > 1 and k * span * span < np.inf:
         g = b.T @ b
         if _reduced_factor(g)[0].shape[0] == k:
+            # G bordered by the sum-to-one row, whose multiplier is always free
+            border = np.block([[g, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
             left = []
             for lo, hi in _pixel_blocks(n):
-                rounds = _certified_rounds(g, b.T @ y[:, lo:hi], out[:, lo:hi])
+                rhs = np.hstack([(b.T @ y[:, lo:hi]).T, np.ones((hi - lo, 1))])
+                x, rounds = _certified_rounds(border, rhs, np.ones(rhs.shape, dtype=bool), k)
+                sol = x[rounds >= 0, :k]
+                out[:, lo:hi][:, rounds >= 0] = (sol / sol.sum(axis=1, keepdims=True)).T
                 left.extend(lo + np.flatnonzero(rounds < 0))
     solve = _column_solver(b, name, "the data")
     for j in left:

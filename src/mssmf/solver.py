@@ -50,6 +50,7 @@ from .model import (
 from .simplex import (
     BETA_FLOOR,
     DirichletParam,
+    _certified_rounds,
     _column_solver,
     _pixel_blocks,
     _reduced_factor,
@@ -233,12 +234,14 @@ def _armijo_trial(
     sigma2: float,
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
     """Try one clamped step (D12) per pixel from cur, whose value is f0.
-    Returns which pixels pass the Armijo test (none whose t (t + 1) is inf)
-    and the state tried: the candidates and their :func:`_beta_point` record."""
+    Returns which pixels pass the Armijo test, which an infinite demanded
+    rise or t (t + 1) fails, and the state tried: the candidates and their
+    :func:`_beta_point` record."""
     cand = np.maximum(cur + step * grad, BETA_FLOOR)
     point = _beta_point(c, g, cand, sigma2)
-    ok = point[0] - f0 >= _ARMIJO_C1 * (grad * (cand - cur)).sum(axis=0)
-    ok &= point[3] < np.inf
+    with np.errstate(over="ignore"):
+        rise = _ARMIJO_C1 * (grad * (cand - cur)).sum(axis=0)
+    ok = (point[0] - f0 >= rise) & (rise < np.inf) & (point[3] < np.inf)
     return ok, (cand, *point)
 
 
@@ -277,11 +280,13 @@ def _beta_ascent_chunk(
     for _ in range(passes):
         grad = _beta_gradient(c, g, betas, sigma2, state[1:])
         room = ceil - f0
-        demand = _ARMIJO_C1 * (np.maximum(grad, 0.0) ** 2).sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            demand = _ARMIJO_C1 * (np.maximum(grad, 0.0) ** 2).sum(axis=0)
             skip = np.ceil(np.log2(demand / (2.0 * room)))
-        # headroom <= 0 or non-finite leaves no finite skip: start at step 1
+        # an infinite demand on positive headroom starts at the least step;
+        # any other non-finite skip (headroom <= 0 or non-finite) at step 1
         skip[~np.isfinite(skip)] = 0.0
+        skip[np.isinf(demand) & (room > 0.0)] = _MAX_HALVINGS - 1
         step = 0.5 ** np.clip(skip, 0.0, _MAX_HALVINGS - 1)
         ok, tried = _armijo_trial(c, g, betas, step, grad, f0, sigma2)
         for kept, new in zip(state, tried):
@@ -407,20 +412,16 @@ def _quadratic_part(x: np.ndarray, u: Optional[np.ndarray], r: np.ndarray) -> np
 
 
 def _nnls_rows(r: np.ndarray, c: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """The minimizer of a'Ra - 2 c_i'a over a >= 0 for every row c_i of c.
-    One batched solve puts each row on the support of its row of old; a row
-    keeps that point where its KKT certificate (D21) holds, and the rest go
-    to NNLS on the reduced factor (D22)."""
+    """The minimizer of a'Ra - 2 c_i'a over a >= 0 for every row c_i of c
+    (D21): the certified rounds (D31) start each row from the support of
+    its row of old, and the rows they leave uncertified go to NNLS on the
+    reduced factor (D22)."""
     low, low_pinv = _reduced_factor(r)
-    new = np.zeros_like(c)
-    ok = np.zeros(c.shape[0], dtype=bool)
+    new, rounds = np.zeros_like(c), np.full(c.shape[0], -1)
     if low.shape[0] == r.shape[0]:
-        # R is positive definite, and so is every R_PP (eigenvalue interlacing)
-        pos = old > 0.0
-        systems = np.where(pos[:, :, None] & pos[:, None, :], r, np.eye(r.shape[0]))
-        new = np.linalg.solve(systems, np.where(pos, c, 0.0)[:, :, None])[:, :, 0]
-        ok = np.all(np.where(pos, new > 0.0, new @ r - c >= 0.0), axis=1)
-    bad = np.flatnonzero(~ok)
+        # R is positive definite, and so is every R_FF (eigenvalue interlacing)
+        new, rounds = _certified_rounds(r, c, old > 0.0, r.shape[0])
+    bad = np.flatnonzero(rounds < 0)
     for i, target in zip(bad, c[bad] @ low_pinv.T):
         new[i], _ = nnls(low, target)
     return new
@@ -467,9 +468,9 @@ def _update_factors(stack: FactorStack, ym: np.ndarray, pbar: np.ndarray) -> Fac
     iteration.  :func:`_factor_block` minimizes each block's quadratic (D17);
     the sweep forms every W once, from the incoming factors, and carries P
     from block to block (D18).  No block keeps a value that raises its
-    objective (D20), so the bound never drops.  Most basis rows keep their
-    support from one iteration to the next and skip NNLS; how many fall back
-    depends on the scene and, through roundoff, on BLAS's thread count.
+    objective (D20), so the bound never drops.  The basis rows start their
+    rounds from the last iteration's supports, and few fall back to NNLS; how
+    many depends on the scene and, through roundoff, on BLAS's thread count.
     Returns one new, validated stack.
     """
     mats = [stack.basis, *stack.mixers]

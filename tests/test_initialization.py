@@ -237,12 +237,12 @@ def nnls_loop(y, a):
     return out
 
 
-def certify_none(g, c, out):
-    """A stand-in for simplex._certified_rounds that certifies no column."""
-    return np.full(c.shape[1], -1)
+def certify_none(a, rhs, free, k):
+    """A stand-in for simplex._certified_rounds that certifies no row."""
+    return np.zeros(rhs.shape), np.full(rhs.shape[0], -1)
 
 
-def rounds_must_not_run(g, c, out):
+def rounds_must_not_run(a, rhs, free, k):
     raise AssertionError("the certified rounds ran")
 
 
@@ -390,9 +390,10 @@ class TestScls:
         exact = simplex._certified_rounds
         rounds = []
 
-        def recorded(g, c, out):
-            rounds.append(exact(g, c, out))
-            return rounds[-1]
+        def recorded(a, rhs, free, k):
+            x, certified = exact(a, rhs, free, k)
+            rounds.append(certified)
+            return x, certified
 
         monkeypatch.setattr(simplex, "_certified_rounds", recorded)
         s = scls(y, a)

@@ -9,7 +9,7 @@ from scipy import stats
 from mssmf import DirichletParam, ValidationError, model, simplex
 from mssmf.simplex import BETA_FLOOR, dirichlet_entropy, sample_dirichlet
 
-from conftest import dirichlet_second_moment
+from conftest import dirichlet_second_moment, nnls_quadratic_bruteforce
 
 # the Dirichlet moments of one 1-D concentration vector: the mean as
 # DirichletParam computes it, and the second-moment oracle
@@ -216,6 +216,55 @@ class TestDirichlet:
             - ((b - 1.0) * sp.psi(b)).sum()
         )
         assert dirichlet_entropy(b[:, None])[0] == pytest.approx(ref, rel=1e-11)
+
+
+class TestCertifiedRounds:
+    """The certified rounds (D31) on the plain, unbordered system of the
+    basis rows (D21): min a'Ra - 2 c'a over a >= 0 per row c of C, every
+    entry signed, from a given starting free set."""
+
+    @pytest.mark.parametrize("start", ["empty", "full", "random"])
+    def test_plain_rounds_match_support_enumeration(self, rng, start):
+        # every certified row is the optimum, and every other row of x is
+        # zero: a row leaves uncertified when its count of wrong entries
+        # stalls, or when its exchange would empty its free set, as it does
+        # from a wrong support for most rows whose optimum is zero
+        certified, shared = [], []
+        for _ in range(20):
+            k = int(rng.integers(1, 7))
+            root = rng.standard_normal((k + 3, k))
+            r = root.T @ root
+            c = rng.standard_normal((12, k))
+            # c <= 0 makes a = 0 the optimum
+            c[:3] = -np.abs(c[:3])
+            free = {
+                "empty": np.zeros(c.shape, dtype=bool),
+                "full": np.ones(c.shape, dtype=bool),
+                "random": rng.random(c.shape) < 0.5,
+            }[start]
+            given = free.copy()
+            x, rounds = simplex._certified_rounds(r, c, free, k)
+            np.testing.assert_array_equal(free, given)
+            done = rounds >= 0
+            np.testing.assert_array_equal(x[~done], 0.0)
+            for a, ci, ok in zip(x, c, done):
+                best, want = nnls_quadratic_bruteforce(r, ci)
+                if ok:
+                    assert np.all(a >= 0.0)
+                    assert float(a @ r @ a - 2.0 * ci @ a) == pytest.approx(want, rel=1e-10)
+                if best.any():
+                    certified.append(ok)
+            if start == "empty":
+                # the size-0 group of round 0 certifies a = 0 where c <= 0
+                assert np.all(rounds[:3] == 0)
+            if start == "full":
+                # round 0 on full free sets is one shared solve, whose bits
+                # scls keeps
+                first = rounds == 0
+                shared.append(first.sum())
+                np.testing.assert_array_equal(x[first], np.linalg.solve(r, c.T).T[first])
+        assert np.mean(certified) > 0.9
+        assert start != "full" or sum(shared) > 0
 
 
 def _entropy_reference(b):

@@ -668,6 +668,45 @@ class TestRawEntryChecks:
             np.testing.assert_array_equal(ok, np.full(5, passes))
             assert np.isfinite(tried[1]).all() and (tried[4] < np.inf).all() == passes
 
+    def test_armijo_fails_where_the_demanded_rise_overflows(self, rng):
+        # the Armijo test (D12) demands a rise c_1 grad'(cand - cur); where
+        # that product overflows, the test fails quietly, even against a
+        # start value of -inf, while the candidate's total stays in range
+        b = rng.uniform(0.0, 1e-3, (6, 8))
+        y = rng.uniform(0.0, 1.0, (6, 5))
+        c, g = b.T @ y, b.T @ b
+        cur = np.ones(c.shape)
+        for size, step, passes in ((1e150, 1e-10, True), (1e300, 1e-160, False)):
+            ok, tried = solver._armijo_trial(
+                c, g, cur, np.full(5, step), np.full(c.shape, size), np.full(5, -np.inf), 0.1
+            )
+            np.testing.assert_array_equal(ok, np.full(5, passes))
+            assert np.isfinite(tried[1]).all() and (tried[4] < np.inf).all()
+
+    @pytest.mark.parametrize("scale", [1e50, 1e80])
+    def test_step_rule_survives_an_overflowing_demand(self, rng, monkeypatch, scale):
+        # an 8-band, 20-pixel scene scaled by 1e80 puts gradient entries
+        # past 1.3e154, so the demand of (D14) overflows: it reads as the
+        # largest skip, the least step, which the finite demands at 1e50
+        # reach by the clip; no warning, and no pixel's value drops
+        b = rng.uniform(0.1, 1.0, (8, 3)) * scale
+        y = b @ sample_dirichlet(np.ones(3), 20, rng)
+        betas = np.ones((3, 20))
+        steps = []
+        trial = solver._armijo_trial
+
+        def recorded(c, g, cur, step, *args):
+            steps.append(np.array(step))
+            return trial(c, g, cur, step, *args)
+
+        monkeypatch.setattr(solver, "_armijo_trial", recorded)
+        got = update_beta(y, b, betas, 1e-3, 2)
+        assert np.isfinite(got).all()
+        c, g = b.T @ y, b.T @ b
+        start = solver._beta_point(c, g, betas, 1e-3)[0]
+        assert np.all(solver._beta_point(c, g, got, 1e-3)[0] >= start)
+        np.testing.assert_array_equal(steps[0], 0.5 ** (solver._MAX_HALVINGS - 1))
+
     @pytest.mark.parametrize("when", ["start", "sweep"])
     def test_fit_rejects_overflowing_endmembers(self, rng, monkeypatch, when):
         # B'B overflows at a finite basis of entries 1e200; fit checks
@@ -912,28 +951,82 @@ class TestUpdateFactor:
         for new, want in zip([got.basis, *got.mixers], mats):
             np.testing.assert_array_equal(new, want)
 
-    def test_basis_rows_at_desk_scale(self, quick_start_state, monkeypatch):
-        # every band row against its own NNLS solve; the batched solve must
-        # certify some rows (D21) and send others to the fallback (D22)
-        y, _, betas, _, stack = quick_start_state
-        _, r, c, _ = block_problem(y, stack, betas, 0)
-        exact = solver.nnls
-        fallback = []
+    def test_basis_rows_at_desk_scale(self, quick_start_state, request, monkeypatch):
+        # every band row against its own NNLS solve; the certified rounds
+        # (D21, D31) send at most as many rows to the reduced NNLS (D22) as
+        # the one-round padded solve they replace did: 7 at init, 38 to 43
+        # after 3 iterations, by the BLAS thread count
+        fallback = checked_basis_rows(quick_start_state, monkeypatch)
+        padded = {0: 7, 3: 38}[request.node.callspec.params["quick_start_state"]]
+        assert len(fallback) <= padded
 
-        def counted(a, b):
-            fallback.append(None)
-            return exact(a, b)
+    def test_basis_rows_fall_back_at_desk_scale(self, quick_start_state, monkeypatch):
+        # rounds that certify nothing send every row to the reduced NNLS
+        # (D22), which must solve each row exactly too
+        monkeypatch.setattr(
+            solver, "_certified_rounds",
+            lambda a, rhs, free, k: (np.zeros(rhs.shape), np.full(rhs.shape[0], -1)),
+        )
+        fallback = checked_basis_rows(quick_start_state, monkeypatch)
+        assert len(fallback) == quick_start_state[0].shape[0]
 
-        monkeypatch.setattr(solver, "nnls", counted)
-        mats = [stack.basis, *stack.mixers]
-        got = block_update(mats, 0, y, betas)
-        low = np.linalg.cholesky(r).T
-        for a, ci in zip(got, c):
-            want, _ = exact(low, np.linalg.solve(low.T, ci))
-            assert float(a @ r @ a - 2.0 * ci @ a) == pytest.approx(
-                float(want @ r @ want - 2.0 * ci @ want), rel=1e-10
-            )
-        assert 0 < len(fallback) < got.shape[0]
+    def test_basis_rows_start_from_their_old_support(self, rng, monkeypatch):
+        # (D21) by the rounds of (D31): round 0 certifies each row from its
+        # optimal support, and a later round certifies it from that support
+        # with one entry flipped, so no row reaches NNLS, which here refuses
+        # to run.  Rows whose optimum is zero are left out: a round that
+        # would empty a free set hands its row to NNLS
+        def refuse(*args):
+            raise AssertionError("a basis row reached NNLS")
+
+        exact, rounds = solver._certified_rounds, []
+
+        def recorded(*args):
+            x, certified = exact(*args)
+            rounds.append(certified)
+            return x, certified
+
+        monkeypatch.setattr(solver, "nnls", refuse)
+        monkeypatch.setattr(solver, "_certified_rounds", recorded)
+        root = rng.standard_normal((9, 6))
+        r = root.T @ root
+        c = rng.standard_normal((40, 6))
+        best = np.array([nnls_quadratic_bruteforce(r, ci)[0] for ci in c])
+        c, best = c[best.any(axis=1)], best[best.any(axis=1)]
+        wrong = best.copy()
+        rows = np.arange(c.shape[0])
+        flip = rng.integers(0, c.shape[1], c.shape[0])
+        wrong[rows, flip] = np.where(wrong[rows, flip] > 0.0, 0.0, 1.0)
+        for old in (best, wrong):
+            got = solver._nnls_rows(r, c, old)
+            for a, ci in zip(got, c):
+                _, want = nnls_quadratic_bruteforce(r, ci)
+                assert float(a @ r @ a - 2.0 * ci @ a) == pytest.approx(want, rel=1e-10)
+        np.testing.assert_array_equal(rounds[0], 0)
+        assert np.all(rounds[1] > 0)
+
+
+def checked_basis_rows(quick_start_state, monkeypatch):
+    """Solve the quick-start basis block, check every band row against its
+    own NNLS solve, and return one entry per row the solver sent to NNLS."""
+    y, _, betas, _, stack = quick_start_state
+    _, r, c, _ = block_problem(y, stack, betas, 0)
+    exact = solver.nnls
+    fallback = []
+
+    def counted(a, b):
+        fallback.append(None)
+        return exact(a, b)
+
+    monkeypatch.setattr(solver, "nnls", counted)
+    got = block_update([stack.basis, *stack.mixers], 0, y, betas)
+    low = np.linalg.cholesky(r).T
+    for a, ci in zip(got, c):
+        want, _ = exact(low, np.linalg.solve(low.T, ci))
+        assert float(a @ r @ a - 2.0 * ci @ a) == pytest.approx(
+            float(want @ r @ want - 2.0 * ci @ want), rel=1e-10
+        )
+    return fallback
 
 
 def reference_mixer_sweep(stack, ym, pbar):
